@@ -49,6 +49,8 @@
 //!     per-request path skips all of it. Budgeted at <= 3%: overload
 //!     control must be effectively free while the server is healthy —
 //!     its cost may only appear when it is actually saving the server.
+//!     The naive side's best events/s is the server engine's throughput
+//!     (`server_events_per_sec`).
 //! 11. **Lock-algorithm dispatch overhead** — one xalan run under the
 //!     default statically-dispatched FIFO monitor vs `fifo-dyn`, which
 //!     routes the byte-identical FIFO algorithm through the
@@ -432,6 +434,7 @@ fn main() {
         },
     );
     let server_overhead_pct = srv.pct;
+    let server_events_per_sec = srv.base_eps;
     eprintln!(
         "  naive {:.2} M events/s, robust {:.2} M events/s, overhead {:.1}% (budget <= 3%)",
         srv.base_eps / 1e6,
@@ -616,7 +619,7 @@ fn main() {
     eprintln!("  analytics overhead {analytics_overhead_pct:.1}% (budget <= 3%)");
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"events_per_sec\": {eps:.0},\n  \"sweep_wall_ms\": {memo:.1},\n  \"sweep_wall_ms_nomemo\": {nomemo:.1},\n  \"sweep_wall_ms_checkpoint\": {ckpt:.1},\n  \"checkpoint_overhead_pct\": {ckpt_pct:.2},\n  \"memo_speedup\": {mspeed:.2},\n  \"unique_runs\": {runs},\n  \"events_simulated\": {events},\n  \"queue_events_per_sec_slab\": {qslab:.0},\n  \"queue_events_per_sec_baseline\": {qbase:.0},\n  \"queue_speedup\": {qspeed:.2},\n  \"events_per_sec_monitors_on\": {mon_on:.0},\n  \"events_per_sec_monitors_off\": {mon_off:.0},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"lock_alg_overhead_pct\": {lock_pct:.2},\n  \"events_per_sec_trace_off\": {troff:.0},\n  \"events_per_sec_trace_on\": {tron:.0},\n  \"trace_overhead_pct\": {tr_pct:.2},\n  \"trace_off_overhead_pct\": {troff_pct:.2},\n  \"audit_overhead_pct\": {audit_pct:.2},\n  \"campaign_overhead_pct\": {camp_pct:.2},\n  \"campaign_overhead_median_pct\": {camp_med_pct:.2},\n  \"server_overhead_pct\": {srv_pct:.2},\n  \"analytics_overhead_pct\": {ana_pct:.2}\n}}\n",
+        "{{\n  \"seed\": {seed},\n  \"events_per_sec\": {eps:.0},\n  \"sweep_wall_ms\": {memo:.1},\n  \"sweep_wall_ms_nomemo\": {nomemo:.1},\n  \"sweep_wall_ms_checkpoint\": {ckpt:.1},\n  \"checkpoint_overhead_pct\": {ckpt_pct:.2},\n  \"memo_speedup\": {mspeed:.2},\n  \"unique_runs\": {runs},\n  \"events_simulated\": {events},\n  \"queue_events_per_sec_slab\": {qslab:.0},\n  \"queue_events_per_sec_baseline\": {qbase:.0},\n  \"queue_speedup\": {qspeed:.2},\n  \"server_events_per_sec\": {srv_eps:.0},\n  \"events_per_sec_monitors_on\": {mon_on:.0},\n  \"events_per_sec_monitors_off\": {mon_off:.0},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"lock_alg_overhead_pct\": {lock_pct:.2},\n  \"events_per_sec_trace_off\": {troff:.0},\n  \"events_per_sec_trace_on\": {tron:.0},\n  \"trace_overhead_pct\": {tr_pct:.2},\n  \"trace_off_overhead_pct\": {troff_pct:.2},\n  \"audit_overhead_pct\": {audit_pct:.2},\n  \"campaign_overhead_pct\": {camp_pct:.2},\n  \"campaign_overhead_median_pct\": {camp_med_pct:.2},\n  \"server_overhead_pct\": {srv_pct:.2},\n  \"analytics_overhead_pct\": {ana_pct:.2}\n}}\n",
         seed = params.seed,
         eps = events_per_sec,
         memo = memo_ms,
@@ -629,6 +632,7 @@ fn main() {
         qslab = slab,
         qbase = base,
         qspeed = slab / base,
+        srv_eps = server_events_per_sec,
         mon_on = mon.variant_eps,
         mon_off = mon.base_eps,
         mon_pct = mon.pct,

@@ -24,6 +24,14 @@
 //!   filter on pop are all single array reads — no `HashSet`, no hashing.
 //!   Slots are recycled through a free list while generations keep retired
 //!   ids from ever matching again.
+//! * **Live head.** Tombstones are dropped lazily, but never left on top:
+//!   `cancel` and `pop` discard dead entries from the head of the heap, so
+//!   the head is always the earliest live event and
+//!   [`EventQueue::peek_time`] is one `peek` — O(1) however many events
+//!   (or tombstones) are pending. The server engine peeks before every
+//!   pop to stop at its horizon, so a linear peek would cost it a scan
+//!   of its whole pending set per event. Dropping a dead head at cancel
+//!   time is the same heap pop the next `pop` would otherwise have done.
 //! * **Epoch-offset time shifting.** The heap orders entries by *internal*
 //!   time (external time minus the accumulated shift at schedule time).
 //!   [`EventQueue::shift_all`] just advances the queue-global offset and
@@ -103,6 +111,8 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Pending entries plus lazily-dropped tombstones. Invariant: the
+    /// head, if any, is live (see [`Self::drop_dead_head`]).
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Generation stamp per slot. `stamps[s] == g` ⇔ event `(s, g)` is
     /// pending; any other relation means fired, cancelled, or not issued.
@@ -211,6 +221,18 @@ impl<E> EventQueue<E> {
         self.live -= 1;
     }
 
+    /// Restores the live-head invariant by discarding tombstones from the
+    /// top of the heap. Each tombstone is discarded exactly once, so this
+    /// is amortized O(log n) per cancellation.
+    fn drop_dead_head(&mut self) {
+        while let Some(Reverse(head)) = self.heap.peek() {
+            if self.is_live(head.slot, head.generation) {
+                return;
+            }
+            self.heap.pop();
+        }
+    }
+
     /// Cancels a pending event.
     ///
     /// Returns `true` if the event was still pending (it will now never be
@@ -219,40 +241,38 @@ impl<E> EventQueue<E> {
         if !self.is_live(id.slot, id.generation) {
             return false; // already fired, or already cancelled
         }
-        // Tombstone; the heap entry is skipped and dropped when it reaches
-        // the top.
+        // Tombstone; the heap entry is dropped once it reaches the top,
+        // which may be right now.
         self.retire(id.slot);
+        self.drop_dead_head();
         true
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.is_live(entry.slot, entry.generation) {
-                continue; // lazily drop tombstone
-            }
-            self.retire(entry.slot);
-            let at = entry.time + self.offset;
-            debug_assert!(at >= self.now, "event queue clock went backwards");
-            self.now = at;
-            self.popped_total += 1;
-            return Some((at, entry.payload));
-        }
-        None
+        let Reverse(entry) = self.heap.pop()?;
+        debug_assert!(
+            self.is_live(entry.slot, entry.generation),
+            "tombstone at the head of the event queue"
+        );
+        self.retire(entry.slot);
+        self.drop_dead_head();
+        let at = entry.time + self.offset;
+        debug_assert!(at >= self.now, "event queue clock went backwards");
+        self.now = at;
+        self.popped_total += 1;
+        Some((at, entry.payload))
     }
 
-    /// The timestamp of the earliest pending event, if any.
+    /// The timestamp of the earliest pending event, if any, in O(1).
     ///
     /// Does not advance the clock.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap
-            .iter()
-            .filter(|Reverse(e)| self.is_live(e.slot, e.generation))
-            .map(|Reverse(e)| (e.time, e.seq))
-            .min()
-            .map(|(t, _)| t + self.offset)
+            .peek()
+            .map(|Reverse(head)| head.time + self.offset)
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -424,6 +444,34 @@ mod tests {
         assert_eq!(q.peek_time(), Some(ns(10)));
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(ns(20)));
+    }
+
+    #[test]
+    fn head_stays_live_through_cancels_and_pops() {
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..10).map(|i| q.schedule_at(ns(10 * i), i)).collect();
+        // A tombstone below the head stays until it surfaces...
+        assert!(q.cancel(ids[5]));
+        assert_eq!(q.heap.len(), 10);
+        // ...and a cancelled head goes at once, with every tombstone
+        // directly beneath it.
+        assert!(q.cancel(ids[1]));
+        assert!(q.cancel(ids[2]));
+        assert!(q.cancel(ids[0]));
+        assert_eq!(q.heap.len(), 7);
+        assert_eq!(q.peek_time(), Some(ns(30)));
+        for expect in [3, 4] {
+            assert_eq!(q.pop().map(|(_, e)| e), Some(expect));
+        }
+        // Popping 4 surfaced the tombstone for 5.
+        assert_eq!(q.heap.len(), 4);
+        assert_eq!(q.peek_time(), Some(ns(60)));
+        for id in &ids[6..] {
+            assert!(q.cancel(*id));
+        }
+        assert!(q.heap.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
     }
 
     #[test]

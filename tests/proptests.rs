@@ -44,7 +44,8 @@ fn sample_vec(rng: &mut StdRng, max_value: u64, len: std::ops::Range<usize>) -> 
 // ---------------------------------------------------------------------
 
 /// The slab queue against a plain sorted-`Vec` model (no shifting):
-/// schedule/cancel/pop agree with `(time, insertion order)` semantics.
+/// schedule/cancel/pop/peek agree with `(time, insertion order)`
+/// semantics, including when the cancelled event is the head.
 #[test]
 fn event_queue_matches_vec_model() {
     for_cases(256, |rng| {
@@ -56,7 +57,7 @@ fn event_queue_matches_vec_model() {
         let mut now = 0u64;
 
         for op in 0..rng.gen_range(0usize..200) {
-            match rng.gen_range(0u32..3) {
+            match rng.gen_range(0u32..4) {
                 0 => {
                     let at = now + rng.gen_range(0u64..1000);
                     let id = queue.schedule_at(SimTime::from_nanos(at), op);
@@ -73,6 +74,15 @@ fn event_queue_matches_vec_model() {
                         assert_eq!(queue.cancel(id), was_pending);
                         model.retain(|&(_, o, _)| o != ord);
                     }
+                }
+                // Cancel the earliest pending event, i.e. the heap's head.
+                2 => {
+                    let Some(&(_, ord, _)) = model.iter().min() else {
+                        continue;
+                    };
+                    let (id, _) = issued[ord].take().expect("pending events have ids");
+                    assert!(queue.cancel(id));
+                    model.retain(|&(_, o, _)| o != ord);
                 }
                 _ => {
                     model.sort_unstable();
@@ -94,6 +104,11 @@ fn event_queue_matches_vec_model() {
                 }
             }
             assert_eq!(queue.len(), model.len());
+            let head = model
+                .iter()
+                .min()
+                .map(|&(at, _, _)| SimTime::from_nanos(at));
+            assert_eq!(queue.peek_time(), head);
         }
     });
 }
