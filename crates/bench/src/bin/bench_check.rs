@@ -10,10 +10,6 @@
 //!   report predates the interleaved-pair fix);
 //! * `checkpoint_overhead_pct` <= 3%;
 //! * `monitor_overhead_pct` < 10%;
-//! * `lock_alg_overhead_pct` <= 3% (the `Box<dyn LockAlgorithm>`
-//!   dispatch path over the statically-dispatched default FIFO monitor
-//!   on a byte-identical run — pluggable locks must not tax the
-//!   default);
 //! * `trace_off_overhead_pct` <= 2% (trace-off is the production path);
 //! * `audit_overhead_pct` <= 3%;
 //! * `campaign_overhead_pct` <= 3% (lease files, segment appends, and
@@ -59,7 +55,6 @@ fn main() -> ExitCode {
     let budgets = [
         ("checkpoint_overhead_pct", 3.0),
         ("monitor_overhead_pct", 10.0),
-        ("lock_alg_overhead_pct", 3.0),
         ("trace_overhead_pct", f64::INFINITY),
         ("trace_off_overhead_pct", 2.0),
         ("audit_overhead_pct", 3.0),

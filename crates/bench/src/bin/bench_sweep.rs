@@ -51,13 +51,6 @@
 //!     its cost may only appear when it is actually saving the server.
 //!     The naive side's best events/s is the server engine's throughput
 //!     (`server_events_per_sec`).
-//! 11. **Lock-algorithm dispatch overhead** — one xalan run under the
-//!     default statically-dispatched FIFO monitor vs `fifo-dyn`, which
-//!     routes the byte-identical FIFO algorithm through the
-//!     `Box<dyn LockAlgorithm>` path every pluggable algorithm uses.
-//!     The pair prices pure dispatch (vtable calls + the boxed lock's
-//!     pointer chase) with zero behavioral difference, budgeted at
-//!     <= 3%: making the lock pluggable must not tax the default.
 //!
 //! Every A/B overhead above is measured over **N interleaved
 //! (base, variant) pairs** after warmup, as the ratio of the two sides'
@@ -82,7 +75,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use scalesim_bench::bench_params;
-use scalesim_core::{Jvm, JvmConfig, LockAlg, TraceConfig};
+use scalesim_core::{Jvm, JvmConfig, TraceConfig};
 use scalesim_experiments::campaign::{self, CampaignSpec};
 use scalesim_experiments::{
     cached_event_total, checkpoint, clear_run_cache, run_analytics, run_biased_sched,
@@ -466,41 +459,6 @@ fn main() {
         mon.pct
     );
 
-    eprintln!("lock-algorithm dispatch overhead (fifo vs fifo-dyn, interleaved pairs)...");
-    // Same algorithm on both sides — fifo-dyn is the FIFO lock behind
-    // the Box<dyn LockAlgorithm> indirection the pluggable algorithms
-    // use — so the pair isolates the dispatch cost of pluggability.
-    let lock_cfg = |alg: LockAlg| {
-        let mut cfg = JvmConfig::builder();
-        cfg.threads(16).seed(42).lock_alg(alg);
-        cfg.build().expect("lock bench config")
-    };
-    let cfg_lock_fifo = lock_cfg(LockAlg::Fifo);
-    let cfg_lock_dyn = lock_cfg(LockAlg::FifoDyn);
-    let lock = interleaved_overhead(
-        "lock fifo->fifo-dyn",
-        events_ab,
-        2,
-        50,
-        || {
-            black_box(
-                Jvm::new(cfg_lock_fifo.clone())
-                    .run(&app)
-                    .expect("bench run"),
-            );
-        },
-        || {
-            black_box(Jvm::new(cfg_lock_dyn.clone()).run(&app).expect("bench run"));
-        },
-    );
-    let lock_alg_overhead_pct = lock.pct;
-    eprintln!(
-        "  static {:.2} M events/s, dyn {:.2} M events/s, overhead {:.1}% (budget <= 3%)",
-        lock.base_eps / 1e6,
-        lock.variant_eps / 1e6,
-        lock_alg_overhead_pct
-    );
-
     eprintln!("timeline-trace overhead (xalan, 16 threads, interleaved pairs)...");
     let cfg_trace_off = bench_cfg(true, TraceConfig::off());
     let cfg_trace_on = bench_cfg(true, TraceConfig::on());
@@ -619,7 +577,7 @@ fn main() {
     eprintln!("  analytics overhead {analytics_overhead_pct:.1}% (budget <= 3%)");
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"events_per_sec\": {eps:.0},\n  \"sweep_wall_ms\": {memo:.1},\n  \"sweep_wall_ms_nomemo\": {nomemo:.1},\n  \"sweep_wall_ms_checkpoint\": {ckpt:.1},\n  \"checkpoint_overhead_pct\": {ckpt_pct:.2},\n  \"memo_speedup\": {mspeed:.2},\n  \"unique_runs\": {runs},\n  \"events_simulated\": {events},\n  \"queue_events_per_sec_slab\": {qslab:.0},\n  \"queue_events_per_sec_baseline\": {qbase:.0},\n  \"queue_speedup\": {qspeed:.2},\n  \"server_events_per_sec\": {srv_eps:.0},\n  \"events_per_sec_monitors_on\": {mon_on:.0},\n  \"events_per_sec_monitors_off\": {mon_off:.0},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"lock_alg_overhead_pct\": {lock_pct:.2},\n  \"events_per_sec_trace_off\": {troff:.0},\n  \"events_per_sec_trace_on\": {tron:.0},\n  \"trace_overhead_pct\": {tr_pct:.2},\n  \"trace_off_overhead_pct\": {troff_pct:.2},\n  \"audit_overhead_pct\": {audit_pct:.2},\n  \"campaign_overhead_pct\": {camp_pct:.2},\n  \"campaign_overhead_median_pct\": {camp_med_pct:.2},\n  \"server_overhead_pct\": {srv_pct:.2},\n  \"analytics_overhead_pct\": {ana_pct:.2}\n}}\n",
+        "{{\n  \"seed\": {seed},\n  \"events_per_sec\": {eps:.0},\n  \"sweep_wall_ms\": {memo:.1},\n  \"sweep_wall_ms_nomemo\": {nomemo:.1},\n  \"sweep_wall_ms_checkpoint\": {ckpt:.1},\n  \"checkpoint_overhead_pct\": {ckpt_pct:.2},\n  \"memo_speedup\": {mspeed:.2},\n  \"unique_runs\": {runs},\n  \"events_simulated\": {events},\n  \"queue_events_per_sec_slab\": {qslab:.0},\n  \"queue_events_per_sec_baseline\": {qbase:.0},\n  \"queue_speedup\": {qspeed:.2},\n  \"server_events_per_sec\": {srv_eps:.0},\n  \"events_per_sec_monitors_on\": {mon_on:.0},\n  \"events_per_sec_monitors_off\": {mon_off:.0},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"events_per_sec_trace_off\": {troff:.0},\n  \"events_per_sec_trace_on\": {tron:.0},\n  \"trace_overhead_pct\": {tr_pct:.2},\n  \"trace_off_overhead_pct\": {troff_pct:.2},\n  \"audit_overhead_pct\": {audit_pct:.2},\n  \"campaign_overhead_pct\": {camp_pct:.2},\n  \"campaign_overhead_median_pct\": {camp_med_pct:.2},\n  \"server_overhead_pct\": {srv_pct:.2},\n  \"analytics_overhead_pct\": {ana_pct:.2}\n}}\n",
         seed = params.seed,
         eps = events_per_sec,
         memo = memo_ms,
@@ -636,7 +594,6 @@ fn main() {
         mon_on = mon.variant_eps,
         mon_off = mon.base_eps,
         mon_pct = mon.pct,
-        lock_pct = lock_alg_overhead_pct,
         troff = trace.base_eps,
         tron = trace.variant_eps,
         tr_pct = trace_overhead_pct,

@@ -1809,6 +1809,38 @@ mod tests {
         }
     }
 
+    /// Metamorphic: with one mutator thread no lock is ever contended,
+    /// so MCS and Malthusian must be indistinguishable from FIFO — the
+    /// algorithms may only differ on a contended handoff.
+    #[test]
+    fn single_thread_runs_are_identical_under_every_lock_algorithm() {
+        use scalesim_sync::LockAlg;
+        let run = |app: &SyntheticApp, alg: LockAlg| {
+            let cfg = JvmConfig::builder()
+                .threads(1)
+                .seed(42)
+                .lock_alg(alg)
+                .build()
+                .unwrap();
+            Jvm::new(cfg).run(app).unwrap()
+        };
+        for app in scalesim_workloads::all_apps() {
+            let app = app.scaled(0.05);
+            let fifo = run(&app, LockAlg::Fifo);
+            for alg in [LockAlg::Mcs, LockAlg::Malthusian] {
+                let other = run(&app, alg);
+                let who = format!("{} under {alg}", app.name());
+                assert_eq!(other.wall_time, fifo.wall_time, "{who}");
+                assert_eq!(other.gc_time, fifo.gc_time, "{who}");
+                assert_eq!(other.locks, fifo.locks, "{who}");
+                assert_eq!(other.per_thread, fifo.per_thread, "{who}");
+                assert_eq!(other.heap, fifo.heap, "{who}");
+                assert_eq!(other.events_processed, fifo.events_processed, "{who}");
+                assert_eq!(other.outcome, fifo.outcome, "{who}");
+            }
+        }
+    }
+
     #[test]
     fn every_lock_algorithm_quarantines_under_wakeup_drops() {
         // Chaos eventual-admission property: dropped wakeups must never

@@ -61,6 +61,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use scalesim_core::SimError;
+use scalesim_simkit::splitmix64;
 use scalesim_workloads::{all_apps, scalable_apps, AppModel};
 
 use crate::artifacts::{artifact_tables, ArtifactTable};
@@ -500,19 +501,10 @@ impl Drop for Heartbeat {
 // Backoff
 // ---------------------------------------------------------------------
 
-/// splitmix64: the standard 64-bit finalizer, used for deterministic
-/// claim-contention jitter (no `std` RNG exists, and the backoff must
-/// be reproducible from `(pid, worker, round)` for debugging).
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Bounded exponential backoff with deterministic jitter: base
 /// `10ms << round` (round capped at 8), plus up to base/2 of jitter
-/// derived from `splitmix64(nonce ^ round)`, the whole thing capped at
+/// derived from `splitmix64(nonce ^ round)` (reproducible from
+/// `(pid, worker, round)` for debugging), the whole thing capped at
 /// the lease TTL — sleeping longer than the TTL would only delay
 /// reclaiming a dead worker's leases.
 fn backoff_delay(round: u32, ttl: Duration, nonce: u64) -> Duration {

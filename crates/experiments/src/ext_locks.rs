@@ -158,8 +158,6 @@ pub fn run_lock_algorithms(params: &ExpParams) -> Result<LockAlgStudy, SimError>
 mod tests {
     use super::*;
     use crate::fig1_locks::run_fig1_locks;
-    use scalesim_core::Jvm;
-    use scalesim_workloads::xalan;
 
     fn tiny() -> ExpParams {
         ExpParams::quick()
@@ -204,25 +202,20 @@ mod tests {
         );
     }
 
-    /// `fifo-dyn` routes the same FIFO algorithm through dynamic
-    /// dispatch; every observable must be identical.
+    /// The MCS and Malthusian paths are pinned byte for byte too, not
+    /// only by the ratio checks below.
     #[test]
-    fn fifo_dyn_reports_are_identical_to_fifo() {
-        let run = |alg: LockAlg| {
-            let cfg = JvmConfig::builder()
-                .threads(8)
-                .seed(7)
-                .lock_alg(alg)
-                .build()
-                .unwrap();
-            Jvm::new(cfg).run(&xalan().scaled(0.02)).unwrap()
-        };
-        let fifo = run(LockAlg::Fifo);
-        let dynamic = run(LockAlg::FifoDyn);
-        assert_eq!(fifo.wall_time, dynamic.wall_time);
-        assert_eq!(fifo.total_items(), dynamic.total_items());
-        assert_eq!(fifo.locks, dynamic.locks);
-        assert_eq!(fifo.outcome, dynamic.outcome);
+    fn every_algorithm_matches_the_ext_locks_golden() {
+        let params = ExpParams::quick()
+            .with_scale(0.02)
+            .with_threads(vec![4, 16, 48]);
+        let s = run_lock_algorithms(&params).unwrap();
+        let golden = include_str!("../goldens/ext_locks.csv");
+        assert_eq!(
+            s.table().to_csv(),
+            golden,
+            "ext-locks output drifted from its golden"
+        );
     }
 
     /// The headline acceptance criterion: the queue-fair algorithms show

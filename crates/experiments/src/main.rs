@@ -919,6 +919,7 @@ mod tests {
         let cli = parse_args(&s(&["fig1a"])).unwrap();
         assert!(cli.lock_alg.is_none());
         assert!(parse_args(&s(&["fig1a", "--lock-alg", "ticket"])).is_err());
+        assert!(parse_args(&s(&["fig1a", "--lock-alg", "fifo-dyn"])).is_err());
         assert!(parse_args(&s(&["fig1a", "--lock-alg"])).is_err());
     }
 

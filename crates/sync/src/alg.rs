@@ -1,20 +1,21 @@
-//! Pluggable monitor handoff algorithms.
+//! Monitor handoff algorithms.
 //!
 //! The paper *measures* lock contention as a scalability limiter; the
 //! related work (Dice & Kogan, "Malthusian Locks" / "Avoiding Scalability
 //! Collapse by Restricting Concurrency") shows how the handoff discipline
 //! itself decides whether a saturated lock collapses. This module makes
-//! the discipline a strategy:
+//! the discipline a per-run choice ([`LockAlg`]), realised by one enum
+//! over three concrete algorithms:
 //!
-//! * [`FifoLock`] — the paper-calibrated baseline: strict FIFO handoff
+//! * **FIFO** — the paper-calibrated baseline: strict FIFO handoff
 //!   with no modeled handoff cost (the seed model every figure table was
 //!   produced with; it must stay byte-identical).
-//! * [`McsLock`] — an MCS/CLH-style queue lock: the same strict FIFO
+//! * **MCS** — an MCS/CLH-style queue lock: the same strict FIFO
 //!   order, but a waiter that spins longer than [`MCS_SPIN_BOUND`] parks,
 //!   and waking a parked successor puts [`PARK_WAKE_COST`] on the lock's
 //!   critical path. Under saturation every handoff pays it — the
 //!   scalability collapse knee.
-//! * [`MalthusianLock`] — concurrency restriction: at most
+//! * **Malthusian** — concurrency restriction: at most
 //!   [`MALTHUSIAN_ACTIVE_CAP`] waiters stay active (spinning); the
 //!   surplus parks in a passive list. Handoffs go to active waiters, so
 //!   the wake cost stays off the critical path; passive waiters are
@@ -22,9 +23,9 @@
 //!
 //! Every algorithm reports `Grant::waited` as exactly `now − enqueue
 //! time`, keeps contention counting at enqueue, and exposes its full
-//! waiter set through [`LockAlgorithm::is_waiting`] — the invariant
-//! scanner, the tracing layer, and the offline audit crate rely on those
-//! three contracts and run unchanged across algorithms.
+//! waiter set (parked or not) to the monitor's `is_waiting` — the
+//! invariant scanner, the tracing layer, and the offline audit crate
+//! rely on those three contracts and run unchanged across algorithms.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -54,15 +55,10 @@ pub const MALTHUSIAN_CULL_PERIOD: u64 = 64;
 /// Selects the monitor handoff algorithm for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LockAlg {
-    /// The paper-calibrated FIFO handoff monitor (statically dispatched;
-    /// byte-identical to the pre-refactor seed model).
+    /// The paper-calibrated FIFO handoff monitor (byte-identical to the
+    /// pre-refactor seed model).
     #[default]
     Fifo,
-    /// The same FIFO algorithm routed through trait-object dispatch.
-    /// Behaviorally identical to [`LockAlg::Fifo`]; exists so the bench
-    /// harness can price the dispatch indirection honestly
-    /// (`lock_alg_overhead_pct`).
-    FifoDyn,
     /// MCS/CLH-style queue lock with bounded spinning before parking.
     Mcs,
     /// Malthusian / concurrency-restricting lock (active + passive sets).
@@ -70,8 +66,7 @@ pub enum LockAlg {
 }
 
 impl LockAlg {
-    /// The three user-facing algorithms (the bench-only
-    /// [`LockAlg::FifoDyn`] variant is excluded).
+    /// Every algorithm, in the order studies sweep them.
     pub const ALL: [LockAlg; 3] = [LockAlg::Fifo, LockAlg::Mcs, LockAlg::Malthusian];
 
     /// Parses a CLI/env spelling. Returns `None` for unknown names.
@@ -79,7 +74,6 @@ impl LockAlg {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "fifo" => Some(LockAlg::Fifo),
-            "fifo-dyn" => Some(LockAlg::FifoDyn),
             "mcs" => Some(LockAlg::Mcs),
             "malthusian" => Some(LockAlg::Malthusian),
             _ => None,
@@ -91,7 +85,6 @@ impl LockAlg {
     pub fn as_str(self) -> &'static str {
         match self {
             LockAlg::Fifo => "fifo",
-            LockAlg::FifoDyn => "fifo-dyn",
             LockAlg::Mcs => "mcs",
             LockAlg::Malthusian => "malthusian",
         }
@@ -140,11 +133,13 @@ impl fmt::Display for LockMisuse {
     }
 }
 
-/// One monitor's handoff discipline: who owns it, who waits, and which
-/// waiter a release hands it to (at what modeled cost).
+/// One monitor's lock under its handoff algorithm: who owns it, who
+/// waits, and which waiter a release hands it to (at what modeled cost).
+/// Held inline by the monitor and dispatched by `match`, so every
+/// algorithm takes the same statically dispatched path.
 ///
-/// Contracts every implementation must keep (the invariant scanner, the
-/// trace layer, and the audit crate depend on them):
+/// Contracts every variant keeps (the invariant scanner, the trace
+/// layer, and the audit crate depend on them):
 ///
 /// * mutual exclusion — at most one owner at a time, changed only by
 ///   `acquire` on a free lock or a release handoff;
@@ -152,77 +147,127 @@ impl fmt::Display for LockMisuse {
 ///   pass can reconstruct the enqueue instant from the wait span;
 /// * contention is observable at enqueue: `acquire` on a held lock
 ///   returns [`AcquireOutcome::Contended`] and the waiter is visible
-///   through [`LockAlgorithm::is_waiting`] until granted (parked or
-///   not);
+///   through `is_waiting` until granted (parked or not);
 /// * eventual admission — every waiter is granted after finitely many
 ///   releases (no starvation).
-pub trait LockAlgorithm: fmt::Debug {
+#[derive(Debug)]
+pub(crate) enum Lock {
+    /// The paper-calibrated baseline.
+    Fifo(FifoLock),
+    /// MCS/CLH-style queue lock: the FIFO lock, plus [`PARK_WAKE_COST`]
+    /// on every handoff to a waiter that queued longer than
+    /// [`MCS_SPIN_BOUND`] (modeled as parked).
+    Mcs(FifoLock),
+    /// Malthusian / concurrency-restricting lock.
+    Malthusian(MalthusianLock),
+}
+
+impl Lock {
+    /// A free lock running `alg`.
+    pub(crate) fn new(alg: LockAlg) -> Self {
+        match alg {
+            LockAlg::Fifo => Lock::Fifo(FifoLock::default()),
+            LockAlg::Mcs => Lock::Mcs(FifoLock::default()),
+            LockAlg::Malthusian => Lock::Malthusian(MalthusianLock::default()),
+        }
+    }
+
     /// Attempts to acquire for `tid` at `now`.
     ///
     /// # Errors
     ///
     /// [`LockMisuse::ReentrantAcquire`] when `tid` already owns the
     /// monitor, [`LockMisuse::DoubleEnqueue`] when it is already queued.
-    fn acquire(&mut self, tid: ThreadId, now: SimTime) -> Result<AcquireOutcome, LockMisuse>;
+    pub(crate) fn acquire(
+        &mut self,
+        tid: ThreadId,
+        now: SimTime,
+    ) -> Result<AcquireOutcome, LockMisuse> {
+        match self {
+            Lock::Fifo(f) | Lock::Mcs(f) => f.acquire(tid, now),
+            Lock::Malthusian(m) => m.acquire(tid, now),
+        }
+    }
 
     /// Releases the monitor, handing it to the algorithm's chosen waiter.
     ///
     /// # Errors
     ///
     /// [`LockMisuse::ReleaseByNonOwner`] when `tid` is not the owner.
-    fn release(&mut self, tid: ThreadId, now: SimTime) -> Result<Option<Grant>, LockMisuse>;
+    pub(crate) fn release(
+        &mut self,
+        tid: ThreadId,
+        now: SimTime,
+    ) -> Result<Option<Grant>, LockMisuse> {
+        match self {
+            Lock::Fifo(f) => f.release(tid, now),
+            Lock::Mcs(f) => Ok(f.release(tid, now)?.map(|mut g| {
+                if g.waited > MCS_SPIN_BOUND {
+                    g.penalty = PARK_WAKE_COST;
+                }
+                g
+            })),
+            Lock::Malthusian(m) => m.release(tid, now),
+        }
+    }
 
     /// The current owner.
-    fn owner(&self) -> Option<ThreadId>;
+    pub(crate) fn owner(&self) -> Option<ThreadId> {
+        match self {
+            Lock::Fifo(f) | Lock::Mcs(f) => f.owner,
+            Lock::Malthusian(m) => m.owner,
+        }
+    }
 
     /// When the current owner took the monitor; `None` while unowned.
-    fn held_since(&self) -> Option<SimTime>;
+    pub(crate) fn held_since(&self) -> Option<SimTime> {
+        match self {
+            Lock::Fifo(f) | Lock::Mcs(f) => f.owner.map(|_| f.held_since),
+            Lock::Malthusian(m) => m.owner.map(|_| m.held_since),
+        }
+    }
 
     /// Number of queued waiters (active and parked).
-    fn queue_len(&self) -> usize;
+    pub(crate) fn queue_len(&self) -> usize {
+        match self {
+            Lock::Fifo(f) | Lock::Mcs(f) => f.waiters.len(),
+            Lock::Malthusian(m) => m.active.len() + m.passive.len(),
+        }
+    }
 
     /// Whether `tid` is queued (active or parked).
-    fn is_waiting(&self, tid: ThreadId) -> bool;
+    pub(crate) fn is_waiting(&self, tid: ThreadId) -> bool {
+        match self {
+            Lock::Fifo(f) | Lock::Mcs(f) => f.is_waiting(tid),
+            Lock::Malthusian(m) => m.is_waiting(tid),
+        }
+    }
 
     /// Every queued waiter with its enqueue time (used to account for
     /// still-queued waiters when a run truncates mid-wait).
-    fn queued_waiters(&self) -> Vec<(ThreadId, SimTime)>;
-}
-
-/// Constructs the algorithm instance for one monitor.
-pub(crate) fn instantiate(alg: LockAlg) -> Box<dyn LockAlgorithm> {
-    match alg {
-        // `LockAlg::Fifo` never reaches this: the monitor stores it
-        // inline and statically dispatched. `FifoDyn` is the same code
-        // behind the trait object.
-        LockAlg::Fifo | LockAlg::FifoDyn => Box::new(FifoLock::default()),
-        LockAlg::Mcs => Box::new(McsLock::default()),
-        LockAlg::Malthusian => Box::new(MalthusianLock::default()),
+    pub(crate) fn queued_waiters(&self) -> Vec<(ThreadId, SimTime)> {
+        match self {
+            Lock::Fifo(f) | Lock::Mcs(f) => f.waiters.iter().copied().collect(),
+            Lock::Malthusian(m) => m.active.iter().chain(&m.passive).copied().collect(),
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// FIFO (the seed model)
+// FIFO (the seed model; MCS shares it)
 // ---------------------------------------------------------------------
 
 /// The paper-calibrated baseline: one owner, a FIFO wait queue, direct
 /// handoff on release, no modeled handoff cost.
-#[derive(Debug, Clone, Default)]
-pub struct FifoLock {
+#[derive(Debug, Default)]
+pub(crate) struct FifoLock {
     owner: Option<ThreadId>,
     held_since: SimTime,
     waiters: VecDeque<(ThreadId, SimTime)>,
 }
 
 impl FifoLock {
-    // Inherent mirrors of the trait methods, so the default-algorithm
-    // monitor can call them statically dispatched (and inlined) — the
-    // FIFO hot path must not pay for the pluggability.
-    pub(crate) fn acquire_impl(
-        &mut self,
-        tid: ThreadId,
-        now: SimTime,
-    ) -> Result<AcquireOutcome, LockMisuse> {
+    fn acquire(&mut self, tid: ThreadId, now: SimTime) -> Result<AcquireOutcome, LockMisuse> {
         if self.owner == Some(tid) {
             return Err(LockMisuse::ReentrantAcquire(tid));
         }
@@ -233,7 +278,7 @@ impl FifoLock {
                 Ok(AcquireOutcome::Acquired)
             }
             Some(_) => {
-                if self.waiters.iter().any(|&(w, _)| w == tid) {
+                if self.is_waiting(tid) {
                     return Err(LockMisuse::DoubleEnqueue(tid));
                 }
                 self.waiters.push_back((tid, now));
@@ -242,11 +287,7 @@ impl FifoLock {
         }
     }
 
-    pub(crate) fn release_impl(
-        &mut self,
-        tid: ThreadId,
-        now: SimTime,
-    ) -> Result<Option<Grant>, LockMisuse> {
+    fn release(&mut self, tid: ThreadId, now: SimTime) -> Result<Option<Grant>, LockMisuse> {
         if self.owner != Some(tid) {
             return Err(LockMisuse::ReleaseByNonOwner(tid));
         }
@@ -268,94 +309,8 @@ impl FifoLock {
         }
     }
 
-    pub(crate) fn owner_impl(&self) -> Option<ThreadId> {
-        self.owner
-    }
-
-    pub(crate) fn held_since_impl(&self) -> Option<SimTime> {
-        self.owner.map(|_| self.held_since)
-    }
-
-    pub(crate) fn queue_len_impl(&self) -> usize {
-        self.waiters.len()
-    }
-
-    pub(crate) fn is_waiting_impl(&self, tid: ThreadId) -> bool {
+    fn is_waiting(&self, tid: ThreadId) -> bool {
         self.waiters.iter().any(|&(w, _)| w == tid)
-    }
-
-    pub(crate) fn queued_waiters_impl(&self) -> Vec<(ThreadId, SimTime)> {
-        self.waiters.iter().copied().collect()
-    }
-}
-
-impl LockAlgorithm for FifoLock {
-    fn acquire(&mut self, tid: ThreadId, now: SimTime) -> Result<AcquireOutcome, LockMisuse> {
-        self.acquire_impl(tid, now)
-    }
-    fn release(&mut self, tid: ThreadId, now: SimTime) -> Result<Option<Grant>, LockMisuse> {
-        self.release_impl(tid, now)
-    }
-    fn owner(&self) -> Option<ThreadId> {
-        self.owner_impl()
-    }
-    fn held_since(&self) -> Option<SimTime> {
-        self.held_since_impl()
-    }
-    fn queue_len(&self) -> usize {
-        self.queue_len_impl()
-    }
-    fn is_waiting(&self, tid: ThreadId) -> bool {
-        self.is_waiting_impl(tid)
-    }
-    fn queued_waiters(&self) -> Vec<(ThreadId, SimTime)> {
-        self.queued_waiters_impl()
-    }
-}
-
-// ---------------------------------------------------------------------
-// MCS/CLH queue lock
-// ---------------------------------------------------------------------
-
-/// MCS/CLH-style queue lock: strict FIFO order like the baseline, but a
-/// waiter that queued longer than [`MCS_SPIN_BOUND`] is modeled as
-/// parked, and handing off to a parked waiter charges
-/// [`PARK_WAKE_COST`] on the critical path. Under saturation every
-/// waiter exceeds the spin bound, so every handoff pays — throughput
-/// collapses as threads grow.
-#[derive(Debug, Clone, Default)]
-pub struct McsLock {
-    fifo: FifoLock,
-}
-
-impl LockAlgorithm for McsLock {
-    fn acquire(&mut self, tid: ThreadId, now: SimTime) -> Result<AcquireOutcome, LockMisuse> {
-        self.fifo.acquire_impl(tid, now)
-    }
-
-    fn release(&mut self, tid: ThreadId, now: SimTime) -> Result<Option<Grant>, LockMisuse> {
-        Ok(self.fifo.release_impl(tid, now)?.map(|mut g| {
-            if g.waited > MCS_SPIN_BOUND {
-                g.penalty = PARK_WAKE_COST;
-            }
-            g
-        }))
-    }
-
-    fn owner(&self) -> Option<ThreadId> {
-        self.fifo.owner_impl()
-    }
-    fn held_since(&self) -> Option<SimTime> {
-        self.fifo.held_since_impl()
-    }
-    fn queue_len(&self) -> usize {
-        self.fifo.queue_len_impl()
-    }
-    fn is_waiting(&self, tid: ThreadId) -> bool {
-        self.fifo.is_waiting_impl(tid)
-    }
-    fn queued_waiters(&self) -> Vec<(ThreadId, SimTime)> {
-        self.fifo.queued_waiters_impl()
     }
 }
 
@@ -372,8 +327,8 @@ impl LockAlgorithm for McsLock {
 /// readmitted to the active tail — its wakeup happens while the lock
 /// keeps moving, so readmission itself is free on the critical path —
 /// which bounds passive waiting and preserves eventual admission.
-#[derive(Debug, Clone, Default)]
-pub struct MalthusianLock {
+#[derive(Debug, Default)]
+pub(crate) struct MalthusianLock {
     owner: Option<ThreadId>,
     held_since: SimTime,
     /// Spinning waiters, FIFO among themselves.
@@ -385,7 +340,7 @@ pub struct MalthusianLock {
     grants: u64,
 }
 
-impl LockAlgorithm for MalthusianLock {
+impl MalthusianLock {
     fn acquire(&mut self, tid: ThreadId, now: SimTime) -> Result<AcquireOutcome, LockMisuse> {
         if self.owner == Some(tid) {
             return Err(LockMisuse::ReentrantAcquire(tid));
@@ -444,28 +399,8 @@ impl LockAlgorithm for MalthusianLock {
         }))
     }
 
-    fn owner(&self) -> Option<ThreadId> {
-        self.owner
-    }
-
-    fn held_since(&self) -> Option<SimTime> {
-        self.owner.map(|_| self.held_since)
-    }
-
-    fn queue_len(&self) -> usize {
-        self.active.len() + self.passive.len()
-    }
-
     fn is_waiting(&self, tid: ThreadId) -> bool {
         self.active.iter().any(|&(w, _)| w == tid) || self.passive.iter().any(|&(w, _)| w == tid)
-    }
-
-    fn queued_waiters(&self) -> Vec<(ThreadId, SimTime)> {
-        self.active
-            .iter()
-            .chain(self.passive.iter())
-            .copied()
-            .collect()
     }
 }
 
@@ -482,12 +417,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_algorithm() {
-        for alg in [
-            LockAlg::Fifo,
-            LockAlg::FifoDyn,
-            LockAlg::Mcs,
-            LockAlg::Malthusian,
-        ] {
+        for alg in LockAlg::ALL {
             assert_eq!(LockAlg::parse(alg.as_str()), Some(alg));
             assert_eq!(alg.to_string(), alg.as_str());
         }
@@ -508,7 +438,7 @@ mod tests {
 
     #[test]
     fn mcs_charges_park_wake_only_past_the_spin_bound() {
-        let mut m = McsLock::default();
+        let mut m = Lock::new(LockAlg::Mcs);
         m.acquire(tid(0), t(0)).unwrap();
         m.acquire(tid(1), t(100)).unwrap();
         // tid1 waited 900 ns < 5 µs: still spinning, free handoff.
@@ -525,7 +455,7 @@ mod tests {
 
     #[test]
     fn malthusian_parks_surplus_and_prefers_active() {
-        let mut m = MalthusianLock::default();
+        let mut m = Lock::new(LockAlg::Malthusian);
         m.acquire(tid(0), t(0)).unwrap();
         // Fill the active set, then overflow into the passive list.
         for i in 1..=MALTHUSIAN_ACTIVE_CAP + 2 {
@@ -546,7 +476,7 @@ mod tests {
 
     #[test]
     fn malthusian_wakes_passive_when_active_runs_dry() {
-        let mut m = MalthusianLock::default();
+        let mut m = Lock::new(LockAlg::Malthusian);
         m.acquire(tid(0), t(0)).unwrap();
         for i in 1..=MALTHUSIAN_ACTIVE_CAP + 1 {
             m.acquire(tid(i), t(i as u64)).unwrap();
@@ -569,7 +499,7 @@ mod tests {
 
     #[test]
     fn malthusian_culls_passive_waiters_back_in() {
-        let mut m = MalthusianLock::default();
+        let mut m = Lock::new(LockAlg::Malthusian);
         m.acquire(tid(0), t(0)).unwrap();
         // A tagged waiter parks behind a full active set.
         for i in 1..=MALTHUSIAN_ACTIVE_CAP {

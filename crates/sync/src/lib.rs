@@ -13,10 +13,9 @@
 //! figures plot.
 //!
 //! *Which* waiter a release hands the monitor to — and at what modeled
-//! cost — is a pluggable [`LockAlgorithm`]: the paper-calibrated FIFO
+//! cost — is chosen per run by a [`LockAlg`]: the paper-calibrated FIFO
 //! baseline, an MCS/CLH-style queue lock, or a Malthusian
-//! concurrency-restricting lock (see [`LockAlg`] and the [`alg`] module
-//! docs).
+//! concurrency-restricting lock (see the [`alg`] module docs).
 //!
 //! ```
 //! use scalesim_sync::{AcquireOutcome, LockTable};
@@ -43,6 +42,6 @@ pub mod alg;
 mod monitor;
 mod table;
 
-pub use alg::{FifoLock, LockAlg, LockAlgorithm, LockMisuse, MalthusianLock, McsLock};
+pub use alg::{LockAlg, LockMisuse};
 pub use monitor::{AcquireOutcome, Grant, MonitorId, MonitorStats};
 pub use table::{LockReport, LockTable};

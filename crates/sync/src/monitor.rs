@@ -7,18 +7,17 @@
 //! count, and the y-axis of the paper's Figure 1b) is recorded.
 //!
 //! The handoff discipline — who waits where and which waiter a release
-//! hands the monitor to — is a pluggable [`LockAlgorithm`]
-//! (see [`crate::alg`]). Statistics are accrued here in the wrapper,
-//! derived purely from acquire outcomes and release grants, so every
-//! algorithm shares one arithmetic path and the counters stay
-//! comparable across algorithms.
+//! hands the monitor to — is the run's [`LockAlg`] (see [`crate::alg`]).
+//! Statistics are accrued here in the wrapper, derived purely from
+//! acquire outcomes and release grants, so every algorithm shares one
+//! arithmetic path and the counters stay comparable across algorithms.
 
 use std::fmt;
 
 use scalesim_sched::ThreadId;
 use scalesim_simkit::{SimDuration, SimTime};
 
-use crate::alg::{instantiate, FifoLock, LockAlg, LockAlgorithm, LockMisuse};
+use crate::alg::{Lock, LockAlg, LockMisuse};
 
 /// Identifies a monitor within a [`LockTable`](crate::LockTable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,70 +116,19 @@ impl MonitorStats {
     }
 }
 
-/// The handoff algorithm behind one monitor. The default FIFO algorithm
-/// is stored inline and statically dispatched — the seed model's hot
-/// path pays nothing for the pluggability. Every other algorithm (and
-/// the bench-only [`LockAlg::FifoDyn`]) goes through a trait object.
-#[derive(Debug)]
-enum LockImpl {
-    Fifo(FifoLock),
-    Dyn(Box<dyn LockAlgorithm>),
-}
-
 #[derive(Debug)]
 pub(crate) struct Monitor {
     pub class: String,
-    imp: LockImpl,
+    pub lock: Lock,
     pub stats: MonitorStats,
 }
 
 impl Monitor {
     pub fn new(class: &str, alg: LockAlg) -> Self {
-        let imp = match alg {
-            LockAlg::Fifo => LockImpl::Fifo(FifoLock::default()),
-            other => LockImpl::Dyn(instantiate(other)),
-        };
         Monitor {
             class: class.to_owned(),
-            imp,
+            lock: Lock::new(alg),
             stats: MonitorStats::default(),
-        }
-    }
-
-    pub fn owner(&self) -> Option<ThreadId> {
-        match &self.imp {
-            LockImpl::Fifo(f) => f.owner_impl(),
-            LockImpl::Dyn(d) => d.owner(),
-        }
-    }
-
-    /// When the current owner took the monitor; `None` while unowned.
-    pub fn held_since(&self) -> Option<SimTime> {
-        match &self.imp {
-            LockImpl::Fifo(f) => f.held_since_impl(),
-            LockImpl::Dyn(d) => d.held_since(),
-        }
-    }
-
-    pub fn queue_len(&self) -> usize {
-        match &self.imp {
-            LockImpl::Fifo(f) => f.queue_len_impl(),
-            LockImpl::Dyn(d) => d.queue_len(),
-        }
-    }
-
-    pub fn is_waiting(&self, tid: ThreadId) -> bool {
-        match &self.imp {
-            LockImpl::Fifo(f) => f.is_waiting_impl(tid),
-            LockImpl::Dyn(d) => d.is_waiting(tid),
-        }
-    }
-
-    /// Every queued waiter with its enqueue time.
-    pub fn queued_waiters(&self) -> Vec<(ThreadId, SimTime)> {
-        match &self.imp {
-            LockImpl::Fifo(f) => f.queued_waiters_impl(),
-            LockImpl::Dyn(d) => d.queued_waiters(),
         }
     }
 
@@ -193,10 +141,7 @@ impl Monitor {
     /// enqueue, or other protocol misuse, leaving the monitor state and
     /// statistics untouched.
     pub fn acquire(&mut self, tid: ThreadId, now: SimTime) -> Result<AcquireOutcome, LockMisuse> {
-        let outcome = match &mut self.imp {
-            LockImpl::Fifo(f) => f.acquire_impl(tid, now)?,
-            LockImpl::Dyn(d) => d.acquire(tid, now)?,
-        };
+        let outcome = self.lock.acquire(tid, now)?;
         match outcome {
             AcquireOutcome::Acquired => self.stats.acquisitions += 1,
             AcquireOutcome::Contended => self.stats.contentions += 1,
@@ -212,11 +157,8 @@ impl Monitor {
     /// Returns [`LockMisuse::ReleaseByNonOwner`] if `tid` is not the
     /// current owner, leaving the monitor state and statistics untouched.
     pub fn release(&mut self, tid: ThreadId, now: SimTime) -> Result<Option<Grant>, LockMisuse> {
-        let held_since = self.held_since();
-        let grant = match &mut self.imp {
-            LockImpl::Fifo(f) => f.release_impl(tid, now)?,
-            LockImpl::Dyn(d) => d.release(tid, now)?,
-        };
+        let held_since = self.lock.held_since();
+        let grant = self.lock.release(tid, now)?;
         // Only accrue after the algorithm accepted the release; a
         // misused release must not perturb the counters.
         if let Some(held_since) = held_since {
@@ -234,7 +176,7 @@ impl Monitor {
     /// mid-wait: their partial waits enter `total_wait`/`max_wait` and
     /// they are tallied in [`MonitorStats::queued`].
     pub fn account_truncated(&mut self, now: SimTime) {
-        for (_, enqueued_at) in self.queued_waiters() {
+        for (_, enqueued_at) in self.lock.queued_waiters() {
             let waited = now.saturating_since(enqueued_at);
             self.stats.total_wait += waited;
             self.stats.max_wait = self.stats.max_wait.max(waited);
@@ -261,11 +203,11 @@ mod tests {
     fn fast_path_acquire_release() {
         let mut m = fifo("q");
         assert_eq!(m.acquire(tid(0), t(0)), Ok(AcquireOutcome::Acquired));
-        assert_eq!(m.owner(), Some(tid(0)));
-        assert_eq!(m.held_since(), Some(t(0)));
+        assert_eq!(m.lock.owner(), Some(tid(0)));
+        assert_eq!(m.lock.held_since(), Some(t(0)));
         assert_eq!(m.release(tid(0), t(10)), Ok(None));
-        assert_eq!(m.owner(), None);
-        assert_eq!(m.held_since(), None);
+        assert_eq!(m.lock.owner(), None);
+        assert_eq!(m.lock.held_since(), None);
         assert_eq!(m.stats.acquisitions, 1);
         assert_eq!(m.stats.contentions, 0);
         assert_eq!(m.stats.total_hold, SimDuration::from_nanos(10));
@@ -277,14 +219,14 @@ mod tests {
         m.acquire(tid(0), t(0)).unwrap();
         assert_eq!(m.acquire(tid(1), t(2)), Ok(AcquireOutcome::Contended));
         assert_eq!(m.acquire(tid(2), t(3)), Ok(AcquireOutcome::Contended));
-        assert_eq!(m.queue_len(), 2);
+        assert_eq!(m.lock.queue_len(), 2);
         assert_eq!(m.stats.contentions, 2);
 
         let g = m.release(tid(0), t(10)).unwrap().expect("handoff");
         assert_eq!(g.next, tid(1));
         assert_eq!(g.waited, SimDuration::from_nanos(8));
         assert_eq!(g.penalty, SimDuration::ZERO);
-        assert_eq!(m.owner(), Some(tid(1)));
+        assert_eq!(m.lock.owner(), Some(tid(1)));
         assert_eq!(m.stats.acquisitions, 2);
 
         let g = m.release(tid(1), t(20)).unwrap().expect("handoff");
@@ -304,7 +246,7 @@ mod tests {
             Err(LockMisuse::ReentrantAcquire(tid(0)))
         );
         // State and stats untouched.
-        assert_eq!(m.owner(), Some(tid(0)));
+        assert_eq!(m.lock.owner(), Some(tid(0)));
         assert_eq!(m.stats.acquisitions, 1);
     }
 
@@ -316,7 +258,7 @@ mod tests {
             m.release(tid(1), t(1)),
             Err(LockMisuse::ReleaseByNonOwner(tid(1)))
         );
-        assert_eq!(m.owner(), Some(tid(0)));
+        assert_eq!(m.lock.owner(), Some(tid(0)));
         assert_eq!(m.stats.total_hold, SimDuration::ZERO);
     }
 
@@ -329,7 +271,7 @@ mod tests {
             m.acquire(tid(1), t(2)),
             Err(LockMisuse::DoubleEnqueue(tid(1)))
         );
-        assert_eq!(m.queue_len(), 1);
+        assert_eq!(m.lock.queue_len(), 1);
         assert_eq!(m.stats.contentions, 1);
     }
 
@@ -386,21 +328,5 @@ mod tests {
     fn monitor_id_display() {
         assert_eq!(MonitorId(4).to_string(), "monitor4");
         assert_eq!(MonitorId(4).index(), 4);
-    }
-
-    #[test]
-    fn dyn_fifo_matches_static_fifo() {
-        let mut a = fifo("q");
-        let mut b = Monitor::new("q", LockAlg::FifoDyn);
-        for m in [&mut a, &mut b] {
-            m.acquire(tid(0), t(0)).unwrap();
-            m.acquire(tid(1), t(2)).unwrap();
-            m.acquire(tid(2), t(3)).unwrap();
-            let g = m.release(tid(0), t(10)).unwrap().unwrap();
-            m.release(g.next, t(20)).unwrap().unwrap();
-        }
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.owner(), b.owner());
-        assert_eq!(a.queue_len(), b.queue_len());
     }
 }

@@ -156,7 +156,7 @@ impl LockTable {
         tid: ThreadId,
         now: SimTime,
     ) -> Result<Option<Grant>, LockMisuse> {
-        let held_since = self.monitors[m.0].held_since();
+        let held_since = self.monitors[m.0].lock.held_since();
         let grant = self.monitors[m.0].release(tid, now)?;
         // The release was accepted, so `tid` owned the monitor and the
         // hold start is known.
@@ -201,26 +201,26 @@ impl LockTable {
     /// The current owner of monitor `m`.
     #[must_use]
     pub fn owner(&self, m: MonitorId) -> Option<ThreadId> {
-        self.monitors[m.0].owner()
+        self.monitors[m.0].lock.owner()
     }
 
     /// When monitor `m`'s current owner took it; `None` while unowned.
     #[must_use]
     pub fn held_since(&self, m: MonitorId) -> Option<SimTime> {
-        self.monitors[m.0].held_since()
+        self.monitors[m.0].lock.held_since()
     }
 
     /// Number of threads queued on monitor `m`.
     #[must_use]
     pub fn queue_len(&self, m: MonitorId) -> usize {
-        self.monitors[m.0].queue_len()
+        self.monitors[m.0].lock.queue_len()
     }
 
     /// Whether `tid` is queued on monitor `m` (invariant monitors
     /// cross-check this against the scheduler's blocked state).
     #[must_use]
     pub fn is_waiting(&self, m: MonitorId, tid: ThreadId) -> bool {
-        self.monitors[m.0].is_waiting(tid)
+        self.monitors[m.0].lock.is_waiting(tid)
     }
 
     /// Statistics for a single monitor.

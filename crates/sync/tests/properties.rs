@@ -168,8 +168,3 @@ fn every_algorithm_upholds_exclusion_and_admission() {
         }
     }
 }
-
-#[test]
-fn fifo_dyn_upholds_the_same_properties() {
-    drive(LockAlg::FifoDyn, 7, 8, 4_000);
-}
