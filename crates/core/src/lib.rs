@@ -39,6 +39,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod driver;
 mod error;
 pub mod json;
 mod replay;

@@ -2,14 +2,16 @@
 
 use std::fmt;
 
-use scalesim_gc::GcLog;
+use scalesim_gc::{Collector, GcKind, GcLog};
 use scalesim_heap::HeapStats;
 use scalesim_metrics::{LogHistogram, Summary};
 use scalesim_objtrace::ObjectTracer;
 use scalesim_sched::StateTimes;
-use scalesim_simkit::{AbortReason, SimDuration};
-use scalesim_sync::LockReport;
-use scalesim_trace::{Counters, Timeline};
+use scalesim_simkit::{AbortReason, SimDuration, SimTime};
+use scalesim_sync::{LockReport, LockTable};
+use scalesim_trace::{to_chrome_json, write_atomic, CounterId, Counters, Timeline};
+
+use crate::config::JvmConfig;
 
 /// How a run ended.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -205,6 +207,71 @@ impl RunReport {
             outcome: RunOutcome::Quarantined(why),
             server: None,
         }
+    }
+
+    /// The report tail both engines share: accounts the partial waits of
+    /// threads still queued on monitors after an early stop, merges the
+    /// timelines, fills the gauge counters and writes the trace file. The
+    /// engine sets `app`, `mutator_cpu`, `heap`, `per_thread`, and `trace`
+    /// or `server`.
+    pub(crate) fn close(
+        config: &JvmConfig,
+        (wall, outcome): (SimTime, RunOutcome),
+        mut locks: LockTable,
+        mut collector: Collector,
+        [sched, engine]: [Timeline; 2],
+        events_processed: u64,
+        counters: Counters,
+    ) -> RunReport {
+        if !outcome.is_ok() {
+            locks.finalize(wall);
+        }
+        // The collector's recorder must be taken before `into_log`
+        // consumes it.
+        let timeline = Timeline::merge(vec![
+            sched,
+            locks.take_timeline(),
+            collector.take_timeline(),
+            engine,
+        ]);
+        let mut report = RunReport {
+            app: String::new(),
+            threads: config.threads,
+            cores: config.cores(),
+            wall_time: wall.saturating_since(SimTime::ZERO),
+            gc_time: collector.log().total_pause(),
+            mutator_cpu: SimDuration::ZERO,
+            gc: collector.into_log(),
+            locks: locks.report(),
+            trace: ObjectTracer::new(config.retention),
+            heap: HeapStats::default(),
+            per_thread: Vec::new(),
+            events_processed,
+            counters,
+            timeline,
+            host_ns: 0,
+            outcome,
+            server: None,
+        };
+        let (gc, counters) = (&report.gc, &mut report.counters);
+        for (id, kind) in [
+            (CounterId::MinorGcs, GcKind::Minor),
+            (CounterId::LocalMinorGcs, GcKind::LocalMinor),
+            (CounterId::FullGcs, GcKind::Full),
+            (CounterId::ConcGcPhases, GcKind::ConcurrentOld),
+        ] {
+            counters.set(id, gc.count(kind) as u64);
+        }
+        counters.set(CounterId::EventsProcessed, report.events_processed);
+        counters.set(CounterId::TimelineDropped, report.timeline.dropped());
+        if let Some(path) = &config.trace.path {
+            if report.timeline.is_enabled() {
+                if let Err(e) = write_atomic(path.as_ref(), to_chrome_json(&report.timeline)) {
+                    eprintln!("scalesim: failed to write trace to {path}: {e}");
+                }
+            }
+        }
+        report
     }
 
     /// Wall time minus GC pauses — the paper's "mutator time" component

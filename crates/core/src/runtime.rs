@@ -1,6 +1,7 @@
 //! The simulated JVM: mutator threads, helper threads, work dispatch,
-//! allocation, locking, and stop-the-world collection, all driven by one
-//! deterministic event loop.
+//! allocation, locking, and stop-the-world collection. [`Jvm::run`] drives
+//! this batch engine, or the request server, through the one deterministic
+//! event loop in [`crate::driver`].
 //!
 //! # Execution model
 //!
@@ -23,29 +24,21 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use scalesim_gc::{AdaptiveSizer, Collector, GcCostModel, GcKind};
+use scalesim_gc::{AdaptiveSizer, Collector, GcCostModel};
 use scalesim_heap::{AllocResult, Heap, HeapConfig, NurseryLayout, ObjectId};
 use scalesim_objtrace::{ObjSeq, ObjectTracer};
 use scalesim_sched::{BlockReason, CpuScheduler, SchedPolicy, ThreadId, ThreadState};
 use scalesim_simkit::{
-    AbortReason, CancelToken, ChaosPlan, EventId, EventQueue, FaultClass, RngFactory, SimDuration,
-    SimTime,
+    CancelToken, ChaosPlan, EventId, EventQueue, FaultClass, RngFactory, SimDuration, SimTime,
 };
 use scalesim_sync::{AcquireOutcome, LockTable, MonitorId};
-use scalesim_trace::{to_chrome_json, write_atomic, CounterId, Counters, EventKind, Timeline};
+use scalesim_trace::{CounterId, Counters, EventKind, Timeline};
 use scalesim_workloads::{AppModel, DeathPoint, Distribution, Step, WorkItem};
 
 use crate::config::{JvmConfig, OldGenPolicy};
+use crate::driver::{self, Engine};
 use crate::error::{InvariantViolation, MonitorKind, SimError};
 use crate::report::{RunOutcome, RunReport, ThreadReport};
-
-/// Period, in events, of the full invariant scan (scheduler + monitor
-/// cross-checks) when `JvmConfig::monitors` is on.
-const MONITOR_SCAN_PERIOD: u64 = 1 << 16;
-
-/// Period, in events, of the sim-time / host-time budget checks (the
-/// event-count check is a plain compare and runs on every event).
-const BUDGET_CHECK_PERIOD: u64 = 1 << 10;
 
 /// The simulated JVM. Construct with a [`JvmConfig`], then [`Jvm::run`]
 /// an application; each run is independent and deterministic.
@@ -79,9 +72,10 @@ impl Jvm {
         }
     }
 
-    /// Attaches a cooperative cancellation token. The main loop polls it
-    /// at the budget-check cadence; once cancelled, the run truncates
-    /// with [`AbortReason::Watchdog`] and returns its partial metrics.
+    /// Attaches a cooperative cancellation token. The driver polls it
+    /// at the budget-check cadence; once cancelled, the run truncates with
+    /// [`AbortReason::Watchdog`](scalesim_simkit::AbortReason::Watchdog)
+    /// and returns its partial metrics.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -106,12 +100,19 @@ impl Jvm {
     /// inconsistent runtime state (which injected chaos faults are
     /// designed to provoke).
     pub fn run(&self, app: &dyn AppModel) -> Result<RunReport, SimError> {
+        let cancel = self.cancel.as_ref();
         if let Some(spec) = &self.config.server {
             // Server mode: the app is only a carrier for memoization and
             // repro plumbing; the request workload drives the run.
-            return crate::server::run_server(&self.config, spec, self.cancel.clone());
+            let mut sim = crate::server::ServerSim::new(&self.config, spec);
+            sim.start();
+            let end = driver::run(&mut sim, &self.config, cancel)?;
+            return Ok(sim.finish(end));
         }
-        Sim::new(&self.config, app, self.cancel.clone()).run()
+        let mut sim = Sim::new(&self.config, app);
+        sim.start();
+        let end = driver::run(&mut sim, &self.config, cancel)?;
+        Ok(sim.finish(end))
     }
 }
 
@@ -280,12 +281,10 @@ struct Sim<'a> {
     timeline: Timeline,
     /// The always-on fixed-slot counters registry.
     counters: Counters,
-    /// Cooperative cancellation handle, polled at the budget cadence.
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> Sim<'a> {
-    fn new(config: &'a JvmConfig, app: &'a dyn AppModel, cancel: Option<CancelToken>) -> Self {
+    fn new(config: &'a JvmConfig, app: &'a dyn AppModel) -> Self {
         let cores = config.placement.enabled(&config.machine, config.cores());
         let mean_numa = config.machine.mean_numa_factor_of(&cores);
         // The runtime implements the *cooperative* phase variant of biased
@@ -358,16 +357,14 @@ impl<'a> Sim<'a> {
             violation: None,
             timeline: config.trace.recorder(),
             counters: Counters::new(),
-            cancel,
         }
     }
 
-    /// Records the first invariant violation; the main loop aborts after
-    /// the current event.
+    /// Records the first invariant violation; the driver aborts after the
+    /// current event.
     fn flag_violation(&mut self, kind: MonitorKind, detail: String) {
-        if self.violation.is_none() {
-            self.violation = Some(InvariantViolation { kind, detail });
-        }
+        self.violation
+            .get_or_insert(InvariantViolation { kind, detail });
     }
 
     fn now(&self) -> SimTime {
@@ -375,10 +372,10 @@ impl<'a> Sim<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Setup
+    // Setup and report assembly
     // ------------------------------------------------------------------
 
-    fn spawn_threads(&mut self) {
+    fn start(&mut self) {
         let rngs = RngFactory::new(self.config.seed);
         let total = self.app.total_items();
 
@@ -446,83 +443,10 @@ impl<'a> Sim<'a> {
             self.queue
                 .schedule_after(self.config.cohort_rotation, Event::CohortRotate);
         }
+        self.dispatch_and_resume();
     }
 
-    // ------------------------------------------------------------------
-    // Main loop
-    // ------------------------------------------------------------------
-
-    fn run(mut self) -> Result<RunReport, SimError> {
-        let host_start = std::time::Instant::now();
-        self.spawn_threads();
-        self.dispatch_and_resume();
-
-        let budget = self.config.budget;
-        let timed_budget = budget.max_sim_time.is_some() || budget.max_host_ms.is_some();
-        let mut wall = SimTime::ZERO;
-        let mut outcome = RunOutcome::Ok;
-        while self.mutators_left > 0 {
-            let Some((_, event)) = self.queue.pop() else {
-                let v = InvariantViolation {
-                    kind: MonitorKind::QueueLiveness,
-                    detail: format!(
-                        "simulation deadlock: {} mutators unfinished with no pending events",
-                        self.mutators_left
-                    ),
-                };
-                if self.config.salvage {
-                    outcome = RunOutcome::Quarantined(v.to_string());
-                    break;
-                }
-                return Err(SimError::Invariant(v));
-            };
-            let processed = self.queue.popped_total();
-            if processed > budget.max_events {
-                outcome = RunOutcome::Truncated(scalesim_simkit::AbortReason::MaxEvents(
-                    budget.max_events,
-                ));
-                break;
-            }
-            if self.chaos.panics_at(processed) {
-                panic!("chaos: deliberate panic at event {processed}");
-            }
-            self.handle(event);
-            wall = self.now();
-            if let Some(v) = self.violation.take() {
-                if self.config.salvage {
-                    outcome = RunOutcome::Quarantined(v.to_string());
-                    break;
-                }
-                return Err(SimError::Invariant(v));
-            }
-            if processed.is_multiple_of(BUDGET_CHECK_PERIOD) {
-                // Watchdog cancellation is polled unconditionally at the
-                // budget cadence — an attached token must interrupt runs
-                // that never configured a timed budget.
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    outcome = RunOutcome::Truncated(AbortReason::Watchdog);
-                    break;
-                }
-                if timed_budget {
-                    let host_ms = host_start.elapsed().as_millis() as u64;
-                    if let Some(reason) = budget.check(processed, wall, host_ms) {
-                        outcome = RunOutcome::Truncated(reason);
-                        break;
-                    }
-                }
-            }
-            if self.config.monitors && processed.is_multiple_of(MONITOR_SCAN_PERIOD) {
-                self.scan_invariants();
-                if let Some(v) = self.violation.take() {
-                    if self.config.salvage {
-                        outcome = RunOutcome::Quarantined(v.to_string());
-                        break;
-                    }
-                    return Err(SimError::Invariant(v));
-                }
-            }
-        }
-
+    fn finish(mut self, (wall, outcome): (SimTime, RunOutcome)) -> RunReport {
         // Helpers (and an unfinished concurrent-GC background thread)
         // outlive the measurement window; stop them for clean accounting.
         for &tid in &self.helpers.clone() {
@@ -555,80 +479,21 @@ impl<'a> Sim<'a> {
                 preemptions: self.sched.preemptions(tid),
             })
             .collect();
-        let mutator_cpu: SimDuration = per_thread.iter().map(|t| t.times.running).sum();
-
-        // Merge the per-subsystem recorders into one deterministic
-        // timeline (the collector's must be taken before `into_log`
-        // consumes it). Merge rank fixes tie order: sched, locks, gc,
-        // runtime.
-        let timeline = Timeline::merge(vec![
-            self.sched.take_timeline(),
-            self.locks.take_timeline(),
-            self.collector.take_timeline(),
-            std::mem::take(&mut self.timeline),
-        ]);
-        let log = self.collector.log();
-        self.counters
-            .set(CounterId::MinorGcs, log.count(GcKind::Minor) as u64);
-        self.counters.set(
-            CounterId::LocalMinorGcs,
-            log.count(GcKind::LocalMinor) as u64,
-        );
-        self.counters
-            .set(CounterId::FullGcs, log.count(GcKind::Full) as u64);
-        self.counters.set(
-            CounterId::ConcGcPhases,
-            log.count(GcKind::ConcurrentOld) as u64,
-        );
-        self.counters
-            .set(CounterId::EventsProcessed, self.queue.popped_total());
-        self.counters
-            .set(CounterId::TimelineDropped, timeline.dropped());
-
-        if let Some(path) = &self.config.trace.path {
-            if timeline.is_enabled() {
-                if let Err(e) = write_atomic(std::path::Path::new(path), to_chrome_json(&timeline))
-                {
-                    eprintln!("scalesim: failed to write trace to {path}: {e}");
-                }
-            }
-        }
-
-        if !matches!(outcome, RunOutcome::Ok) {
-            // The run ended with threads still queued on monitors
-            // (budget truncation or quarantine): account their partial
-            // waits so contention/acquisition equalities stay honest.
-            self.locks.finalize(wall);
-        }
-
-        Ok(RunReport {
+        RunReport {
             app: self.app.name().to_owned(),
-            threads: self.config.threads,
-            cores: self.config.cores(),
-            wall_time: wall.saturating_since(SimTime::ZERO),
-            gc_time: self.collector.log().total_pause(),
-            mutator_cpu,
-            gc: self.collector.into_log(),
-            locks: self.locks.report(),
+            mutator_cpu: per_thread.iter().map(|t| t.times.running).sum(),
             trace: self.tracer,
             heap: *self.heap.stats(),
             per_thread,
-            events_processed: self.queue.popped_total(),
-            counters: self.counters,
-            timeline,
-            host_ns: 0,
-            outcome,
-            server: None,
-        })
-    }
-
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Resume(tid) => self.on_resume(tid),
-            Event::StepDone(tid) => self.on_step_done(tid),
-            Event::Quantum(tid) => self.on_quantum(tid),
-            Event::HelperWake(tid) => self.on_helper_wake(tid),
-            Event::CohortRotate => self.on_cohort_rotate(),
+            ..RunReport::close(
+                self.config,
+                (wall, outcome),
+                self.locks,
+                self.collector,
+                [self.sched.take_timeline(), self.timeline],
+                self.queue.popped_total(),
+                self.counters,
+            )
         }
     }
 
@@ -1389,8 +1254,8 @@ impl<'a> Sim<'a> {
 
     /// The periodic full scan: scheduler cross-structure consistency plus
     /// scheduler↔monitor-table agreement. Runs every
-    /// [`MONITOR_SCAN_PERIOD`] events and at stop-the-world safepoints
-    /// when `JvmConfig::monitors` is on.
+    /// [`MONITOR_SCAN_PERIOD`](driver::MONITOR_SCAN_PERIOD) events and at
+    /// stop-the-world safepoints when `JvmConfig::monitors` is on.
     fn scan_invariants(&mut self) {
         if self.violation.is_some() {
             return;
@@ -1473,6 +1338,47 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+    }
+}
+
+impl Engine for Sim<'_> {
+    type Event = Event;
+
+    fn queue(&self) -> &EventQueue<Event> {
+        &self.queue
+    }
+
+    /// Done once every mutator finished; an empty queue before that is a deadlock.
+    fn next_event(&mut self) -> Result<Option<Event>, InvariantViolation> {
+        if self.mutators_left == 0 {
+            return Ok(None);
+        }
+        match self.queue.pop() {
+            Some((_, event)) => Ok(Some(event)),
+            None => Err(InvariantViolation {
+                kind: MonitorKind::QueueLiveness,
+                detail: format!(
+                    "simulation deadlock: {} mutators unfinished with no pending events",
+                    self.mutators_left
+                ),
+            }),
+        }
+    }
+
+    fn handle(&mut self, event: Event) -> Option<InvariantViolation> {
+        match event {
+            Event::Resume(tid) => self.on_resume(tid),
+            Event::StepDone(tid) => self.on_step_done(tid),
+            Event::Quantum(tid) => self.on_quantum(tid),
+            Event::HelperWake(tid) => self.on_helper_wake(tid),
+            Event::CohortRotate => self.on_cohort_rotate(),
+        }
+        self.violation.take()
+    }
+
+    fn scan(&mut self) -> Option<InvariantViolation> {
+        self.scan_invariants();
+        self.violation.take()
     }
 }
 

@@ -1,7 +1,8 @@
 //! The request-serving engine: executes a [`ServerSpec`] instead of a
 //! batch benchmark, against the same subsystems the batch runtime uses
 //! (the `scalesim-sync` monitor table, the generational heap and
-//! collector, the chaos plan, the trace registry).
+//! collector, the chaos plan, the trace registry), under the same
+//! [`driver`](crate::driver) loop; a run ends at the spec's horizon.
 //!
 //! # Execution model
 //!
@@ -39,26 +40,21 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 
-use scalesim_gc::{Collector, GcCostModel, GcKind};
+use scalesim_gc::{Collector, GcCostModel};
 use scalesim_heap::{AllocResult, Heap, HeapConfig, NurseryLayout, ObjectId};
 use scalesim_metrics::LogHistogram;
-use scalesim_objtrace::ObjectTracer;
 use scalesim_sched::{StateTimes, ThreadId};
 use scalesim_simkit::{
-    AbortReason, CancelToken, ChaosPlan, EventId, EventQueue, FaultClass, RngFactory, SimDuration,
-    SimTime,
+    ChaosPlan, EventId, EventQueue, FaultClass, RngFactory, SimDuration, SimTime,
 };
 use scalesim_sync::{AcquireOutcome, LockTable, MonitorId};
-use scalesim_trace::{to_chrome_json, write_atomic, CounterId, Counters, EventKind, Timeline};
+use scalesim_trace::{CounterId, Counters, EventKind, Timeline};
 use scalesim_workloads::{poisson_gap_ns, think_ns, ArrivalProcess, ServerSpec};
 
 use crate::config::JvmConfig;
-use crate::error::SimError;
+use crate::driver::Engine;
+use crate::error::{InvariantViolation, MonitorKind};
 use crate::report::{RunOutcome, RunReport, ServerStats, ThreadReport};
-
-/// Cadence, in events, of watchdog/budget polling (the event-count check
-/// is a plain compare and runs on every event).
-const BUDGET_CHECK_PERIOD: u64 = 1 << 10;
 
 /// Heap floor when the config has no explicit sizing: small enough that
 /// the allocation bursts produce regular minor collections for the chaos
@@ -66,7 +62,7 @@ const BUDGET_CHECK_PERIOD: u64 = 1 << 10;
 const SERVER_MIN_HEAP: u64 = 4 << 20;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
+pub(crate) enum Ev {
     /// The next open-loop arrival fires (the schedule is generated
     /// lazily, one gap at a time, from the `server-arrival` RNG stream).
     OpenArrival,
@@ -119,7 +115,7 @@ struct Worker {
     dispatches: u64,
 }
 
-struct ServerSim<'a> {
+pub(crate) struct ServerSim<'a> {
     config: &'a JvmConfig,
     spec: &'a ServerSpec,
     seed: u64,
@@ -132,7 +128,6 @@ struct ServerSim<'a> {
     chaos: ChaosPlan,
     timeline: Timeline,
     counters: Counters,
-    cancel: Option<CancelToken>,
     arrival_rng: StdRng,
     accept: VecDeque<(u64, u32)>,
     attempts: BTreeMap<(u64, u32), Attempt>,
@@ -146,26 +141,15 @@ struct ServerSim<'a> {
     /// Closed-loop request ownership: which client is waiting on a
     /// request (across its retries). Open loop leaves this empty.
     client_owner: BTreeMap<u64, usize>,
-    /// First monitor-protocol misuse observed; the main loop finishes
-    /// the run as [`RunOutcome::Quarantined`] instead of panicking (the
-    /// server model always salvages — its entry point returns a report,
-    /// not a `Result`).
-    violation: Option<String>,
+    /// First monitor-protocol misuse observed; the driver stops the run
+    /// after the current event and `JvmConfig::salvage` decides between
+    /// [`RunOutcome::Quarantined`] and an error, as for the batch runtime.
+    violation: Option<InvariantViolation>,
     stats: ServerStats,
 }
 
-/// Runs `spec` under `config` and returns the standard report with
-/// [`RunReport::server`] populated.
-pub(crate) fn run_server(
-    config: &JvmConfig,
-    spec: &ServerSpec,
-    cancel: Option<CancelToken>,
-) -> Result<RunReport, SimError> {
-    Ok(ServerSim::new(config, spec, cancel).run())
-}
-
 impl<'a> ServerSim<'a> {
-    fn new(config: &'a JvmConfig, spec: &'a ServerSpec, cancel: Option<CancelToken>) -> Self {
+    pub(crate) fn new(config: &'a JvmConfig, spec: &'a ServerSpec) -> Self {
         let cores = config.placement.enabled(&config.machine, config.cores());
         let mean_numa = config.machine.mean_numa_factor_of(&cores);
         let gc_model = config
@@ -205,7 +189,6 @@ impl<'a> ServerSim<'a> {
             chaos: ChaosPlan::new(config.chaos, config.seed),
             timeline: config.trace.recorder(),
             counters: Counters::new(),
-            cancel,
             arrival_rng: RngFactory::new(config.seed).stream("server-arrival", 0),
             accept: VecDeque::new(),
             attempts: BTreeMap::new(),
@@ -238,12 +221,8 @@ impl<'a> ServerSim<'a> {
         self.queue.now().as_nanos()
     }
 
-    // ------------------------------------------------------------------
-    // Main loop
-    // ------------------------------------------------------------------
-
-    fn run(mut self) -> RunReport {
-        let host_start = std::time::Instant::now();
+    /// Seeds the first open-loop arrival or every closed-loop client.
+    pub(crate) fn start(&mut self) {
         match self.spec.arrival {
             ArrivalProcess::OpenPoisson { rate_per_sec } => {
                 if rate_per_sec > 0 {
@@ -266,61 +245,12 @@ impl<'a> ServerSim<'a> {
                 }
             }
         }
-
-        let budget = self.config.budget;
-        let timed_budget = budget.max_sim_time.is_some() || budget.max_host_ms.is_some();
-        let horizon = SimTime::from_nanos(self.spec.horizon_ns);
-        let mut wall = SimTime::ZERO;
-        let mut outcome = RunOutcome::Ok;
-        loop {
-            match self.queue.peek_time() {
-                None => break,
-                Some(at) if at >= horizon => break,
-                Some(_) => {}
-            }
-            let (at, ev) = self.queue.pop().expect("peeked event vanished");
-            wall = at;
-            let processed = self.queue.popped_total();
-            if processed > budget.max_events {
-                outcome = RunOutcome::Truncated(AbortReason::MaxEvents(budget.max_events));
-                break;
-            }
-            if self.chaos.panics_at(processed) {
-                panic!("chaos: deliberate panic at event {processed}");
-            }
-            self.handle(ev);
-            if let Some(detail) = self.violation.take() {
-                outcome = RunOutcome::Quarantined(detail);
-                break;
-            }
-            if processed.is_multiple_of(BUDGET_CHECK_PERIOD) {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    outcome = RunOutcome::Truncated(AbortReason::Watchdog);
-                    break;
-                }
-                if timed_budget {
-                    let host_ms = host_start.elapsed().as_millis() as u64;
-                    if let Some(reason) = budget.check(processed, wall, host_ms) {
-                        outcome = RunOutcome::Truncated(reason);
-                        break;
-                    }
-                }
-            }
-        }
-        if outcome == RunOutcome::Ok {
-            wall = horizon;
-        }
-        self.finish(wall, outcome)
     }
 
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::OpenArrival => self.on_open_arrival(),
-            Ev::Arrival { req, attempt } => self.on_arrival(req, attempt),
-            Ev::Timeout { req, attempt } => self.on_timeout(req, attempt),
-            Ev::HoldDone { worker, accum } => self.on_hold_done(worker, accum),
-            Ev::Done { worker, accum } => self.on_done(worker, accum),
-        }
+    fn flag_misuse(&mut self, detail: String) {
+        let kind = MonitorKind::MonitorProtocol;
+        self.violation
+            .get_or_insert(InvariantViolation { kind, detail });
     }
 
     // ------------------------------------------------------------------
@@ -555,7 +485,7 @@ impl<'a> ServerSim<'a> {
                     self.workers[w].blocked = true;
                 }
                 Err(misuse) => {
-                    self.violation = Some(format!("{misuse} ({m})"));
+                    self.flag_misuse(format!("{misuse} ({m})"));
                     self.workers[w].blocked = true;
                 }
             }
@@ -631,7 +561,7 @@ impl<'a> ServerSim<'a> {
             }
             Ok(None) => {}
             Err(misuse) => {
-                self.violation = Some(format!("{misuse} ({m})"));
+                self.flag_misuse(format!("{misuse} ({m})"));
                 return;
             }
         }
@@ -741,14 +671,19 @@ impl<'a> ServerSim<'a> {
     // Report assembly
     // ------------------------------------------------------------------
 
-    fn finish(mut self, wall: SimTime, outcome: RunOutcome) -> RunReport {
-        if !matches!(outcome, RunOutcome::Ok) {
-            // Workers still queued on monitors at truncation: account
-            // their partial waits (mirrors the batch runtime).
-            self.locks.finalize(wall);
+    pub(crate) fn finish(mut self, (mut wall, outcome): (SimTime, RunOutcome)) -> RunReport {
+        if outcome == RunOutcome::Ok {
+            wall = SimTime::from_nanos(self.spec.horizon_ns);
         }
         self.stats.in_flight = self.attempts.len() as u64;
         debug_assert!(self.stats.conserves(), "attempt conservation broke");
+        let (stats, counters) = (&self.stats, &mut self.counters);
+        counters.set(CounterId::ReqArrivals, stats.arrivals);
+        counters.set(CounterId::ReqGoodput, stats.goodput);
+        counters.set(CounterId::ReqSheds, stats.sheds);
+        counters.set(CounterId::ReqTimeouts, stats.timeouts);
+        counters.set(CounterId::ReqRetries, stats.retries);
+        counters.set(CounterId::ReqInFlight, stats.in_flight);
 
         let per_thread: Vec<ThreadReport> = self
             .workers
@@ -763,60 +698,50 @@ impl<'a> ServerSim<'a> {
                 preemptions: 0,
             })
             .collect();
-        let mutator_cpu: SimDuration = per_thread.iter().map(|t| t.times.running).sum();
-
-        let timeline = Timeline::merge(vec![
-            self.locks.take_timeline(),
-            self.collector.take_timeline(),
-            std::mem::take(&mut self.timeline),
-        ]);
-        let log = self.collector.log();
-        self.counters
-            .set(CounterId::MinorGcs, log.count(GcKind::Minor) as u64);
-        self.counters
-            .set(CounterId::FullGcs, log.count(GcKind::Full) as u64);
-        self.counters
-            .set(CounterId::EventsProcessed, self.queue.popped_total());
-        self.counters
-            .set(CounterId::TimelineDropped, timeline.dropped());
-        self.counters
-            .set(CounterId::ReqArrivals, self.stats.arrivals);
-        self.counters.set(CounterId::ReqGoodput, self.stats.goodput);
-        self.counters.set(CounterId::ReqSheds, self.stats.sheds);
-        self.counters
-            .set(CounterId::ReqTimeouts, self.stats.timeouts);
-        self.counters.set(CounterId::ReqRetries, self.stats.retries);
-        self.counters
-            .set(CounterId::ReqInFlight, self.stats.in_flight);
-
-        if let Some(path) = &self.config.trace.path {
-            if timeline.is_enabled() {
-                if let Err(e) = write_atomic(std::path::Path::new(path), to_chrome_json(&timeline))
-                {
-                    eprintln!("scalesim: failed to write trace to {path}: {e}");
-                }
-            }
-        }
-
         RunReport {
             app: self.spec.name.clone(),
-            threads: self.config.threads,
-            cores: self.config.cores(),
-            wall_time: wall.saturating_since(SimTime::ZERO),
-            gc_time: self.collector.log().total_pause(),
-            mutator_cpu,
-            gc: self.collector.into_log(),
-            locks: self.locks.report(),
-            trace: ObjectTracer::new(self.config.retention),
+            mutator_cpu: per_thread.iter().map(|t| t.times.running).sum(),
             heap: *self.heap.stats(),
             per_thread,
-            events_processed: self.queue.popped_total(),
-            counters: self.counters,
-            timeline,
-            host_ns: 0,
-            outcome,
             server: Some(self.stats),
+            ..RunReport::close(
+                self.config,
+                (wall, outcome),
+                self.locks,
+                self.collector,
+                [Timeline::disabled(), self.timeline],
+                self.queue.popped_total(),
+                self.counters,
+            )
         }
+    }
+}
+
+impl Engine for ServerSim<'_> {
+    type Event = Ev;
+
+    fn queue(&self) -> &EventQueue<Ev> {
+        &self.queue
+    }
+
+    /// Done once the queue is empty or its head is at or past the horizon.
+    fn next_event(&mut self) -> Result<Option<Ev>, InvariantViolation> {
+        let horizon = SimTime::from_nanos(self.spec.horizon_ns);
+        Ok(match self.queue.peek_time() {
+            Some(at) if at < horizon => self.queue.pop().map(|(_, ev)| ev),
+            _ => None,
+        })
+    }
+
+    fn handle(&mut self, ev: Ev) -> Option<InvariantViolation> {
+        match ev {
+            Ev::OpenArrival => self.on_open_arrival(),
+            Ev::Arrival { req, attempt } => self.on_arrival(req, attempt),
+            Ev::Timeout { req, attempt } => self.on_timeout(req, attempt),
+            Ev::HoldDone { worker, accum } => self.on_hold_done(worker, accum),
+            Ev::Done { worker, accum } => self.on_done(worker, accum),
+        }
+        self.violation.take()
     }
 }
 
@@ -824,6 +749,8 @@ impl<'a> ServerSim<'a> {
 mod tests {
     use super::*;
     use crate::Jvm;
+    use scalesim_gc::GcKind;
+    use scalesim_simkit::{AbortReason, CancelToken, RunBudget};
     use scalesim_workloads::xalan;
 
     fn run_spec(spec: ServerSpec, threads: usize, seed: u64) -> RunReport {
@@ -878,6 +805,47 @@ mod tests {
         // queue deeper than the client count.
         assert!(stats.queue_depth.max().unwrap_or(0) <= 8);
         assert_eq!(stats.sheds, 0);
+    }
+
+    fn truncated_config(max_events: u64) -> JvmConfig {
+        JvmConfig::builder()
+            .threads(4)
+            .seed(42)
+            .budget(RunBudget {
+                max_events,
+                ..RunBudget::default()
+            })
+            .server(short(ServerSpec::naive(40_000)))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn event_budget_truncates_before_the_horizon_and_conserves() {
+        let report = Jvm::new(truncated_config(20_000)).run(&xalan()).unwrap();
+        assert_eq!(
+            report.outcome,
+            RunOutcome::Truncated(AbortReason::MaxEvents(20_000))
+        );
+        // The event over budget is popped, never handled.
+        assert_eq!(report.events_processed, 20_001);
+        assert!(report.server.as_ref().unwrap().conserves());
+        assert!(
+            report.wall_time.as_nanos() < 200_000_000,
+            "below the horizon"
+        );
+    }
+
+    #[test]
+    fn a_cancelled_watchdog_token_truncates_the_run() {
+        let token = CancelToken::new();
+        token.cancel();
+        let report = Jvm::new(truncated_config(u64::MAX))
+            .with_cancel(token)
+            .run(&xalan())
+            .unwrap();
+        assert_eq!(report.outcome, RunOutcome::Truncated(AbortReason::Watchdog));
+        assert!(report.server.as_ref().unwrap().conserves());
     }
 
     #[test]

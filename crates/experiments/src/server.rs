@@ -292,6 +292,22 @@ mod tests {
         assert_eq!(scenario_spec("no-fault", 4).fault_window_ns, None);
     }
 
+    /// The server engine is pinned byte for byte, not only by the ratio
+    /// checks below.
+    #[test]
+    fn study_matches_the_ext_server_golden() {
+        let params = ExpParams::quick()
+            .with_scale(0.02)
+            .with_threads(vec![4, 16]);
+        let s = run_server_study(&params).unwrap();
+        let golden = include_str!("../goldens/ext_server.csv");
+        assert_eq!(
+            s.table().to_csv(),
+            golden,
+            "ext-server output drifted from its golden"
+        );
+    }
+
     #[test]
     fn study_covers_every_scenario_and_thread_count() {
         let params = tiny();

@@ -110,6 +110,17 @@ SCALESIM_SERVER_DEGRADE=1 \
     ext-server --scale 0.02 --threads 4 --out target/ci-server-deg > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected degraded server exit 2, got $rc"; exit 1; }
 grep -q '"degraded":true' target/ci-server-deg/manifest.jsonl
+echo '== server truncation smoke (an event budget must truncate every server run, exit 2)'
+rm -rf target/ci-server-trunc
+rc=0
+SCALESIM_MAX_EVENTS=20000 \
+    cargo run --release -q -p scalesim-experiments -- \
+    ext-server --scale 0.02 --threads 4 --out target/ci-server-trunc > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected truncated server exit 2, got $rc"; exit 1; }
+rows=$(tail -n +2 target/ci-server-trunc/ext_server.csv | wc -l)
+trunc=$(grep -c ',trunc$' target/ci-server-trunc/ext_server.csv || true)
+[ "$rows" -gt 0 ] && [ "$rows" -eq "$trunc" ] \
+    || { echo "expected every server row truncated, got $trunc of $rows"; exit 1; }
 echo '== ext-locks smoke (lock-algorithm artifact must run clean, every algorithm present)'
 rm -rf target/ci-locks
 cargo run --release -q -p scalesim-experiments -- \
