@@ -14,7 +14,7 @@ use scalesim_trace::{to_chrome_json, write_atomic, CounterId, Counters, Timeline
 use crate::config::JvmConfig;
 
 /// How a run ended.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum RunOutcome {
     /// The run executed to completion.
     #[default]
@@ -57,7 +57,7 @@ impl fmt::Display for RunOutcome {
 }
 
 /// Per-mutator-thread results.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ThreadReport {
     /// Work items the thread completed.
     pub items_done: u64,
@@ -75,7 +75,7 @@ pub struct ThreadReport {
 /// still unsettled at the horizon is `in_flight`, so
 /// `arrivals == goodput + orphan_completions + sheds + timeouts + in_flight`
 /// holds exactly ([`ServerStats::conserves`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ServerStats {
     /// Policy label from the spec ("naive", "robust", …).
     pub policy: String,
@@ -139,7 +139,7 @@ impl ServerStats {
 /// * Figure 1c/1d read [`RunReport::trace`],
 /// * Figure 2 reads [`RunReport::mutator_wall`] / [`RunReport::gc_time`],
 /// * the workload-distribution analysis reads [`RunReport::per_thread`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct RunReport {
     /// Application name.
     pub app: String,
@@ -172,9 +172,11 @@ pub struct RunReport {
     /// tracing).
     pub timeline: Timeline,
     /// Host-side wall-clock nanoseconds the simulation took, as measured
-    /// by the runner (0 when not measured). Purely diagnostic: never part
-    /// of determinism fingerprints, and memoized sweeps report the timing
-    /// of the one simulation that actually ran.
+    /// by the runner (0 when not measured). Purely diagnostic: tables and
+    /// the analytics and audit fingerprints never read it, and memoized
+    /// sweeps report the timing of the one simulation that actually ran.
+    /// It *is* part of the sweep's memo content fingerprint, which guards
+    /// a stored copy of this exact report rather than the simulation.
     pub host_ns: u64,
     /// How the run ended: complete, budget-truncated, or quarantined by
     /// the sweep harness.

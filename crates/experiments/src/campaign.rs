@@ -65,7 +65,7 @@ use scalesim_simkit::splitmix64;
 use scalesim_workloads::{all_apps, scalable_apps, AppModel};
 
 use crate::artifacts::{artifact_tables, ArtifactTable};
-use crate::checkpoint::{self, decode_record, encode_record, Record};
+use crate::checkpoint::{self, encode_record, load_segment, Record};
 use crate::ext_locks::lock_specs;
 use crate::fig1_lifespan::lifespan_specs;
 use crate::params::ExpParams;
@@ -809,27 +809,17 @@ pub fn merge(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignEr
     seg_paths.sort();
 
     let mut skipped_lines = 0usize;
-    let mut latest: HashMap<u64, Record> = HashMap::new();
+    let mut latest: HashMap<u64, (Record, bool)> = HashMap::new();
     for path in &seg_paths {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        for line in text.lines() {
-            match decode_record(line) {
-                Some(record) => {
-                    latest.insert(record.key, record);
-                }
-                None => skipped_lines += 1,
-            }
-        }
+        skipped_lines += load_segment(path, &mut latest);
     }
 
     let mut restored = 0usize;
-    for (key, record) in latest {
+    for (key, (record, verified)) in latest {
         if !unit_keys.contains(&key) {
             continue;
         }
-        if fingerprint(&record.report) != record.fp || !checkpointable(&record.report) {
+        if !verified || !checkpointable(&record.report) {
             skipped_lines += 1;
             continue;
         }

@@ -23,9 +23,18 @@
 //! `{"v":1,"key":"<16-hex>","fp":"<16-hex>","retries":N,"report":{…}}`.
 //! The crc covers the JSON body, so a torn or bit-flipped line is
 //! detected without trusting the JSON parser's error paths. The stored
-//! fingerprint is always the *true* report fingerprint — resume
-//! recomputes it from the deserialized report and refuses any record
-//! where the two disagree.
+//! fingerprint is always the *true* report fingerprint — the structural
+//! hash the sweep memo uses, taken once by the worker that ran the
+//! point — and resume recomputes it from the deserialized report and
+//! refuses any record where the two disagree. A store written by a build
+//! with a different fingerprint therefore verifies nothing and re-runs
+//! every point once.
+//!
+//! Workers frame their records before taking the store lock, which
+//! guards only the append and the rotation. Resume decodes and verifies
+//! records on up to [`worker_budget`](crate::sweep::worker_budget)
+//! threads, keeping line order, so the last record per key wins exactly
+//! as in a serial pass.
 //!
 //! Host-time-dependent truncations
 //! ([`Watchdog`](scalesim_simkit::AbortReason::Watchdog) /
@@ -37,6 +46,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use scalesim_core::{report_from_json, report_to_json, JsonValue, RunReport};
@@ -141,6 +151,64 @@ pub(crate) fn decode_record(line: &str) -> Option<Record> {
     })
 }
 
+/// Decodes store lines on up to [`worker_budget`](sweep::worker_budget)
+/// scoped threads, recomputing each record's fingerprint from the
+/// decoded report. Results keep line order: `None` for a line
+/// [`decode_record`] rejects, otherwise the record and whether its
+/// stored fingerprint matched.
+fn decode_verified(lines: &[&str]) -> Vec<Option<(Record, bool)>> {
+    let next = AtomicUsize::new(0);
+    let workers = sweep::worker_budget().min(lines.len());
+    let mut out: Vec<Option<(Record, bool)>> = Vec::new();
+    out.resize_with(lines.len(), || None);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(line) = lines.get(i) else { break };
+                        let decoded = decode_record(line).map(|record| {
+                            let verified = sweep::fingerprint(&record.report) == record.fp;
+                            (record, verified)
+                        });
+                        done.push((i, decoded));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, decoded) in handle.join().expect("record decoder panicked") {
+                out[i] = decoded;
+            }
+        }
+    });
+    out
+}
+
+/// Decodes one segment file (a sealed store segment or a campaign
+/// worker's segment) into `latest`, where the last record per key wins,
+/// and returns the number of lines rejected. An unreadable file adds
+/// nothing.
+pub(crate) fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> usize {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return 0;
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    let mut rejected = 0;
+    for decoded in decode_verified(&lines) {
+        match decoded {
+            Some((record, verified)) => {
+                latest.insert(record.key, (record, verified));
+            }
+            None => rejected += 1,
+        }
+    }
+    rejected
+}
+
 // ---------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------
@@ -156,15 +224,9 @@ impl Store {
         self.dir.join("tail.jsonl")
     }
 
-    fn append(
-        &mut self,
-        key: u64,
-        report: &RunReport,
-        fp: u64,
-        retries: u32,
-    ) -> std::io::Result<()> {
-        let mut line = encode_record(key, report, fp, retries);
-        line.push('\n');
+    /// Appends one framed, newline-terminated record and rotates the
+    /// tail once it is full.
+    fn append(&mut self, line: &str) -> std::io::Result<()> {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -257,8 +319,10 @@ pub fn set_store(dir: &Path) -> std::io::Result<()> {
 /// Every valid record is fingerprint-verified (the hash is recomputed
 /// from the deserialized report and compared against the stored value)
 /// before it seeds the cache; mismatches count as skipped and the point
-/// re-runs. A torn tail is tolerated: invalid tail lines are dropped
-/// and the tail is rewritten atomically with only the verified ones.
+/// re-runs. Decoding and verification run in parallel per file, with
+/// results kept in line order. A torn tail is tolerated: invalid tail
+/// lines are dropped and the tail is rewritten atomically with only the
+/// verified ones.
 ///
 /// # Errors
 ///
@@ -268,42 +332,41 @@ pub fn set_store(dir: &Path) -> std::io::Result<()> {
 pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
     std::fs::create_dir_all(dir)?;
     let mut stats = ResumeStats::default();
-    let mut records: Vec<Record> = Vec::new();
+    // Last record wins per key; only the survivor's verification counts.
+    let mut latest: HashMap<u64, (Record, bool)> = HashMap::new();
     let (segs, next_seg) = segments_of(dir);
     stats.segments = segs.len();
     for seg in &segs {
-        load_lines(seg, &mut records, &mut stats);
+        stats.skipped += load_segment(seg, &mut latest);
     }
     let tail = dir.join("tail.jsonl");
-    let mut valid_tail_lines: Vec<String> = Vec::new();
-    let mut tail_torn = false;
+    let mut tail_records = 0;
     if let Ok(text) = std::fs::read_to_string(&tail) {
-        for line in text.lines() {
-            if let Some(record) = decode_record(line) {
-                valid_tail_lines.push(line.to_owned());
-                records.push(record);
-            } else {
-                tail_torn = true;
-                stats.skipped += 1;
+        let lines: Vec<&str> = text.lines().collect();
+        let mut valid_tail_lines: Vec<&str> = Vec::new();
+        for (line, decoded) in lines.iter().zip(decode_verified(&lines)) {
+            match decoded {
+                Some((record, verified)) => {
+                    valid_tail_lines.push(*line);
+                    latest.insert(record.key, (record, verified));
+                }
+                None => stats.skipped += 1,
             }
         }
-    }
-    if tail_torn {
-        let mut body = valid_tail_lines.join("\n");
-        if !body.is_empty() {
-            body.push('\n');
+        tail_records = valid_tail_lines.len();
+        if tail_records < lines.len() {
+            let mut body = valid_tail_lines.join("\n");
+            if !body.is_empty() {
+                body.push('\n');
+            }
+            write_atomic(&tail, body)?;
         }
-        write_atomic(&tail, body)?;
     }
 
-    // Last record wins per key; verify each survivor's fingerprint
-    // before it may stand in for a simulation.
-    let mut latest: HashMap<u64, Record> = HashMap::new();
-    for record in records {
-        latest.insert(record.key, record);
-    }
-    for (key, record) in latest {
-        if sweep::fingerprint(&record.report) != record.fp {
+    // A survivor may stand in for a simulation only if its fingerprint
+    // verified.
+    for (key, (record, verified)) in latest {
+        if !verified {
             stats.skipped += 1;
             continue;
         }
@@ -317,22 +380,10 @@ pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
 
     *store().lock().unwrap_or_else(PoisonError::into_inner) = Some(Store {
         dir: dir.to_owned(),
-        tail_records: valid_tail_lines.len(),
+        tail_records,
         next_seg,
     });
     Ok(stats)
-}
-
-fn load_lines(path: &Path, records: &mut Vec<Record>, stats: &mut ResumeStats) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    for line in text.lines() {
-        match decode_record(line) {
-            Some(record) => records.push(record),
-            None => stats.skipped += 1,
-        }
-    }
 }
 
 /// Deactivates the store; completed runs are no longer persisted.
@@ -352,10 +403,19 @@ pub fn is_active() -> bool {
 /// Appends one completed run. Called from sweep workers; IO failures
 /// degrade to a warning — losing a checkpoint record costs a future
 /// re-simulation, never the sweep.
+///
+/// The record is framed before the store lock is taken, so concurrent
+/// workers encode in parallel and the lock guards only the append and
+/// the rotation.
 pub(crate) fn append_completed(key: u64, report: &RunReport, fp: u64, retries: u32) {
+    if !is_active() {
+        return;
+    }
+    let mut line = encode_record(key, report, fp, retries);
+    line.push('\n');
     let mut guard = store().lock().unwrap_or_else(PoisonError::into_inner);
     let Some(st) = guard.as_mut() else { return };
-    if let Err(e) = st.append(key, report, fp, retries) {
+    if let Err(e) = st.append(&line) {
         eprintln!("checkpoint: dropping record for key {key:016x}: {e}");
     }
 }
@@ -407,6 +467,80 @@ mod tests {
         // A torn prefix fails too.
         assert!(decode_record(&line[..line.len() / 2]).is_none());
         assert!(decode_record("").is_none());
+    }
+
+    #[test]
+    fn resume_keeps_the_last_valid_record_and_scrubs_the_tail() {
+        // Synthetic keys no sweep ever requests, so concurrent tests
+        // cannot claim or evict what this one seeds.
+        const K: [u64; 5] = [
+            0x5ca1_e5ee_d000_0001,
+            0x5ca1_e5ee_d000_0002,
+            0x5ca1_e5ee_d000_0003,
+            0x5ca1_e5ee_d000_0004,
+            0x5ca1_e5ee_d000_0005,
+        ];
+        let first = crate::RunSpec::new(scalesim_workloads::xalan().scaled(0.002), 2, 9)
+            .run()
+            .unwrap();
+        let mut second = first.clone();
+        second.host_ns = first.host_ns + 1;
+        let (fp1, fp2) = (sweep::fingerprint(&first), sweep::fingerprint(&second));
+        let dir = std::env::temp_dir().join(format!("scalesim-ckpt-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let seg0 = [
+            encode_record(K[0], &first, fp1, 0),
+            encode_record(K[1], &first, fp1, 0),
+        ];
+        let seg1 = [
+            encode_record(K[2], &first, fp1 ^ 1, 0),
+            encode_record(K[3], &first, fp1, 1),
+        ];
+        // The later record for K[1] wins over the sealed one.
+        let winner = encode_record(K[1], &second, fp2, 3);
+        let torn = encode_record(K[4], &first, fp1, 0);
+        std::fs::write(dir.join(seg_name(0)), seg0.join("\n") + "\n").unwrap();
+        std::fs::write(dir.join(seg_name(1)), seg1.join("\n") + "\n").unwrap();
+        std::fs::write(
+            dir.join("tail.jsonl"),
+            format!("{winner}\n{}", &torn[..torn.len() / 2]),
+        )
+        .unwrap();
+
+        let stats = resume_from(&dir).unwrap();
+        disable_store();
+        // Other tests' sweeps may append to the store while it is active;
+        // keep only this test's keys.
+        let cached: Vec<_> = K.iter().map(|&k| sweep::cached_entry(k)).collect();
+        let retries: Vec<_> = K.iter().map(|&k| take_restored(k)).collect();
+        let tail: Vec<String> = std::fs::read_to_string(dir.join("tail.jsonl"))
+            .unwrap()
+            .lines()
+            .filter(|l| decode_record(l).is_some_and(|r| K.contains(&r.key)))
+            .map(str::to_owned)
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded: 3,
+                skipped: 2,
+                segments: 2,
+            }
+        );
+        assert_eq!(retries, [Some(0), Some(3), None, Some(1), None]);
+        assert_eq!(tail, [winner]);
+        let debug = |r: &RunReport| format!("{r:?}");
+        let expected = [Some(&first), Some(&second), None, Some(&first), None];
+        for ((entry, want), key) in cached.iter().zip(expected).zip(K) {
+            assert_eq!(
+                entry.as_ref().map(|(r, fp)| (debug(r), *fp)),
+                want.map(|r| (debug(r), sweep::fingerprint(r))),
+                "key {key:016x}"
+            );
+        }
     }
 
     #[test]

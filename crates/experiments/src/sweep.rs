@@ -56,7 +56,7 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use scalesim_core::{Jvm, JvmConfig, RunOutcome, RunReport, SimError};
-use scalesim_simkit::{AbortReason, CancelToken, ChaosPlan, FaultClass};
+use scalesim_simkit::{splitmix64, AbortReason, CancelToken, ChaosPlan, FaultClass};
 use scalesim_trace::CounterId;
 use scalesim_workloads::{AppModel, SyntheticApp};
 
@@ -366,10 +366,65 @@ fn cache() -> &'static Mutex<HashMap<u64, CacheEntry>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Content fingerprint of a report (hash of its full `Debug` rendering).
+/// A word-at-a-time [`Hasher`] built on [`splitmix64`]: every integer
+/// the `Hash` derive feeds folds in as one 64-bit word, and byte runs
+/// (strings, integer slices) fold in as little-endian 8-byte words, the
+/// last one padded with its length. Unlike `DefaultHasher` its output
+/// is fixed by this code alone.
+#[derive(Debug, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            word[7] = rest.len() as u8;
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = splitmix64(self.0 ^ n);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.write_u64(n as u64);
+        self.write_u64((n >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// Content fingerprint of a report: its derived `Hash` — every field
+/// the `Debug` rendering shows, `host_ns` included — fed through a
+/// [`WordHasher`].
 pub(crate) fn fingerprint(report: &RunReport) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{report:?}").hash(&mut h);
+    let mut h = WordHasher::default();
+    report.hash(&mut h);
     h.finish()
 }
 
@@ -382,6 +437,16 @@ pub(crate) fn seed_cache_entry(key: u64, report: RunReport, fp: u64) {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .insert(key, (Arc::new(report), fp));
+}
+
+/// The memo entry under `key`, if one is held.
+#[cfg(test)]
+pub(crate) fn cached_entry(key: u64) -> Option<CacheEntry> {
+    cache()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+        .cloned()
 }
 
 /// Drops every memoized [`RunReport`] (used by benchmarks to measure cold
@@ -593,7 +658,7 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
     if !pending.is_empty() {
         let workers = worker_budget().min(pending.len());
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<RunReport, String>, u32)>();
+        let (tx, rx) = mpsc::channel::<(usize, Result<RunReport, String>, Option<u64>, u32)>();
 
         // Watchdog scaffolding: one deadline slot per worker. The
         // watchdog thread only spawns when some pending spec carries a
@@ -653,25 +718,25 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                                 }
                             },
                         };
+                        // One fingerprint per run, taken here off the main
+                        // thread: the checkpoint record and the memo entry
+                        // below both reuse it.
+                        let fp = match &outcome {
+                            Ok(report) if use_memo => Some(fingerprint(report)),
+                            _ => None,
+                        };
                         // Persist the completion before handing the result
                         // over: a crash after this point costs nothing on
                         // resume. The stored fingerprint is always the true
                         // one (chaos may corrupt the in-memory memo entry
                         // below, but never the durable record).
-                        if use_memo {
-                            if let Ok(report) = &outcome {
-                                if checkpointable(report) {
-                                    checkpoint::append_completed(
-                                        keys[i],
-                                        report,
-                                        fingerprint(report),
-                                        retries,
-                                    );
-                                }
+                        if let (Ok(report), Some(fp)) = (&outcome, fp) {
+                            if checkpointable(report) {
+                                checkpoint::append_completed(keys[i], report, fp, retries);
                             }
                         }
                         // The receiver outlives the scope; a send cannot fail.
-                        tx.send((i, outcome, retries))
+                        tx.send((i, outcome, fp, retries))
                             .expect("result channel closed");
                     }
                     active_workers.fetch_sub(1, Ordering::Release);
@@ -681,10 +746,14 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         drop(tx);
 
         // All workers have exited; drain the (buffered) channel.
-        for (i, outcome, retries) in rx {
+        let mut fps: HashMap<u64, u64> = HashMap::new();
+        for (i, outcome, fp, retries) in rx {
             let k = keys[i];
             if retries > 0 {
                 retries_by_key.insert(k, retries);
+            }
+            if let Some(fp) = fp {
+                fps.insert(k, fp);
             }
             match outcome {
                 Ok(report) => {
@@ -723,8 +792,7 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                 if quarantined.contains(&k) {
                     continue;
                 }
-                if let Some(r) = resolved.get(&k) {
-                    let mut fp = fingerprint(r);
+                if let (Some(r), Some(mut fp)) = (resolved.get(&k), fps.get(&k).copied()) {
                     if chaos.fires(FaultClass::MemoCorrupt) {
                         // Deliberate cache corruption: store a fingerprint
                         // that cannot match, so the next lookup must detect
@@ -820,6 +888,151 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
 mod tests {
     use super::*;
     use scalesim_workloads::{sunflow, xalan};
+
+    /// A traced xalan run at 2 threads, seed 9, with a timeline and full
+    /// object retention. Every knob the builder reads from the
+    /// environment is fixed, and `host_ns` is zeroed.
+    fn traced_fixture(scale: f64) -> RunReport {
+        use scalesim_core::{LockAlg, TraceConfig};
+        use scalesim_objtrace::Retention;
+        use scalesim_simkit::{ChaosConfig, RunBudget};
+        let mut spec = RunSpec::new(xalan().scaled(scale), 2, 9);
+        spec.config.trace = TraceConfig::on();
+        spec.config.retention = Retention::Full;
+        spec.config.budget = RunBudget::default();
+        spec.config.chaos = ChaosConfig::default();
+        spec.config.monitors = true;
+        spec.config.lock_alg = LockAlg::default();
+        let mut report = spec.run().expect("fixture runs clean");
+        report.host_ns = 0;
+        report
+    }
+
+    #[test]
+    fn word_hasher_matches_known_answers() {
+        let finish = |feed: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        // Nothing fed: the first SplitMix64 output for seed 0.
+        assert_eq!(finish(&|_| {}), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(
+            finish(&|h| h.write_u64(0x0123_4567_89ab_cdef)),
+            0x021c_88d0_a3fd_73b6
+        );
+        // Narrow integers widen to one word each.
+        assert_eq!(finish(&|h| h.write_u8(7)), finish(&|h| h.write_u64(7)));
+        // Bytes fold as little-endian words; a short tail carries its length.
+        assert_eq!(
+            finish(&|h| h.write(b"scalesim")),
+            finish(&|h| h.write_u64(u64::from_le_bytes(*b"scalesim")))
+        );
+        assert_eq!(
+            finish(&|h| h.write(b"scalesim-hash")),
+            0xef8e_c8d5_be91_4d87
+        );
+        assert_ne!(finish(&|h| h.write(&[1])), finish(&|h| h.write(&[1, 0])));
+        // A u128 folds as its low word, then its high word.
+        assert_eq!(
+            finish(&|h| h.write_u128(u128::MAX - 1)),
+            0xecff_ed2f_7140_be4e
+        );
+    }
+
+    #[test]
+    fn traced_fixture_fingerprint_is_pinned() {
+        // A change here means a stored checkpoint or campaign record no
+        // longer verifies: every point it holds re-runs once.
+        let report = traced_fixture(0.002);
+        assert!(!report.timeline.is_empty() && report.trace.events().is_some());
+        assert_eq!(fingerprint(&report), 0xe2c2_173e_39f1_53c5);
+    }
+
+    #[test]
+    fn fingerprint_covers_every_report_field() {
+        use scalesim_core::ServerStats;
+        use scalesim_gc::GcLog;
+        use scalesim_metrics::LogHistogram;
+        use scalesim_objtrace::{ObjectTracer, TraceEvent};
+        use scalesim_trace::{Timeline, TimelineEvent};
+
+        let base = traced_fixture(0.02);
+        let fp = fingerprint(&base);
+        assert_eq!(fingerprint(&base.clone()), fp);
+        type Ring = (Vec<TimelineEvent>, usize, u64);
+        fn retimeline(r: &mut RunReport, edit: fn(&mut Ring)) {
+            let (enabled, capacity, events, head, dropped) = r.timeline.raw_parts();
+            let mut ring = (events, head, dropped);
+            edit(&mut ring);
+            let (events, head, dropped) = ring;
+            r.timeline = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
+        }
+        type Edit = fn(&mut RunReport);
+        let edits: [(&str, Edit); 12] = [
+            ("timeline event arg", |r| {
+                retimeline(r, |ring| ring.0[0].arg += 1);
+            }),
+            ("timeline head", |r| retimeline(r, |ring| ring.1 += 1)),
+            ("timeline dropped", |r| retimeline(r, |ring| ring.2 += 1)),
+            ("objtrace event", |r| {
+                let mut snap = r.trace.snapshot();
+                match &mut snap.events[0] {
+                    TraceEvent::Alloc { size, .. } => *size += 1,
+                    TraceEvent::Death { lifespan, .. } => *lifespan += 1,
+                }
+                r.trace = ObjectTracer::from_snapshot(snap);
+            }),
+            ("gc event", |r| {
+                let mut events = r.gc.events().to_vec();
+                events[0].survived_bytes += 1;
+                r.gc = GcLog::new();
+                for e in events {
+                    r.gc.push(e);
+                }
+            }),
+            ("lock-class stat", |r| {
+                let stats = r.locks.by_class.values_mut().next().expect("a lock class");
+                stats.contentions += 1;
+            }),
+            ("counters slot", |r| {
+                r.counters.add(CounterId::MonitorScans, 1);
+            }),
+            ("per_thread entry", |r| r.per_thread[1].dispatches += 1),
+            ("heap", |r| r.heap.tlab_refills += 1),
+            ("outcome", |r| {
+                r.outcome = RunOutcome::Truncated(AbortReason::MaxEvents(1));
+            }),
+            ("server", |r| {
+                r.server = Some(ServerStats {
+                    policy: String::new(),
+                    arrivals: 0,
+                    goodput: 0,
+                    orphan_completions: 0,
+                    sheds: 0,
+                    timeouts: 0,
+                    retries: 0,
+                    in_flight: 0,
+                    degraded: false,
+                    latency: LogHistogram::new(),
+                    queue_depth: LogHistogram::new(),
+                    tail_goodput: 0,
+                    tail_arrivals: 0,
+                });
+            }),
+            ("host_ns", |r| r.host_ns += 1),
+        ];
+        for (field, edit) in edits {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert_ne!(
+                format!("{changed:?}"),
+                format!("{base:?}"),
+                "{field}: the edit must change the report"
+            );
+            assert_ne!(fingerprint(&changed), fp, "{field} escapes the fingerprint");
+        }
+    }
 
     #[test]
     fn results_come_back_in_input_order() {

@@ -23,7 +23,7 @@ pub enum GcKind {
 }
 
 /// One stop-the-world collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GcEvent {
     /// Minor or full.
     pub kind: GcKind,
@@ -57,7 +57,7 @@ pub struct GcEvent {
 /// assert_eq!(log.collections(), 1);
 /// assert_eq!(log.total_pause(), SimDuration::from_millis(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct GcLog {
     events: Vec<GcEvent>,
 }

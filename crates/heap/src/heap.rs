@@ -38,7 +38,7 @@ pub struct DeathRecord {
 }
 
 /// Cumulative heap statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct HeapStats {
     /// Objects ever allocated.
     pub objects_allocated: u64,

@@ -25,7 +25,7 @@ use std::fmt;
 /// assert_eq!(h.count(), 5);
 /// assert_eq!(h.fraction_below(1024), 0.6); // 1, 2, 3
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogHistogram {
     buckets: [u64; 64],
     count: u64,

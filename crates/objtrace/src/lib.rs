@@ -42,7 +42,7 @@ use scalesim_metrics::{Cdf, LogHistogram};
 pub type ObjSeq = u64;
 
 /// One record in the in-order object trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEvent {
     /// An object was allocated.
     Alloc {
@@ -67,7 +67,7 @@ pub enum TraceEvent {
 }
 
 /// How much the tracer retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Retention {
     /// Log-bucketed lifespan histogram only (constant memory).
     #[default]
@@ -77,7 +77,7 @@ pub enum Retention {
 }
 
 /// The object-lifetime profiler.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Hash, Default)]
 pub struct ObjectTracer {
     retention: Retention,
     hist: LogHistogram,

@@ -93,7 +93,7 @@ impl fmt::Display for ThreadState {
 /// `running + runnable_wait + blocked_* + gc_paused` equals the thread's
 /// lifetime from first dispatch to termination (the integration tests
 /// assert this conservation property).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StateTimes {
     /// Time actually executing on a core (mutator time, by the paper's
     /// definition, for mutator threads).

@@ -329,7 +329,7 @@ impl RunBudget {
 }
 
 /// Why a run was truncated by its [`RunBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// The event budget was exhausted.
     MaxEvents(u64),

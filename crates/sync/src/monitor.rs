@@ -65,7 +65,7 @@ pub struct Grant {
 }
 
 /// Cumulative statistics for one monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MonitorStats {
     /// Successful lock acquisitions (fast path + granted handoffs) —
     /// Figure 1a's quantity.

@@ -258,7 +258,7 @@ impl LockTable {
 
 /// The DTrace-analog lock-usage report: what Figures 1a/1b are plotted
 /// from.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LockReport {
     /// Aggregated statistics per lock class, sorted by class name.
     pub by_class: BTreeMap<String, MonitorStats>,

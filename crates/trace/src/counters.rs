@@ -171,7 +171,7 @@ impl CounterId {
 }
 
 /// The fixed-slot registry carried by every run report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Counters {
     slots: [u64; COUNTER_SLOTS],
 }

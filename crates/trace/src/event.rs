@@ -64,7 +64,7 @@ impl Process {
 ///
 /// The `arg` field of the event is kind-specific and documented per
 /// variant; `track` is the row within the kind's [`Process`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EventKind {
     /// Thread span: on a core, executing mutator work. `arg` unused.
     ThreadRunning,
@@ -277,7 +277,7 @@ impl EventKind {
 /// `at` is the start time (spans) or the timestamp (instants / counter
 /// samples); `dur` is zero for non-spans. Events are plain `Copy` data so
 /// ring-buffer retention and merging never allocate per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimelineEvent {
     /// What happened.
     pub kind: EventKind,

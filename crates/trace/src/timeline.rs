@@ -15,7 +15,7 @@ use scalesim_simkit::{SimDuration, SimTime};
 /// Retention is *keep-latest*: once `capacity` events are held, each new
 /// event overwrites the oldest and bumps the dropped count. Chronological
 /// export order is preserved across wrap-around.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Timeline {
     enabled: bool,
     capacity: usize,

@@ -45,6 +45,29 @@ done
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/a/manifest.jsonl > target/ci-resume/a.norm
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/b/manifest.jsonl > target/ci-resume/b.norm
 diff target/ci-resume/a.norm target/ci-resume/b.norm
+echo '== traced resume smoke (a traced ext-locks resume must reproduce identical tables)'
+rm -rf target/ci-resume-traced
+mkdir -p target/ci-resume-traced
+SCALESIM_TRACE=target/ci-resume-traced/t.json \
+    cargo run --release -q -p scalesim-experiments -- \
+    ext-locks --scale 0.02 --threads 4 \
+    --out target/ci-resume-traced/a --checkpoint target/ci-resume-traced/ckpt > /dev/null
+SCALESIM_TRACE=target/ci-resume-traced/t.json \
+    cargo run --release -q -p scalesim-experiments -- \
+    ext-locks --scale 0.02 --threads 4 \
+    --out target/ci-resume-traced/b --checkpoint target/ci-resume-traced/ckpt --resume > /dev/null
+for csv in target/ci-resume-traced/a/*.csv; do
+    diff "$csv" "target/ci-resume-traced/b/$(basename "$csv")"
+done
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume-traced/a/manifest.jsonl \
+    > target/ci-resume-traced/a.norm
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume-traced/b/manifest.jsonl \
+    > target/ci-resume-traced/b.norm
+diff target/ci-resume-traced/a.norm target/ci-resume-traced/b.norm
+# Resumed runs must carry the timelines they were recorded with.
+if grep -q '"trace_events":0' target/ci-resume-traced/b/manifest.jsonl; then
+    echo "a resumed traced run lost its timeline"; exit 1
+fi
 echo '== audit smoke (clean pinned runs must audit clean, exit 0)'
 rm -rf target/ci-audit
 cargo run --release -q -p scalesim-experiments -- audit --out target/ci-audit > /dev/null
