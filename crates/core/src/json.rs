@@ -3,10 +3,23 @@
 //! The CI validator in `scalesim-trace` parses numbers into `f64`, which
 //! silently rounds integers above 2^53 — fatal for checkpoint records
 //! that must round-trip `u64::MAX` sentinels bit-exactly. This module is
-//! the persistence-grade counterpart: integers are `u64` end to end,
-//! anything wider (or floating) travels as a string, and the writer and
-//! parser are exact inverses on every value the snapshot layer emits.
+//! the persistence-grade counterpart: integers are `u64` end to end, and
+//! anything wider (or floating) travels as a string.
+//!
+//! There is one writer and one lexer, used two ways:
+//!
+//! * **Streaming.** [`JsonWriter`] appends values straight into one
+//!   buffer, and [`JsonCursor`] reads them back value by value from the
+//!   canonical text the writer emits: no whitespace, keys in the order
+//!   the caller names them. The snapshot codec for run reports uses this
+//!   pair, so a multi-megabyte report never becomes a tree.
+//! * **Tree.** [`JsonValue`] holds a whole document, for small documents
+//!   (repro specs, `analytics.json`) and for callers that already hold a
+//!   tree. Its `Display` renders through [`JsonWriter`], and
+//!   [`JsonValue::parse`] runs on [`JsonCursor`]'s lexer, tolerating
+//!   whitespace.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON value restricted to what lossless persistence needs: no
@@ -80,77 +93,252 @@ impl JsonValue {
     ///
     /// Returns a message naming the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = parser.parse_value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing data after document"));
-        }
+        let mut cursor = JsonCursor::new(text);
+        let value = cursor.parse_value()?;
+        cursor.skip_ws();
+        cursor.finish()?;
         Ok(value)
+    }
+
+    /// Renders this value through `w`; `Display` is this, buffered.
+    fn write(&self, w: &mut JsonWriter) {
+        match self {
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::U64(n) => w.u64(*n),
+            JsonValue::Str(s) => w.str(s),
+            JsonValue::Arr(items) => {
+                w.begin_arr();
+                for item in items {
+                    item.write(w);
+                }
+                w.end_arr();
+            }
+            JsonValue::Obj(pairs) => {
+                w.begin_obj();
+                for (key, value) in pairs {
+                    w.key(key);
+                    value.write(w);
+                }
+                w.end_obj();
+            }
+        }
     }
 }
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::U64(n) => write!(f, "{n}"),
-            JsonValue::Str(s) => write_escaped(f, s),
-            JsonValue::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            JsonValue::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, key)?;
-                    write!(f, ":{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut w = JsonWriter::default();
+        self.write(&mut w);
+        f.write_str(&w.finish())
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
-        }
+/// Appends `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while n >= 100 {
+        // `n % 100` is below 100, so the cast cannot truncate.
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        i -= 2;
+        buf[i] = DIGIT_PAIRS[pair];
+        buf[i + 1] = DIGIT_PAIRS[pair + 1];
     }
-    f.write_str("\"")
+    if n >= 10 {
+        let pair = 2 * n as usize;
+        i -= 2;
+        buf[i] = DIGIT_PAIRS[pair];
+        buf[i + 1] = DIGIT_PAIRS[pair + 1];
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[i..]);
 }
 
-struct Parser<'a> {
+/// `"00"`, `"01"`, …, `"99"`, concatenated.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `s` as a quoted JSON string: `"` and `\` are escaped, as are
+/// control characters (`\n`, `\t`, `\r`, else `\u00xx`); everything
+/// else, non-ASCII included, is copied as is.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\t' => b"\\t",
+            b'\r' => b"\\r",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        if escape.is_empty() {
+            out.extend_from_slice(b"\\u00");
+            out.push(HEX[usize::from(b >> 4)]);
+            out.push(HEX[usize::from(b & 0xf)]);
+        } else {
+            out.extend_from_slice(escape);
+        }
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// A streaming JSON writer: appends straight into one buffer, placing
+/// the `,` separators itself. Its output is byte-identical to
+/// `JsonValue`'s `Display` for the same sequence of values.
+///
+/// The buffer holds bytes and is checked as UTF-8 once, in
+/// [`JsonWriter::finish`]: everything appended is either a `&str` or
+/// ASCII, so the check cannot fail.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: Vec<u8>,
+    /// No value yet in the innermost open array or object (or just after
+    /// a key), so the next value takes no `,`.
+    first: bool,
+}
+
+impl Default for JsonWriter {
+    fn default() -> Self {
+        JsonWriter::append_to(String::new())
+    }
+}
+
+impl JsonWriter {
+    /// A writer that appends one document to `out`; text already in
+    /// `out` is not part of the document.
+    #[must_use]
+    pub fn append_to(out: String) -> Self {
+        JsonWriter {
+            out: out.into_bytes(),
+            first: true,
+        }
+    }
+
+    /// The buffer, with the document appended.
+    #[must_use]
+    pub fn finish(self) -> String {
+        String::from_utf8(self.out).expect("the writer appends only UTF-8")
+    }
+
+    fn sep(&mut self) {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) {
+        self.sep();
+        self.out.push(b'{');
+        self.first = true;
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) {
+        self.out.push(b'}');
+        self.first = false;
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) {
+        self.sep();
+        self.out.push(b'[');
+        self.first = true;
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) {
+        self.out.push(b']');
+        self.first = false;
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) {
+        self.sep();
+        push_escaped(&mut self.out, key);
+        self.out.push(b':');
+        self.first = true;
+    }
+
+    /// Writes an integer.
+    pub fn u64(&mut self, n: u64) {
+        self.sep();
+        push_u64(&mut self.out, n);
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.sep();
+        self.out
+            .extend_from_slice(if b { b"true" } else { b"false" });
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) {
+        self.sep();
+        push_escaped(&mut self.out, s);
+    }
+}
+
+/// A byte cursor over one JSON document.
+///
+/// It backs two readers. [`JsonValue::parse`] builds a tree from any
+/// whitespace-tolerant document. The streaming methods (`begin_obj`,
+/// `key`, `u64`, …) instead read the canonical text [`JsonWriter`]
+/// emits, value by value, in the order the caller expects: no
+/// whitespace, and each `,` checked where the writer would have placed
+/// it. Both share one string lexer and one checked `u64` lexer.
+///
+/// Every reading method fails, with a message naming the byte offset,
+/// when the next bytes are not the value it reads.
+#[derive(Debug)]
+pub struct JsonCursor<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// As in [`JsonWriter`]: the next value expects no `,`.
+    first: bool,
 }
 
-impl Parser<'_> {
-    fn error(&self, message: &str) -> String {
+impl<'a> JsonCursor<'a> {
+    /// A cursor at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        JsonCursor {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            first: true,
+        }
+    }
+
+    /// A message naming the current byte offset.
+    #[must_use]
+    pub(crate) fn error(&self, message: &str) -> String {
         format!("json byte {}: {}", self.pos, message)
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The next byte, not consumed. Right after a key or an opening
+    /// bracket this is the first byte of the next value.
+    #[must_use]
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
@@ -159,6 +347,215 @@ impl Parser<'_> {
         self.pos += 1;
         Some(b)
     }
+
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        if self.peek() == Some(want) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected `{}`", want as char)))
+        }
+    }
+
+    fn sep(&mut self) -> Result<(), String> {
+        if self.first {
+            self.first = false;
+            Ok(())
+        } else {
+            self.expect(b',')
+        }
+    }
+
+    /// Fails unless the whole document has been read.
+    pub fn finish(&self) -> Result<(), String> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing data after document"))
+        }
+    }
+
+    /// Reads `{`.
+    pub fn begin_obj(&mut self) -> Result<(), String> {
+        self.sep()?;
+        self.expect(b'{')?;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Reads `}`.
+    pub fn end_obj(&mut self) -> Result<(), String> {
+        self.expect(b'}')?;
+        self.first = false;
+        Ok(())
+    }
+
+    /// Reads `[`.
+    pub fn begin_arr(&mut self) -> Result<(), String> {
+        self.sep()?;
+        self.expect(b'[')?;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Reads `]`.
+    pub fn end_arr(&mut self) -> Result<(), String> {
+        self.expect(b']')?;
+        self.first = false;
+        Ok(())
+    }
+
+    /// Whether the innermost array ends here (`]` is next).
+    #[must_use]
+    pub(crate) fn at_arr_end(&self) -> bool {
+        self.peek() == Some(b']')
+    }
+
+    /// Reads the key `"name":` if it comes next, and reports whether it
+    /// did. `name` must need no escaping.
+    pub(crate) fn try_key(&mut self, name: &str) -> bool {
+        let rest = &self.bytes[self.pos..];
+        let rest = if self.first {
+            Some(rest)
+        } else {
+            rest.strip_prefix(b",")
+        };
+        let after = rest
+            .and_then(|r| r.strip_prefix(b"\""))
+            .and_then(|r| r.strip_prefix(name.as_bytes()))
+            .and_then(|r| r.strip_prefix(b"\":"));
+        if let Some(after) = after {
+            self.pos = self.bytes.len() - after.len();
+            self.first = true;
+        }
+        after.is_some()
+    }
+
+    /// Reads the key `"name":`, which must come next.
+    pub fn key(&mut self, name: &str) -> Result<(), String> {
+        if self.try_key(name) {
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected key `{name}`")))
+        }
+    }
+
+    /// Reads an unsigned integer.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.sep()?;
+        self.lex_u64()
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        self.sep()?;
+        for (lit, value) in [("true", true), ("false", false)] {
+            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                return Ok(value);
+            }
+        }
+        Err(self.error("expected a boolean"))
+    }
+
+    /// Reads a string, borrowed from the document unless it holds
+    /// escapes.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.sep()?;
+        self.lex_str()
+    }
+
+    fn lex_u64(&mut self) -> Result<u64, String> {
+        let start = self.pos;
+        let digits = self.bytes[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += digits;
+        if digits == 0 {
+            return Err(self.error("expected an integer"));
+        }
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
+            return Err(self.error("only unsigned integers are supported"));
+        }
+        let raw = &self.bytes[start..self.pos];
+        let digit = |d: &u8| u64::from(d - b'0');
+        // Nineteen decimal digits always fit in a u64.
+        if digits <= 19 {
+            return Ok(raw.iter().fold(0, |n, d| n * 10 + digit(d)));
+        }
+        raw.iter()
+            .try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(digit(d)))
+            .ok_or_else(|| {
+                let raw = &self.text[start..self.pos];
+                self.error(&format!("integer out of range `{raw}`"))
+            })
+    }
+
+    fn lex_str(&mut self) -> Result<Cow<'a, str>, String> {
+        if self.peek() != Some(b'"') {
+            return Err(self.error("expected string"));
+        }
+        self.pos += 1;
+        let start = self.pos;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote, escape or control byte.
+            // Each of those is ASCII, so the run is whole chars.
+            let run = self.pos;
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            match self.bump() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') if out.is_empty() && run == start => {
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                Some(b'"') => {
+                    out.push_str(&self.text[run..self.pos - 1]);
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..self.pos - 1]);
+                    self.lex_escape(&mut out)?;
+                }
+                Some(_) => return Err(self.error("raw control byte in string")),
+            }
+        }
+    }
+
+    fn lex_escape(&mut self, out: &mut String) -> Result<(), String> {
+        match self.bump() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = self
+                    .text
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
+                self.pos += 4;
+                // The writer never emits surrogate pairs.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(self.error("bad escape")),
+        }
+        Ok(())
+    }
+
+    // -----------------------------------------------------------------
+    // The tree reader behind `JsonValue::parse`
+    // -----------------------------------------------------------------
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
@@ -171,10 +568,10 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.parse_object(),
             Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
+            Some(b'"') => Ok(JsonValue::Str(self.lex_str()?.into_owned())),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'0'..=b'9') => self.parse_number(),
+            Some(b'0'..=b'9') => self.lex_u64().map(JsonValue::U64),
             Some(other) => Err(self.error(&format!("unexpected byte `{}`", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
@@ -199,7 +596,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
+            let key = self.lex_str()?.into_owned();
             self.skip_ws();
             if self.bump() != Some(b':') {
                 return Err(self.error("expected `:` in object"));
@@ -231,70 +628,6 @@ impl Parser<'_> {
                 _ => return Err(self.error("expected `,` or `]` in array")),
             }
         }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        if self.bump() != Some(b'"') {
-            return Err(self.error("expected string"));
-        }
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = self
-                            .bytes
-                            .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| self.error("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| self.error("bad \\u escape"))?;
-                        self.pos += 4;
-                        // The writer never emits surrogate pairs.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.error("bad escape")),
-                },
-                Some(b) if b < 0x20 => return Err(self.error("raw control byte in string")),
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(_) => {
-                    // Re-assemble multi-byte UTF-8 by copying raw bytes.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xc0 == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(self.error("only unsigned integers are supported"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        raw.parse::<u64>()
-            .map(JsonValue::U64)
-            .map_err(|_| self.error(&format!("integer out of range `{raw}`")))
     }
 }
 

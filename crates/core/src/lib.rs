@@ -50,10 +50,13 @@ pub mod snapshot;
 
 pub use config::{JvmConfig, JvmConfigBuilder, OldGenPolicy};
 pub use error::{ConfigError, InvariantViolation, MonitorKind, SimError};
-pub use json::JsonValue;
+pub use json::{JsonCursor, JsonValue, JsonWriter};
 pub use replay::{replay_gc, ReplayOutcome};
 pub use report::{RunOutcome, RunReport, ServerStats, ThreadReport};
 pub use runtime::Jvm;
 pub use scalesim_sync::LockAlg;
 pub use scalesim_trace::TraceConfig;
-pub use snapshot::{report_from_json, report_to_json, ReproSpec, SnapshotError};
+pub use snapshot::{
+    read_report, report_from_json, report_from_str, report_to_json, write_report, ReproSpec,
+    SnapshotError,
+};

@@ -1,18 +1,26 @@
 //! Lossless persistence for run reports and minimal repro specs.
 //!
-//! The checkpoint store (PR 4's durable sweep resume) persists each
-//! completed `(app, config, seed) → RunReport` and verifies it on load by
-//! recomputing the report's fingerprint — a hash of its `Debug`
-//! rendering. That only works if serialization is *exactly* lossless:
-//! every internal sentinel (`u64::MAX` histogram minima, raw ring-buffer
-//! order in timelines) must survive the round trip so the rebuilt report
-//! is `Debug`-identical to the original. [`report_to_json`] and
-//! [`report_from_json`] are that pair of inverses.
+//! The checkpoint store persists each completed
+//! `(app, config, seed) → RunReport` and verifies it on load by
+//! recomputing the report's structural fingerprint. That only works if
+//! serialization is *exactly* lossless: every internal sentinel
+//! (`u64::MAX` histogram minima, raw ring-buffer order in timelines) must
+//! survive the round trip so the rebuilt report is `Debug`-identical to
+//! the original.
+//!
+//! One streaming codec does this. [`write_report`] appends a report to a
+//! [`JsonWriter`] and [`read_report`] reads it back from a [`JsonCursor`],
+//! one value at a time and with no [`JsonValue`] tree in between. The
+//! reader is strict: it accepts only the writer's canonical text, keys in
+//! the writer's order. [`report_to_json`] and [`report_from_str`] wrap
+//! the pair for a whole document, and [`report_from_json`] adapts it for
+//! callers that hold a parsed tree.
 //!
 //! [`ReproSpec`] is the companion for failure shrinking: a self-contained
 //! description of one failing run (app, workload size, config knobs,
 //! chaos plan, budget) that `scalesim repro <file>` can re-execute
-//! without the sweep that produced it.
+//! without the sweep that produced it. Its documents are small, so it
+//! stays on the [`JsonValue`] tree.
 
 use std::fmt;
 
@@ -31,7 +39,7 @@ use scalesim_workloads::{
 
 use crate::config::JvmConfig;
 use crate::error::SimError;
-use crate::json::JsonValue;
+use crate::json::{JsonCursor, JsonValue, JsonWriter};
 use crate::report::{RunOutcome, RunReport, ServerStats, ThreadReport};
 
 /// A snapshot (de)serialization failure: a missing key, a wrong shape,
@@ -51,8 +59,779 @@ fn err(message: impl Into<String>) -> SnapshotError {
     SnapshotError(message.into())
 }
 
+impl From<String> for SnapshotError {
+    fn from(message: String) -> Self {
+        SnapshotError(message)
+    }
+}
+
 // ---------------------------------------------------------------------
-// JSON building / reading helpers
+// The RunReport codec
+//
+// Each `write_*` emits one value through a `JsonWriter`; its `read_*`
+// twin reads the same value back in the same order from a `JsonCursor`.
+// Struct literals below are filled field by field in the order written,
+// which is the writer's key order.
+// ---------------------------------------------------------------------
+
+type Read<T> = Result<T, SnapshotError>;
+
+fn bad(p: &JsonCursor<'_>, message: &str) -> SnapshotError {
+    SnapshotError(p.error(message))
+}
+
+fn put_u64(w: &mut JsonWriter, key: &str, n: u64) {
+    w.key(key);
+    w.u64(n);
+}
+
+fn take_u64(p: &mut JsonCursor<'_>, key: &str) -> Read<u64> {
+    p.key(key)?;
+    Ok(p.u64()?)
+}
+
+fn read_usize(p: &mut JsonCursor<'_>, what: &str) -> Read<usize> {
+    let n = p.u64()?;
+    usize::try_from(n).map_err(|_| bad(p, &format!("{what} exceeds usize")))
+}
+
+fn read_dur(p: &mut JsonCursor<'_>) -> Read<SimDuration> {
+    Ok(SimDuration::from_nanos(p.u64()?))
+}
+
+fn write_hist(w: &mut JsonWriter, h: &LogHistogram) {
+    w.begin_obj();
+    w.key("buckets");
+    w.begin_arr();
+    for (i, &c) in h.bucket_counts().iter().enumerate() {
+        if c > 0 {
+            w.begin_arr();
+            w.u64(i as u64);
+            w.u64(c);
+            w.end_arr();
+        }
+    }
+    w.end_arr();
+    put_u64(w, "count", h.count());
+    // u128 exceeds the JSON integer range we guarantee; decimal text.
+    w.key("sum");
+    w.str(&h.sum().to_string());
+    put_u64(w, "min", h.raw_min());
+    put_u64(w, "max", h.raw_max());
+    w.end_obj();
+}
+
+fn read_hist(p: &mut JsonCursor<'_>) -> Read<LogHistogram> {
+    p.begin_obj()?;
+    p.key("buckets")?;
+    p.begin_arr()?;
+    let mut buckets = [0u64; 64];
+    while !p.at_arr_end() {
+        p.begin_arr()?;
+        let idx = usize::try_from(p.u64()?)
+            .ok()
+            .filter(|&i| i < 64)
+            .ok_or_else(|| bad(p, "histogram bucket index out of range"))?;
+        buckets[idx] = p.u64()?;
+        p.end_arr()?;
+    }
+    p.end_arr()?;
+    let count = take_u64(p, "count")?;
+    p.key("sum")?;
+    let sum: u128 = p
+        .str()?
+        .parse()
+        .map_err(|_| bad(p, "histogram sum is not a u128"))?;
+    let min = take_u64(p, "min")?;
+    let max = take_u64(p, "max")?;
+    p.end_obj()?;
+    Ok(LogHistogram::from_raw_parts(buckets, count, sum, min, max))
+}
+
+fn write_server_stats(w: &mut JsonWriter, stats: &ServerStats) {
+    w.begin_obj();
+    w.key("policy");
+    w.str(&stats.policy);
+    put_u64(w, "arrivals", stats.arrivals);
+    put_u64(w, "goodput", stats.goodput);
+    put_u64(w, "orphans", stats.orphan_completions);
+    put_u64(w, "sheds", stats.sheds);
+    put_u64(w, "timeouts", stats.timeouts);
+    put_u64(w, "retries", stats.retries);
+    put_u64(w, "in_flight", stats.in_flight);
+    w.key("degraded");
+    w.bool(stats.degraded);
+    w.key("latency");
+    write_hist(w, &stats.latency);
+    w.key("queue_depth");
+    write_hist(w, &stats.queue_depth);
+    put_u64(w, "tail_goodput", stats.tail_goodput);
+    put_u64(w, "tail_arrivals", stats.tail_arrivals);
+    w.end_obj();
+}
+
+fn read_server_stats(p: &mut JsonCursor<'_>) -> Read<ServerStats> {
+    p.begin_obj()?;
+    let stats = ServerStats {
+        policy: {
+            p.key("policy")?;
+            p.str()?.into_owned()
+        },
+        arrivals: take_u64(p, "arrivals")?,
+        goodput: take_u64(p, "goodput")?,
+        orphan_completions: take_u64(p, "orphans")?,
+        sheds: take_u64(p, "sheds")?,
+        timeouts: take_u64(p, "timeouts")?,
+        retries: take_u64(p, "retries")?,
+        in_flight: take_u64(p, "in_flight")?,
+        degraded: {
+            p.key("degraded")?;
+            p.bool()?
+        },
+        latency: {
+            p.key("latency")?;
+            read_hist(p)?
+        },
+        queue_depth: {
+            p.key("queue_depth")?;
+            read_hist(p)?
+        },
+        tail_goodput: take_u64(p, "tail_goodput")?,
+        tail_arrivals: take_u64(p, "tail_arrivals")?,
+    };
+    p.end_obj()?;
+    Ok(stats)
+}
+
+fn gc_kind_name(kind: GcKind) -> &'static str {
+    match kind {
+        GcKind::Minor => "minor",
+        GcKind::LocalMinor => "local",
+        GcKind::Full => "full",
+        GcKind::ConcurrentOld => "conc",
+    }
+}
+
+fn gc_kind_from_name(name: &str) -> Option<GcKind> {
+    match name {
+        "minor" => Some(GcKind::Minor),
+        "local" => Some(GcKind::LocalMinor),
+        "full" => Some(GcKind::Full),
+        "conc" => Some(GcKind::ConcurrentOld),
+        _ => None,
+    }
+}
+
+fn write_gc_log(w: &mut JsonWriter, log: &GcLog) {
+    w.begin_arr();
+    for e in log.events() {
+        w.begin_arr();
+        w.str(gc_kind_name(e.kind));
+        w.u64(e.at.as_nanos());
+        w.u64(e.pause.as_nanos());
+        w.u64(e.region as u64);
+        w.u64(e.collected_bytes);
+        w.u64(e.survived_bytes);
+        w.u64(e.promoted_bytes);
+        w.end_arr();
+    }
+    w.end_arr();
+}
+
+fn read_gc_log(p: &mut JsonCursor<'_>) -> Read<GcLog> {
+    let mut log = GcLog::new();
+    p.begin_arr()?;
+    while !p.at_arr_end() {
+        p.begin_arr()?;
+        let name = p.str()?;
+        let kind =
+            gc_kind_from_name(&name).ok_or_else(|| bad(p, &format!("unknown gc kind `{name}`")))?;
+        log.push(GcEvent {
+            kind,
+            at: SimTime::from_nanos(p.u64()?),
+            pause: read_dur(p)?,
+            region: read_usize(p, "gc region")?,
+            collected_bytes: p.u64()?,
+            survived_bytes: p.u64()?,
+            promoted_bytes: p.u64()?,
+        });
+        p.end_arr()?;
+    }
+    p.end_arr()?;
+    Ok(log)
+}
+
+fn write_stats(w: &mut JsonWriter, m: &MonitorStats) {
+    w.begin_arr();
+    w.u64(m.acquisitions);
+    w.u64(m.contentions);
+    w.u64(m.total_wait.as_nanos());
+    w.u64(m.max_wait.as_nanos());
+    w.u64(m.total_hold.as_nanos());
+    w.u64(m.queued);
+    w.end_arr();
+}
+
+fn read_stats(p: &mut JsonCursor<'_>) -> Read<MonitorStats> {
+    p.begin_arr()?;
+    let stats = MonitorStats {
+        acquisitions: p.u64()?,
+        contentions: p.u64()?,
+        total_wait: read_dur(p)?,
+        max_wait: read_dur(p)?,
+        total_hold: read_dur(p)?,
+        // 5-tuples are accepted for compatibility with snapshots written
+        // before truncated-waiter accounting (`queued` defaults to 0).
+        queued: if p.at_arr_end() { 0 } else { p.u64()? },
+    };
+    p.end_arr()?;
+    Ok(stats)
+}
+
+fn write_locks(w: &mut JsonWriter, locks: &LockReport) {
+    w.begin_obj();
+    w.key("total");
+    write_stats(w, &locks.total);
+    w.key("by_class");
+    w.begin_arr();
+    for (name, stats) in &locks.by_class {
+        w.begin_arr();
+        w.str(name);
+        write_stats(w, stats);
+        w.end_arr();
+    }
+    w.end_arr();
+    w.key("hold_hist");
+    write_hist(w, &locks.hold_hist);
+    w.key("wait_hist");
+    write_hist(w, &locks.wait_hist);
+    w.end_obj();
+}
+
+fn read_locks(p: &mut JsonCursor<'_>) -> Read<LockReport> {
+    p.begin_obj()?;
+    p.key("total")?;
+    let total = read_stats(p)?;
+    p.key("by_class")?;
+    p.begin_arr()?;
+    let mut by_class = std::collections::BTreeMap::new();
+    while !p.at_arr_end() {
+        p.begin_arr()?;
+        let name = p.str()?.into_owned();
+        by_class.insert(name, read_stats(p)?);
+        p.end_arr()?;
+    }
+    p.end_arr()?;
+    let locks = LockReport {
+        by_class,
+        total,
+        hold_hist: {
+            p.key("hold_hist")?;
+            read_hist(p)?
+        },
+        wait_hist: {
+            p.key("wait_hist")?;
+            read_hist(p)?
+        },
+    };
+    p.end_obj()?;
+    Ok(locks)
+}
+
+fn retention_name(retention: Retention) -> &'static str {
+    match retention {
+        Retention::HistogramOnly => "hist",
+        Retention::Full => "full",
+    }
+}
+
+fn retention_from_name(name: &str) -> Result<Retention, SnapshotError> {
+    match name {
+        "hist" => Ok(Retention::HistogramOnly),
+        "full" => Ok(Retention::Full),
+        other => Err(err(format!("unknown retention `{other}`"))),
+    }
+}
+
+fn write_trace_event(w: &mut JsonWriter, e: &TraceEvent) {
+    w.begin_arr();
+    match *e {
+        TraceEvent::Alloc {
+            obj,
+            thread,
+            size,
+            clock,
+        } => {
+            w.str("A");
+            w.u64(obj);
+            w.u64(thread as u64);
+            w.u64(size);
+            w.u64(clock);
+        }
+        TraceEvent::Death {
+            obj,
+            lifespan,
+            clock,
+        } => {
+            w.str("D");
+            w.u64(obj);
+            w.u64(lifespan);
+            w.u64(clock);
+        }
+    }
+    w.end_arr();
+}
+
+fn read_trace_event(p: &mut JsonCursor<'_>) -> Read<TraceEvent> {
+    p.begin_arr()?;
+    let event = match &*p.str()? {
+        "A" => TraceEvent::Alloc {
+            obj: p.u64()?,
+            thread: read_usize(p, "trace thread")?,
+            size: p.u64()?,
+            clock: p.u64()?,
+        },
+        "D" => TraceEvent::Death {
+            obj: p.u64()?,
+            lifespan: p.u64()?,
+            clock: p.u64()?,
+        },
+        _ => return Err(bad(p, "malformed trace event")),
+    };
+    p.end_arr()?;
+    Ok(event)
+}
+
+fn write_tracer(w: &mut JsonWriter, tracer: &ObjectTracer) {
+    let snap = tracer.snapshot();
+    w.begin_obj();
+    w.key("retention");
+    w.str(retention_name(snap.retention));
+    w.key("hist");
+    write_hist(w, &snap.hist);
+    w.key("exact");
+    w.begin_arr();
+    for &v in &snap.exact {
+        w.u64(v);
+    }
+    w.end_arr();
+    w.key("events");
+    w.begin_arr();
+    for e in &snap.events {
+        write_trace_event(w, e);
+    }
+    w.end_arr();
+    put_u64(w, "next_seq", snap.next_seq);
+    w.key("owners");
+    w.begin_arr();
+    for &t in &snap.owners {
+        w.u64(t as u64);
+    }
+    w.end_arr();
+    w.key("per_thread");
+    w.begin_arr();
+    for h in &snap.per_thread {
+        write_hist(w, h);
+    }
+    w.end_arr();
+    put_u64(w, "allocations", snap.allocations);
+    put_u64(w, "allocated_bytes", snap.allocated_bytes);
+    put_u64(w, "deaths", snap.deaths);
+    put_u64(w, "censored", snap.censored);
+    w.end_obj();
+}
+
+/// Reads an array whose elements `item` reads.
+fn read_list<T>(
+    p: &mut JsonCursor<'_>,
+    mut item: impl FnMut(&mut JsonCursor<'_>) -> Read<T>,
+) -> Read<Vec<T>> {
+    p.begin_arr()?;
+    let mut items = Vec::new();
+    while !p.at_arr_end() {
+        items.push(item(p)?);
+    }
+    p.end_arr()?;
+    Ok(items)
+}
+
+fn read_tracer(p: &mut JsonCursor<'_>) -> Read<ObjectTracer> {
+    p.begin_obj()?;
+    let snap = TracerSnapshot {
+        retention: {
+            p.key("retention")?;
+            let name = p.str()?;
+            retention_from_name(&name).map_err(|e| bad(p, &e.0))?
+        },
+        hist: {
+            p.key("hist")?;
+            read_hist(p)?
+        },
+        exact: {
+            p.key("exact")?;
+            read_list(p, |p| Ok(p.u64()?))?
+        },
+        events: {
+            p.key("events")?;
+            read_list(p, read_trace_event)?
+        },
+        next_seq: take_u64(p, "next_seq")?,
+        owners: {
+            p.key("owners")?;
+            read_list(p, |p| read_usize(p, "owner"))?
+        },
+        per_thread: {
+            p.key("per_thread")?;
+            read_list(p, read_hist)?
+        },
+        allocations: take_u64(p, "allocations")?,
+        allocated_bytes: take_u64(p, "allocated_bytes")?,
+        deaths: take_u64(p, "deaths")?,
+        censored: take_u64(p, "censored")?,
+    };
+    p.end_obj()?;
+    Ok(ObjectTracer::from_snapshot(snap))
+}
+
+fn write_thread_report(w: &mut JsonWriter, t: &ThreadReport) {
+    w.begin_arr();
+    w.u64(t.items_done);
+    for d in [
+        t.times.running,
+        t.times.runnable_wait,
+        t.times.blocked_monitor,
+        t.times.blocked_starved,
+        t.times.blocked_sleep,
+        t.times.gc_paused,
+    ] {
+        w.u64(d.as_nanos());
+    }
+    w.u64(t.dispatches);
+    w.u64(t.preemptions);
+    w.end_arr();
+}
+
+fn read_thread_report(p: &mut JsonCursor<'_>) -> Read<ThreadReport> {
+    p.begin_arr()?;
+    let report = ThreadReport {
+        items_done: p.u64()?,
+        times: StateTimes {
+            running: read_dur(p)?,
+            runnable_wait: read_dur(p)?,
+            blocked_monitor: read_dur(p)?,
+            blocked_starved: read_dur(p)?,
+            blocked_sleep: read_dur(p)?,
+            gc_paused: read_dur(p)?,
+        },
+        dispatches: p.u64()?,
+        preemptions: p.u64()?,
+    };
+    p.end_arr()?;
+    Ok(report)
+}
+
+fn write_timeline(w: &mut JsonWriter, timeline: &Timeline) {
+    // Raw ring order + head, so the rebuilt recorder's internal state
+    // (and therefore its Debug rendering) matches the original exactly.
+    let (enabled, capacity, events, head, dropped) = timeline.raw_parts();
+    w.begin_obj();
+    w.key("enabled");
+    w.bool(enabled);
+    put_u64(w, "capacity", capacity as u64);
+    put_u64(w, "head", head as u64);
+    put_u64(w, "dropped", dropped);
+    w.key("events");
+    w.begin_arr();
+    for e in events {
+        w.begin_arr();
+        w.str(e.kind.name());
+        w.u64(u64::from(e.track));
+        w.u64(e.at.as_nanos());
+        w.u64(e.dur.as_nanos());
+        w.u64(e.arg);
+        w.end_arr();
+    }
+    w.end_arr();
+    w.end_obj();
+}
+
+fn read_timeline_event(p: &mut JsonCursor<'_>) -> Read<TimelineEvent> {
+    p.begin_arr()?;
+    let name = p.str()?;
+    let event = TimelineEvent {
+        kind: EventKind::from_name(&name)
+            .ok_or_else(|| bad(p, &format!("unknown timeline kind `{name}`")))?,
+        track: u32::try_from(p.u64()?).map_err(|_| bad(p, "timeline track exceeds u32"))?,
+        at: SimTime::from_nanos(p.u64()?),
+        dur: read_dur(p)?,
+        arg: p.u64()?,
+    };
+    p.end_arr()?;
+    Ok(event)
+}
+
+fn read_timeline(p: &mut JsonCursor<'_>) -> Read<Timeline> {
+    p.begin_obj()?;
+    p.key("enabled")?;
+    let enabled = p.bool()?;
+    p.key("capacity")?;
+    let capacity = read_usize(p, "capacity")?;
+    p.key("head")?;
+    let head = read_usize(p, "head")?;
+    let dropped = take_u64(p, "dropped")?;
+    p.key("events")?;
+    let mut events = read_list(p, read_timeline_event)?;
+    events.shrink_to_fit();
+    if head > events.len() {
+        return Err(bad(p, "timeline head is past its events"));
+    }
+    p.end_obj()?;
+    Ok(Timeline::from_raw_parts(
+        enabled, capacity, events, head, dropped,
+    ))
+}
+
+fn write_counters(w: &mut JsonWriter, counters: &Counters) {
+    w.begin_arr();
+    for &id in &CounterId::ALL {
+        w.u64(counters.get(id));
+    }
+    w.end_arr();
+}
+
+fn read_counters(p: &mut JsonCursor<'_>) -> Read<Counters> {
+    p.begin_arr()?;
+    let mut counters = Counters::new();
+    for &id in &CounterId::ALL {
+        counters.set(id, p.u64()?);
+    }
+    p.end_arr()?;
+    Ok(counters)
+}
+
+fn write_outcome(w: &mut JsonWriter, outcome: &RunOutcome) {
+    match outcome {
+        RunOutcome::Ok => w.str("ok"),
+        RunOutcome::Truncated(reason) => {
+            w.begin_obj();
+            w.key("trunc");
+            w.begin_arr();
+            match reason {
+                AbortReason::MaxEvents(n) => {
+                    w.str("events");
+                    w.u64(*n);
+                }
+                AbortReason::MaxSimTime(d) => {
+                    w.str("sim_ns");
+                    w.u64(d.as_nanos());
+                }
+                AbortReason::MaxHostMs(ms) => {
+                    w.str("host_ms");
+                    w.u64(*ms);
+                }
+                AbortReason::Watchdog => w.str("watchdog"),
+            }
+            w.end_arr();
+            w.end_obj();
+        }
+        RunOutcome::Quarantined(why) => {
+            w.begin_obj();
+            w.key("quar");
+            w.str(why);
+            w.end_obj();
+        }
+    }
+}
+
+fn read_outcome(p: &mut JsonCursor<'_>) -> Read<RunOutcome> {
+    if p.peek() == Some(b'"') {
+        return match &*p.str()? {
+            "ok" => Ok(RunOutcome::Ok),
+            _ => Err(bad(p, "malformed outcome")),
+        };
+    }
+    p.begin_obj()?;
+    let outcome = if p.try_key("quar") {
+        RunOutcome::Quarantined(p.str()?.into_owned())
+    } else if p.try_key("trunc") {
+        p.begin_arr()?;
+        let reason = match &*p.str()? {
+            "events" => AbortReason::MaxEvents(p.u64()?),
+            "sim_ns" => AbortReason::MaxSimTime(read_dur(p)?),
+            "host_ms" => AbortReason::MaxHostMs(p.u64()?),
+            "watchdog" => AbortReason::Watchdog,
+            _ => return Err(bad(p, "unknown truncation reason")),
+        };
+        p.end_arr()?;
+        RunOutcome::Truncated(reason)
+    } else {
+        return Err(bad(p, "malformed outcome"));
+    };
+    p.end_obj()?;
+    Ok(outcome)
+}
+
+/// Writes a [`RunReport`] losslessly. [`read_report`] inverts this
+/// exactly: the rebuilt report is `Debug`-identical to the original, so
+/// its fingerprint verifies a checkpointed record.
+pub fn write_report(w: &mut JsonWriter, report: &RunReport) {
+    w.begin_obj();
+    put_u64(w, "v", 1);
+    w.key("app");
+    w.str(&report.app);
+    put_u64(w, "threads", report.threads as u64);
+    put_u64(w, "cores", report.cores as u64);
+    put_u64(w, "wall_ns", report.wall_time.as_nanos());
+    put_u64(w, "gc_ns", report.gc_time.as_nanos());
+    put_u64(w, "mutator_cpu_ns", report.mutator_cpu.as_nanos());
+    w.key("gc");
+    write_gc_log(w, &report.gc);
+    w.key("locks");
+    write_locks(w, &report.locks);
+    w.key("tracer");
+    write_tracer(w, &report.trace);
+    w.key("heap");
+    w.begin_arr();
+    w.u64(report.heap.objects_allocated);
+    w.u64(report.heap.bytes_allocated);
+    w.u64(report.heap.objects_died);
+    w.u64(report.heap.tlab_refills);
+    w.end_arr();
+    w.key("per_thread");
+    w.begin_arr();
+    for t in &report.per_thread {
+        write_thread_report(w, t);
+    }
+    w.end_arr();
+    put_u64(w, "events_processed", report.events_processed);
+    w.key("counters");
+    write_counters(w, &report.counters);
+    w.key("timeline");
+    write_timeline(w, &report.timeline);
+    put_u64(w, "host_ns", report.host_ns);
+    w.key("outcome");
+    write_outcome(w, &report.outcome);
+    if let Some(stats) = &report.server {
+        w.key("server");
+        write_server_stats(w, stats);
+    }
+    w.end_obj();
+}
+
+/// Reads one [`write_report`] document at the cursor: every key in the
+/// writer's order, `server` optional at the end.
+///
+/// # Errors
+///
+/// A [`SnapshotError`] naming the byte offset of the first deviation:
+/// an unknown schema version, a missing, extra or reordered key, a
+/// tuple of the wrong arity, an unknown tag, or an out-of-range number.
+pub fn read_report(p: &mut JsonCursor<'_>) -> Result<RunReport, SnapshotError> {
+    p.begin_obj()?;
+    let version = take_u64(p, "v")?;
+    if version != 1 {
+        return Err(bad(p, &format!("unsupported snapshot version {version}")));
+    }
+    let report = RunReport {
+        app: {
+            p.key("app")?;
+            p.str()?.into_owned()
+        },
+        threads: {
+            p.key("threads")?;
+            read_usize(p, "threads")?
+        },
+        cores: {
+            p.key("cores")?;
+            read_usize(p, "cores")?
+        },
+        wall_time: SimDuration::from_nanos(take_u64(p, "wall_ns")?),
+        gc_time: SimDuration::from_nanos(take_u64(p, "gc_ns")?),
+        mutator_cpu: SimDuration::from_nanos(take_u64(p, "mutator_cpu_ns")?),
+        gc: {
+            p.key("gc")?;
+            read_gc_log(p)?
+        },
+        locks: {
+            p.key("locks")?;
+            read_locks(p)?
+        },
+        trace: {
+            p.key("tracer")?;
+            read_tracer(p)?
+        },
+        heap: {
+            p.key("heap")?;
+            p.begin_arr()?;
+            let heap = HeapStats {
+                objects_allocated: p.u64()?,
+                bytes_allocated: p.u64()?,
+                objects_died: p.u64()?,
+                tlab_refills: p.u64()?,
+            };
+            p.end_arr()?;
+            heap
+        },
+        per_thread: {
+            p.key("per_thread")?;
+            read_list(p, read_thread_report)?
+        },
+        events_processed: take_u64(p, "events_processed")?,
+        counters: {
+            p.key("counters")?;
+            read_counters(p)?
+        },
+        timeline: {
+            p.key("timeline")?;
+            read_timeline(p)?
+        },
+        host_ns: take_u64(p, "host_ns")?,
+        outcome: {
+            p.key("outcome")?;
+            read_outcome(p)?
+        },
+        server: if p.try_key("server") {
+            Some(read_server_stats(p)?)
+        } else {
+            None
+        },
+    };
+    p.end_obj()?;
+    Ok(report)
+}
+
+/// Serializes a [`RunReport`] losslessly, as [`write_report`] does.
+#[must_use]
+pub fn report_to_json(report: &RunReport) -> String {
+    let mut w = JsonWriter::default();
+    write_report(&mut w, report);
+    w.finish()
+}
+
+/// Rebuilds a [`RunReport`] from [`report_to_json`] output.
+///
+/// # Errors
+///
+/// As [`read_report`], plus trailing data after the document.
+pub fn report_from_str(text: &str) -> Result<RunReport, SnapshotError> {
+    let mut p = JsonCursor::new(text);
+    let report = read_report(&mut p)?;
+    p.finish()?;
+    Ok(report)
+}
+
+/// Rebuilds a [`RunReport`] from a parsed tree, for callers that hold
+/// one: the tree is rendered and read by [`report_from_str`].
+///
+/// # Errors
+///
+/// As [`report_from_str`].
+pub fn report_from_json(v: &JsonValue) -> Result<RunReport, SnapshotError> {
+    report_from_str(&v.to_string())
+}
+
+// ---------------------------------------------------------------------
+// Tree helpers for ReproSpec
 // ---------------------------------------------------------------------
 
 fn u(n: u64) -> JsonValue {
@@ -98,602 +877,6 @@ fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], SnapshotE
     get(v, key)?
         .as_arr()
         .ok_or_else(|| err(format!("`{key}` is not an array")))
-}
-
-fn item_u64(items: &[JsonValue], i: usize, what: &str) -> Result<u64, SnapshotError> {
-    items
-        .get(i)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| err(format!("{what}[{i}] is not an integer")))
-}
-
-// ---------------------------------------------------------------------
-// Leaf encoders/decoders
-// ---------------------------------------------------------------------
-
-fn dur(d: SimDuration) -> JsonValue {
-    u(d.as_nanos())
-}
-
-fn hist_to_json(h: &LogHistogram) -> JsonValue {
-    let buckets: Vec<JsonValue> = h
-        .bucket_counts()
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| JsonValue::Arr(vec![u(i as u64), u(c)]))
-        .collect();
-    obj(vec![
-        ("buckets", JsonValue::Arr(buckets)),
-        ("count", u(h.count())),
-        // u128 exceeds the JSON integer range we guarantee; decimal text.
-        ("sum", s(&h.sum().to_string())),
-        ("min", u(h.raw_min())),
-        ("max", u(h.raw_max())),
-    ])
-}
-
-fn hist_from_json(v: &JsonValue) -> Result<LogHistogram, SnapshotError> {
-    let mut buckets = [0u64; 64];
-    for entry in get_arr(v, "buckets")? {
-        let pair = entry
-            .as_arr()
-            .ok_or_else(|| err("histogram bucket is not a pair"))?;
-        let idx = usize::try_from(item_u64(pair, 0, "bucket")?)
-            .ok()
-            .filter(|&i| i < 64)
-            .ok_or_else(|| err("histogram bucket index out of range"))?;
-        buckets[idx] = item_u64(pair, 1, "bucket")?;
-    }
-    let sum: u128 = get_str(v, "sum")?
-        .parse()
-        .map_err(|_| err("histogram sum is not a u128"))?;
-    Ok(LogHistogram::from_raw_parts(
-        buckets,
-        get_u64(v, "count")?,
-        sum,
-        get_u64(v, "min")?,
-        get_u64(v, "max")?,
-    ))
-}
-
-fn server_stats_to_json(stats: &ServerStats) -> JsonValue {
-    obj(vec![
-        ("policy", s(&stats.policy)),
-        ("arrivals", u(stats.arrivals)),
-        ("goodput", u(stats.goodput)),
-        ("orphans", u(stats.orphan_completions)),
-        ("sheds", u(stats.sheds)),
-        ("timeouts", u(stats.timeouts)),
-        ("retries", u(stats.retries)),
-        ("in_flight", u(stats.in_flight)),
-        ("degraded", JsonValue::Bool(stats.degraded)),
-        ("latency", hist_to_json(&stats.latency)),
-        ("queue_depth", hist_to_json(&stats.queue_depth)),
-        ("tail_goodput", u(stats.tail_goodput)),
-        ("tail_arrivals", u(stats.tail_arrivals)),
-    ])
-}
-
-fn server_stats_from_json(v: &JsonValue) -> Result<ServerStats, SnapshotError> {
-    Ok(ServerStats {
-        policy: get_str(v, "policy")?.to_owned(),
-        arrivals: get_u64(v, "arrivals")?,
-        goodput: get_u64(v, "goodput")?,
-        orphan_completions: get_u64(v, "orphans")?,
-        sheds: get_u64(v, "sheds")?,
-        timeouts: get_u64(v, "timeouts")?,
-        retries: get_u64(v, "retries")?,
-        in_flight: get_u64(v, "in_flight")?,
-        degraded: get_bool(v, "degraded")?,
-        latency: hist_from_json(get(v, "latency")?)?,
-        queue_depth: hist_from_json(get(v, "queue_depth")?)?,
-        tail_goodput: get_u64(v, "tail_goodput")?,
-        tail_arrivals: get_u64(v, "tail_arrivals")?,
-    })
-}
-
-fn gc_kind_name(kind: GcKind) -> &'static str {
-    match kind {
-        GcKind::Minor => "minor",
-        GcKind::LocalMinor => "local",
-        GcKind::Full => "full",
-        GcKind::ConcurrentOld => "conc",
-    }
-}
-
-fn gc_kind_from_name(name: &str) -> Result<GcKind, SnapshotError> {
-    match name {
-        "minor" => Ok(GcKind::Minor),
-        "local" => Ok(GcKind::LocalMinor),
-        "full" => Ok(GcKind::Full),
-        "conc" => Ok(GcKind::ConcurrentOld),
-        other => Err(err(format!("unknown gc kind `{other}`"))),
-    }
-}
-
-fn gc_log_to_json(log: &GcLog) -> JsonValue {
-    JsonValue::Arr(
-        log.events()
-            .iter()
-            .map(|e| {
-                JsonValue::Arr(vec![
-                    s(gc_kind_name(e.kind)),
-                    u(e.at.as_nanos()),
-                    dur(e.pause),
-                    u(e.region as u64),
-                    u(e.collected_bytes),
-                    u(e.survived_bytes),
-                    u(e.promoted_bytes),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn gc_log_from_json(v: &JsonValue) -> Result<GcLog, SnapshotError> {
-    let mut log = GcLog::new();
-    for entry in v.as_arr().ok_or_else(|| err("`gc` is not an array"))? {
-        let row = entry
-            .as_arr()
-            .filter(|r| r.len() == 7)
-            .ok_or_else(|| err("gc event is not a 7-tuple"))?;
-        let kind = gc_kind_from_name(
-            row[0]
-                .as_str()
-                .ok_or_else(|| err("gc event kind is not a string"))?,
-        )?;
-        log.push(GcEvent {
-            kind,
-            at: SimTime::from_nanos(item_u64(row, 1, "gc")?),
-            pause: SimDuration::from_nanos(item_u64(row, 2, "gc")?),
-            region: usize::try_from(item_u64(row, 3, "gc")?)
-                .map_err(|_| err("gc region exceeds usize"))?,
-            collected_bytes: item_u64(row, 4, "gc")?,
-            survived_bytes: item_u64(row, 5, "gc")?,
-            promoted_bytes: item_u64(row, 6, "gc")?,
-        });
-    }
-    Ok(log)
-}
-
-fn stats_to_json(m: &MonitorStats) -> JsonValue {
-    JsonValue::Arr(vec![
-        u(m.acquisitions),
-        u(m.contentions),
-        dur(m.total_wait),
-        dur(m.max_wait),
-        dur(m.total_hold),
-        u(m.queued),
-    ])
-}
-
-fn stats_from_json(v: &JsonValue) -> Result<MonitorStats, SnapshotError> {
-    // 5-tuples are accepted for compatibility with snapshots written
-    // before truncated-waiter accounting (`queued` defaults to 0).
-    let row = v
-        .as_arr()
-        .filter(|r| r.len() == 5 || r.len() == 6)
-        .ok_or_else(|| err("monitor stats is not a 5- or 6-tuple"))?;
-    Ok(MonitorStats {
-        acquisitions: item_u64(row, 0, "stats")?,
-        contentions: item_u64(row, 1, "stats")?,
-        total_wait: SimDuration::from_nanos(item_u64(row, 2, "stats")?),
-        max_wait: SimDuration::from_nanos(item_u64(row, 3, "stats")?),
-        total_hold: SimDuration::from_nanos(item_u64(row, 4, "stats")?),
-        queued: if row.len() == 6 {
-            item_u64(row, 5, "stats")?
-        } else {
-            0
-        },
-    })
-}
-
-fn locks_to_json(locks: &LockReport) -> JsonValue {
-    let by_class: Vec<JsonValue> = locks
-        .by_class
-        .iter()
-        .map(|(name, stats)| JsonValue::Arr(vec![s(name), stats_to_json(stats)]))
-        .collect();
-    obj(vec![
-        ("total", stats_to_json(&locks.total)),
-        ("by_class", JsonValue::Arr(by_class)),
-        ("hold_hist", hist_to_json(&locks.hold_hist)),
-        ("wait_hist", hist_to_json(&locks.wait_hist)),
-    ])
-}
-
-fn locks_from_json(v: &JsonValue) -> Result<LockReport, SnapshotError> {
-    let mut by_class = std::collections::BTreeMap::new();
-    for entry in get_arr(v, "by_class")? {
-        let pair = entry
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| err("lock class entry is not a pair"))?;
-        let name = pair[0]
-            .as_str()
-            .ok_or_else(|| err("lock class name is not a string"))?;
-        by_class.insert(name.to_owned(), stats_from_json(&pair[1])?);
-    }
-    Ok(LockReport {
-        by_class,
-        total: stats_from_json(get(v, "total")?)?,
-        hold_hist: hist_from_json(get(v, "hold_hist")?)?,
-        wait_hist: hist_from_json(get(v, "wait_hist")?)?,
-    })
-}
-
-fn retention_name(retention: Retention) -> &'static str {
-    match retention {
-        Retention::HistogramOnly => "hist",
-        Retention::Full => "full",
-    }
-}
-
-fn retention_from_name(name: &str) -> Result<Retention, SnapshotError> {
-    match name {
-        "hist" => Ok(Retention::HistogramOnly),
-        "full" => Ok(Retention::Full),
-        other => Err(err(format!("unknown retention `{other}`"))),
-    }
-}
-
-fn trace_event_to_json(e: &TraceEvent) -> JsonValue {
-    match *e {
-        TraceEvent::Alloc {
-            obj: o,
-            thread,
-            size,
-            clock,
-        } => JsonValue::Arr(vec![s("A"), u(o), u(thread as u64), u(size), u(clock)]),
-        TraceEvent::Death {
-            obj: o,
-            lifespan,
-            clock,
-        } => JsonValue::Arr(vec![s("D"), u(o), u(lifespan), u(clock)]),
-    }
-}
-
-fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, SnapshotError> {
-    let row = v
-        .as_arr()
-        .ok_or_else(|| err("trace event is not an array"))?;
-    match row.first().and_then(JsonValue::as_str) {
-        Some("A") if row.len() == 5 => Ok(TraceEvent::Alloc {
-            obj: item_u64(row, 1, "trace")?,
-            thread: usize::try_from(item_u64(row, 2, "trace")?)
-                .map_err(|_| err("trace thread exceeds usize"))?,
-            size: item_u64(row, 3, "trace")?,
-            clock: item_u64(row, 4, "trace")?,
-        }),
-        Some("D") if row.len() == 4 => Ok(TraceEvent::Death {
-            obj: item_u64(row, 1, "trace")?,
-            lifespan: item_u64(row, 2, "trace")?,
-            clock: item_u64(row, 3, "trace")?,
-        }),
-        _ => Err(err("malformed trace event")),
-    }
-}
-
-fn tracer_to_json(tracer: &ObjectTracer) -> JsonValue {
-    let snap = tracer.snapshot();
-    obj(vec![
-        ("retention", s(retention_name(snap.retention))),
-        ("hist", hist_to_json(&snap.hist)),
-        (
-            "exact",
-            JsonValue::Arr(snap.exact.iter().map(|&v| u(v)).collect()),
-        ),
-        (
-            "events",
-            JsonValue::Arr(snap.events.iter().map(trace_event_to_json).collect()),
-        ),
-        ("next_seq", u(snap.next_seq)),
-        (
-            "owners",
-            JsonValue::Arr(snap.owners.iter().map(|&t| u(t as u64)).collect()),
-        ),
-        (
-            "per_thread",
-            JsonValue::Arr(snap.per_thread.iter().map(hist_to_json).collect()),
-        ),
-        ("allocations", u(snap.allocations)),
-        ("allocated_bytes", u(snap.allocated_bytes)),
-        ("deaths", u(snap.deaths)),
-        ("censored", u(snap.censored)),
-    ])
-}
-
-fn tracer_from_json(v: &JsonValue) -> Result<ObjectTracer, SnapshotError> {
-    let exact = get_arr(v, "exact")?
-        .iter()
-        .map(|e| e.as_u64().ok_or_else(|| err("exact lifespan not integer")))
-        .collect::<Result<Vec<u64>, _>>()?;
-    let events = get_arr(v, "events")?
-        .iter()
-        .map(trace_event_from_json)
-        .collect::<Result<Vec<TraceEvent>, _>>()?;
-    let owners = get_arr(v, "owners")?
-        .iter()
-        .map(|e| {
-            e.as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| err("owner not a thread index"))
-        })
-        .collect::<Result<Vec<usize>, _>>()?;
-    let per_thread = get_arr(v, "per_thread")?
-        .iter()
-        .map(hist_from_json)
-        .collect::<Result<Vec<LogHistogram>, _>>()?;
-    Ok(ObjectTracer::from_snapshot(TracerSnapshot {
-        retention: retention_from_name(get_str(v, "retention")?)?,
-        hist: hist_from_json(get(v, "hist")?)?,
-        exact,
-        events,
-        next_seq: get_u64(v, "next_seq")?,
-        owners,
-        per_thread,
-        allocations: get_u64(v, "allocations")?,
-        allocated_bytes: get_u64(v, "allocated_bytes")?,
-        deaths: get_u64(v, "deaths")?,
-        censored: get_u64(v, "censored")?,
-    }))
-}
-
-fn thread_report_to_json(t: &ThreadReport) -> JsonValue {
-    JsonValue::Arr(vec![
-        u(t.items_done),
-        dur(t.times.running),
-        dur(t.times.runnable_wait),
-        dur(t.times.blocked_monitor),
-        dur(t.times.blocked_starved),
-        dur(t.times.blocked_sleep),
-        dur(t.times.gc_paused),
-        u(t.dispatches),
-        u(t.preemptions),
-    ])
-}
-
-fn thread_report_from_json(v: &JsonValue) -> Result<ThreadReport, SnapshotError> {
-    let row = v
-        .as_arr()
-        .filter(|r| r.len() == 9)
-        .ok_or_else(|| err("thread report is not a 9-tuple"))?;
-    let d = |i: usize| -> Result<SimDuration, SnapshotError> {
-        Ok(SimDuration::from_nanos(item_u64(row, i, "thread")?))
-    };
-    Ok(ThreadReport {
-        items_done: item_u64(row, 0, "thread")?,
-        times: StateTimes {
-            running: d(1)?,
-            runnable_wait: d(2)?,
-            blocked_monitor: d(3)?,
-            blocked_starved: d(4)?,
-            blocked_sleep: d(5)?,
-            gc_paused: d(6)?,
-        },
-        dispatches: item_u64(row, 7, "thread")?,
-        preemptions: item_u64(row, 8, "thread")?,
-    })
-}
-
-fn timeline_to_json(timeline: &Timeline) -> JsonValue {
-    // Raw ring order + head, so the rebuilt recorder's internal state
-    // (and therefore its Debug rendering) matches the original exactly.
-    let (enabled, capacity, events, head, dropped) = timeline.raw_parts();
-    let rows: Vec<JsonValue> = events
-        .iter()
-        .map(|e| {
-            JsonValue::Arr(vec![
-                s(e.kind.name()),
-                u(u64::from(e.track)),
-                u(e.at.as_nanos()),
-                dur(e.dur),
-                u(e.arg),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("enabled", JsonValue::Bool(enabled)),
-        ("capacity", u(capacity as u64)),
-        ("head", u(head as u64)),
-        ("dropped", u(dropped)),
-        ("events", JsonValue::Arr(rows)),
-    ])
-}
-
-fn timeline_from_json(v: &JsonValue) -> Result<Timeline, SnapshotError> {
-    let events = get_arr(v, "events")?
-        .iter()
-        .map(|entry| {
-            let row = entry
-                .as_arr()
-                .filter(|r| r.len() == 5)
-                .ok_or_else(|| err("timeline event is not a 5-tuple"))?;
-            let kind_name = row[0]
-                .as_str()
-                .ok_or_else(|| err("timeline kind is not a string"))?;
-            let kind = EventKind::from_name(kind_name)
-                .ok_or_else(|| err(format!("unknown timeline kind `{kind_name}`")))?;
-            Ok(TimelineEvent {
-                kind,
-                track: u32::try_from(item_u64(row, 1, "timeline")?)
-                    .map_err(|_| err("timeline track exceeds u32"))?,
-                at: SimTime::from_nanos(item_u64(row, 2, "timeline")?),
-                dur: SimDuration::from_nanos(item_u64(row, 3, "timeline")?),
-                arg: item_u64(row, 4, "timeline")?,
-            })
-        })
-        .collect::<Result<Vec<TimelineEvent>, SnapshotError>>()?;
-    Ok(Timeline::from_raw_parts(
-        get_bool(v, "enabled")?,
-        get_usize(v, "capacity")?,
-        events,
-        get_usize(v, "head")?,
-        get_u64(v, "dropped")?,
-    ))
-}
-
-fn counters_to_json(counters: &Counters) -> JsonValue {
-    JsonValue::Arr(
-        CounterId::ALL
-            .iter()
-            .map(|&id| u(counters.get(id)))
-            .collect(),
-    )
-}
-
-fn counters_from_json(v: &JsonValue) -> Result<Counters, SnapshotError> {
-    let rows = v
-        .as_arr()
-        .filter(|r| r.len() == CounterId::ALL.len())
-        .ok_or_else(|| err("counters is not a full slot array"))?;
-    let mut counters = Counters::new();
-    for (i, &id) in CounterId::ALL.iter().enumerate() {
-        counters.set(id, item_u64(rows, i, "counters")?);
-    }
-    Ok(counters)
-}
-
-fn outcome_to_json(outcome: &RunOutcome) -> JsonValue {
-    match outcome {
-        RunOutcome::Ok => s("ok"),
-        RunOutcome::Truncated(reason) => {
-            let tagged = match reason {
-                AbortReason::MaxEvents(n) => JsonValue::Arr(vec![s("events"), u(*n)]),
-                AbortReason::MaxSimTime(d) => JsonValue::Arr(vec![s("sim_ns"), dur(*d)]),
-                AbortReason::MaxHostMs(ms) => JsonValue::Arr(vec![s("host_ms"), u(*ms)]),
-                AbortReason::Watchdog => JsonValue::Arr(vec![s("watchdog")]),
-            };
-            obj(vec![("trunc", tagged)])
-        }
-        RunOutcome::Quarantined(why) => obj(vec![("quar", s(why))]),
-    }
-}
-
-fn outcome_from_json(v: &JsonValue) -> Result<RunOutcome, SnapshotError> {
-    if v.as_str() == Some("ok") {
-        return Ok(RunOutcome::Ok);
-    }
-    if let Some(why) = v.get("quar") {
-        let why = why
-            .as_str()
-            .ok_or_else(|| err("quarantine reason is not a string"))?;
-        return Ok(RunOutcome::Quarantined(why.to_owned()));
-    }
-    let tagged = v
-        .get("trunc")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| err("malformed outcome"))?;
-    let reason = match tagged.first().and_then(JsonValue::as_str) {
-        Some("events") => AbortReason::MaxEvents(item_u64(tagged, 1, "trunc")?),
-        Some("sim_ns") => {
-            AbortReason::MaxSimTime(SimDuration::from_nanos(item_u64(tagged, 1, "trunc")?))
-        }
-        Some("host_ms") => AbortReason::MaxHostMs(item_u64(tagged, 1, "trunc")?),
-        Some("watchdog") => AbortReason::Watchdog,
-        _ => return Err(err("unknown truncation reason")),
-    };
-    Ok(RunOutcome::Truncated(reason))
-}
-
-// ---------------------------------------------------------------------
-// RunReport
-// ---------------------------------------------------------------------
-
-/// Serializes a [`RunReport`] losslessly. [`report_from_json`] inverts
-/// this exactly: the rebuilt report is `Debug`-identical to the
-/// original, so fingerprints computed over the `Debug` rendering verify
-/// checkpointed records byte for byte.
-#[must_use]
-pub fn report_to_json(report: &RunReport) -> JsonValue {
-    let mut pairs = vec![
-        ("v", u(1)),
-        ("app", s(&report.app)),
-        ("threads", u(report.threads as u64)),
-        ("cores", u(report.cores as u64)),
-        ("wall_ns", dur(report.wall_time)),
-        ("gc_ns", dur(report.gc_time)),
-        ("mutator_cpu_ns", dur(report.mutator_cpu)),
-        ("gc", gc_log_to_json(&report.gc)),
-        ("locks", locks_to_json(&report.locks)),
-        ("tracer", tracer_to_json(&report.trace)),
-        (
-            "heap",
-            JsonValue::Arr(vec![
-                u(report.heap.objects_allocated),
-                u(report.heap.bytes_allocated),
-                u(report.heap.objects_died),
-                u(report.heap.tlab_refills),
-            ]),
-        ),
-        (
-            "per_thread",
-            JsonValue::Arr(
-                report
-                    .per_thread
-                    .iter()
-                    .map(thread_report_to_json)
-                    .collect(),
-            ),
-        ),
-        ("events_processed", u(report.events_processed)),
-        ("counters", counters_to_json(&report.counters)),
-        ("timeline", timeline_to_json(&report.timeline)),
-        ("host_ns", u(report.host_ns)),
-        ("outcome", outcome_to_json(&report.outcome)),
-    ];
-    if let Some(stats) = &report.server {
-        pairs.push(("server", server_stats_to_json(stats)));
-    }
-    obj(pairs)
-}
-
-/// Rebuilds a [`RunReport`] from [`report_to_json`] output.
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] naming the first missing or malformed
-/// field (including an unknown schema version).
-pub fn report_from_json(v: &JsonValue) -> Result<RunReport, SnapshotError> {
-    let version = get_u64(v, "v")?;
-    if version != 1 {
-        return Err(err(format!("unsupported snapshot version {version}")));
-    }
-    let heap_row = get_arr(v, "heap")?;
-    if heap_row.len() != 4 {
-        return Err(err("`heap` is not a 4-tuple"));
-    }
-    Ok(RunReport {
-        app: get_str(v, "app")?.to_owned(),
-        threads: get_usize(v, "threads")?,
-        cores: get_usize(v, "cores")?,
-        wall_time: SimDuration::from_nanos(get_u64(v, "wall_ns")?),
-        gc_time: SimDuration::from_nanos(get_u64(v, "gc_ns")?),
-        mutator_cpu: SimDuration::from_nanos(get_u64(v, "mutator_cpu_ns")?),
-        gc: gc_log_from_json(get(v, "gc")?)?,
-        locks: locks_from_json(get(v, "locks")?)?,
-        trace: tracer_from_json(get(v, "tracer")?)?,
-        heap: HeapStats {
-            objects_allocated: item_u64(heap_row, 0, "heap")?,
-            bytes_allocated: item_u64(heap_row, 1, "heap")?,
-            objects_died: item_u64(heap_row, 2, "heap")?,
-            tlab_refills: item_u64(heap_row, 3, "heap")?,
-        },
-        per_thread: get_arr(v, "per_thread")?
-            .iter()
-            .map(thread_report_from_json)
-            .collect::<Result<Vec<ThreadReport>, SnapshotError>>()?,
-        events_processed: get_u64(v, "events_processed")?,
-        counters: counters_from_json(get(v, "counters")?)?,
-        timeline: timeline_from_json(get(v, "timeline")?)?,
-        host_ns: get_u64(v, "host_ns")?,
-        outcome: outcome_from_json(get(v, "outcome")?)?,
-        server: match v.get("server") {
-            None => None,
-            Some(stats) => Some(server_stats_from_json(stats)?),
-        },
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -931,7 +1114,7 @@ fn server_spec_from_json(v: &JsonValue) -> Result<ServerSpec, SnapshotError> {
 fn budget_to_json(budget: &RunBudget) -> JsonValue {
     let mut pairs = vec![("max_events", u(budget.max_events))];
     if let Some(limit) = budget.max_sim_time {
-        pairs.push(("max_sim_ns", dur(limit)));
+        pairs.push(("max_sim_ns", u(limit.as_nanos())));
     }
     if let Some(ms) = budget.max_host_ms {
         pairs.push(("max_host_ms", u(ms)));
@@ -1144,9 +1327,13 @@ mod tests {
         let report = small_report(Retention::Full, TraceConfig::on());
         assert!(report.timeline.is_enabled());
         assert!(report.trace.events().is_some_and(|e| !e.is_empty()));
-        let text = report_to_json(&report).to_string();
-        let back = report_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let text = report_to_json(&report);
+        let back = report_from_str(&text).unwrap();
         debug_eq(&report, &back);
+        assert_eq!(report_to_json(&back), text);
+        // The tree adapter reads the same bytes.
+        let via_tree = report_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        debug_eq(&report, &via_tree);
     }
 
     #[test]
@@ -1166,22 +1353,106 @@ mod tests {
         }
     }
 
+    /// A traced report small enough to feed to the reader once per
+    /// prefix: ring capacity 4, and an object trace cut to its first few
+    /// entries.
+    fn tiny_traced_report() -> RunReport {
+        let mut report = small_report(
+            Retention::Full,
+            TraceConfig {
+                capacity: 4,
+                ..TraceConfig::on()
+            },
+        );
+        let mut snap = report.trace.snapshot();
+        snap.events.truncate(4);
+        snap.exact.truncate(4);
+        snap.owners.truncate(4);
+        report.trace = ObjectTracer::from_snapshot(snap);
+        report
+    }
+
+    /// `text` with the first occurrence of `from` replaced by `to`.
+    fn edit(text: &str, from: &str, to: &str) -> String {
+        assert!(text.contains(from), "`{from}` not in the document");
+        text.replacen(from, to, 1)
+    }
+
     #[test]
     fn report_from_json_rejects_malformed_documents() {
-        let report = small_report(Retention::HistogramOnly, TraceConfig::off());
+        let report = small_report(Retention::Full, TraceConfig::on());
         let good = report_to_json(&report);
-        // Unknown version.
-        let mut doc = good.clone();
-        if let JsonValue::Obj(pairs) = &mut doc {
-            pairs[0].1 = u(9);
+        assert!(report_from_str(&good).is_ok());
+        let rejects = |doc: String, why: &str| {
+            assert!(report_from_str(&doc).is_err(), "accepted: {why}");
+        };
+        rejects(edit(&good, "{\"v\":1,", "{\"v\":9,"), "unknown version");
+        let counters = good.find(",\"counters\":[").expect("counters key");
+        let counters_end = counters + good[counters..].find(']').expect("counters end");
+        rejects(
+            format!("{}{}", &good[..counters], &good[counters_end + 1..]),
+            "missing field",
+        );
+        rejects(format!("{good} "), "trailing data");
+        let timeline = good.find("\"timeline\":").expect("timeline key");
+        let (head, tail) = good.split_at(timeline);
+        let first_event = tail.find("\"events\":[[\"").expect("a timeline event") + 12;
+        let kind_end = first_event + tail[first_event..].find('"').expect("kind end");
+        rejects(
+            format!("{head}{}bogus{}", &tail[..first_event], &tail[kind_end..]),
+            "unknown timeline kind",
+        );
+        let track = kind_end + 2;
+        let track_end = track + tail[track..].find(',').expect("track end");
+        rejects(
+            format!("{head}{}4294967296{}", &tail[..track], &tail[track_end..]),
+            "track above u32::MAX",
+        );
+        let threads = good.find("\"per_thread\":[[").expect("per_thread tuples") + 15;
+        let first_item = threads + good[threads..].find(',').expect("tuple item");
+        rejects(
+            format!("{}{}", &good[..threads], &good[first_item + 1..]),
+            "8-element thread tuple",
+        );
+        let cores = good.find(",\"cores\":").expect("cores key");
+        let cores_end = cores + 1 + good[cores + 1..].find(',').expect("cores end");
+        let threads_at = good.find("\"threads\":").expect("threads key");
+        rejects(
+            format!(
+                "{}{},{}{}",
+                &good[..threads_at],
+                &good[cores + 1..cores_end],
+                &good[threads_at..cores],
+                &good[cores_end..]
+            ),
+            "reordered key",
+        );
+    }
+
+    #[test]
+    fn reader_survives_truncated_and_corrupted_bodies() {
+        let report = tiny_traced_report();
+        let good = report_to_json(&report);
+        assert!(!report.timeline.is_empty() && !good.contains("\"events\":[],\"next_seq\""));
+        debug_eq(&report, &report_from_str(&good).unwrap());
+        for end in 0..good.len() {
+            if let Some(prefix) = good.get(..end) {
+                assert!(report_from_str(prefix).is_err(), "prefix {end} accepted");
+            }
         }
-        assert!(report_from_json(&doc).is_err());
-        // Missing field.
-        let mut doc = good.clone();
-        if let JsonValue::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "counters");
+        let mut state = 0x5eed_u64;
+        for _ in 0..256 {
+            state = scalesim_simkit::splitmix64(state);
+            let at = (state % good.len() as u64) as usize;
+            let byte = (state >> 32) as u8 & 0x7f;
+            let mut bytes = good.clone().into_bytes();
+            bytes[at] = byte;
+            let text = String::from_utf8(bytes).expect("ascii substitution");
+            // Either outcome is fine; a panic is not.
+            if let Ok(back) = report_from_str(&text) {
+                let _ = report_to_json(&back);
+            }
         }
-        assert!(report_from_json(&doc).is_err());
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //! Record framing: `<8-hex crc32> <json>`, where the JSON body is
 //! `{"v":1,"key":"<16-hex>","fp":"<16-hex>","retries":N,"report":{…}}`.
 //! The crc covers the JSON body, so a torn or bit-flipped line is
-//! detected without trusting the JSON parser's error paths. The stored
+//! detected without trusting the JSON parser's error paths. The body is
+//! written by the streaming snapshot codec
+//! ([`write_report`](scalesim_core::write_report)) straight into the
+//! line, and read back by one strict cursor pass
+//! ([`read_report`](scalesim_core::read_report)) that accepts only the
+//! canonical text the writer emits. The stored
 //! fingerprint is always the *true* report fingerprint — the structural
 //! hash the sweep memo uses, taken once by the worker that ran the
 //! point — and resume recomputes it from the deserialized report and
@@ -49,7 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use scalesim_core::{report_from_json, report_to_json, JsonValue, RunReport};
+use scalesim_core::{read_report, write_report, JsonCursor, JsonWriter, RunReport};
 use scalesim_trace::{sync_dir, write_atomic};
 
 use crate::sweep;
@@ -93,12 +98,47 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
+/// Slice-by-8 tables: `CRC_TABLES[k]` advances a byte's contribution
+/// past `k` further bytes, so eight table lookups consume eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [CRC_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Feeds `bytes` one at a time into the running (pre-inverted) crc `c`.
+fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xffff_ffff
+    c
+}
+
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xffff_ffffu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(chunk[4])]
+            ^ t[2][usize::from(chunk[5])]
+            ^ t[1][usize::from(chunk[6])]
+            ^ t[0][usize::from(chunk[7])];
+    }
+    crc32_bytewise(c, chunks.remainder()) ^ 0xffff_ffff
 }
 
 // ---------------------------------------------------------------------
@@ -109,15 +149,25 @@ fn crc32(bytes: &[u8]) -> u32 {
 /// newline). Shared with the campaign runner, whose per-worker segments
 /// use the identical framing.
 pub(crate) fn encode_record(key: u64, report: &RunReport, fp: u64, retries: u32) -> String {
-    let body = JsonValue::Obj(vec![
-        ("v".to_owned(), JsonValue::U64(1)),
-        ("key".to_owned(), JsonValue::Str(format!("{key:016x}"))),
-        ("fp".to_owned(), JsonValue::Str(format!("{fp:016x}"))),
-        ("retries".to_owned(), JsonValue::U64(u64::from(retries))),
-        ("report".to_owned(), report_to_json(report)),
-    ])
-    .to_string();
-    format!("{:08x} {body}", crc32(body.as_bytes()))
+    // The body is written after a placeholder crc, then the crc of the
+    // body is written over the placeholder.
+    let mut w = JsonWriter::append_to("00000000 ".to_owned());
+    w.begin_obj();
+    w.key("v");
+    w.u64(1);
+    w.key("key");
+    w.str(&format!("{key:016x}"));
+    w.key("fp");
+    w.str(&format!("{fp:016x}"));
+    w.key("retries");
+    w.u64(u64::from(retries));
+    w.key("report");
+    write_report(&mut w, report);
+    w.end_obj();
+    let mut line = w.finish();
+    let crc = format!("{:08x}", crc32(&line.as_bytes()[9..]));
+    line.replace_range(..8, &crc);
+    line
 }
 
 pub(crate) struct Record {
@@ -135,14 +185,24 @@ pub(crate) fn decode_record(line: &str) -> Option<Record> {
     if crc_hex.len() != 8 || crc32(body.as_bytes()) != stored_crc {
         return None;
     }
-    let v = JsonValue::parse(body).ok()?;
-    if v.get("v")?.as_u64()? != 1 {
+    let mut p = JsonCursor::new(body);
+    p.begin_obj().ok()?;
+    p.key("v").ok()?;
+    if p.u64().ok()? != 1 {
         return None;
     }
-    let key = u64::from_str_radix(v.get("key")?.as_str()?, 16).ok()?;
-    let fp = u64::from_str_radix(v.get("fp")?.as_str()?, 16).ok()?;
-    let retries = u32::try_from(v.get("retries")?.as_u64()?).ok()?;
-    let report = report_from_json(v.get("report")?).ok()?;
+    let mut hex = |name: &str| {
+        p.key(name).ok()?;
+        u64::from_str_radix(&p.str().ok()?, 16).ok()
+    };
+    let key = hex("key")?;
+    let fp = hex("fp")?;
+    p.key("retries").ok()?;
+    let retries = u32::try_from(p.u64().ok()?).ok()?;
+    p.key("report").ok()?;
+    let report = read_report(&mut p).ok()?;
+    p.end_obj().ok()?;
+    p.finish().ok()?;
     Some(Record {
         key,
         fp,
@@ -451,6 +511,27 @@ mod tests {
     }
 
     #[test]
+    fn crc32_slice_by_8_matches_the_bytewise_loop() {
+        let mut state = 1u64;
+        let bytes: Vec<u8> = (0..80)
+            .map(|_| {
+                state = scalesim_simkit::splitmix64(state);
+                state as u8
+            })
+            .collect();
+        for start in [0, 1, 3, 7, 8, 13] {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(0xffff_ffff, slice) ^ 0xffff_ffff,
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn record_framing_round_trips_and_rejects_corruption() {
         let spec = crate::RunSpec::new(scalesim_workloads::xalan().scaled(0.002), 2, 9);
         let report = spec.run().unwrap();
@@ -540,6 +621,31 @@ mod tests {
                 want.map(|r| (debug(r), sweep::fingerprint(r))),
                 "key {key:016x}"
             );
+        }
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        // A change here means stores written by earlier builds no longer
+        // resume: every record they hold fails its crc or its decode.
+        const K: u64 = 0x5ca1_e5ee_d000_0010;
+        let traced = sweep::traced_fixture(0.002);
+        let quarantined = RunReport::quarantined(
+            "xalan",
+            8,
+            8,
+            "panic: \"quoted\" back\\slash\nline two".to_owned(),
+        );
+        for (report, len, crc) in [
+            (&traced, 98_995, 0x7c03_f14d),
+            (&quarantined, 879, 0x2fc5_73dd),
+        ] {
+            let fp = sweep::fingerprint(report);
+            let line = encode_record(K, report, fp, 1);
+            assert_eq!((line.len(), crc32(line.as_bytes())), (len, crc));
+            let decoded = decode_record(&line).expect("pinned record decodes");
+            assert_eq!(decoded.key, K);
+            assert_eq!(sweep::fingerprint(&decoded.report), fp);
         }
     }
 

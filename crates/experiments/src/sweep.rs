@@ -884,29 +884,30 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         .collect()
 }
 
+/// A traced xalan run at 2 threads, seed 9, with a timeline and full
+/// object retention. Every knob the builder reads from the
+/// environment is fixed, and `host_ns` is zeroed.
+#[cfg(test)]
+pub(crate) fn traced_fixture(scale: f64) -> RunReport {
+    use scalesim_core::{LockAlg, TraceConfig};
+    use scalesim_objtrace::Retention;
+    use scalesim_simkit::{ChaosConfig, RunBudget};
+    let mut spec = RunSpec::new(scalesim_workloads::xalan().scaled(scale), 2, 9);
+    spec.config.trace = TraceConfig::on();
+    spec.config.retention = Retention::Full;
+    spec.config.budget = RunBudget::default();
+    spec.config.chaos = ChaosConfig::default();
+    spec.config.monitors = true;
+    spec.config.lock_alg = LockAlg::default();
+    let mut report = spec.run().expect("fixture runs clean");
+    report.host_ns = 0;
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use scalesim_workloads::{sunflow, xalan};
-
-    /// A traced xalan run at 2 threads, seed 9, with a timeline and full
-    /// object retention. Every knob the builder reads from the
-    /// environment is fixed, and `host_ns` is zeroed.
-    fn traced_fixture(scale: f64) -> RunReport {
-        use scalesim_core::{LockAlg, TraceConfig};
-        use scalesim_objtrace::Retention;
-        use scalesim_simkit::{ChaosConfig, RunBudget};
-        let mut spec = RunSpec::new(xalan().scaled(scale), 2, 9);
-        spec.config.trace = TraceConfig::on();
-        spec.config.retention = Retention::Full;
-        spec.config.budget = RunBudget::default();
-        spec.config.chaos = ChaosConfig::default();
-        spec.config.monitors = true;
-        spec.config.lock_alg = LockAlg::default();
-        let mut report = spec.run().expect("fixture runs clean");
-        report.host_ns = 0;
-        report
-    }
 
     #[test]
     fn word_hasher_matches_known_answers() {
@@ -963,7 +964,7 @@ mod tests {
         type Ring = (Vec<TimelineEvent>, usize, u64);
         fn retimeline(r: &mut RunReport, edit: fn(&mut Ring)) {
             let (enabled, capacity, events, head, dropped) = r.timeline.raw_parts();
-            let mut ring = (events, head, dropped);
+            let mut ring = (events.to_vec(), head, dropped);
             edit(&mut ring);
             let (events, head, dropped) = ring;
             r.timeline = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);

@@ -163,11 +163,11 @@ impl Timeline {
     /// rebuild via [`Timeline::from_raw_parts`] is `Debug`-identical to
     /// the original. Ordinary consumers want [`Timeline::events`].
     #[must_use]
-    pub fn raw_parts(&self) -> (bool, usize, Vec<TimelineEvent>, usize, u64) {
+    pub fn raw_parts(&self) -> (bool, usize, &[TimelineEvent], usize, u64) {
         (
             self.enabled,
             self.capacity,
-            self.events.clone(),
+            &self.events,
             self.head,
             self.dropped,
         )
@@ -289,7 +289,7 @@ mod tests {
         // from emission order — the round trip must preserve both.
         let (enabled, capacity, events, head, dropped) = tl.raw_parts();
         assert_ne!(head, 0);
-        let back = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
+        let back = Timeline::from_raw_parts(enabled, capacity, events.to_vec(), head, dropped);
         assert_eq!(tl, back);
         assert_eq!(format!("{tl:?}"), format!("{back:?}"));
         let args: Vec<u64> = back.events().map(|e| e.arg).collect();

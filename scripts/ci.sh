@@ -37,7 +37,12 @@ cargo run --release -q -p scalesim-experiments -- \
     --out target/ci-resume/a --checkpoint target/ci-resume/ckpt > /dev/null
 cargo run --release -q -p scalesim-experiments -- \
     fig1d --scale 0.02 --threads 4,8 \
-    --out target/ci-resume/b --checkpoint target/ci-resume/ckpt --resume > /dev/null
+    --out target/ci-resume/b --checkpoint target/ci-resume/ckpt --resume \
+    > target/ci-resume/resume.out
+# Every record must replay: a reader that rejected them all would
+# re-simulate and still produce identical tables.
+grep -q 'resumed 2 run(s) .* 0 record(s) skipped' target/ci-resume/resume.out \
+    || { echo "fig1d resume did not replay every record"; cat target/ci-resume/resume.out; exit 1; }
 for csv in target/ci-resume/a/*.csv; do
     diff "$csv" "target/ci-resume/b/$(basename "$csv")"
 done
@@ -55,7 +60,10 @@ SCALESIM_TRACE=target/ci-resume-traced/t.json \
 SCALESIM_TRACE=target/ci-resume-traced/t.json \
     cargo run --release -q -p scalesim-experiments -- \
     ext-locks --scale 0.02 --threads 4 \
-    --out target/ci-resume-traced/b --checkpoint target/ci-resume-traced/ckpt --resume > /dev/null
+    --out target/ci-resume-traced/b --checkpoint target/ci-resume-traced/ckpt --resume \
+    > target/ci-resume-traced/resume.out
+grep -q 'resumed 18 run(s) .* 0 record(s) skipped' target/ci-resume-traced/resume.out \
+    || { echo "traced resume did not replay every record"; cat target/ci-resume-traced/resume.out; exit 1; }
 for csv in target/ci-resume-traced/a/*.csv; do
     diff "$csv" "target/ci-resume-traced/b/$(basename "$csv")"
 done
