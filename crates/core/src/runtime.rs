@@ -193,6 +193,8 @@ struct ThreadCtx {
     assigned_remaining: u64,
     batch_remaining: u64,
     cursor: Option<ItemCursor>,
+    /// The last finished item, whose step buffer the next item reuses.
+    spare: WorkItem,
     slots: Vec<Option<(ObjectId, ObjSeq)>>,
     item_end: Vec<(ObjectId, ObjSeq)>,
     carried: Vec<(ObjectId, ObjSeq, u32)>,
@@ -220,6 +222,7 @@ impl ThreadCtx {
             assigned_remaining: 0,
             batch_remaining: 0,
             cursor: None,
+            spare: WorkItem::default(),
             slots: Vec::new(),
             item_end: Vec::new(),
             carried: Vec::new(),
@@ -264,6 +267,9 @@ struct Sim<'a> {
     helpers: Vec<ThreadId>,
     mutators_left: usize,
     permanents: Vec<(ObjectId, ObjSeq)>,
+    /// Scratch list of the objects an item's end kills, reused across
+    /// items.
+    dying: Vec<(ObjectId, ObjSeq)>,
     /// Cohort count for cooperative phase scheduling (0 under fair).
     cohorts: usize,
     active_cohort: usize,
@@ -350,6 +356,7 @@ impl<'a> Sim<'a> {
             helpers: Vec::new(),
             mutators_left: 0,
             permanents: Vec::new(),
+            dying: Vec::new(),
             cohorts,
             active_cohort: 0,
             concurrent_cycle: None,
@@ -928,37 +935,38 @@ impl<'a> Sim<'a> {
     }
 
     fn start_item(&mut self, tid: ThreadId) {
-        let item = {
-            let rng = &mut self.ctxs[tid.index()].rng;
-            self.app.make_item(rng)
-        };
         let ctx = &mut self.ctxs[tid.index()];
+        let spare = std::mem::take(&mut ctx.spare);
+        let item = self.app.make_item_reusing(&mut ctx.rng, spare);
         ctx.slots.clear();
         ctx.cursor = Some(ItemCursor { item, next: 0 });
     }
 
+    /// Ends a thread's item: its per-item objects die, then the carried
+    /// objects whose last item this was, each in allocation order.
     fn finish_item(&mut self, tid: ThreadId) {
-        let (item_end, expired) = {
-            let ctx = &mut self.ctxs[tid.index()];
-            ctx.cursor = None;
-            ctx.items_done += 1;
-            debug_assert!(ctx.slots.iter().all(Option::is_none), "leaked slot object");
-            let item_end = std::mem::take(&mut ctx.item_end);
-            let mut expired = Vec::new();
-            ctx.carried.retain_mut(|(obj, seq, left)| {
-                if *left <= 1 {
-                    expired.push((*obj, *seq));
-                    false
-                } else {
-                    *left -= 1;
-                    true
-                }
-            });
-            (item_end, expired)
-        };
-        for (obj, seq) in item_end.into_iter().chain(expired) {
+        let mut dying = std::mem::take(&mut self.dying);
+        let ctx = &mut self.ctxs[tid.index()];
+        if let Some(cursor) = ctx.cursor.take() {
+            ctx.spare = cursor.item;
+        }
+        ctx.items_done += 1;
+        debug_assert!(ctx.slots.iter().all(Option::is_none), "leaked slot object");
+        dying.append(&mut ctx.item_end);
+        ctx.carried.retain_mut(|(obj, seq, left)| {
+            if *left <= 1 {
+                dying.push((*obj, *seq));
+                false
+            } else {
+                *left -= 1;
+                true
+            }
+        });
+        for &(obj, seq) in &dying {
             self.kill_object(obj, seq);
         }
+        dying.clear();
+        self.dying = dying;
     }
 
     fn finish_thread(&mut self, tid: ThreadId) {

@@ -124,25 +124,38 @@ impl Ablation {
     }
 }
 
+/// The ablation's runs, in driver order: every thread count × every
+/// variant, each labelled with its variant.
+pub(crate) fn variant_specs<'a>(
+    app: &str,
+    params: &ExpParams,
+    variants: &[(&'a str, JvmConfig)],
+) -> Result<Vec<(&'a str, RunSpec)>, SimError> {
+    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
+    let mut specs = Vec::new();
+    for &threads in &params.thread_counts {
+        for (label, base) in variants {
+            let mut config = base.clone();
+            config.threads = threads;
+            specs.push((
+                *label,
+                RunSpec {
+                    app: model.scaled(params.scale),
+                    config,
+                },
+            ));
+        }
+    }
+    Ok(specs)
+}
+
 fn run_variants(
     app: &str,
     params: &ExpParams,
     variants: &[(&str, JvmConfig)],
 ) -> Result<Ablation, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
-    let mut specs = Vec::new();
-    let mut labels = Vec::new();
-    for &threads in &params.thread_counts {
-        for (label, base) in variants {
-            let mut config = base.clone();
-            config.threads = threads;
-            specs.push(RunSpec {
-                app: model.scaled(params.scale),
-                config,
-            });
-            labels.push(label.to_owned());
-        }
-    }
+    let (labels, specs): (Vec<_>, Vec<_>) =
+        variant_specs(app, params, variants)?.into_iter().unzip();
     let reports = run_all(&specs);
     Ok(Ablation {
         rows: labels
@@ -153,6 +166,39 @@ fn run_variants(
     })
 }
 
+/// `abl-sched`'s variants: fair scheduling, then biased cohort
+/// scheduling with 2 and 4 cohorts.
+pub(crate) fn biased_sched_variants(seed: u64) -> Result<Vec<(&'static str, JvmConfig)>, SimError> {
+    Ok(vec![
+        ("baseline", JvmConfig::builder().seed(seed).build()?),
+        (
+            "biased-2",
+            JvmConfig::builder()
+                .seed(seed)
+                .policy(SchedPolicy::Biased { cohorts: 2 })
+                .build()?,
+        ),
+        (
+            "biased-4",
+            JvmConfig::builder()
+                .seed(seed)
+                .policy(SchedPolicy::Biased { cohorts: 4 })
+                .build()?,
+        ),
+    ])
+}
+
+/// `abl-heap`'s variants: a shared nursery, then per-thread heaplets.
+pub(crate) fn heaplet_variants(seed: u64) -> Result<Vec<(&'static str, JvmConfig)>, SimError> {
+    Ok(vec![
+        ("baseline", JvmConfig::builder().seed(seed).build()?),
+        (
+            "heaplets",
+            JvmConfig::builder().seed(seed).heaplets(true).build()?,
+        ),
+    ])
+}
+
 /// Ablation `abl-sched`: fair scheduling vs. biased cohort scheduling
 /// (2 and 4 cohorts) on `app`.
 ///
@@ -161,24 +207,7 @@ fn run_variants(
 /// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
 /// configuration errors.
 pub fn run_biased_sched(app: &str, params: &ExpParams) -> Result<Ablation, SimError> {
-    let baseline = JvmConfig::builder().seed(params.seed).build()?;
-    let biased2 = JvmConfig::builder()
-        .seed(params.seed)
-        .policy(SchedPolicy::Biased { cohorts: 2 })
-        .build()?;
-    let biased4 = JvmConfig::builder()
-        .seed(params.seed)
-        .policy(SchedPolicy::Biased { cohorts: 4 })
-        .build()?;
-    run_variants(
-        app,
-        params,
-        &[
-            ("baseline", baseline),
-            ("biased-2", biased2),
-            ("biased-4", biased4),
-        ],
-    )
+    run_variants(app, params, &biased_sched_variants(params.seed)?)
 }
 
 /// Ablation `abl-heap`: shared nursery vs. per-thread heaplets on `app`.
@@ -188,16 +217,7 @@ pub fn run_biased_sched(app: &str, params: &ExpParams) -> Result<Ablation, SimEr
 /// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
 /// configuration errors.
 pub fn run_heaplets(app: &str, params: &ExpParams) -> Result<Ablation, SimError> {
-    let baseline = JvmConfig::builder().seed(params.seed).build()?;
-    let heaplets = JvmConfig::builder()
-        .seed(params.seed)
-        .heaplets(true)
-        .build()?;
-    run_variants(
-        app,
-        params,
-        &[("baseline", baseline), ("heaplets", heaplets)],
-    )
+    run_variants(app, params, &heaplet_variants(params.seed)?)
 }
 
 #[cfg(test)]

@@ -180,6 +180,9 @@ pub fn artifact_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ablation::{biased_sched_variants, heaplet_variants, variant_specs};
+    use crate::campaign::campaign_units;
+    use crate::sweep::{run_all, RunSpec};
 
     fn tiny() -> ExpParams {
         ExpParams::quick()
@@ -212,6 +215,82 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].name, "fig1_locks");
         assert_eq!(a[0].table.to_csv(), b[0].table.to_csv());
+    }
+
+    /// The batch artifacts the batch-engine golden pins.
+    const BATCH_ARTIFACTS: [&str; 7] = [
+        "workdist",
+        "scaletable",
+        "fig1c",
+        "fig1d",
+        "fig2",
+        "abl-sched",
+        "abl-heap",
+    ];
+
+    /// The batch engine's event count and simulated wall time for every
+    /// unique run behind [`BATCH_ARTIFACTS`], one row per run naming the
+    /// artifacts that share it, then each artifact's rendered tables.
+    fn batch_engine_csv(p: &ExpParams) -> String {
+        let mut labelled: Vec<(&str, &str, RunSpec)> = Vec::new();
+        for &artifact in &BATCH_ARTIFACTS[..5] {
+            let specs = campaign_units(artifact, p).unwrap().unwrap();
+            labelled.extend(specs.into_iter().map(|s| (artifact, "baseline", s)));
+        }
+        for (artifact, variants) in [
+            ("abl-sched", biased_sched_variants(p.seed).unwrap()),
+            ("abl-heap", heaplet_variants(p.seed).unwrap()),
+        ] {
+            let specs = variant_specs("xalan", p, &variants).unwrap();
+            labelled.extend(specs.into_iter().map(|(v, s)| (artifact, v, s)));
+        }
+
+        // (memo key, variant, artifacts, spec), in first-occurrence order.
+        let mut unique: Vec<(u64, &str, Vec<&str>, RunSpec)> = Vec::new();
+        for (artifact, variant, spec) in labelled {
+            let key = spec.memo_key();
+            match unique.iter_mut().find(|u| u.0 == key) {
+                Some(u) if u.2.contains(&artifact) => {}
+                Some(u) => u.2.push(artifact),
+                None => unique.push((key, variant, vec![artifact], spec)),
+            }
+        }
+        let specs: Vec<RunSpec> = unique.iter().map(|u| u.3.clone()).collect();
+        let reports = run_all(&specs);
+        let mut csv = String::from("app,threads,variant,events,wall_ns,artifacts\n");
+        for ((_, variant, artifacts, _), r) in unique.iter().zip(&reports) {
+            csv += &format!(
+                "{},{},{},{},{},{}\n",
+                r.app,
+                r.threads,
+                variant,
+                r.events_processed,
+                r.wall_time.as_nanos(),
+                artifacts.join(" ")
+            );
+        }
+        for artifact in BATCH_ARTIFACTS {
+            for t in artifact_tables(artifact, p).unwrap().unwrap() {
+                csv += &format!("\n# {}\n{}", t.name, t.table.to_csv());
+            }
+        }
+        csv
+    }
+
+    /// Pins the batch engine itself, not only the tables rendered from
+    /// it: a change to event order or work-item generation moves the
+    /// event count or the simulated wall of some run.
+    #[test]
+    fn batch_engine_matches_its_golden() {
+        let p = ExpParams::quick()
+            .with_scale(0.02)
+            .with_threads(vec![4, 16, 48]);
+        let golden = include_str!("../goldens/batch_engine.csv");
+        assert_eq!(
+            batch_engine_csv(&p),
+            golden,
+            "batch engine drifted from its golden"
+        );
     }
 
     #[test]

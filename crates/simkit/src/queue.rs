@@ -26,12 +26,26 @@
 //!   ids from ever matching again.
 //! * **Live head.** Tombstones are dropped lazily, but never left on top:
 //!   `cancel` and `pop` discard dead entries from the head of the heap, so
-//!   the head is always the earliest live event and
-//!   [`EventQueue::peek_time`] is one `peek` — O(1) however many events
-//!   (or tombstones) are pending. The server engine peeks before every
-//!   pop to stop at its horizon, so a linear peek would cost it a scan
-//!   of its whole pending set per event. Dropping a dead head at cancel
-//!   time is the same heap pop the next `pop` would otherwise have done.
+//!   the head is always the heap's earliest live event and
+//!   [`EventQueue::peek_time`] is one read of the front slot (below) or
+//!   one `peek` — O(1) however many events (or tombstones) are pending.
+//!   The server engine peeks before every pop to stop at its horizon, so
+//!   a linear peek would cost it a scan of its whole pending set per
+//!   event. Dropping a dead head at cancel time is the same heap pop the
+//!   next `pop` would otherwise have done.
+//! * **Front slot.** The earliest pending entry is often held outside
+//!   the heap in a one-entry slot. `schedule_at` puts a new entry there
+//!   when it sorts below everything pending (below the heap head, and
+//!   below the slot's occupant, which then moves into the heap), so a
+//!   thread's own next step — typically due before any other thread's —
+//!   is delivered by `pop` without a heap push or pop. Invariant: an
+//!   occupied slot sorts below the heap head. Cancelling the occupant
+//!   just empties the slot. Ties stay FIFO because the slot compares
+//!   full `(time, seq)` keys: a new entry's seq is larger than every
+//!   pending one, so an entry due at the same instant as a pending one
+//!   never sorts below it and queues behind it in the heap. The slot
+//!   holds internal time like the heap, so `shift_all` leaves it alone.
+//!   [`EventQueue::front_hits`] counts the pops it served.
 //! * **Epoch-offset time shifting.** The heap orders entries by *internal*
 //!   time (external time minus the accumulated shift at schedule time).
 //!   [`EventQueue::shift_all`] just advances the queue-global offset and
@@ -111,6 +125,10 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// The earliest pending entry, when it was scheduled below everything
+    /// else pending. Invariant: if occupied, it is live and sorts below
+    /// the heap head.
+    front: Option<Entry<E>>,
     /// Pending entries plus lazily-dropped tombstones. Invariant: the
     /// head, if any, is live (see [`Self::drop_dead_head`]).
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -128,6 +146,7 @@ pub struct EventQueue<E> {
     next_seq: u64,
     scheduled_total: u64,
     popped_total: u64,
+    front_hits: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -141,6 +160,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
+            front: None,
             heap: BinaryHeap::new(),
             stamps: Vec::new(),
             free: Vec::new(),
@@ -150,6 +170,7 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             scheduled_total: 0,
             popped_total: 0,
+            front_hits: 0,
         }
     }
 
@@ -185,16 +206,27 @@ impl<E> EventQueue<E> {
         let id = EventId { slot, generation };
         // `now >= offset` always (both advance together in shift_all and
         // `now` also advances on pops), so `at - offset` cannot underflow.
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             time: at - self.offset,
             seq: self.next_seq,
             slot,
             generation,
             payload,
-        }));
+        };
+        match &self.front {
+            Some(front) if entry < *front => {
+                let old = self.front.replace(entry).expect("occupied front slot");
+                self.heap.push(Reverse(old));
+            }
+            None if self.heap.peek().is_none_or(|Reverse(head)| entry < *head) => {
+                self.front = Some(entry);
+            }
+            _ => self.heap.push(Reverse(entry)),
+        }
         self.live += 1;
         self.next_seq += 1;
         self.scheduled_total += 1;
+        debug_assert!(self.front_sorts_first(), "front slot above the heap head");
         id
     }
 
@@ -221,6 +253,16 @@ impl<E> EventQueue<E> {
         self.live -= 1;
     }
 
+    /// The front-slot invariant: an occupant is live and sorts below the
+    /// heap head.
+    fn front_sorts_first(&self) -> bool {
+        let Some(front) = &self.front else {
+            return true;
+        };
+        self.is_live(front.slot, front.generation)
+            && self.heap.peek().is_none_or(|Reverse(head)| front < head)
+    }
+
     /// Restores the live-head invariant by discarding tombstones from the
     /// top of the heap. Each tombstone is discarded exactly once, so this
     /// is amortized O(log n) per cancellation.
@@ -241,23 +283,38 @@ impl<E> EventQueue<E> {
         if !self.is_live(id.slot, id.generation) {
             return false; // already fired, or already cancelled
         }
-        // Tombstone; the heap entry is dropped once it reaches the top,
-        // which may be right now.
         self.retire(id.slot);
-        self.drop_dead_head();
+        if self.front.as_ref().is_some_and(|f| f.slot == id.slot) {
+            // A live slot names one pending entry, so this is it.
+            self.front = None;
+        } else {
+            // Tombstone; the heap entry is dropped once it reaches the
+            // top, which may be right now.
+            self.drop_dead_head();
+        }
+        debug_assert!(self.front_sorts_first(), "front slot above the heap head");
         true
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        debug_assert!(
-            self.is_live(entry.slot, entry.generation),
-            "tombstone at the head of the event queue"
-        );
-        self.retire(entry.slot);
-        self.drop_dead_head();
+        let entry = if let Some(front) = self.front.take() {
+            // The heap head is untouched, so it is still live.
+            self.front_hits += 1;
+            self.retire(front.slot);
+            front
+        } else {
+            let Reverse(entry) = self.heap.pop()?;
+            debug_assert!(
+                self.is_live(entry.slot, entry.generation),
+                "tombstone at the head of the event queue"
+            );
+            self.retire(entry.slot);
+            self.drop_dead_head();
+            entry
+        };
+        debug_assert!(self.front_sorts_first(), "front slot above the heap head");
         let at = entry.time + self.offset;
         debug_assert!(at >= self.now, "event queue clock went backwards");
         self.now = at;
@@ -270,9 +327,11 @@ impl<E> EventQueue<E> {
     /// Does not advance the clock.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
-            .peek()
-            .map(|Reverse(head)| head.time + self.offset)
+        let head = match &self.front {
+            Some(front) => front,
+            None => &self.heap.peek()?.0,
+        };
+        Some(head.time + self.offset)
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -297,6 +356,13 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn popped_total(&self) -> u64 {
         self.popped_total
+    }
+
+    /// Deliveries served by the front slot, without touching the heap,
+    /// over the queue's lifetime (diagnostics).
+    #[must_use]
+    pub fn front_hits(&self) -> u64 {
+        self.front_hits
     }
 
     /// Moves every pending event later by `delta` and advances the clock by
@@ -332,6 +398,13 @@ impl<E> fmt::Display for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E> EventQueue<E> {
+        /// Entries held, tombstones included: the heap plus the slot.
+        fn held(&self) -> usize {
+            self.heap.len() + usize::from(self.front.is_some())
+        }
+    }
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_nanos(n)
@@ -452,26 +525,103 @@ mod tests {
         let ids: Vec<_> = (0..10).map(|i| q.schedule_at(ns(10 * i), i)).collect();
         // A tombstone below the head stays until it surfaces...
         assert!(q.cancel(ids[5]));
-        assert_eq!(q.heap.len(), 10);
+        assert_eq!(q.held(), 10);
         // ...and a cancelled head goes at once, with every tombstone
         // directly beneath it.
         assert!(q.cancel(ids[1]));
         assert!(q.cancel(ids[2]));
         assert!(q.cancel(ids[0]));
-        assert_eq!(q.heap.len(), 7);
+        assert_eq!(q.held(), 7);
         assert_eq!(q.peek_time(), Some(ns(30)));
         for expect in [3, 4] {
             assert_eq!(q.pop().map(|(_, e)| e), Some(expect));
         }
         // Popping 4 surfaced the tombstone for 5.
-        assert_eq!(q.heap.len(), 4);
+        assert_eq!(q.held(), 4);
         assert_eq!(q.peek_time(), Some(ns(60)));
         for id in &ids[6..] {
             assert!(q.cancel(*id));
         }
-        assert!(q.heap.is_empty());
+        assert_eq!(q.held(), 0);
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn an_entry_due_first_takes_the_empty_slot() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(20), "b");
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("b"));
+        q.schedule_at(ns(30), "c");
+        assert_eq!(q.heap.len(), 1, "later entries go to the heap");
+        assert_eq!(q.pop(), Some((ns(20), "b")));
+        assert!(q.front.is_none());
+        // Below the heap head (30): the emptied slot takes it.
+        q.schedule_at(ns(25), "a");
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!(q.peek_time(), Some(ns(25)));
+        assert_eq!(q.pop(), Some((ns(25), "a")));
+        assert_eq!(q.pop(), Some((ns(30), "c")));
+        assert_eq!(q.front_hits(), 2);
+        assert_eq!(q.popped_total(), 3);
+    }
+
+    #[test]
+    fn an_earlier_entry_displaces_the_occupant_into_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(20), "b");
+        q.schedule_at(ns(10), "a");
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!(q.heap.len(), 1, "the occupant moved into the heap");
+        assert_eq!(q.pop(), Some((ns(10), "a")));
+        assert_eq!(q.pop(), Some((ns(20), "b")));
+        assert_eq!(q.front_hits(), 1);
+    }
+
+    #[test]
+    fn cancelling_the_occupant_empties_the_slot() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(ns(10), "a");
+        q.schedule_at(ns(20), "b");
+        assert!(q.cancel(a));
+        assert!(q.front.is_none());
+        assert_eq!(q.held(), 1, "no tombstone is left behind");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(ns(20)));
+        assert_eq!(q.pop(), Some((ns(20), "b")));
+        assert_eq!(q.front_hits(), 0);
+        assert!(!q.cancel(a));
+    }
+
+    #[test]
+    fn shift_all_keeps_an_occupied_slot_first_and_ties_fifo() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(10), "a"); // slot
+        q.schedule_at(ns(10), "b"); // heap, behind a
+        q.shift_all(dur(5));
+        assert_eq!(q.peek_time(), Some(ns(15)));
+        q.schedule_at(ns(15), "c"); // same shifted instant: behind both
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!(q.pop(), Some((ns(15), "a")));
+        assert_eq!(q.pop(), Some((ns(15), "b")));
+        assert_eq!(q.pop(), Some((ns(15), "c")));
+        assert_eq!(q.front_hits(), 1);
+    }
+
+    #[test]
+    fn a_same_time_entry_queues_behind_the_head() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(10), "a"); // slot
+        q.schedule_at(ns(10), "b"); // ties never displace the occupant
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!(q.pop(), Some((ns(10), "a")));
+        // The slot is empty and b heads the heap: a new entry at b's
+        // instant sorts after b, so it stays out of the slot.
+        q.schedule_now("c");
+        assert!(q.front.is_none());
+        assert_eq!(q.pop(), Some((ns(10), "b")));
+        assert_eq!(q.pop(), Some((ns(10), "c")));
+        assert_eq!(q.front_hits(), 1);
     }
 
     #[test]

@@ -99,6 +99,9 @@ impl AppModel for SyntheticApp {
     fn make_item(&self, rng: &mut StdRng) -> WorkItem {
         self.spec.make_item(rng)
     }
+    fn make_item_reusing(&self, rng: &mut StdRng, old: WorkItem) -> WorkItem {
+        self.spec.make_item_reusing(rng, old)
+    }
 }
 
 const KIB: u64 = 1 << 10;

@@ -111,41 +111,47 @@ pub struct WorkItem {
 }
 
 impl WorkItem {
-    /// Creates an item after validating slot discipline.
+    /// Creates an item after validating slot discipline, in O(steps)
+    /// with two 256-bit slot sets.
     ///
     /// # Panics
     ///
     /// Panics if a `KillSlot` precedes its `Alloc`, targets a never-
     /// allocated slot, a slot is allocated or killed twice, or a slot
-    /// allocation is never killed (use [`DeathPoint::ItemEnd`] for that).
+    /// allocation is never killed (use [`DeathPoint::ItemEnd`] for that;
+    /// the message names the lowest such slot).
     #[must_use]
     pub fn new(steps: Vec<Step>) -> Self {
-        let mut allocated = [false; 256];
-        let mut killed = [false; 256];
+        let mut allocated = SlotSet::default();
+        let mut killed = SlotSet::default();
         for step in &steps {
             match *step {
                 Step::Alloc {
                     death: DeathPoint::Slot(s),
                     ..
                 } => {
-                    assert!(!allocated[s as usize], "slot {s} allocated twice");
-                    allocated[s as usize] = true;
+                    assert!(allocated.insert(s), "slot {s} allocated twice");
                 }
                 Step::KillSlot(s) => {
-                    assert!(allocated[s as usize], "KillSlot({s}) without a prior Alloc");
-                    assert!(!killed[s as usize], "slot {s} killed twice");
-                    killed[s as usize] = true;
+                    assert!(allocated.contains(s), "KillSlot({s}) without a prior Alloc");
+                    assert!(killed.insert(s), "slot {s} killed twice");
                 }
                 _ => {}
             }
         }
-        for s in 0..256 {
-            assert!(
-                allocated[s] == killed[s],
-                "slot {s} allocated but never killed (use DeathPoint::ItemEnd instead)"
-            );
+        // Every kill found its alloc, so `killed` is a subset of
+        // `allocated` and the difference is the unkilled slots.
+        if let Some(s) = allocated.lowest_outside(&killed) {
+            panic!("slot {s} allocated but never killed (use DeathPoint::ItemEnd instead)");
         }
         WorkItem { steps }
+    }
+
+    /// The item's step buffer, for a generator to clear and refill (see
+    /// [`crate::AppModel::make_item_reusing`]).
+    #[must_use]
+    pub fn into_steps(self) -> Vec<Step> {
+        self.steps
     }
 
     /// The steps in execution order.
@@ -208,6 +214,37 @@ impl WorkItem {
             .iter()
             .filter(|s| matches!(s, Step::Critical { .. }))
             .count()
+    }
+}
+
+/// A set of the 256 item slots, one bit each.
+#[derive(Default)]
+struct SlotSet([u64; 4]);
+
+impl SlotSet {
+    fn contains(&self, slot: u8) -> bool {
+        self.0[usize::from(slot / 64)] & (1 << (slot % 64)) != 0
+    }
+
+    /// Adds `slot`; `false` if it was already present.
+    fn insert(&mut self, slot: u8) -> bool {
+        let word = &mut self.0[usize::from(slot / 64)];
+        let bit = 1 << (slot % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// The lowest slot in `self` but not in `other`.
+    fn lowest_outside(&self, other: &SlotSet) -> Option<usize> {
+        self.0
+            .iter()
+            .zip(&other.0)
+            .enumerate()
+            .find_map(|(w, (a, b))| {
+                let only = a & !b;
+                (only != 0).then(|| w * 64 + only.trailing_zeros() as usize)
+            })
     }
 }
 
@@ -299,6 +336,70 @@ mod tests {
             Step::KillSlot(0),
             Step::KillSlot(0),
         ]);
+    }
+
+    fn alloc(slot: u8) -> Step {
+        Step::Alloc {
+            bytes: 1,
+            death: DeathPoint::Slot(slot),
+        }
+    }
+
+    #[test]
+    fn slots_in_every_bitset_word_validate() {
+        let slots = [0u8, 63, 64, 200, 255];
+        let mut steps: Vec<Step> = slots.iter().map(|&s| alloc(s)).collect();
+        steps.extend(slots.iter().rev().map(|&s| Step::KillSlot(s)));
+        assert_eq!(WorkItem::new(steps).alloc_count(), slots.len());
+    }
+
+    #[test]
+    fn violations_are_caught_in_every_bitset_word() {
+        for s in [0u8, 63, 64, 200, 255] {
+            let cases: [(Vec<Step>, String); 4] = [
+                (
+                    vec![Step::KillSlot(s)],
+                    format!("KillSlot({s}) without a prior Alloc"),
+                ),
+                (
+                    vec![alloc(s), Step::KillSlot(s), alloc(s)],
+                    format!("slot {s} allocated twice"),
+                ),
+                (
+                    vec![alloc(s), Step::KillSlot(s), Step::KillSlot(s)],
+                    format!("slot {s} killed twice"),
+                ),
+                (
+                    vec![alloc(s)],
+                    format!("slot {s} allocated but never killed"),
+                ),
+            ];
+            for (steps, expected) in cases {
+                let err = std::panic::catch_unwind(|| WorkItem::new(steps)).unwrap_err();
+                let msg = err.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains(&expected), "{msg:?} lacks {expected:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "slot 64 allocated but never killed (use DeathPoint::ItemEnd instead)"
+    )]
+    fn unkilled_slot_panic_names_the_lowest_slot() {
+        let _ = WorkItem::new(vec![
+            alloc(200),
+            alloc(3),
+            alloc(64),
+            alloc(255),
+            Step::KillSlot(3),
+        ]);
+    }
+
+    #[test]
+    fn into_steps_returns_the_buffer() {
+        let steps = vec![alloc(9), Step::KillSlot(9)];
+        assert_eq!(WorkItem::new(steps.clone()).into_steps(), steps);
     }
 
     #[test]

@@ -77,4 +77,12 @@ pub trait AppModel: std::fmt::Debug {
     fn lock_classes(&self) -> &[LockClass];
     /// Generates the next work item from the caller's RNG stream.
     fn make_item(&self, rng: &mut StdRng) -> WorkItem;
+    /// Generates the next work item like [`AppModel::make_item`], free to
+    /// reuse `old`'s step buffer (a finished item the caller no longer
+    /// needs). Must return the item `make_item` would. The default
+    /// drops `old` and calls `make_item`.
+    fn make_item_reusing(&self, rng: &mut StdRng, old: WorkItem) -> WorkItem {
+        drop(old);
+        self.make_item(rng)
+    }
 }

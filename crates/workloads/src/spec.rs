@@ -202,7 +202,17 @@ impl AppSpec {
     /// CPU time.
     #[must_use]
     pub fn make_item(&self, rng: &mut StdRng) -> WorkItem {
-        let mut steps = Vec::new();
+        self.make_item_reusing(rng, WorkItem::default())
+    }
+
+    /// Generates one work item into `old`'s step buffer, which is cleared
+    /// first: the same draws in the same order as [`AppSpec::make_item`],
+    /// so the same item, without allocating once the buffer has grown to
+    /// the app's item size.
+    #[must_use]
+    pub fn make_item_reusing(&self, rng: &mut StdRng, old: WorkItem) -> WorkItem {
+        let mut steps = old.into_steps();
+        steps.clear();
         let target = SimDuration::from_nanos(range_sample(rng, self.compute_ns));
         let mut used = SimDuration::ZERO;
 
@@ -233,24 +243,27 @@ impl AppSpec {
         // interleaved among the temporaries (as lock operations are in
         // real code) rather than clustered at the end — under contention
         // a monitor wait then stretches in-flight temporaries' lifespans.
-        let mut criticals: Vec<Step> = Vec::new();
+        // They are staged at the buffer's tail, copied into place as the
+        // temporaries reach them, and the staged run is drained last.
+        let staged = steps.len();
         for crit in &self.criticals {
             if rng.gen_bool(crit.probability) {
-                criticals.push(Step::Critical {
+                steps.push(Step::Critical {
                     class: crit.class,
                     held: SimDuration::from_nanos(range_sample(rng, crit.held_ns)),
                 });
             }
         }
+        let crit_count = steps.len() - staged;
         let total_temps: u32 = self.temps.iter().map(|c| c.count).sum();
-        let crit_stride = if criticals.is_empty() {
+        let crit_stride = if crit_count == 0 {
             u32::MAX
         } else {
-            (total_temps / (criticals.len() as u32 + 1)).max(1)
+            (total_temps / (crit_count as u32 + 1)).max(1)
         };
 
         // Temporaries with explicit use gaps, criticals interleaved.
-        let mut criticals = criticals.into_iter();
+        let mut next_crit = staged;
         let mut slot: u8 = 0;
         let mut since_crit = 0u32;
         for class in &self.temps {
@@ -269,13 +282,15 @@ impl AppSpec {
                 since_crit += 1;
                 if since_crit >= crit_stride {
                     since_crit = 0;
-                    if let Some(crit) = criticals.next() {
-                        steps.push(crit);
+                    if next_crit < staged + crit_count {
+                        steps.push(steps[next_crit]);
+                        next_crit += 1;
                     }
                 }
             }
         }
-        steps.extend(criticals);
+        steps.extend_from_within(next_crit..staged + crit_count);
+        steps.drain(staged..staged + crit_count);
 
         if used < target {
             steps.push(Step::Compute(target - used));
@@ -386,6 +401,22 @@ mod tests {
         let a = spec.make_item(&mut rng());
         let b = spec.make_item(&mut rng());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn make_item_reusing_matches_make_item_for_every_app() {
+        for app in crate::all_apps() {
+            let spec = app.spec();
+            let mut fresh_rng = rng();
+            let mut reused_rng = rng();
+            // A dirty buffer from a different app's shape.
+            let mut item = test_spec().make_item(&mut StdRng::seed_from_u64(1));
+            for i in 0..2000 {
+                let fresh = spec.make_item(&mut fresh_rng);
+                item = spec.make_item_reusing(&mut reused_rng, item);
+                assert_eq!(item, fresh, "{} item {i}", spec.name);
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@ echo '== cargo build --release'
 cargo build --release --workspace
 echo '== cargo test -q'
 cargo test -q
+echo '== goldens under release optimizations (the build perfbench measures)'
+cargo test --release -q -p scalesim-experiments --lib golden
 echo '== chaos self-validation (debug assertions)'
 cargo test -q --test chaos
 echo '== chaos CLI smoke (env-driven faults + budget must exit 0)'

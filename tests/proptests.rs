@@ -7,6 +7,8 @@
 //! case seed to rerun. There is no shrinking — cases are kept small
 //! enough to debug directly.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,11 +45,15 @@ fn sample_vec(rng: &mut StdRng, max_value: u64, len: std::ops::Range<usize>) -> 
 // Event queue vs. two reference models
 // ---------------------------------------------------------------------
 
-/// The slab queue against a plain sorted-`Vec` model (no shifting):
-/// schedule/cancel/pop/peek agree with `(time, insertion order)`
-/// semantics, including when the cancelled event is the head.
+/// The slab queue against a plain sorted-`Vec` model:
+/// schedule/cancel/pop/peek/`shift_all` agree with `(time, insertion
+/// order)` semantics, including when the cancelled event is the head.
+/// Across the cases both delivery paths serve pops: the front slot and
+/// the heap.
 #[test]
 fn event_queue_matches_vec_model() {
+    let front_pops = AtomicU64::new(0);
+    let heap_pops = AtomicU64::new(0);
     for_cases(256, |rng| {
         let mut queue: EventQueue<usize> = EventQueue::new();
         // Reference: (absolute time, insertion order, payload), popped in
@@ -57,7 +63,7 @@ fn event_queue_matches_vec_model() {
         let mut now = 0u64;
 
         for op in 0..rng.gen_range(0usize..200) {
-            match rng.gen_range(0u32..4) {
+            match rng.gen_range(0u32..5) {
                 0 => {
                     let at = now + rng.gen_range(0u64..1000);
                     let id = queue.schedule_at(SimTime::from_nanos(at), op);
@@ -84,6 +90,15 @@ fn event_queue_matches_vec_model() {
                     assert!(queue.cancel(id));
                     model.retain(|&(_, o, _)| o != ord);
                 }
+                // A pause: every pending time and the clock move by delta.
+                3 => {
+                    let delta = rng.gen_range(0u64..500);
+                    queue.shift_all(SimDuration::from_nanos(delta));
+                    for entry in &mut model {
+                        entry.0 += delta;
+                    }
+                    now += delta;
+                }
                 _ => {
                     model.sort_unstable();
                     let expected = if model.is_empty() {
@@ -104,13 +119,18 @@ fn event_queue_matches_vec_model() {
                 }
             }
             assert_eq!(queue.len(), model.len());
+            assert_eq!(queue.now(), SimTime::from_nanos(now));
             let head = model
                 .iter()
                 .min()
                 .map(|&(at, _, _)| SimTime::from_nanos(at));
             assert_eq!(queue.peek_time(), head);
         }
+        front_pops.fetch_add(queue.front_hits(), Ordering::Relaxed);
+        heap_pops.fetch_add(queue.popped_total() - queue.front_hits(), Ordering::Relaxed);
     });
+    assert!(front_pops.into_inner() > 0, "no pop took the front slot");
+    assert!(heap_pops.into_inner() > 0, "no pop took the heap");
 }
 
 /// The slab queue against the retired `BinaryHeap`+`HashSet`
