@@ -3,12 +3,12 @@
 //!
 //! The measurements, all on one process:
 //!
-//! 1. **Queue microbench** — the slab [`EventQueue`] vs. the retained
-//!    [`BaselineQueue`] (the pre-overhaul `BinaryHeap` + `HashSet`
-//!    implementation) on an identical schedule/cancel/pop/`shift_all`
-//!    churn, reported as events per second each.
-//! 2. **Memoized sweep** — every figure driver back to back on a cold
-//!    cache, the production configuration. `sweep_wall_ms` and
+//! 1. **Queue microbench** — the slab [`EventQueue`] on a
+//!    schedule/cancel/pop/`shift_all` churn, reported as events per
+//!    second.
+//! 2. **Memoized sweep** — every paper artifact of the registry
+//!    ([`ARTIFACTS`] without the `ext-*` extensions) back to back on a
+//!    cold cache, the production configuration. `sweep_wall_ms` and
 //!    `events_per_sec` (unique simulated events / wall) come from here.
 //! 3. **Unmemoized sweep** — the same drivers with `SCALESIM_NO_MEMO=1`,
 //!    i.e. what the harness did before runs were shared across figures.
@@ -78,78 +78,60 @@ use scalesim_bench::bench_params;
 use scalesim_core::{Jvm, JvmConfig, TraceConfig};
 use scalesim_experiments::campaign::{self, CampaignSpec};
 use scalesim_experiments::{
-    cached_event_total, checkpoint, clear_run_cache, run_analytics, run_biased_sched,
-    run_cache_size, run_fig1_locks, run_fig1c, run_fig1d, run_fig2, run_heaplets, run_scalability,
-    run_workdist, take_run_manifests, take_sweep_failures, ExpParams,
+    artifact_tables, cached_event_total, checkpoint, clear_run_cache, run_analytics,
+    run_cache_size, run_scalability, take_run_manifests, take_sweep_failures, ExpParams, ARTIFACTS,
 };
-use scalesim_simkit::baseline::BaselineQueue;
 use scalesim_simkit::{EventQueue, SimDuration};
 use scalesim_workloads::{xalan, ServerSpec};
 
-/// Events delivered by the queue churn below (identical for both
-/// implementations).
+/// Events delivered by the queue churn below.
 const CHURN_EVENTS: u64 = 2_000_000;
 
-/// One schedule/cancel/pop/shift churn step, generic over the queue via
-/// closures so both implementations run byte-identical op sequences.
-macro_rules! churn {
-    ($queue:expr) => {{
-        let q = &mut $queue;
-        // Keep ~1k events pending; cancel every 8th; STW-shift every 64
-        // pops — the mix the simulator's GC safepoints produce.
-        let mut ids = Vec::with_capacity(1024);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64; // splitmix-ish op stream
-        let mut delivered = 0u64;
-        for i in 0..1024u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ids.push(q.schedule_at(q.now() + SimDuration::from_nanos(x % 10_000), i));
-        }
-        while delivered < CHURN_EVENTS {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            if x % 8 == 0 && q.len() > 512 {
-                if let Some(id) = ids.pop() {
-                    black_box(q.cancel(id));
-                }
-            }
-            let (_, payload) = q.pop().expect("queue kept topped up");
-            delivered += 1;
-            if delivered % 64 == 0 {
-                q.shift_all(SimDuration::from_nanos(x % 500));
-            }
-            ids.push(q.schedule_at(q.now() + SimDuration::from_nanos(x % 10_000), payload));
-        }
-        black_box(q.now());
-    }};
-}
-
+/// Events per second of the slab queue on a schedule/cancel/pop/shift
+/// churn: ~1k events pending, every 8th step cancels, every 64th pop
+/// shifts all pending times (the mix the simulator's GC safepoints
+/// produce).
 fn queue_events_per_sec_slab() -> f64 {
     let mut q: EventQueue<u64> = EventQueue::new();
     let start = Instant::now();
-    churn!(q);
+    let mut ids = Vec::with_capacity(1024);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64; // splitmix-ish op stream
+    let mut delivered = 0u64;
+    for i in 0..1024u64 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ids.push(q.schedule_at(q.now() + SimDuration::from_nanos(x % 10_000), i));
+    }
+    while delivered < CHURN_EVENTS {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if x.is_multiple_of(8) && q.len() > 512 {
+            if let Some(id) = ids.pop() {
+                black_box(q.cancel(id));
+            }
+        }
+        let (_, payload) = q.pop().expect("queue kept topped up");
+        delivered += 1;
+        if delivered.is_multiple_of(64) {
+            q.shift_all(SimDuration::from_nanos(x % 500));
+        }
+        ids.push(q.schedule_at(q.now() + SimDuration::from_nanos(x % 10_000), payload));
+    }
+    black_box(q.now());
     CHURN_EVENTS as f64 / start.elapsed().as_secs_f64()
 }
 
-fn queue_events_per_sec_baseline() -> f64 {
-    let mut q: BaselineQueue<u64> = BaselineQueue::new();
-    let start = Instant::now();
-    churn!(q);
-    CHURN_EVENTS as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Every figure driver, back to back — "the full figure sweep".
+/// The paper's artifacts, back to back — "the full figure sweep".
 fn figure_sweep(params: &ExpParams) {
-    black_box(run_workdist(params).expect("workdist"));
-    black_box(run_scalability(params).expect("scaletable"));
-    black_box(run_fig1_locks(params).expect("fig1ab"));
-    black_box(run_fig1c(params).expect("fig1c"));
-    black_box(run_fig1d(params).expect("fig1d"));
-    black_box(run_fig2(params).expect("fig2"));
-    black_box(run_biased_sched("xalan", params).expect("abl-sched"));
-    black_box(run_heaplets("xalan", params).expect("abl-heap"));
+    for a in ARTIFACTS.iter().filter(|a| !a.id.starts_with("ext-")) {
+        black_box(
+            artifact_tables(a.id, params)
+                .expect("registry id")
+                .expect(a.id),
+        );
+    }
 }
 
 fn sweep_wall_ms(params: &ExpParams) -> f64 {
@@ -266,15 +248,9 @@ fn main() {
     let params = bench_params();
     assert_eq!(params.seed, 42, "benchmark seed must stay pinned");
 
-    eprintln!("queue churn: {CHURN_EVENTS} events each on slab and baseline queues");
+    eprintln!("queue churn: {CHURN_EVENTS} events on the slab queue");
     let slab = queue_events_per_sec_slab();
-    let base = queue_events_per_sec_baseline();
-    eprintln!("  slab     {:.2} M events/s", slab / 1e6);
-    eprintln!(
-        "  baseline {:.2} M events/s  (speedup {:.2}x)",
-        base / 1e6,
-        slab / base
-    );
+    eprintln!("  {:.2} M events/s", slab / 1e6);
 
     eprintln!("figure sweep (memoized, cold cache)...");
     std::env::remove_var("SCALESIM_NO_MEMO");
@@ -577,7 +553,7 @@ fn main() {
     eprintln!("  analytics overhead {analytics_overhead_pct:.1}% (budget <= 3%)");
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"events_per_sec\": {eps:.0},\n  \"sweep_wall_ms\": {memo:.1},\n  \"sweep_wall_ms_nomemo\": {nomemo:.1},\n  \"sweep_wall_ms_checkpoint\": {ckpt:.1},\n  \"checkpoint_overhead_pct\": {ckpt_pct:.2},\n  \"memo_speedup\": {mspeed:.2},\n  \"unique_runs\": {runs},\n  \"events_simulated\": {events},\n  \"queue_events_per_sec_slab\": {qslab:.0},\n  \"queue_events_per_sec_baseline\": {qbase:.0},\n  \"queue_speedup\": {qspeed:.2},\n  \"server_events_per_sec\": {srv_eps:.0},\n  \"events_per_sec_monitors_on\": {mon_on:.0},\n  \"events_per_sec_monitors_off\": {mon_off:.0},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"events_per_sec_trace_off\": {troff:.0},\n  \"events_per_sec_trace_on\": {tron:.0},\n  \"trace_overhead_pct\": {tr_pct:.2},\n  \"trace_off_overhead_pct\": {troff_pct:.2},\n  \"audit_overhead_pct\": {audit_pct:.2},\n  \"campaign_overhead_pct\": {camp_pct:.2},\n  \"campaign_overhead_median_pct\": {camp_med_pct:.2},\n  \"server_overhead_pct\": {srv_pct:.2},\n  \"analytics_overhead_pct\": {ana_pct:.2}\n}}\n",
+        "{{\n  \"seed\": {seed},\n  \"events_per_sec\": {eps:.0},\n  \"sweep_wall_ms\": {memo:.1},\n  \"sweep_wall_ms_nomemo\": {nomemo:.1},\n  \"sweep_wall_ms_checkpoint\": {ckpt:.1},\n  \"checkpoint_overhead_pct\": {ckpt_pct:.2},\n  \"memo_speedup\": {mspeed:.2},\n  \"unique_runs\": {runs},\n  \"events_simulated\": {events},\n  \"queue_events_per_sec_slab\": {qslab:.0},\n  \"server_events_per_sec\": {srv_eps:.0},\n  \"events_per_sec_monitors_on\": {mon_on:.0},\n  \"events_per_sec_monitors_off\": {mon_off:.0},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"events_per_sec_trace_off\": {troff:.0},\n  \"events_per_sec_trace_on\": {tron:.0},\n  \"trace_overhead_pct\": {tr_pct:.2},\n  \"trace_off_overhead_pct\": {troff_pct:.2},\n  \"audit_overhead_pct\": {audit_pct:.2},\n  \"campaign_overhead_pct\": {camp_pct:.2},\n  \"campaign_overhead_median_pct\": {camp_med_pct:.2},\n  \"server_overhead_pct\": {srv_pct:.2},\n  \"analytics_overhead_pct\": {ana_pct:.2}\n}}\n",
         seed = params.seed,
         eps = events_per_sec,
         memo = memo_ms,
@@ -588,8 +564,6 @@ fn main() {
         runs = runs,
         events = events,
         qslab = slab,
-        qbase = base,
-        qspeed = slab / base,
         srv_eps = server_events_per_sec,
         mon_on = mon.variant_eps,
         mon_off = mon.base_eps,

@@ -18,10 +18,9 @@ use scalesim_core::{JvmConfig, RunOutcome, RunReport, SimError};
 use scalesim_metrics::{fmt2, fmt_pct, Table};
 use scalesim_sched::SchedPolicy;
 use scalesim_simkit::SimDuration;
-use scalesim_workloads::app_by_name;
 
 use crate::params::ExpParams;
-use crate::sweep::{outcome_cell, run_all, RunSpec};
+use crate::sweep::{outcome_cell, per_thread_specs, run_all, RunSpec};
 
 /// One measured configuration in an ablation.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,11 +49,11 @@ pub struct AblationRow {
 }
 
 impl AblationRow {
-    fn from_report(variant: &str, r: &RunReport) -> Self {
+    fn from_report(variant: String, r: &RunReport) -> Self {
         AblationRow {
             app: r.app.clone(),
             threads: r.threads,
-            variant: variant.to_owned(),
+            variant,
             wall: r.wall_time,
             gc: r.gc_time,
             max_pause: r.gc.max_pause(),
@@ -124,79 +123,45 @@ impl Ablation {
     }
 }
 
-/// The ablation's runs, in driver order: every thread count × every
-/// variant, each labelled with its variant.
-pub(crate) fn variant_specs<'a>(
-    app: &str,
-    params: &ExpParams,
-    variants: &[(&'a str, JvmConfig)],
-) -> Result<Vec<(&'a str, RunSpec)>, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
-    let mut specs = Vec::new();
-    for &threads in &params.thread_counts {
-        for (label, base) in variants {
-            let mut config = base.clone();
-            config.threads = threads;
-            specs.push((
-                *label,
-                RunSpec {
-                    app: model.scaled(params.scale),
-                    config,
-                },
-            ));
-        }
+/// The variant an ablation run measures, read off its configuration.
+pub(crate) fn variant_of(config: &JvmConfig) -> String {
+    match config.policy {
+        SchedPolicy::Biased { cohorts } => format!("biased-{cohorts}"),
+        SchedPolicy::Fair if config.heaplets => "heaplets".to_owned(),
+        SchedPolicy::Fair => "baseline".to_owned(),
     }
-    Ok(specs)
 }
 
-fn run_variants(
-    app: &str,
-    params: &ExpParams,
-    variants: &[(&str, JvmConfig)],
-) -> Result<Ablation, SimError> {
-    let (labels, specs): (Vec<_>, Vec<_>) =
-        variant_specs(app, params, variants)?.into_iter().unzip();
-    let reports = run_all(&specs);
-    Ok(Ablation {
-        rows: labels
+/// The study drawn from an ablation's specs and their reports.
+pub(crate) fn ablation_study(specs: &[RunSpec], reports: &[RunReport]) -> Ablation {
+    Ablation {
+        rows: specs
             .iter()
-            .zip(reports.iter())
-            .map(|(label, r)| AblationRow::from_report(label, r))
+            .zip(reports)
+            .map(|(s, r)| AblationRow::from_report(variant_of(&s.config), r))
             .collect(),
+    }
+}
+
+/// `abl-sched`'s runs: per thread count, fair scheduling, then biased
+/// cohort scheduling with 2 and 4 cohorts.
+pub(crate) fn biased_sched_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+    let policies = [
+        SchedPolicy::Fair,
+        SchedPolicy::Biased { cohorts: 2 },
+        SchedPolicy::Biased { cohorts: 4 },
+    ];
+    per_thread_specs(app, params, &policies, |cfg, policy| {
+        cfg.policy(policy);
     })
 }
 
-/// `abl-sched`'s variants: fair scheduling, then biased cohort
-/// scheduling with 2 and 4 cohorts.
-pub(crate) fn biased_sched_variants(seed: u64) -> Result<Vec<(&'static str, JvmConfig)>, SimError> {
-    Ok(vec![
-        ("baseline", JvmConfig::builder().seed(seed).build()?),
-        (
-            "biased-2",
-            JvmConfig::builder()
-                .seed(seed)
-                .policy(SchedPolicy::Biased { cohorts: 2 })
-                .build()?,
-        ),
-        (
-            "biased-4",
-            JvmConfig::builder()
-                .seed(seed)
-                .policy(SchedPolicy::Biased { cohorts: 4 })
-                .build()?,
-        ),
-    ])
-}
-
-/// `abl-heap`'s variants: a shared nursery, then per-thread heaplets.
-pub(crate) fn heaplet_variants(seed: u64) -> Result<Vec<(&'static str, JvmConfig)>, SimError> {
-    Ok(vec![
-        ("baseline", JvmConfig::builder().seed(seed).build()?),
-        (
-            "heaplets",
-            JvmConfig::builder().seed(seed).heaplets(true).build()?,
-        ),
-    ])
+/// `abl-heap`'s runs: per thread count, a shared nursery, then
+/// per-thread heaplets.
+pub(crate) fn heaplet_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+    per_thread_specs(app, params, &[false, true], |cfg, heaplets| {
+        cfg.heaplets(heaplets);
+    })
 }
 
 /// Ablation `abl-sched`: fair scheduling vs. biased cohort scheduling
@@ -207,7 +172,8 @@ pub(crate) fn heaplet_variants(seed: u64) -> Result<Vec<(&'static str, JvmConfig
 /// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
 /// configuration errors.
 pub fn run_biased_sched(app: &str, params: &ExpParams) -> Result<Ablation, SimError> {
-    run_variants(app, params, &biased_sched_variants(params.seed)?)
+    let specs = biased_sched_specs(app, params)?;
+    Ok(ablation_study(&specs, &run_all(&specs)))
 }
 
 /// Ablation `abl-heap`: shared nursery vs. per-thread heaplets on `app`.
@@ -217,7 +183,8 @@ pub fn run_biased_sched(app: &str, params: &ExpParams) -> Result<Ablation, SimEr
 /// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
 /// configuration errors.
 pub fn run_heaplets(app: &str, params: &ExpParams) -> Result<Ablation, SimError> {
-    run_variants(app, params, &heaplet_variants(params.seed)?)
+    let specs = heaplet_specs(app, params)?;
+    Ok(ablation_study(&specs, &run_all(&specs)))
 }
 
 #[cfg(test)]

@@ -1,50 +1,243 @@
-//! Artifact dispatch: one place mapping artifact ids to rendered tables.
+//! The artifact registry: one definition per artifact.
 //!
-//! Both the CLI driver and the campaign merge pass go through
-//! [`artifact_tables`], so a merged campaign renders its final tables
-//! with exactly the code a single-process run uses — the byte-identity
-//! guarantee of `campaign` rests on this sharing.
+//! [`ARTIFACTS`] lists every artifact once, in `all` order: its id, the
+//! CSV name and banner of its table, the run specs it sweeps and the
+//! renderer that draws its table from those specs and their reports.
+//! The CLI, the campaign runner and the figure benchmark all read it.
+//! [`artifact_tables`] is the one path from an id to rendered tables, and
+//! a campaign's units are the same generator's specs, so a merged
+//! campaign renders with exactly the code a single-process run uses —
+//! the byte-identity guarantee of `campaign` rests on this sharing.
 
-use scalesim_core::SimError;
+use scalesim_core::{RunReport, SimError};
 use scalesim_metrics::Table;
+use scalesim_workloads::{all_apps, scalable_apps};
 
-use crate::ablation::{run_biased_sched, run_heaplets};
-use crate::ext_locks::run_lock_algorithms;
+use crate::ablation::{ablation_study, biased_sched_specs, heaplet_specs};
+use crate::ext_locks::{lock_specs, lock_study};
 use crate::extensions::{
-    run_concurrent_old_gen, run_ergonomics, run_gc_workers, run_heap_size, run_lock_sharding,
-    run_numa_placement, run_oversubscription,
+    concurrent_specs, concurrent_table, ergo_specs, ergo_table, gc_workers_specs, gc_workers_table,
+    numa_specs, numa_table, oversub_specs, oversub_table, run_heap_size, sharding_specs,
+    sharding_table,
 };
-use crate::fig1_lifespan::{run_fig1c, run_fig1d};
-use crate::fig1_locks::run_fig1_locks;
-use crate::fig2_gc::run_fig2;
+use crate::fig1_lifespan::{lifespan_specs, lifespan_study};
+use crate::fig1_locks::fig1_locks_study;
+use crate::fig2_gc::fig2_study;
 use crate::params::ExpParams;
-use crate::scalability::run_scalability;
-use crate::server::run_server_study;
-use crate::topo::run_topology;
-use crate::workdist::run_workdist;
+use crate::scalability::scalability_study;
+use crate::server::{server_specs, server_study};
+use crate::sweep::{grid_specs, run_all, RunSpec};
+use crate::topo::{topo_specs, topo_study};
+use crate::workdist::workdist_study;
 
-/// Every artifact id `all` expands to, in execution order. `fig1b` is
-/// omitted because it renders the same table as `fig1a`.
-pub const ALL_ARTIFACTS: &[&str] = &[
-    "workdist",
-    "scaletable",
-    "fig1a",
-    "fig1c",
-    "fig1d",
-    "fig2",
-    "abl-sched",
-    "abl-heap",
-    "ext-ergo",
-    "ext-numa",
-    "ext-sharding",
-    "ext-gcworkers",
-    "ext-oversub",
-    "ext-heapsize",
-    "ext-concurrent",
-    "ext-topo",
-    "ext-server",
-    "ext-locks",
+/// Builds an artifact's run specs from the sweep parameters.
+pub type SpecsFn = fn(&ExpParams) -> Result<Vec<RunSpec>, SimError>;
+
+/// Draws an artifact's table from its specs and their reports, reading
+/// each run's label (variant, placement, shard count, …) off its spec.
+pub type RenderFn = fn(&[RunSpec], &[RunReport]) -> Table;
+
+/// How an artifact produces its table.
+#[derive(Debug, Clone, Copy)]
+pub enum Runs {
+    /// One sweep: the specs (which are also its campaign units) go
+    /// through [`run_all`] once and the renderer draws the table.
+    Sweep(SpecsFn, RenderFn),
+    /// Runs outside the sweep, so the artifact cannot run as a campaign.
+    Direct(fn(&ExpParams) -> Result<Table, SimError>),
+}
+
+/// One artifact's definition.
+#[derive(Debug)]
+pub struct Artifact {
+    /// The id the CLI and `campaign` take.
+    pub id: &'static str,
+    /// A second id naming the same artifact (`fig1b` for `fig1a`).
+    pub alias: Option<&'static str>,
+    /// CSV base name (`<csv>.csv` under `--out`).
+    pub csv: &'static str,
+    /// Human-readable banner printed above the table.
+    pub title: &'static str,
+    /// What it runs and how its table is drawn.
+    pub runs: Runs,
+}
+
+impl Artifact {
+    fn table(&self, p: &ExpParams) -> Result<Table, SimError> {
+        match self.runs {
+            Runs::Sweep(specs, render) => {
+                let specs = specs(p)?;
+                Ok(render(&specs, &run_all(&specs)))
+            }
+            Runs::Direct(run) => run(p),
+        }
+    }
+}
+
+/// Every artifact, in the order `all` runs them.
+pub const ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        id: "workdist",
+        alias: None,
+        csv: "workdist",
+        title: "Workload distribution across threads (paper SIII)",
+        runs: Runs::Sweep(
+            |p| Ok(grid_specs(&all_apps(), p)),
+            |s, r| workdist_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "scaletable",
+        alias: None,
+        csv: "scaletable",
+        title: "Scalability classification (paper SII-C)",
+        runs: Runs::Sweep(
+            |p| Ok(grid_specs(&all_apps(), p)),
+            |s, r| scalability_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "fig1a",
+        alias: Some("fig1b"),
+        csv: "fig1_locks",
+        title: "Fig 1a/1b: lock acquisitions & contentions vs threads",
+        runs: Runs::Sweep(
+            |p| Ok(grid_specs(&all_apps(), p)),
+            |s, r| fig1_locks_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "fig1c",
+        alias: None,
+        csv: "fig1c",
+        title: "Fig 1c: eclipse object-lifespan CDF",
+        runs: Runs::Sweep(
+            |p| lifespan_specs("eclipse", p),
+            |s, r| lifespan_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "fig1d",
+        alias: None,
+        csv: "fig1d",
+        title: "Fig 1d: xalan object-lifespan CDF",
+        runs: Runs::Sweep(
+            |p| lifespan_specs("xalan", p),
+            |s, r| lifespan_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "fig2",
+        alias: None,
+        csv: "fig2",
+        title: "Fig 2: mutator vs GC time decomposition (scalable apps)",
+        runs: Runs::Sweep(
+            |p| Ok(grid_specs(&scalable_apps(), p)),
+            |_, r| fig2_study(r).table(),
+        ),
+    },
+    Artifact {
+        id: "abl-sched",
+        alias: None,
+        csv: "abl_sched",
+        title: "Ablation: biased (cohort) scheduling on xalan (paper SIV.1)",
+        runs: Runs::Sweep(
+            |p| biased_sched_specs("xalan", p),
+            |s, r| ablation_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "abl-heap",
+        alias: None,
+        csv: "abl_heap",
+        title: "Ablation: compartmentalized heaplets on xalan (paper SIV.2)",
+        runs: Runs::Sweep(
+            |p| heaplet_specs("xalan", p),
+            |s, r| ablation_study(s, r).table(),
+        ),
+    },
+    Artifact {
+        id: "ext-ergo",
+        alias: None,
+        csv: "ext_ergo",
+        title: "Extension: adaptive nursery sizing on xalan (HotSpot ergonomics)",
+        runs: Runs::Sweep(|p| ergo_specs("xalan", p), ergo_table),
+    },
+    Artifact {
+        id: "ext-numa",
+        alias: None,
+        csv: "ext_numa",
+        title: "Extension: NUMA placement sensitivity on xalan",
+        runs: Runs::Sweep(|p| numa_specs("xalan", p), numa_table),
+    },
+    Artifact {
+        id: "ext-sharding",
+        alias: None,
+        csv: "ext_sharding",
+        title: "Extension: sharding xalan's dtm-cache lock",
+        runs: Runs::Sweep(
+            |p| sharding_specs("xalan", 1, p),
+            |s, r| sharding_table(1, s, r),
+        ),
+    },
+    Artifact {
+        id: "ext-gcworkers",
+        alias: None,
+        csv: "ext_gcworkers",
+        title: "Extension: parallel GC worker scaling on xalan",
+        runs: Runs::Sweep(|p| gc_workers_specs("xalan", p), gc_workers_table),
+    },
+    Artifact {
+        id: "ext-oversub",
+        alias: None,
+        csv: "ext_oversub",
+        title: "Extension: oversubscription (threads beyond 48 cores) on xalan",
+        runs: Runs::Sweep(|p| oversub_specs("xalan", p), oversub_table),
+    },
+    Artifact {
+        id: "ext-heapsize",
+        alias: None,
+        csv: "ext_heapsize",
+        title: "Extension: trace-replay heap-size sweep on xalan (3x-min-heap rule)",
+        // The recording run bypasses the sweep and the replays are not
+        // runs at all, so there are no specs to campaign over.
+        runs: Runs::Direct(|p| run_heap_size("xalan", p).map(|s| s.table())),
+    },
+    Artifact {
+        id: "ext-concurrent",
+        alias: None,
+        csv: "ext_concurrent",
+        title: "Extension: mostly-concurrent old generation on xalan",
+        runs: Runs::Sweep(|p| concurrent_specs("xalan", p), concurrent_table),
+    },
+    Artifact {
+        id: "ext-topo",
+        alias: None,
+        csv: "ext_topo",
+        title: "Extension: machine-topology sweep on xalan (AMD / Xeon / SPARC-T3)",
+        runs: Runs::Sweep(|p| topo_specs("xalan", p), |s, r| topo_study(s, r).table()),
+    },
+    Artifact {
+        id: "ext-server",
+        alias: None,
+        csv: "ext_server",
+        title: "Extension: server request workloads with overload control (metastable failure)",
+        runs: Runs::Sweep(server_specs, |s, r| server_study(s, r).table()),
+    },
+    Artifact {
+        id: "ext-locks",
+        alias: None,
+        csv: "ext_locks",
+        title: "Extension: lock algorithms (fifo / mcs / malthusian) across all apps",
+        runs: Runs::Sweep(lock_specs, |s, r| lock_study(s, r).table()),
+    },
 ];
+
+/// The artifact an id (or alias) names.
+#[must_use]
+pub fn artifact(id: &str) -> Option<&'static Artifact> {
+    ARTIFACTS.iter().find(|a| a.id == id || a.alias == Some(id))
+}
 
 /// One rendered table of an artifact: the CSV base name, the banner
 /// title, and the table itself.
@@ -58,131 +251,31 @@ pub struct ArtifactTable {
     pub table: Table,
 }
 
-fn one(
-    name: &str,
-    title: &str,
-    table: Result<Table, SimError>,
-) -> Result<Vec<ArtifactTable>, SimError> {
-    Ok(vec![ArtifactTable {
-        name: name.to_owned(),
-        title: title.to_owned(),
-        table: table?,
-    }])
-}
-
 /// Runs one artifact and renders its tables. Returns `None` for an
 /// unknown artifact id (`all` is a CLI-level loop, not an artifact).
 ///
 /// # Errors
 ///
 /// The inner result propagates any [`SimError`] from the driver.
-#[allow(clippy::too_many_lines)]
 pub fn artifact_tables(
-    artifact: &str,
+    artifact_id: &str,
     p: &ExpParams,
 ) -> Option<Result<Vec<ArtifactTable>, SimError>> {
-    let tables = match artifact {
-        "workdist" => one(
-            "workdist",
-            "Workload distribution across threads (paper SIII)",
-            run_workdist(p).map(|s| s.table()),
-        ),
-        "scaletable" => one(
-            "scaletable",
-            "Scalability classification (paper SII-C)",
-            run_scalability(p).map(|s| s.table()),
-        ),
-        "fig1a" | "fig1b" => one(
-            "fig1_locks",
-            "Fig 1a/1b: lock acquisitions & contentions vs threads",
-            run_fig1_locks(p).map(|s| s.table()),
-        ),
-        "fig1c" => one(
-            "fig1c",
-            "Fig 1c: eclipse object-lifespan CDF",
-            run_fig1c(p).map(|s| s.table()),
-        ),
-        "fig1d" => one(
-            "fig1d",
-            "Fig 1d: xalan object-lifespan CDF",
-            run_fig1d(p).map(|s| s.table()),
-        ),
-        "fig2" => one(
-            "fig2",
-            "Fig 2: mutator vs GC time decomposition (scalable apps)",
-            run_fig2(p).map(|s| s.table()),
-        ),
-        "abl-sched" => one(
-            "abl_sched",
-            "Ablation: biased (cohort) scheduling on xalan (paper SIV.1)",
-            run_biased_sched("xalan", p).map(|s| s.table()),
-        ),
-        "abl-heap" => one(
-            "abl_heap",
-            "Ablation: compartmentalized heaplets on xalan (paper SIV.2)",
-            run_heaplets("xalan", p).map(|s| s.table()),
-        ),
-        "ext-ergo" => one(
-            "ext_ergo",
-            "Extension: adaptive nursery sizing on xalan (HotSpot ergonomics)",
-            run_ergonomics("xalan", p).map(|s| s.table()),
-        ),
-        "ext-numa" => one(
-            "ext_numa",
-            "Extension: NUMA placement sensitivity on xalan",
-            run_numa_placement("xalan", p).map(|s| s.table()),
-        ),
-        "ext-sharding" => one(
-            "ext_sharding",
-            "Extension: sharding xalan's dtm-cache lock",
-            run_lock_sharding("xalan", 1, p).map(|s| s.table()),
-        ),
-        "ext-gcworkers" => one(
-            "ext_gcworkers",
-            "Extension: parallel GC worker scaling on xalan",
-            run_gc_workers("xalan", p).map(|s| s.table()),
-        ),
-        "ext-oversub" => one(
-            "ext_oversub",
-            "Extension: oversubscription (threads beyond 48 cores) on xalan",
-            run_oversubscription("xalan", p).map(|s| s.table()),
-        ),
-        "ext-heapsize" => one(
-            "ext_heapsize",
-            "Extension: trace-replay heap-size sweep on xalan (3x-min-heap rule)",
-            run_heap_size("xalan", p).map(|s| s.table()),
-        ),
-        "ext-concurrent" => one(
-            "ext_concurrent",
-            "Extension: mostly-concurrent old generation on xalan",
-            run_concurrent_old_gen("xalan", p).map(|s| s.table()),
-        ),
-        "ext-topo" => one(
-            "ext_topo",
-            "Extension: machine-topology sweep on xalan (AMD / Xeon / SPARC-T3)",
-            run_topology("xalan", p).map(|s| s.table()),
-        ),
-        "ext-server" => one(
-            "ext_server",
-            "Extension: server request workloads with overload control (metastable failure)",
-            run_server_study(p).map(|s| s.table()),
-        ),
-        "ext-locks" => one(
-            "ext_locks",
-            "Extension: lock algorithms (fifo / mcs / malthusian) across all apps",
-            run_lock_algorithms(p).map(|s| s.table()),
-        ),
-        _ => return None,
-    };
-    Some(tables)
+    let a = artifact(artifact_id)?;
+    Some(a.table(p).map(|table| {
+        vec![ArtifactTable {
+            name: a.csv.to_owned(),
+            title: a.title.to_owned(),
+            table,
+        }]
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ablation::{biased_sched_variants, heaplet_variants, variant_specs};
+    use crate::ablation::variant_of;
     use crate::campaign::campaign_units;
-    use crate::sweep::{run_all, RunSpec};
 
     fn tiny() -> ExpParams {
         ExpParams::quick()
@@ -200,11 +293,14 @@ mod tests {
     }
 
     #[test]
-    fn every_listed_artifact_dispatches() {
-        let p = tiny();
-        for id in ALL_ARTIFACTS {
-            assert!(artifact_tables(id, &p).is_some(), "{id} not dispatched");
-        }
+    fn ids_and_aliases_are_unique() {
+        let mut ids: Vec<&str> = ARTIFACTS.iter().map(|a| a.id).collect();
+        ids.extend(ARTIFACTS.iter().filter_map(|a| a.alias));
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "an id or alias names two artifacts");
+        assert_eq!(artifact("fig1b").map(|a| a.id), Some("fig1a"));
     }
 
     #[test]
@@ -232,27 +328,16 @@ mod tests {
     /// unique run behind [`BATCH_ARTIFACTS`], one row per run naming the
     /// artifacts that share it, then each artifact's rendered tables.
     fn batch_engine_csv(p: &ExpParams) -> String {
-        let mut labelled: Vec<(&str, &str, RunSpec)> = Vec::new();
-        for &artifact in &BATCH_ARTIFACTS[..5] {
-            let specs = campaign_units(artifact, p).unwrap().unwrap();
-            labelled.extend(specs.into_iter().map(|s| (artifact, "baseline", s)));
-        }
-        for (artifact, variants) in [
-            ("abl-sched", biased_sched_variants(p.seed).unwrap()),
-            ("abl-heap", heaplet_variants(p.seed).unwrap()),
-        ] {
-            let specs = variant_specs("xalan", p, &variants).unwrap();
-            labelled.extend(specs.into_iter().map(|(v, s)| (artifact, v, s)));
-        }
-
         // (memo key, variant, artifacts, spec), in first-occurrence order.
-        let mut unique: Vec<(u64, &str, Vec<&str>, RunSpec)> = Vec::new();
-        for (artifact, variant, spec) in labelled {
-            let key = spec.memo_key();
-            match unique.iter_mut().find(|u| u.0 == key) {
-                Some(u) if u.2.contains(&artifact) => {}
-                Some(u) => u.2.push(artifact),
-                None => unique.push((key, variant, vec![artifact], spec)),
+        let mut unique: Vec<(u64, String, Vec<&str>, RunSpec)> = Vec::new();
+        for artifact in BATCH_ARTIFACTS {
+            for spec in campaign_units(artifact, p).unwrap().unwrap() {
+                let key = spec.memo_key();
+                match unique.iter_mut().find(|u| u.0 == key) {
+                    Some(u) if u.2.contains(&artifact) => {}
+                    Some(u) => u.2.push(artifact),
+                    None => unique.push((key, variant_of(&spec.config), vec![artifact], spec)),
+                }
             }
         }
         let specs: Vec<RunSpec> = unique.iter().map(|u| u.3.clone()).collect();
@@ -291,6 +376,35 @@ mod tests {
             golden,
             "batch engine drifted from its golden"
         );
+    }
+
+    /// The extension artifacts no other golden pins.
+    const EXT_ARTIFACTS: [&str; 8] = [
+        "ext-ergo",
+        "ext-numa",
+        "ext-sharding",
+        "ext-gcworkers",
+        "ext-oversub",
+        "ext-heapsize",
+        "ext-concurrent",
+        "ext-topo",
+    ];
+
+    /// Pins the rendered tables of [`EXT_ARTIFACTS`], so a change to how
+    /// an artifact is generated or rendered cannot move a row unnoticed.
+    #[test]
+    fn ext_artifacts_match_their_golden() {
+        let p = ExpParams::quick()
+            .with_scale(0.02)
+            .with_threads(vec![4, 16, 48]);
+        let mut csv = String::new();
+        for artifact in EXT_ARTIFACTS {
+            for t in artifact_tables(artifact, &p).unwrap().unwrap() {
+                csv += &format!("# {}\n{}\n", t.name, t.table.to_csv());
+            }
+        }
+        let golden = include_str!("../goldens/artifacts_ext.csv");
+        assert_eq!(csv, golden, "extension artifacts drifted from their golden");
     }
 
     #[test]

@@ -62,41 +62,21 @@ use std::time::Duration;
 
 use scalesim_core::SimError;
 use scalesim_simkit::splitmix64;
-use scalesim_workloads::{all_apps, scalable_apps, AppModel};
+use scalesim_workloads::AppModel;
 
-use crate::artifacts::{artifact_tables, ArtifactTable};
+use crate::artifacts::{artifact, artifact_tables, ArtifactTable, Runs, ARTIFACTS};
 use crate::checkpoint::{self, encode_record, load_segment, Record};
-use crate::ext_locks::lock_specs;
-use crate::fig1_lifespan::lifespan_specs;
 use crate::params::ExpParams;
-use crate::server::server_specs;
 use crate::sweep::{
-    attempt, checkpointable, clear_run_cache, fingerprint, grid_specs, seed_cache_entry,
-    take_run_manifests, take_sweep_failures, worker_budget, RunManifest, RunSpec, SweepFailure,
+    attempt, checkpointable, clear_run_cache, fingerprint, seed_cache_entry, take_run_manifests,
+    take_sweep_failures, worker_budget, RunManifest, RunSpec, SweepFailure,
 };
-use crate::topo::topo_specs;
-
-/// The artifact ids a campaign can drain: exactly the drivers whose
-/// work lists are pure `(app, config)` grids, so units can be
-/// enumerated identically by every worker.
-pub const CAMPAIGN_ARTIFACTS: &[&str] = &[
-    "workdist",
-    "scaletable",
-    "fig1a",
-    "fig1b",
-    "fig1c",
-    "fig1d",
-    "fig2",
-    "ext-topo",
-    "ext-server",
-    "ext-locks",
-];
 
 /// What one campaign runs: an artifact id plus the shared sweep
 /// parameters. Serialized canonically into `campaign.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
-    /// Artifact id (one of [`CAMPAIGN_ARTIFACTS`]).
+    /// Artifact id: any artifact that runs as one sweep.
     pub artifact: String,
     /// Sweep parameters every worker must agree on.
     pub params: ExpParams,
@@ -244,26 +224,20 @@ pub fn default_workers() -> usize {
 // ---------------------------------------------------------------------
 
 /// Enumerates the work units (one [`RunSpec`] per unit, duplicates
-/// included) of a campaignable artifact, in driver order. `None` means
-/// the artifact cannot run as a campaign. Dispatches to the same spec
-/// builders the drivers themselves use, so the two cannot drift.
+/// included) of an artifact, in driver order: the specs its registry
+/// entry generates. `None` means the artifact cannot run as a campaign
+/// (an unknown id, or an artifact that runs outside the sweep).
 ///
 /// # Errors
 ///
 /// The inner result propagates driver configuration errors.
 pub fn campaign_units(
-    artifact: &str,
+    artifact_id: &str,
     params: &ExpParams,
 ) -> Option<Result<Vec<RunSpec>, SimError>> {
-    match artifact {
-        "workdist" | "scaletable" | "fig1a" | "fig1b" => Some(Ok(grid_specs(&all_apps(), params))),
-        "fig2" => Some(Ok(grid_specs(&scalable_apps(), params))),
-        "fig1c" => Some(lifespan_specs("eclipse", params)),
-        "fig1d" => Some(lifespan_specs("xalan", params)),
-        "ext-topo" => Some(topo_specs("xalan", params)),
-        "ext-server" => Some(server_specs(params)),
-        "ext-locks" => Some(lock_specs(params)),
-        _ => None,
+    match artifact(artifact_id)?.runs {
+        Runs::Sweep(specs, _) => Some(specs(params)),
+        Runs::Direct(_) => None,
     }
 }
 
@@ -272,10 +246,15 @@ pub fn campaign_units(
 fn units_of(spec: &CampaignSpec) -> Result<Vec<(u64, RunSpec)>, CampaignError> {
     let specs = campaign_units(&spec.artifact, &spec.params)
         .ok_or_else(|| {
+            let direct: Vec<&str> = ARTIFACTS
+                .iter()
+                .filter(|a| matches!(a.runs, Runs::Direct(_)))
+                .map(|a| a.id)
+                .collect();
             CampaignError::Config(format!(
-                "artifact {} cannot run as a campaign (campaignable: {})",
+                "artifact {} cannot run as a campaign (campaignable: every artifact except {})",
                 spec.artifact,
-                CAMPAIGN_ARTIFACTS.join(", ")
+                direct.join(", ")
             ))
         })?
         .map_err(|e| classify_sim(&e))?;
@@ -305,17 +284,7 @@ fn units_of(spec: &CampaignSpec) -> Result<Vec<(u64, RunSpec)>, CampaignError> {
 /// [`CampaignError::Config`] for an uncampaignable artifact or a spec
 /// mismatch; [`CampaignError::Runtime`] for I/O failures.
 pub fn init(dir: &Path, spec: &CampaignSpec) -> Result<(), CampaignError> {
-    match campaign_units(&spec.artifact, &spec.params) {
-        None => {
-            return Err(CampaignError::Config(format!(
-                "artifact {} cannot run as a campaign (campaignable: {})",
-                spec.artifact,
-                CAMPAIGN_ARTIFACTS.join(", ")
-            )))
-        }
-        Some(Err(e)) => return Err(classify_sim(&e)),
-        Some(Ok(_)) => {}
-    }
+    units_of(spec)?;
     std::fs::create_dir_all(dir.join("leases"))
         .map_err(|e| rt(&format!("create {}", dir.join("leases").display()), &e))?;
     std::fs::create_dir_all(dir.join("done"))
@@ -830,7 +799,7 @@ pub fn merge(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignEr
     let reran = units.len() - restored;
 
     let tables = artifact_tables(&spec.artifact, &spec.params)
-        .expect("campaignable artifacts always dispatch")
+        .expect("campaignable artifacts are registry ids")
         .map_err(|e| classify_sim(&e))?;
     let mut manifests = take_run_manifests();
     for m in &mut manifests {
@@ -870,6 +839,7 @@ pub fn run_local(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, Campai
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalesim_workloads::{all_apps, scalable_apps};
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -943,7 +913,7 @@ mod tests {
     #[test]
     fn uncampaignable_artifacts_are_rejected() {
         let dir = scratch("reject");
-        for artifact in ["abl-sched", "ext-numa", "all", "nope"] {
+        for artifact in ["ext-heapsize", "all", "nope"] {
             match init(&dir, &tiny_spec(artifact)) {
                 Err(CampaignError::Config(msg)) => {
                     assert!(msg.contains("cannot run as a campaign"), "{msg}");
@@ -967,7 +937,8 @@ mod tests {
         assert_eq!(topo.len(), 3 * 2);
         let server = campaign_units("ext-server", &params).unwrap().unwrap();
         assert_eq!(server.len(), 3 * 2, "three scenarios x two thread counts");
-        assert!(campaign_units("abl-sched", &params).is_none());
+        let sched = campaign_units("abl-sched", &params).unwrap().unwrap();
+        assert_eq!(sched.len(), 3 * 2, "three variants x two thread counts");
         // The dedup preserves first-occurrence order and drops nothing
         // from an all-distinct grid.
         let units = units_of(&tiny_spec("scaletable")).unwrap();

@@ -12,7 +12,7 @@
 //! critical section; the Malthusian lock removes the surplus from the
 //! path and holds saturated throughput roughly flat.
 
-use scalesim_core::{JvmConfig, LockAlg, RunOutcome, SimError};
+use scalesim_core::{JvmConfig, LockAlg, RunOutcome, RunReport, SimError};
 use scalesim_metrics::Table;
 use scalesim_simkit::SimDuration;
 use scalesim_workloads::{all_apps, AppModel};
@@ -20,8 +20,7 @@ use scalesim_workloads::{all_apps, AppModel};
 use crate::params::ExpParams;
 use crate::sweep::{outcome_cell, run_all, RunSpec};
 
-/// The app × algorithm × thread-count spec list the study executes;
-/// shared with the campaign unit enumeration so the two cannot drift.
+/// The app × algorithm × thread-count spec list the study executes.
 ///
 /// # Errors
 ///
@@ -126,32 +125,30 @@ impl LockAlgStudy {
 /// Propagates configuration errors.
 pub fn run_lock_algorithms(params: &ExpParams) -> Result<LockAlgStudy, SimError> {
     let specs = lock_specs(params)?;
-    let reports = run_all(&specs);
-    let apps = all_apps();
-    let per_alg = params.thread_counts.len();
-    let per_app = LockAlg::ALL.len() * per_alg;
-    let mut rows = Vec::with_capacity(reports.len());
-    for (a, app) in apps.iter().enumerate() {
-        for (g, alg) in LockAlg::ALL.into_iter().enumerate() {
-            for (t, &threads) in params.thread_counts.iter().enumerate() {
-                let r = &reports[a * per_app + g * per_alg + t];
-                rows.push(LockAlgRow {
-                    app: app.name().to_owned(),
-                    alg,
-                    threads,
-                    wall: r.wall_time,
-                    contentions: r.locks.total.contentions,
-                    throughput: if r.wall_time.is_zero() {
-                        0.0
-                    } else {
-                        r.total_items() as f64 / r.wall_time.as_secs_f64()
-                    },
-                    outcome: r.outcome.clone(),
-                });
-            }
-        }
+    Ok(lock_study(&specs, &run_all(&specs)))
+}
+
+/// The study drawn from `ext-locks`' specs and their reports.
+pub(crate) fn lock_study(specs: &[RunSpec], reports: &[RunReport]) -> LockAlgStudy {
+    LockAlgStudy {
+        rows: specs
+            .iter()
+            .zip(reports)
+            .map(|(s, r)| LockAlgRow {
+                app: s.app.name().to_owned(),
+                alg: s.config.lock_alg,
+                threads: s.config.threads,
+                wall: r.wall_time,
+                contentions: r.locks.total.contentions,
+                throughput: if r.wall_time.is_zero() {
+                    0.0
+                } else {
+                    r.total_items() as f64 / r.wall_time.as_secs_f64()
+                },
+                outcome: r.outcome.clone(),
+            })
+            .collect(),
     }
-    Ok(LockAlgStudy { rows })
 }
 
 #[cfg(test)]

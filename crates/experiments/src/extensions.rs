@@ -1,7 +1,7 @@
 //! Extension experiments beyond the paper's figures.
 //!
-//! The paper's characterization invites three follow-up questions that
-//! its testbed could not isolate but the simulator can:
+//! The paper's characterization invites follow-up questions that its
+//! testbed could not isolate but the simulator can:
 //!
 //! * `ext-ergo` — would HotSpot's adaptive nursery sizing (on by default
 //!   for the throughput collector, but pinned for the paper's fixed-heap
@@ -20,10 +20,14 @@
 //!   paper's "3× minimum heap" methodology.
 //! * `ext-concurrent` — would a CMS-like mostly-concurrent old-generation
 //!   collector change the paper's conclusion that GC limits scalability?
+//!
+//! Each sweep study is a run-spec generator plus a table renderer that
+//! reads every run's label (variant, placement, shard count, …) off its
+//! spec; the artifact registry pairs them. `ext-heapsize` replays a
+//! recorded trace outside the sweep, so it keeps its own driver.
 
 use scalesim_core::{
-    replay_gc, InvariantViolation, Jvm, JvmConfig, MonitorKind, OldGenPolicy, RunOutcome,
-    RunReport, SimError,
+    replay_gc, InvariantViolation, Jvm, JvmConfig, MonitorKind, OldGenPolicy, RunReport, SimError,
 };
 use scalesim_gc::{GcCostModel, GcKind};
 use scalesim_heap::{HeapConfig, NurseryLayout};
@@ -31,76 +35,10 @@ use scalesim_machine::Placement;
 use scalesim_metrics::{fmt2, fmt_pct, Table};
 use scalesim_objtrace::Retention;
 use scalesim_simkit::SimDuration;
-use scalesim_workloads::app_by_name;
+use scalesim_workloads::AppModel;
 
 use crate::params::ExpParams;
-use crate::sweep::{outcome_cell, run_all, RunSpec};
-
-// ---------------------------------------------------------------------
-// ext-ergo: adaptive nursery sizing
-// ---------------------------------------------------------------------
-
-/// One row of the ergonomics study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErgoRow {
-    /// Thread count.
-    pub threads: usize,
-    /// Variant (`fixed` or `goal=<pause>`).
-    pub variant: String,
-    /// End-to-end wall time.
-    pub wall: SimDuration,
-    /// Total GC pause time.
-    pub gc: SimDuration,
-    /// Largest minor pause.
-    pub max_minor_pause: SimDuration,
-    /// Minor collections.
-    pub minors: usize,
-    /// How the run behind this row ended.
-    pub outcome: RunOutcome,
-}
-
-/// The adaptive-sizing study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ergonomics {
-    /// All rows.
-    pub rows: Vec<ErgoRow>,
-}
-
-impl Ergonomics {
-    /// The row for `(variant, threads)`.
-    #[must_use]
-    pub fn row(&self, variant: &str, threads: usize) -> Option<&ErgoRow> {
-        self.rows
-            .iter()
-            .find(|r| r.variant == variant && r.threads == threads)
-    }
-
-    /// Renders the table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "threads",
-            "variant",
-            "wall",
-            "gc",
-            "max minor pause",
-            "minors",
-            "outcome",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.threads.to_string(),
-                r.variant.clone(),
-                r.wall.to_string(),
-                r.gc.to_string(),
-                r.max_minor_pause.to_string(),
-                r.minors.to_string(),
-                outcome_cell(&r.outcome),
-            ]);
-        }
-        t
-    }
-}
+use crate::sweep::{app_model, outcome_cell, per_thread_specs, RunSpec};
 
 fn max_minor_pause(report: &RunReport) -> SimDuration {
     report
@@ -112,614 +50,284 @@ fn max_minor_pause(report: &RunReport) -> SimDuration {
         .fold(SimDuration::ZERO, SimDuration::max)
 }
 
-/// Runs `ext-ergo`: fixed nursery vs. adaptive sizing under two pause
-/// goals, on `app`. The goals are set relative to each configuration's
-/// irreducible pause floor (fixed overhead + time-to-safepoint):
-/// a *tight* goal of 1.1× the floor leaves almost no copy budget, a
-/// *relaxed* goal of 4× the floor lets the nursery grow for throughput.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
-/// configuration errors.
-pub fn run_ergonomics(app: &str, params: &ExpParams) -> Result<Ergonomics, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
+// ---------------------------------------------------------------------
+// ext-ergo: adaptive nursery sizing
+// ---------------------------------------------------------------------
+
+/// The adaptive variants' pause goals, as multiples of each
+/// configuration's pause floor.
+const ERGO_GOALS: [(&str, f64); 2] = [("tight", 1.1), ("relaxed", 4.0)];
+
+/// The floor a configuration's minor pauses cannot go below: fixed
+/// overhead plus time-to-safepoint.
+fn pause_floor(cfg: &JvmConfig) -> SimDuration {
+    let numa = cfg.machine.mean_numa_factor(cfg.cores());
+    let cost = GcCostModel::hotspot_like(cfg.gc_workers(), numa);
+    SimDuration::from_nanos(cost.pause_floor_ns(cfg.threads + cfg.helper_threads) as u64)
+}
+
+/// `ext-ergo`'s runs: per thread count, a fixed nursery, then adaptive
+/// sizing under each goal of [`ERGO_GOALS`]. A *tight* goal of 1.1× the
+/// floor leaves almost no copy budget, a *relaxed* goal of 4× the floor
+/// lets the nursery grow for throughput.
+pub(crate) fn ergo_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+    let model = app_model(app)?;
     let mut specs = Vec::new();
-    let mut labels = Vec::new();
     for &threads in &params.thread_counts {
-        let mut fixed = JvmConfig::builder();
-        fixed.threads(threads).seed(params.seed);
-        let fixed = fixed.build()?;
-        // The floor this configuration's minor pauses cannot go below.
-        let cost = GcCostModel::hotspot_like(
-            fixed.gc_workers(),
-            fixed.machine.mean_numa_factor(fixed.cores()),
-        );
-        let live_threads = threads + fixed.helper_threads;
-        let floor = SimDuration::from_nanos(cost.pause_floor_ns(live_threads) as u64);
+        let mut cfg = JvmConfig::builder();
+        cfg.threads(threads).seed(params.seed);
+        let fixed = cfg.build()?;
+        let floor = pause_floor(&fixed);
         specs.push(RunSpec {
             app: model.scaled(params.scale),
-            config: fixed.clone(),
+            config: fixed,
         });
-        labels.push("fixed".to_owned());
-        for (label, factor) in [("tight", 1.1f64), ("relaxed", 4.0)] {
-            let mut cfg = JvmConfig::builder();
-            cfg.threads(threads)
-                .seed(params.seed)
-                .pause_goal(floor.mul_f64(factor));
+        for (_, factor) in ERGO_GOALS {
             specs.push(RunSpec {
                 app: model.scaled(params.scale),
-                config: cfg.build()?,
+                config: cfg.pause_goal(floor.mul_f64(factor)).build()?,
             });
-            labels.push(label.to_owned());
         }
     }
-    let reports = run_all(&specs);
-    Ok(Ergonomics {
-        rows: labels
-            .iter()
-            .zip(reports.iter())
-            .map(|(variant, r)| ErgoRow {
-                threads: r.threads,
-                variant: variant.clone(),
-                wall: r.wall_time,
-                gc: r.gc_time,
-                max_minor_pause: max_minor_pause(r),
-                minors: r.gc.count(GcKind::Minor),
-                outcome: r.outcome.clone(),
-            })
-            .collect(),
-    })
+    Ok(specs)
+}
+
+/// A run's `ext-ergo` variant: `fixed`, or the goal its pause goal is.
+fn ergo_variant(cfg: &JvmConfig) -> &'static str {
+    let Some(goal) = cfg.pause_goal else {
+        return "fixed";
+    };
+    let floor = pause_floor(cfg);
+    let (label, _) = ERGO_GOALS
+        .iter()
+        .find(|(_, factor)| floor.mul_f64(*factor) == goal)
+        .expect("ext-ergo runs take their pause goals from ERGO_GOALS");
+    label
+}
+
+/// `ext-ergo`'s table.
+pub(crate) fn ergo_table(specs: &[RunSpec], reports: &[RunReport]) -> Table {
+    let mut t = Table::new(vec![
+        "threads",
+        "variant",
+        "wall",
+        "gc",
+        "max minor pause",
+        "minors",
+        "outcome",
+    ]);
+    for (s, r) in specs.iter().zip(reports) {
+        t.row(vec![
+            r.threads.to_string(),
+            ergo_variant(&s.config).to_owned(),
+            r.wall_time.to_string(),
+            r.gc_time.to_string(),
+            max_minor_pause(r).to_string(),
+            r.gc.count(GcKind::Minor).to_string(),
+            outcome_cell(&r.outcome),
+        ]);
+    }
+    t
 }
 
 // ---------------------------------------------------------------------
 // ext-numa: placement sensitivity
 // ---------------------------------------------------------------------
 
-/// One row of the NUMA-placement study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NumaRow {
-    /// Thread count.
-    pub threads: usize,
-    /// `compact` or `scatter`.
-    pub placement: String,
-    /// Mean NUMA factor of the enabled cores.
-    pub numa_factor: f64,
-    /// End-to-end wall time.
-    pub wall: SimDuration,
-    /// Total GC pause time.
-    pub gc: SimDuration,
-    /// How the run behind this row ended.
-    pub outcome: RunOutcome,
+/// `ext-numa`'s runs: per thread count, compact then scatter placement.
+/// The effect is largest at thread counts below one socket's worth of
+/// cores, where compact placement stays NUMA-local.
+pub(crate) fn numa_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+    per_thread_specs(
+        app,
+        params,
+        &[Placement::Compact, Placement::Scatter],
+        |cfg, placement| {
+            cfg.placement(placement);
+        },
+    )
 }
 
-/// The placement study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NumaStudy {
-    /// All rows.
-    pub rows: Vec<NumaRow>,
+/// Mean NUMA factor of the cores a configuration enables.
+fn numa_factor(cfg: &JvmConfig) -> f64 {
+    let cores = cfg.placement.enabled(&cfg.machine, cfg.cores());
+    cfg.machine.mean_numa_factor_of(&cores)
 }
 
-impl NumaStudy {
-    /// The row for `(placement, threads)`.
-    #[must_use]
-    pub fn row(&self, placement: &str, threads: usize) -> Option<&NumaRow> {
-        self.rows
-            .iter()
-            .find(|r| r.placement == placement && r.threads == threads)
-    }
-
-    /// Renders the table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "threads",
-            "placement",
-            "numa factor",
-            "wall",
-            "gc",
-            "outcome",
+/// `ext-numa`'s table.
+pub(crate) fn numa_table(specs: &[RunSpec], reports: &[RunReport]) -> Table {
+    let mut t = Table::new(vec![
+        "threads",
+        "placement",
+        "numa factor",
+        "wall",
+        "gc",
+        "outcome",
+    ]);
+    for (s, r) in specs.iter().zip(reports) {
+        let placement = match s.config.placement {
+            Placement::Compact => "compact",
+            Placement::Scatter => "scatter",
+        };
+        t.row(vec![
+            r.threads.to_string(),
+            placement.to_owned(),
+            fmt2(numa_factor(&s.config)),
+            r.wall_time.to_string(),
+            r.gc_time.to_string(),
+            outcome_cell(&r.outcome),
         ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.threads.to_string(),
-                r.placement.clone(),
-                fmt2(r.numa_factor),
-                r.wall.to_string(),
-                r.gc.to_string(),
-                outcome_cell(&r.outcome),
-            ]);
-        }
-        t
     }
-}
-
-/// Runs `ext-numa`: compact vs. scatter placement on `app`. The effect
-/// is largest at thread counts below one socket's worth of cores, where
-/// compact placement stays NUMA-local.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
-/// configuration errors.
-pub fn run_numa_placement(app: &str, params: &ExpParams) -> Result<NumaStudy, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
-    let placements = [
-        (Placement::Compact, "compact"),
-        (Placement::Scatter, "scatter"),
-    ];
-    let mut specs = Vec::new();
-    let mut meta = Vec::new();
-    for &threads in &params.thread_counts {
-        for (placement, label) in placements {
-            let mut cfg = JvmConfig::builder();
-            cfg.threads(threads).seed(params.seed).placement(placement);
-            let cfg = cfg.build()?;
-            let cores = placement.enabled(&cfg.machine, cfg.cores());
-            let factor = cfg.machine.mean_numa_factor_of(&cores);
-            specs.push(RunSpec {
-                app: model.scaled(params.scale),
-                config: cfg,
-            });
-            meta.push((label.to_owned(), factor));
-        }
-    }
-    let reports = run_all(&specs);
-    Ok(NumaStudy {
-        rows: meta
-            .iter()
-            .zip(reports.iter())
-            .map(|((label, factor), r)| NumaRow {
-                threads: r.threads,
-                placement: label.clone(),
-                numa_factor: *factor,
-                wall: r.wall_time,
-                gc: r.gc_time,
-                outcome: r.outcome.clone(),
-            })
-            .collect(),
-    })
+    t
 }
 
 // ---------------------------------------------------------------------
 // ext-sharding: splitting the hottest lock
 // ---------------------------------------------------------------------
 
-/// One row of the sharding study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardingRow {
-    /// Shards backing the hot lock class.
-    pub shards: usize,
-    /// Contention instances on that class.
-    pub contentions: u64,
-    /// Contention rate on that class (contended / acquisitions).
-    pub contention_rate: f64,
-    /// End-to-end wall time.
-    pub wall: SimDuration,
-    /// How the run behind this row ended.
-    pub outcome: RunOutcome,
-}
-
-/// The sharding study (fixed thread count, varying shard counts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sharding {
-    /// The app studied.
-    pub app: String,
-    /// The lock class sharded.
-    pub class: String,
-    /// Thread count used.
-    pub threads: usize,
-    /// One row per shard count.
-    pub rows: Vec<ShardingRow>,
-}
-
-impl Sharding {
-    /// Renders the table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "app",
-            "lock",
-            "threads",
-            "shards",
-            "contentions",
-            "rate",
-            "wall",
-            "outcome",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                self.app.clone(),
-                self.class.clone(),
-                self.threads.to_string(),
-                r.shards.to_string(),
-                r.contentions.to_string(),
-                fmt_pct(r.contention_rate),
-                r.wall.to_string(),
-                outcome_cell(&r.outcome),
-            ]);
-        }
-        t
-    }
-}
-
-/// Runs `ext-sharding`: shard `app`'s lock class `class_idx` 1/2/4/8
+/// `ext-sharding`'s runs: `app`'s lock class `class_idx` sharded 1/2/4/8
 /// ways at the sweep's largest thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownApp`] for an unknown `app`.
 ///
 /// # Panics
 ///
 /// Panics if `class_idx` is out of range.
-pub fn run_lock_sharding(
+pub(crate) fn sharding_specs(
     app: &str,
     class_idx: usize,
     params: &ExpParams,
-) -> Result<Sharding, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
-    let class = model.spec().lock_classes[class_idx].name.clone();
-    let threads = params.max_threads();
-    let shard_counts = [1usize, 2, 4, 8];
-    let specs: Vec<RunSpec> = shard_counts
-        .iter()
-        .map(|&k| {
+) -> Result<Vec<RunSpec>, SimError> {
+    let model = app_model(app)?;
+    Ok([1, 2, 4, 8]
+        .into_iter()
+        .map(|k| {
             RunSpec::new(
                 model.with_lock_instances(class_idx, k).scaled(params.scale),
-                threads,
+                params.max_threads(),
                 params.seed,
             )
         })
-        .collect();
-    let reports = run_all(&specs);
-    Ok(Sharding {
-        app: app.to_owned(),
-        class: class.clone(),
-        threads,
-        rows: shard_counts
-            .iter()
-            .zip(reports.iter())
-            .map(|(&shards, r)| {
-                // A quarantined stub has no lock report at all; render
-                // zeros under its `quar` marker rather than panicking.
-                let stats = r.locks.by_class.get(&class).copied().unwrap_or_default();
-                ShardingRow {
-                    shards,
-                    contentions: stats.contentions,
-                    contention_rate: stats.contention_rate(),
-                    wall: r.wall_time,
-                    outcome: r.outcome.clone(),
-                }
-            })
-            .collect(),
-    })
+        .collect())
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> ExpParams {
-        ExpParams::quick().with_scale(0.02).with_threads(vec![16])
+/// `ext-sharding`'s table for lock class `class_idx`.
+pub(crate) fn sharding_table(class_idx: usize, specs: &[RunSpec], reports: &[RunReport]) -> Table {
+    let mut t = Table::new(vec![
+        "app",
+        "lock",
+        "threads",
+        "shards",
+        "contentions",
+        "rate",
+        "wall",
+        "outcome",
+    ]);
+    for (s, r) in specs.iter().zip(reports) {
+        let class = &s.app.spec().lock_classes[class_idx];
+        // A quarantined stub has no lock report at all; render zeros
+        // under its `quar` marker rather than panicking.
+        let stats = r
+            .locks
+            .by_class
+            .get(&class.name)
+            .copied()
+            .unwrap_or_default();
+        t.row(vec![
+            s.app.name().to_owned(),
+            class.name.clone(),
+            s.config.threads.to_string(),
+            class.instances.to_string(),
+            stats.contentions.to_string(),
+            fmt_pct(stats.contention_rate()),
+            r.wall_time.to_string(),
+            outcome_cell(&r.outcome),
+        ]);
     }
-
-    #[test]
-    fn ergonomics_produces_three_variants_per_thread_count() {
-        let e = run_ergonomics("xalan", &tiny()).unwrap();
-        assert_eq!(e.rows.len(), 3);
-        assert!(e.row("fixed", 16).is_some());
-        assert!(e.row("tight", 16).is_some());
-        assert!(e.row("relaxed", 16).is_some());
-        assert_eq!(e.table().num_rows(), 3);
-    }
-
-    #[test]
-    fn adaptive_sizing_never_storms() {
-        // The historical failure mode: an unachievable goal shrinking the
-        // nursery into a collection storm. With floor-aware control, GC
-        // time under any goal stays within a small factor of fixed.
-        let params = ExpParams::quick().with_scale(0.1).with_threads(vec![32]);
-        let e = run_ergonomics("xalan", &params).unwrap();
-        let fixed = e.row("fixed", 32).expect("fixed");
-        for variant in ["tight", "relaxed"] {
-            let v = e.row(variant, 32).expect(variant);
-            assert!(
-                v.gc.as_secs_f64() < fixed.gc.as_secs_f64() * 3.0,
-                "{variant}: gc {} vs fixed {}",
-                v.gc,
-                fixed.gc
-            );
-        }
-    }
-
-    #[test]
-    fn relaxed_goal_trades_pause_for_fewer_collections() {
-        let params = ExpParams::quick().with_scale(0.1).with_threads(vec![8]);
-        let e = run_ergonomics("xalan", &params).unwrap();
-        let fixed = e.row("fixed", 8).expect("fixed");
-        let relaxed = e.row("relaxed", 8).expect("relaxed");
-        assert!(
-            relaxed.minors <= fixed.minors,
-            "growing the nursery must not collect more often: {} vs {}",
-            relaxed.minors,
-            fixed.minors
-        );
-    }
-
-    #[test]
-    fn numa_scatter_is_more_exposed_and_slower_gc() {
-        let params = ExpParams::quick().with_scale(0.05).with_threads(vec![8]);
-        let n = run_numa_placement("xalan", &params).unwrap();
-        let compact = n.row("compact", 8).expect("compact");
-        let scatter = n.row("scatter", 8).expect("scatter");
-        assert_eq!(compact.numa_factor, 1.0);
-        assert!(scatter.numa_factor > 1.3);
-        assert!(scatter.gc > compact.gc, "{} vs {}", scatter.gc, compact.gc);
-    }
-
-    #[test]
-    fn sharding_reduces_contention_on_the_hot_class() {
-        let params = ExpParams::quick().with_scale(0.05).with_threads(vec![32]);
-        // xalan lock class 1 = dtm-cache
-        let s = run_lock_sharding("xalan", 1, &params).unwrap();
-        assert_eq!(s.class, "dtm-cache");
-        assert_eq!(s.rows.len(), 4);
-        let one = &s.rows[0];
-        let eight = &s.rows[3];
-        assert!(
-            eight.contentions * 2 < one.contentions,
-            "8 shards: {} vs 1 shard: {}",
-            eight.contentions,
-            one.contentions
-        );
-    }
+    t
 }
 
 // ---------------------------------------------------------------------
 // ext-gcworkers: parallel GC worker scaling
 // ---------------------------------------------------------------------
 
-/// One row of the GC-worker scaling study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GcWorkersRow {
-    /// Parallel GC worker threads.
-    pub workers: usize,
-    /// Total GC pause time.
-    pub gc: SimDuration,
-    /// Largest minor pause.
-    pub max_minor_pause: SimDuration,
-    /// End-to-end wall time.
-    pub wall: SimDuration,
-    /// How the run behind this row ended.
-    pub outcome: RunOutcome,
-}
-
-/// The GC-worker scaling study (fixed mutator thread count).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GcWorkers {
-    /// Mutator threads used throughout.
-    pub threads: usize,
-    /// One row per worker count.
-    pub rows: Vec<GcWorkersRow>,
-}
-
-impl GcWorkers {
-    /// Renders the table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "threads",
-            "gc workers",
-            "gc",
-            "max minor pause",
-            "wall",
-            "outcome",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                self.threads.to_string(),
-                r.workers.to_string(),
-                r.gc.to_string(),
-                r.max_minor_pause.to_string(),
-                r.wall.to_string(),
-                outcome_cell(&r.outcome),
-            ]);
-        }
-        t
-    }
-}
-
-/// Runs `ext-gcworkers`: sweeps the parallel GC worker count (1, 2, 4,
-/// …, cores) at the sweep's largest thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
-/// configuration errors.
-pub fn run_gc_workers(app: &str, params: &ExpParams) -> Result<GcWorkers, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
+/// `ext-gcworkers`' runs: the parallel GC worker count at 1, 2, 4, …
+/// and finally the sweep's largest thread count, at that thread count.
+pub(crate) fn gc_workers_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
     let threads = params.max_threads();
-    let mut worker_counts = Vec::new();
-    let mut w = 1;
-    while w < threads {
-        worker_counts.push(w);
-        w *= 2;
-    }
+    let mut worker_counts: Vec<usize> = std::iter::successors(Some(1), |w| Some(w * 2))
+        .take_while(|&w| w < threads)
+        .collect();
     worker_counts.push(threads);
-    let specs: Vec<RunSpec> = worker_counts
-        .iter()
-        .map(|&workers| {
-            let mut cfg = JvmConfig::builder();
-            cfg.threads(threads).seed(params.seed).gc_workers(workers);
-            Ok(RunSpec {
-                app: model.scaled(params.scale),
-                config: cfg.build()?,
-            })
-        })
-        .collect::<Result<_, scalesim_core::ConfigError>>()?;
-    let reports = run_all(&specs);
-    Ok(GcWorkers {
-        threads,
-        rows: worker_counts
-            .iter()
-            .zip(reports.iter())
-            .map(|(&workers, r)| GcWorkersRow {
-                workers,
-                gc: r.gc_time,
-                max_minor_pause: max_minor_pause(r),
-                wall: r.wall_time,
-                outcome: r.outcome.clone(),
-            })
-            .collect(),
+    let params = params.clone().with_threads(vec![threads]);
+    per_thread_specs(app, &params, &worker_counts, |cfg, workers| {
+        cfg.gc_workers(workers);
     })
+}
+
+/// `ext-gcworkers`' table.
+pub(crate) fn gc_workers_table(specs: &[RunSpec], reports: &[RunReport]) -> Table {
+    let mut t = Table::new(vec![
+        "threads",
+        "gc workers",
+        "gc",
+        "max minor pause",
+        "wall",
+        "outcome",
+    ]);
+    for (s, r) in specs.iter().zip(reports) {
+        t.row(vec![
+            s.config.threads.to_string(),
+            s.config.gc_workers().to_string(),
+            r.gc_time.to_string(),
+            max_minor_pause(r).to_string(),
+            r.wall_time.to_string(),
+            outcome_cell(&r.outcome),
+        ]);
+    }
+    t
 }
 
 // ---------------------------------------------------------------------
 // ext-oversub: threads beyond cores
 // ---------------------------------------------------------------------
 
-/// One row of the oversubscription study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OversubRow {
-    /// Mutator threads (cores fixed at the machine's 48).
-    pub threads: usize,
-    /// Quantum preemptions across all mutators.
-    pub preemptions: u64,
-    /// Fraction of objects with lifespans below 1 KiB.
-    pub frac_below_1k: f64,
-    /// Total GC pause time.
-    pub gc: SimDuration,
-    /// End-to-end wall time.
-    pub wall: SimDuration,
-    /// How the run behind this row ended.
-    pub outcome: RunOutcome,
-}
-
-/// The oversubscription study: a fixed fully-enabled machine with
-/// 1×, 2× and 4× as many threads as cores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Oversub {
-    /// Enabled cores (fixed).
-    pub cores: usize,
-    /// One row per thread count.
-    pub rows: Vec<OversubRow>,
-}
-
-impl Oversub {
-    /// Renders the table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "cores",
-            "threads",
-            "preemptions",
-            "<1KiB",
-            "gc",
-            "wall",
-            "outcome",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                self.cores.to_string(),
-                r.threads.to_string(),
-                r.preemptions.to_string(),
-                fmt_pct(r.frac_below_1k),
-                r.gc.to_string(),
-                r.wall.to_string(),
-                outcome_cell(&r.outcome),
-            ]);
-        }
-        t
-    }
-}
-
-/// Runs `ext-oversub` on `app`: 48 cores enabled, threads at 1×/2×/4×
-/// the core count. The paper never oversubscribes (threads = cores);
-/// this shows that its lifespan-inflation mechanism strengthens when
-/// threads time-share cores and quantum preemption suspends them
-/// mid-item.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
-/// configuration errors.
-pub fn run_oversubscription(app: &str, params: &ExpParams) -> Result<Oversub, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
-    let cores = 48;
-    let thread_counts = [cores, 2 * cores, 4 * cores];
-    let specs: Vec<RunSpec> = thread_counts
-        .iter()
-        .map(|&threads| {
-            let mut cfg = JvmConfig::builder();
-            cfg.threads(threads).cores(cores).seed(params.seed);
-            Ok(RunSpec {
-                app: model.scaled(params.scale),
-                config: cfg.build()?,
-            })
-        })
-        .collect::<Result<_, scalesim_core::ConfigError>>()?;
-    let reports = run_all(&specs);
-    Ok(Oversub {
-        cores,
-        rows: thread_counts
-            .iter()
-            .zip(reports.iter())
-            .map(|(&threads, r)| OversubRow {
-                threads,
-                preemptions: r.per_thread.iter().map(|t| t.preemptions).sum(),
-                frac_below_1k: r.trace.fraction_below(1 << 10),
-                gc: r.gc_time,
-                wall: r.wall_time,
-                outcome: r.outcome.clone(),
-            })
-            .collect(),
+/// `ext-oversub`'s runs: 48 cores enabled, threads at 1×/2×/4× the core
+/// count. The paper never oversubscribes (threads = cores); this shows
+/// that its lifespan-inflation mechanism strengthens when threads
+/// time-share cores and quantum preemption suspends them mid-item.
+pub(crate) fn oversub_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+    const CORES: usize = 48;
+    let params = params
+        .clone()
+        .with_threads(vec![CORES, 2 * CORES, 4 * CORES]);
+    per_thread_specs(app, &params, &[CORES], |cfg, cores| {
+        cfg.cores(cores);
     })
 }
 
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-
-    #[test]
-    fn gc_workers_help_but_saturate() {
-        let params = ExpParams::quick().with_scale(0.1).with_threads(vec![32]);
-        let g = run_gc_workers("xalan", &params).unwrap();
-        assert_eq!(g.threads, 32);
-        assert!(g.rows.len() >= 5);
-        let one = &g.rows[0];
-        let all = g.rows.last().expect("rows");
-        assert!(all.gc < one.gc, "more workers must reduce GC time");
-        // diminishing returns: the last doubling helps less than the first
-        let first_gain = one.gc.as_secs_f64() / g.rows[1].gc.as_secs_f64();
-        let n = g.rows.len();
-        let last_gain = g.rows[n - 2].gc.as_secs_f64() / all.gc.as_secs_f64();
-        assert!(
-            first_gain > last_gain,
-            "first doubling {first_gain:.3}x, last {last_gain:.3}x"
-        );
+/// `ext-oversub`'s table.
+pub(crate) fn oversub_table(specs: &[RunSpec], reports: &[RunReport]) -> Table {
+    let mut t = Table::new(vec![
+        "cores",
+        "threads",
+        "preemptions",
+        "<1KiB",
+        "gc",
+        "wall",
+        "outcome",
+    ]);
+    for (s, r) in specs.iter().zip(reports) {
+        let preemptions: u64 = r.per_thread.iter().map(|t| t.preemptions).sum();
+        t.row(vec![
+            s.config.cores().to_string(),
+            s.config.threads.to_string(),
+            preemptions.to_string(),
+            fmt_pct(r.trace.fraction_below(1 << 10)),
+            r.gc_time.to_string(),
+            r.wall_time.to_string(),
+            outcome_cell(&r.outcome),
+        ]);
     }
-
-    #[test]
-    fn oversubscription_hurts_gc_disproportionately() {
-        let params = ExpParams::quick().with_scale(0.1);
-        let o = run_oversubscription("xalan", &params).unwrap();
-        assert_eq!(o.rows.len(), 3);
-        let matched = &o.rows[0];
-        let four_x = &o.rows[2];
-        // Threads time-sharing 48 cores gain no mutator capacity but keep
-        // more carried objects alive, so GC time grows much faster than
-        // wall time.
-        let gc_growth = four_x.gc.as_secs_f64() / matched.gc.as_secs_f64();
-        let wall_growth = four_x.wall.as_secs_f64() / matched.wall.as_secs_f64();
-        assert!(gc_growth > 1.5, "gc growth {gc_growth:.2}");
-        assert!(
-            gc_growth > wall_growth,
-            "gc x{gc_growth:.2} should outpace wall x{wall_growth:.2}"
-        );
-        // ... and lifespans never get shorter under time-sharing.
-        assert!(four_x.frac_below_1k <= matched.frac_below_1k + 0.02);
-    }
+    t
 }
 
 // ---------------------------------------------------------------------
@@ -803,7 +411,7 @@ impl HeapSizeStudy {
 /// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
 /// configuration errors or an engine failure in the recording run.
 pub fn run_heap_size(app: &str, params: &ExpParams) -> Result<HeapSizeStudy, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
+    let model = app_model(app)?;
     let threads = params.max_threads();
     let scaled = model.scaled(params.scale);
 
@@ -890,75 +498,25 @@ mod heapsize_tests {
 // ext-concurrent: mostly-concurrent old generation
 // ---------------------------------------------------------------------
 
-/// One row of the concurrent-collector study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConcurrentRow {
-    /// Thread count.
-    pub threads: usize,
-    /// `stw-full` or `concurrent`.
-    pub policy: String,
-    /// End-to-end wall time.
-    pub wall: SimDuration,
-    /// Total STW pause time (all collection kinds).
-    pub gc_stw: SimDuration,
-    /// Worst single old-generation pause (full GC, or one concurrent
-    /// phase).
-    pub worst_old_pause: SimDuration,
-    /// Old-gen collections: full GCs, or completed concurrent cycles.
-    pub old_collections: usize,
-    /// STW full GCs under the concurrent policy — "concurrent mode
-    /// failures".
-    pub failures: usize,
-    /// How the run behind this row ended.
-    pub outcome: RunOutcome,
+/// `ext-concurrent`'s runs: per thread count, the paper's STW throughput
+/// collector, then a CMS-like mostly-concurrent old generation.
+pub(crate) fn concurrent_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+    per_thread_specs(
+        app,
+        params,
+        &[OldGenPolicy::StwFull, OldGenPolicy::MostlyConcurrent],
+        |cfg, policy| {
+            cfg.old_gen(policy);
+        },
+    )
 }
 
-/// The concurrent-collector study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConcurrentStudy {
-    /// All rows.
-    pub rows: Vec<ConcurrentRow>,
-}
-
-impl ConcurrentStudy {
-    /// The row for `(policy, threads)`.
-    #[must_use]
-    pub fn row(&self, policy: &str, threads: usize) -> Option<&ConcurrentRow> {
-        self.rows
-            .iter()
-            .find(|r| r.policy == policy && r.threads == threads)
-    }
-
-    /// Renders the table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "threads",
-            "old-gen policy",
-            "wall",
-            "gc stw",
-            "worst old pause",
-            "old collections",
-            "cmf",
-            "outcome",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.threads.to_string(),
-                r.policy.clone(),
-                r.wall.to_string(),
-                r.gc_stw.to_string(),
-                r.worst_old_pause.to_string(),
-                r.old_collections.to_string(),
-                r.failures.to_string(),
-                outcome_cell(&r.outcome),
-            ]);
-        }
-        t
-    }
-}
-
-fn concurrent_row(policy: &str, r: &RunReport) -> ConcurrentRow {
+/// A run's old-generation record under `policy`: the policy's label,
+/// the worst single old-generation pause (a full GC, or one concurrent
+/// phase), old-gen collections (full GCs, or completed concurrent
+/// cycles), and STW full GCs under the concurrent policy — "concurrent
+/// mode failures".
+fn old_gen_stats(policy: OldGenPolicy, r: &RunReport) -> (&'static str, SimDuration, usize, usize) {
     let max_of = |kind: GcKind| {
         r.gc.events()
             .iter()
@@ -967,84 +525,200 @@ fn concurrent_row(policy: &str, r: &RunReport) -> ConcurrentRow {
             .max()
             .unwrap_or(SimDuration::ZERO)
     };
-    let (worst_old, old_collections, failures) = if policy == "concurrent" {
-        (
+    let fulls = r.gc.count(GcKind::Full);
+    match policy {
+        OldGenPolicy::MostlyConcurrent => (
+            "concurrent",
             max_of(GcKind::ConcurrentOld).max(max_of(GcKind::Full)),
             r.gc.count(GcKind::ConcurrentOld) / 2, // two phases per cycle
-            r.gc.count(GcKind::Full),
-        )
-    } else {
-        (max_of(GcKind::Full), r.gc.count(GcKind::Full), 0)
-    };
-    ConcurrentRow {
-        threads: r.threads,
-        policy: policy.to_owned(),
-        wall: r.wall_time,
-        gc_stw: r.gc_time,
-        worst_old_pause: worst_old,
-        old_collections,
-        failures,
-        outcome: r.outcome.clone(),
+            fulls,
+        ),
+        OldGenPolicy::StwFull => ("stw-full", max_of(GcKind::Full), fulls, 0),
     }
 }
 
-/// Runs `ext-concurrent` on `app`: the paper's STW throughput collector
-/// vs. a CMS-like mostly-concurrent old generation, across the thread
-/// sweep.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
-/// configuration errors.
-pub fn run_concurrent_old_gen(app: &str, params: &ExpParams) -> Result<ConcurrentStudy, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
-    let mut specs = Vec::new();
-    let mut labels = Vec::new();
-    for &threads in &params.thread_counts {
-        for (label, policy) in [
-            ("stw-full", OldGenPolicy::StwFull),
-            ("concurrent", OldGenPolicy::MostlyConcurrent),
-        ] {
-            let mut cfg = JvmConfig::builder();
-            cfg.threads(threads).seed(params.seed).old_gen(policy);
-            specs.push(RunSpec {
-                app: model.scaled(params.scale),
-                config: cfg.build()?,
-            });
-            labels.push(label);
-        }
+/// `ext-concurrent`'s table.
+pub(crate) fn concurrent_table(specs: &[RunSpec], reports: &[RunReport]) -> Table {
+    let mut t = Table::new(vec![
+        "threads",
+        "old-gen policy",
+        "wall",
+        "gc stw",
+        "worst old pause",
+        "old collections",
+        "cmf",
+        "outcome",
+    ]);
+    for (s, r) in specs.iter().zip(reports) {
+        let (policy, worst_old, old_collections, failures) = old_gen_stats(s.config.old_gen, r);
+        t.row(vec![
+            r.threads.to_string(),
+            policy.to_owned(),
+            r.wall_time.to_string(),
+            r.gc_time.to_string(),
+            worst_old.to_string(),
+            old_collections.to_string(),
+            failures.to_string(),
+            outcome_cell(&r.outcome),
+        ]);
     }
-    let reports = run_all(&specs);
-    Ok(ConcurrentStudy {
-        rows: labels
-            .iter()
-            .zip(reports.iter())
-            .map(|(label, r)| concurrent_row(label, r))
-            .collect(),
-    })
+    t
 }
 
 #[cfg(test)]
-mod concurrent_tests {
+mod tests {
     use super::*;
+    use crate::sweep::run_all;
+
+    /// Runs `specs` through the sweep, pairing each spec with its report.
+    fn runs(specs: Result<Vec<RunSpec>, SimError>) -> Vec<(RunSpec, RunReport)> {
+        let specs = specs.unwrap();
+        let reports = run_all(&specs);
+        specs.into_iter().zip(reports).collect()
+    }
+
+    /// The report of the run whose spec satisfies `pick`.
+    fn find(runs: &[(RunSpec, RunReport)], pick: impl Fn(&RunSpec) -> bool) -> &RunReport {
+        &runs.iter().find(|(s, _)| pick(s)).expect("run present").1
+    }
+
+    #[test]
+    fn ergonomics_produces_three_variants_per_thread_count() {
+        let params = ExpParams::quick().with_scale(0.02).with_threads(vec![16]);
+        let runs = runs(ergo_specs("xalan", &params));
+        let variants: Vec<&str> = runs.iter().map(|(s, _)| ergo_variant(&s.config)).collect();
+        assert_eq!(variants, ["fixed", "tight", "relaxed"]);
+        assert!(runs.iter().all(|(s, _)| s.config.threads == 16));
+        let (specs, reports): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+        assert_eq!(ergo_table(&specs, &reports).num_rows(), 3);
+    }
+
+    #[test]
+    fn adaptive_sizing_never_storms() {
+        // The historical failure mode: an unachievable goal shrinking the
+        // nursery into a collection storm. With floor-aware control, GC
+        // time under any goal stays within a small factor of fixed.
+        let params = ExpParams::quick().with_scale(0.1).with_threads(vec![32]);
+        let runs = runs(ergo_specs("xalan", &params));
+        let fixed = find(&runs, |s| ergo_variant(&s.config) == "fixed");
+        for variant in ["tight", "relaxed"] {
+            let v = find(&runs, |s| ergo_variant(&s.config) == variant);
+            assert!(
+                v.gc_time.as_secs_f64() < fixed.gc_time.as_secs_f64() * 3.0,
+                "{variant}: gc {} vs fixed {}",
+                v.gc_time,
+                fixed.gc_time
+            );
+        }
+    }
+
+    #[test]
+    fn relaxed_goal_trades_pause_for_fewer_collections() {
+        let params = ExpParams::quick().with_scale(0.1).with_threads(vec![8]);
+        let runs = runs(ergo_specs("xalan", &params));
+        let minors = |variant: &str| {
+            find(&runs, |s| ergo_variant(&s.config) == variant)
+                .gc
+                .count(GcKind::Minor)
+        };
+        assert!(
+            minors("relaxed") <= minors("fixed"),
+            "growing the nursery must not collect more often: {} vs {}",
+            minors("relaxed"),
+            minors("fixed")
+        );
+    }
+
+    #[test]
+    fn numa_scatter_is_more_exposed_and_slower_gc() {
+        let params = ExpParams::quick().with_scale(0.05).with_threads(vec![8]);
+        let runs = runs(numa_specs("xalan", &params));
+        let [(compact_spec, compact), (scatter_spec, scatter)] = &runs[..] else {
+            panic!("expected compact and scatter runs");
+        };
+        assert_eq!(compact_spec.config.placement, Placement::Compact);
+        assert_eq!(numa_factor(&compact_spec.config), 1.0);
+        assert!(numa_factor(&scatter_spec.config) > 1.3);
+        assert!(
+            scatter.gc_time > compact.gc_time,
+            "{} vs {}",
+            scatter.gc_time,
+            compact.gc_time
+        );
+    }
+
+    #[test]
+    fn sharding_reduces_contention_on_the_hot_class() {
+        let params = ExpParams::quick().with_scale(0.05).with_threads(vec![32]);
+        // xalan lock class 1 = dtm-cache
+        let runs = runs(sharding_specs("xalan", 1, &params));
+        assert_eq!(runs.len(), 4);
+        let contentions = |i: usize| {
+            let (spec, report) = &runs[i];
+            let class = &spec.app.spec().lock_classes[1];
+            assert_eq!(class.name, "dtm-cache");
+            report.locks.by_class[&class.name].contentions
+        };
+        assert!(
+            contentions(3) * 2 < contentions(0),
+            "8 shards: {} vs 1 shard: {}",
+            contentions(3),
+            contentions(0)
+        );
+    }
+
+    #[test]
+    fn gc_workers_help_but_saturate() {
+        let params = ExpParams::quick().with_scale(0.1).with_threads(vec![32]);
+        let runs = runs(gc_workers_specs("xalan", &params));
+        assert!(runs.iter().all(|(s, _)| s.config.threads == 32));
+        assert!(runs.len() >= 5);
+        let gc: Vec<f64> = runs.iter().map(|(_, r)| r.gc_time.as_secs_f64()).collect();
+        let n = gc.len();
+        assert!(gc[n - 1] < gc[0], "more workers must reduce GC time");
+        // diminishing returns: the last doubling helps less than the first
+        let first_gain = gc[0] / gc[1];
+        let last_gain = gc[n - 2] / gc[n - 1];
+        assert!(
+            first_gain > last_gain,
+            "first doubling {first_gain:.3}x, last {last_gain:.3}x"
+        );
+    }
+
+    #[test]
+    fn oversubscription_hurts_gc_disproportionately() {
+        let params = ExpParams::quick().with_scale(0.1);
+        let runs = runs(oversub_specs("xalan", &params));
+        assert_eq!(runs.len(), 3);
+        let matched = &runs[0].1;
+        let four_x = &runs[2].1;
+        // Threads time-sharing 48 cores gain no mutator capacity but keep
+        // more carried objects alive, so GC time grows much faster than
+        // wall time.
+        let gc_growth = four_x.gc_time.as_secs_f64() / matched.gc_time.as_secs_f64();
+        let wall_growth = four_x.wall_time.as_secs_f64() / matched.wall_time.as_secs_f64();
+        assert!(gc_growth > 1.5, "gc growth {gc_growth:.2}");
+        assert!(
+            gc_growth > wall_growth,
+            "gc x{gc_growth:.2} should outpace wall x{wall_growth:.2}"
+        );
+        // ... and lifespans never get shorter under time-sharing.
+        let below_1k = |r: &RunReport| r.trace.fraction_below(1 << 10);
+        assert!(below_1k(four_x) <= below_1k(matched) + 0.02);
+    }
 
     #[test]
     fn concurrent_policy_bounds_the_worst_old_gen_pause() {
         // Needs enough promotion pressure for old-gen collections: full
         // scale at 48 threads (see Figure 2's full-GC column).
         let params = ExpParams::paper().with_threads(vec![48]);
-        let study = run_concurrent_old_gen("xalan", &params).unwrap();
-        let stw = study.row("stw-full", 48).expect("stw row");
-        let conc = study.row("concurrent", 48).expect("concurrent row");
-        assert!(stw.old_collections > 0, "baseline needs full GCs");
-        assert!(conc.old_collections > 0, "cycles must run");
-        assert!(
-            conc.worst_old_pause < stw.worst_old_pause,
-            "{} vs {}",
-            conc.worst_old_pause,
-            stw.worst_old_pause
-        );
-        // mutator work is unaffected
-        assert_eq!(study.table().num_rows(), 2);
+        let runs = runs(concurrent_specs("xalan", &params));
+        assert_eq!(runs.len(), 2);
+        let (_, stw_worst, stw_old, _) = old_gen_stats(OldGenPolicy::StwFull, &runs[0].1);
+        let (_, conc_worst, conc_old, _) =
+            old_gen_stats(OldGenPolicy::MostlyConcurrent, &runs[1].1);
+        assert!(stw_old > 0, "baseline needs full GCs");
+        assert!(conc_old > 0, "cycles must run");
+        assert!(conc_worst < stw_worst, "{conc_worst} vs {stw_worst}");
     }
 }

@@ -6,12 +6,12 @@
 //! eclipse (Figure 1c) "shows almost no change in object lifespans as we
 //! changed the numbers of threads from 4 to 48".
 
-use scalesim_core::{RunOutcome, SimError};
+use scalesim_core::{RunOutcome, RunReport, SimError};
 use scalesim_metrics::{fmt_bytes, fmt_pct, Table};
-use scalesim_workloads::{app_by_name, AppModel};
+use scalesim_workloads::AppModel;
 
 use crate::params::ExpParams;
-use crate::sweep::{mark_cell, run_all, RunSpec};
+use crate::sweep::{app_model, mark_cell, run_all, RunSpec};
 
 /// Default CDF sampling thresholds (bytes of allocation), log-spaced the
 /// way the paper's x-axes are.
@@ -90,15 +90,14 @@ impl LifespanCurves {
     }
 }
 
-/// The one-app × thread-count spec list the lifespan sweeps execute;
-/// shared with the campaign unit enumeration so the two cannot drift.
+/// The one-app × thread-count spec list the lifespan sweeps execute.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownApp`] if `app` is not one of the six
 /// benchmarks.
 pub(crate) fn lifespan_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
+    let model = app_model(app)?;
     Ok(params
         .thread_counts
         .iter()
@@ -113,28 +112,30 @@ pub(crate) fn lifespan_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpe
 /// Returns [`SimError::UnknownApp`] if `app` is not one of the six
 /// benchmarks.
 pub fn run_lifespan_curves(app: &str, params: &ExpParams) -> Result<LifespanCurves, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
     let specs = lifespan_specs(app, params)?;
-    let reports = run_all(&specs);
+    Ok(lifespan_study(&specs, &run_all(&specs)))
+}
+
+/// The curves drawn from one app's specs and their reports.
+pub(crate) fn lifespan_study(specs: &[RunSpec], reports: &[RunReport]) -> LifespanCurves {
     let thresholds = DEFAULT_THRESHOLDS.to_vec();
-    let curves = params
-        .thread_counts
+    let curves = specs
         .iter()
-        .zip(reports.iter())
-        .map(|(&threads, r)| {
+        .zip(reports)
+        .map(|(s, r)| {
             let fracs = thresholds
                 .iter()
                 .map(|&t| r.trace.fraction_below(t))
                 .collect();
-            (threads, fracs)
+            (s.config.threads, fracs)
         })
         .collect();
-    Ok(LifespanCurves {
-        app: model.name().to_owned(),
+    LifespanCurves {
+        app: specs[0].app.name().to_owned(),
         thresholds,
         curves,
         outcomes: reports.iter().map(|r| r.outcome.clone()).collect(),
-    })
+    }
 }
 
 /// Figure 1c: eclipse's lifespan CDF — expected to barely move with

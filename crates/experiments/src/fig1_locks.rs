@@ -6,12 +6,12 @@
 //! hand, lock usage and contention in non-scalable applications remain
 //! unaffected by the number of threads."
 
-use scalesim_core::{RunOutcome, SimError};
+use scalesim_core::{RunOutcome, RunReport, SimError};
 use scalesim_metrics::{Series, Table};
 use scalesim_workloads::{all_apps, AppModel, ScalabilityClass};
 
 use crate::params::ExpParams;
-use crate::sweep::{grid_specs, mark_cell, run_all};
+use crate::sweep::{grid_specs, groups, mark_cell, run_all, RunSpec};
 
 /// Results for Figures 1a (acquisitions) and 1b (contentions): one series
 /// per application, x = thread count.
@@ -93,35 +93,35 @@ impl Fig1Locks {
 /// Currently infallible (the sweep quarantines failing runs), but shares
 /// the drivers' common `Result` signature.
 pub fn run_fig1_locks(params: &ExpParams) -> Result<Fig1Locks, SimError> {
-    let apps = all_apps();
-    let specs = grid_specs(&apps, params);
-    let reports = run_all(&specs);
+    let specs = grid_specs(&all_apps(), params);
+    Ok(fig1_locks_study(&specs, &run_all(&specs)))
+}
 
+/// The figures drawn from an app-major grid's specs and their reports.
+pub(crate) fn fig1_locks_study(specs: &[RunSpec], reports: &[RunReport]) -> Fig1Locks {
     let mut acquisitions = Vec::new();
     let mut contentions = Vec::new();
     let mut classes = Vec::new();
     let mut outcomes = Vec::new();
-    for (a, app) in apps.iter().enumerate() {
+    for (specs, reports) in groups(specs, reports, |a, b| a.app.name() == b.app.name()) {
+        let app = &specs[0].app;
         let mut acq = Series::new(app.name());
         let mut con = Series::new(app.name());
-        let mut outs = Vec::new();
-        for (t, &threads) in params.thread_counts.iter().enumerate() {
-            let r = &reports[a * params.thread_counts.len() + t];
-            acq.push(threads as f64, r.locks.total.acquisitions as f64);
-            con.push(threads as f64, r.locks.total.contentions as f64);
-            outs.push(r.outcome.clone());
+        for (s, r) in specs.iter().zip(reports) {
+            acq.push(s.config.threads as f64, r.locks.total.acquisitions as f64);
+            con.push(s.config.threads as f64, r.locks.total.contentions as f64);
         }
         acquisitions.push(acq);
         contentions.push(con);
         classes.push((app.name().to_owned(), app.class()));
-        outcomes.push(outs);
+        outcomes.push(reports.iter().map(|r| r.outcome.clone()).collect());
     }
-    Ok(Fig1Locks {
+    Fig1Locks {
         acquisitions,
         contentions,
         classes,
         outcomes,
-    })
+    }
 }
 
 #[cfg(test)]

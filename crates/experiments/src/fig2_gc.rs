@@ -6,7 +6,7 @@
 //! would continue to be reduced as we scaled up the numbers of threads
 //! and cores all the way to 48".
 
-use scalesim_core::{RunOutcome, SimError};
+use scalesim_core::{RunOutcome, RunReport, SimError};
 use scalesim_gc::GcKind;
 use scalesim_metrics::{fmt_pct, Series, Table};
 use scalesim_simkit::SimDuration;
@@ -133,9 +133,11 @@ impl Fig2 {
 /// Currently infallible (the sweep quarantines failing runs), but shares
 /// the drivers' common `Result` signature.
 pub fn run_fig2(params: &ExpParams) -> Result<Fig2, SimError> {
-    let apps = scalable_apps();
-    let specs = grid_specs(&apps, params);
-    let reports = run_all(&specs);
+    Ok(fig2_study(&run_all(&grid_specs(&scalable_apps(), params))))
+}
+
+/// The figure drawn from its grid's reports.
+pub(crate) fn fig2_study(reports: &[RunReport]) -> Fig2 {
     let rows = reports
         .iter()
         .map(|r| Fig2Row {
@@ -148,7 +150,7 @@ pub fn run_fig2(params: &ExpParams) -> Result<Fig2, SimError> {
             outcome: r.outcome.clone(),
         })
         .collect();
-    Ok(Fig2 { rows })
+    Fig2 { rows }
 }
 
 #[cfg(test)]

@@ -1,28 +1,20 @@
 //! # scalesim-experiments
 //!
-//! One driver per artifact of the ISPASS'15 evaluation, each printing the
-//! same rows/series the paper reports:
+//! The artifacts of the ISPASS'15 evaluation — the §II-C scalability
+//! table, the §III work distribution, Figs. 1a–d and 2 — plus the §IV
+//! ablations and the extensions built on them, each printing the same
+//! rows/series the paper reports.
 //!
-//! | id | paper artifact | driver |
-//! |----|----------------|--------|
-//! | `workdist` | §III workload distribution | [`run_workdist`] |
-//! | `scaletable` | §II-C scalable / non-scalable classification | [`run_scalability`] |
-//! | `fig1a`/`fig1b` | Fig. 1a/1b lock acquisitions & contentions | [`run_fig1_locks`] |
-//! | `fig1c` | Fig. 1c eclipse lifespan CDF | [`run_fig1c`] |
-//! | `fig1d` | Fig. 1d xalan lifespan CDF | [`run_fig1d`] |
-//! | `fig2` | Fig. 2 mutator vs. GC time | [`run_fig2`] |
-//! | `abl-sched` | §IV future work 1 (biased scheduling) | [`run_biased_sched`] |
-//! | `abl-heap` | §IV future work 2 (compartmentalized heap) | [`run_heaplets`] |
-//! | `ext-ergo` | extension: adaptive nursery sizing | [`run_ergonomics`] |
-//! | `ext-numa` | extension: NUMA placement sensitivity | [`run_numa_placement`] |
-//! | `ext-sharding` | extension: hot-lock sharding | [`run_lock_sharding`] |
-//! | `ext-gcworkers` | extension: parallel GC worker scaling | [`run_gc_workers`] |
-//! | `ext-oversub` | extension: threads beyond cores | [`run_oversubscription`] |
-//! | `ext-heapsize` | extension: trace-replay heap-size sweep | [`run_heap_size`] |
-//! | `ext-concurrent` | extension: mostly-concurrent old generation | [`run_concurrent_old_gen`] |
-//! | `ext-topo` | extension: machine-topology sweep | [`run_topology`] |
-//! | `ext-server` | extension: server workloads with overload control | [`run_server_study`] |
-//! | `ext-locks` | extension: pluggable lock algorithms | [`run_lock_algorithms`] |
+//! Every artifact is one entry of [`ARTIFACTS`], in `all` order: its
+//! id, CSV name and banner, the run specs it sweeps and the renderer
+//! that draws its table from those specs and their reports. The CLI,
+//! [`campaign`] and the figure benchmark read that table, and
+//! [`artifact_tables`] runs any entry by id. The paper's artifacts and
+//! the richer extensions also return typed studies: [`run_workdist`],
+//! [`run_scalability`], [`run_fig1_locks`], [`run_fig1c`],
+//! [`run_fig1d`], [`run_fig2`], [`run_biased_sched`], [`run_heaplets`],
+//! [`run_heap_size`], [`run_topology`], [`run_server_study`] and
+//! [`run_lock_algorithms`].
 //!
 //! Sweeps run in parallel across host cores ([`run_all`]); every
 //! simulation itself is deterministic and single-threaded, so results are
@@ -38,8 +30,9 @@
 //! the recovered timeline, and [`write_audit_repro`] snapshots a
 //! finding-bearing run as an `audit-<key>.json` repro artifact. A fifth
 //! layer scales out: [`campaign`] lets N independent worker *processes*
-//! drain one sweep over a shared directory with lease-based claiming,
-//! crash recovery, and byte-identical merges. Completed sweeps feed the
+//! drain the sweep of any artifact whose registry entry is a
+//! [`Runs::Sweep`] (all but `ext-heapsize`) over a shared directory with
+//! lease-based claiming, crash recovery, and byte-identical merges. Completed sweeps feed the
 //! offline analytics layer ([`run_analytics`] / `scalesim-analytics`):
 //! USL fitting with collapse prediction, scalability classification,
 //! and per-run time attribution, emitted as a deterministic
@@ -78,16 +71,13 @@ mod workdist;
 
 pub use ablation::{run_biased_sched, run_heaplets, Ablation, AblationRow};
 pub use analyze::{run_analytics, write_analytics};
-pub use artifacts::{artifact_tables, ArtifactTable, ALL_ARTIFACTS};
+pub use artifacts::{
+    artifact, artifact_tables, Artifact, ArtifactTable, RenderFn, Runs, SpecsFn, ARTIFACTS,
+};
 pub use auditing::{audit_spec, write_audit_repro, AUDIT_EVENT_BACKSTOP};
 pub use checkpoint::ResumeStats;
 pub use ext_locks::{run_lock_algorithms, LockAlgRow, LockAlgStudy};
-pub use extensions::{
-    run_concurrent_old_gen, run_ergonomics, run_gc_workers, run_heap_size, run_lock_sharding,
-    run_numa_placement, run_oversubscription, ConcurrentRow, ConcurrentStudy, ErgoRow, Ergonomics,
-    GcWorkers, GcWorkersRow, HeapSizeRow, HeapSizeStudy, NumaRow, NumaStudy, Oversub, OversubRow,
-    Sharding, ShardingRow,
-};
+pub use extensions::{run_heap_size, HeapSizeRow, HeapSizeStudy};
 pub use fig1_lifespan::{
     run_fig1c, run_fig1d, run_lifespan_curves, LifespanCurves, DEFAULT_THRESHOLDS,
 };

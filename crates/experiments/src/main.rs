@@ -14,7 +14,7 @@ use scalesim_experiments::campaign::{self, CampaignError, CampaignSpec};
 use scalesim_experiments::{
     artifact_tables, audit_spec, checkpoint, run_analytics, run_isolated, shrink_failure,
     take_run_manifests, take_sweep_failures, write_analytics, write_audit_repro, write_repro,
-    ExpParams, RunSpec, SweepFailureKind, ALL_ARTIFACTS,
+    ExpParams, RunSpec, SweepFailureKind, ARTIFACTS,
 };
 use scalesim_metrics::Table;
 use scalesim_trace::write_atomic;
@@ -67,8 +67,7 @@ artifacts:
               segments, and the final merge is byte-identical to a
               single-process run no matter how many workers ran or
               crashed (SIGKILL included). Campaignable artifacts:
-              workdist scaletable fig1a fig1b fig1c fig1d fig2 ext-topo
-              ext-server ext-locks
+              every artifact except ext-heapsize
   repro FILE  re-execute a shrunk failure spec (repro-*.json or
               audit-*.json) exactly; exits 0 when the failure
               reproduces, 1 when it does not
@@ -365,8 +364,8 @@ fn emit(out: &Option<PathBuf>, name: &str, title: &str, table: &Table) -> Result
 
 fn run_artifact(cli: &Cli, artifact: &str) -> Result<(), CliError> {
     if artifact == "all" {
-        for a in ALL_ARTIFACTS {
-            run_artifact(cli, a)?;
+        for a in ARTIFACTS {
+            run_artifact(cli, a.id)?;
         }
         return Ok(());
     }
@@ -882,6 +881,22 @@ mod tests {
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| (*x).to_owned()).collect()
+    }
+
+    /// The help text lists every registry id (aliases included) at the
+    /// start of its own line, so it cannot drift from the registry.
+    #[test]
+    fn usage_names_every_registry_id() {
+        for a in ARTIFACTS {
+            for id in std::iter::once(a.id).chain(a.alias) {
+                assert!(
+                    USAGE
+                        .lines()
+                        .any(|l| l.split_whitespace().next() == Some(id)),
+                    "USAGE does not list {id}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! [h2, eclipse, jython] as non-scalable. In a scalable application, its
 //! execution time would reduce with more threads and more cores."
 
-use scalesim_core::{RunOutcome, SimError};
+use scalesim_core::{RunOutcome, RunReport, SimError};
 use scalesim_metrics::{fmt2, Series, Table};
 use scalesim_simkit::SimDuration;
 use scalesim_workloads::{all_apps, AppModel, ScalabilityClass};
 
 use crate::params::ExpParams;
-use crate::sweep::{grid_specs, mark_cell, run_all};
+use crate::sweep::{grid_specs, groups, mark_cell, run_all, RunSpec};
 
 /// Speedup (vs. the smallest thread count) above which an application is
 /// classified scalable at the largest thread count. With a 4→48 sweep a
@@ -140,35 +140,25 @@ impl Scalability {
 /// Currently infallible (the sweep quarantines failing runs), but shares
 /// the drivers' common `Result` signature.
 pub fn run_scalability(params: &ExpParams) -> Result<Scalability, SimError> {
-    let apps = all_apps();
-    let specs = grid_specs(&apps, params);
-    let reports = run_all(&specs);
-    let rows = apps
-        .iter()
-        .enumerate()
-        .map(|(a, app)| ScalabilityRow {
-            app: app.name().to_owned(),
-            expected: app.class(),
-            walls: params
-                .thread_counts
+    let specs = grid_specs(&all_apps(), params);
+    Ok(scalability_study(&specs, &run_all(&specs)))
+}
+
+/// The table drawn from an app-major grid's specs and their reports.
+pub(crate) fn scalability_study(specs: &[RunSpec], reports: &[RunReport]) -> Scalability {
+    let rows = groups(specs, reports, |a, b| a.app.name() == b.app.name())
+        .map(|(specs, reports)| ScalabilityRow {
+            app: specs[0].app.name().to_owned(),
+            expected: specs[0].app.class(),
+            walls: specs
                 .iter()
-                .enumerate()
-                .map(|(t, &threads)| {
-                    (
-                        threads,
-                        reports[a * params.thread_counts.len() + t].wall_time,
-                    )
-                })
+                .zip(reports)
+                .map(|(s, r)| (s.config.threads, r.wall_time))
                 .collect(),
-            outcomes: params
-                .thread_counts
-                .iter()
-                .enumerate()
-                .map(|(t, _)| reports[a * params.thread_counts.len() + t].outcome.clone())
-                .collect(),
+            outcomes: reports.iter().map(|r| r.outcome.clone()).collect(),
         })
         .collect();
-    Ok(Scalability { rows })
+    Scalability { rows }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! specifically "did the overload outlive the fault", not "did the fault
 //! cost throughput while it was active" (it always does).
 
-use scalesim_core::{JvmConfig, RunOutcome, ServerStats, SimError};
+use scalesim_core::{JvmConfig, RunOutcome, RunReport, ServerStats, SimError};
 use scalesim_metrics::Table;
 use scalesim_simkit::ChaosConfig;
 use scalesim_workloads::{xalan, ServerSpec};
@@ -89,8 +89,7 @@ pub(crate) fn scenario_spec(scenario: &str, threads: usize) -> ServerSpec {
     spec.with_env_overrides()
 }
 
-/// The scenario × thread-count spec list the study executes; shared with
-/// the campaign unit enumeration so the two cannot drift.
+/// The scenario × thread-count spec list the study executes.
 ///
 /// # Errors
 ///
@@ -240,16 +239,21 @@ fn row_from(
 /// Propagates configuration errors.
 pub fn run_server_study(params: &ExpParams) -> Result<ServerStudy, SimError> {
     let specs = server_specs(params)?;
-    let reports = run_all(&specs);
-    let per_scenario = params.thread_counts.len();
-    let mut rows = Vec::with_capacity(reports.len());
-    for (s, scenario) in SERVER_SCENARIOS.iter().enumerate() {
-        for (t, &threads) in params.thread_counts.iter().enumerate() {
-            let r = &reports[s * per_scenario + t];
-            rows.push(row_from(scenario, threads, r.server.as_ref(), &r.outcome));
-        }
+    Ok(server_study(&specs, &run_all(&specs)))
+}
+
+/// The study drawn from `ext-server`'s specs and their reports.
+pub(crate) fn server_study(specs: &[RunSpec], reports: &[RunReport]) -> ServerStudy {
+    ServerStudy {
+        rows: specs
+            .iter()
+            .zip(reports)
+            .map(|(s, r)| {
+                let scenario = s.config.server.as_ref().map_or("", |v| v.name.as_str());
+                row_from(scenario, s.config.threads, r.server.as_ref(), &r.outcome)
+            })
+            .collect(),
     }
-    Ok(ServerStudy { rows })
 }
 
 #[cfg(test)]

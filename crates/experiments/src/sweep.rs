@@ -55,10 +55,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use scalesim_core::{Jvm, JvmConfig, RunOutcome, RunReport, SimError};
+use scalesim_core::{Jvm, JvmConfig, JvmConfigBuilder, RunOutcome, RunReport, SimError};
 use scalesim_simkit::{splitmix64, AbortReason, CancelToken, ChaosPlan, FaultClass};
 use scalesim_trace::CounterId;
-use scalesim_workloads::{AppModel, SyntheticApp};
+use scalesim_workloads::{app_by_name, AppModel, SyntheticApp};
 
 use crate::checkpoint;
 use crate::params::ExpParams;
@@ -484,8 +484,7 @@ fn memo_disabled() -> bool {
 }
 
 /// The (application × thread count) grid every full-figure sweep
-/// shares; drivers and the campaign unit enumeration build their specs
-/// through this one function so the two can never drift apart.
+/// shares.
 pub(crate) fn grid_specs(apps: &[SyntheticApp], params: &ExpParams) -> Vec<RunSpec> {
     let mut specs = Vec::with_capacity(apps.len() * params.thread_counts.len());
     for app in apps {
@@ -494,6 +493,52 @@ pub(crate) fn grid_specs(apps: &[SyntheticApp], params: &ExpParams) -> Vec<RunSp
         }
     }
     specs
+}
+
+/// The runs of `app` at every thread count under each of `variants`,
+/// thread-major. Each configuration starts from a fresh builder holding
+/// the thread count and seed, and `variant` applies one variant to it.
+pub(crate) fn per_thread_specs<V: Copy>(
+    app: &str,
+    params: &ExpParams,
+    variants: &[V],
+    variant: fn(&mut JvmConfigBuilder, V),
+) -> Result<Vec<RunSpec>, SimError> {
+    let model = app_model(app)?;
+    let mut specs = Vec::new();
+    for &threads in &params.thread_counts {
+        for &v in variants {
+            let mut cfg = JvmConfig::builder();
+            cfg.threads(threads).seed(params.seed);
+            variant(&mut cfg, v);
+            specs.push(RunSpec {
+                app: model.scaled(params.scale),
+                config: cfg.build()?,
+            });
+        }
+    }
+    Ok(specs)
+}
+
+/// The benchmark model named `app`.
+pub(crate) fn app_model(app: &str) -> Result<SyntheticApp, SimError> {
+    app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))
+}
+
+/// Splits parallel `specs` and `reports` into runs of consecutive
+/// entries whose specs `same` pairs up: one app of an app-major grid,
+/// one machine of the topology sweep.
+pub(crate) fn groups<'a>(
+    specs: &'a [RunSpec],
+    reports: &'a [RunReport],
+    same: fn(&RunSpec, &RunSpec) -> bool,
+) -> impl Iterator<Item = (&'a [RunSpec], &'a [RunReport])> {
+    let mut rest = reports;
+    specs.chunk_by(same).map(move |chunk| {
+        let (head, tail) = rest.split_at(chunk.len());
+        rest = tail;
+        (chunk, head)
+    })
 }
 
 /// Number of physical cores, falling back to logical parallelism where

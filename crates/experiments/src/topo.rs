@@ -11,14 +11,14 @@
 //! genuinely new surface — topology × thread count multiplies the unit
 //! count without changing any existing figure.
 
-use scalesim_core::{JvmConfig, RunOutcome, SimError};
+use scalesim_core::{JvmConfig, RunOutcome, RunReport, SimError};
 use scalesim_machine::MachineTopology;
 use scalesim_metrics::{fmt2, Table};
 use scalesim_simkit::SimDuration;
-use scalesim_workloads::app_by_name;
+use scalesim_workloads::AppModel;
 
 use crate::params::ExpParams;
-use crate::sweep::{outcome_cell, run_all, RunSpec};
+use crate::sweep::{app_model, groups, outcome_cell, run_all, RunSpec};
 
 /// The machines the study sweeps, in table order.
 fn machines() -> Vec<MachineTopology> {
@@ -29,15 +29,14 @@ fn machines() -> Vec<MachineTopology> {
     ]
 }
 
-/// The machine × thread-count spec list the study executes; shared with
-/// the campaign unit enumeration so the two cannot drift.
+/// The machine × thread-count spec list the study executes.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownApp`] for an unknown `app` and propagates
 /// configuration errors.
 pub(crate) fn topo_specs(app: &str, params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
-    let model = app_by_name(app).ok_or_else(|| SimError::UnknownApp(app.to_owned()))?;
+    let model = app_model(app)?;
     let mut specs = Vec::new();
     for machine in machines() {
         for &threads in &params.thread_counts {
@@ -121,17 +120,21 @@ impl TopologyStudy {
 /// configuration errors.
 pub fn run_topology(app: &str, params: &ExpParams) -> Result<TopologyStudy, SimError> {
     let specs = topo_specs(app, params)?;
-    let reports = run_all(&specs);
-    let per_machine = params.thread_counts.len();
+    Ok(topo_study(&specs, &run_all(&specs)))
+}
+
+/// The study drawn from `ext-topo`'s specs and their reports.
+pub(crate) fn topo_study(specs: &[RunSpec], reports: &[RunReport]) -> TopologyStudy {
     let mut rows = Vec::with_capacity(reports.len());
-    for (m, machine) in machines().iter().enumerate() {
-        let base = reports[m * per_machine].wall_time;
-        for (t, &threads) in params.thread_counts.iter().enumerate() {
-            let r = &reports[m * per_machine + t];
+    let same_machine =
+        |a: &RunSpec, b: &RunSpec| a.config.machine.name() == b.config.machine.name();
+    for (specs, reports) in groups(specs, reports, same_machine) {
+        let base = reports[0].wall_time;
+        for (s, r) in specs.iter().zip(reports) {
             rows.push(TopoRow {
-                machine: machine.name().to_owned(),
-                threads,
-                cores: threads.clamp(1, machine.num_cores()),
+                machine: s.config.machine.name().to_owned(),
+                threads: s.config.threads,
+                cores: s.config.cores(),
                 wall: r.wall_time,
                 gc: r.gc_time,
                 speedup: if r.wall_time.is_zero() {
@@ -143,10 +146,10 @@ pub fn run_topology(app: &str, params: &ExpParams) -> Result<TopologyStudy, SimE
             });
         }
     }
-    Ok(TopologyStudy {
-        app: app.to_owned(),
+    TopologyStudy {
+        app: specs[0].app.name().to_owned(),
         rows,
-    })
+    }
 }
 
 #[cfg(test)]

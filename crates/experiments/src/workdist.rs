@@ -7,12 +7,12 @@
 //! lusearch, and sunflow show nearly a uniform distribution of workload
 //! among threads."
 
-use scalesim_core::{RunOutcome, SimError};
+use scalesim_core::{RunOutcome, RunReport, SimError};
 use scalesim_metrics::{fmt2, Table};
 use scalesim_workloads::{all_apps, AppModel, ScalabilityClass};
 
 use crate::params::ExpParams;
-use crate::sweep::{grid_specs, outcome_cell, run_all};
+use crate::sweep::{grid_specs, outcome_cell, run_all, RunSpec};
 
 /// Work-distribution measurements for one (app, thread count) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,14 +82,16 @@ impl Workdist {
 /// Currently infallible (the sweep quarantines failing runs), but shares
 /// the drivers' common `Result` signature.
 pub fn run_workdist(params: &ExpParams) -> Result<Workdist, SimError> {
-    let apps = all_apps();
-    let specs = grid_specs(&apps, params);
-    let reports = run_all(&specs);
-    let rows = reports
+    let specs = grid_specs(&all_apps(), params);
+    Ok(workdist_study(&specs, &run_all(&specs)))
+}
+
+/// The study drawn from a grid's specs and their reports.
+pub(crate) fn workdist_study(specs: &[RunSpec], reports: &[RunReport]) -> Workdist {
+    let rows = specs
         .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let app = &apps[i / params.thread_counts.len()];
+        .zip(reports)
+        .map(|(spec, r)| {
             let shares = r.work_shares();
             // A quarantined stub carries no per-thread data; summarizing it
             // would panic, so its row reports zeroed distribution stats.
@@ -100,7 +102,7 @@ pub fn run_workdist(params: &ExpParams) -> Result<Workdist, SimError> {
             };
             WorkdistRow {
                 app: r.app.clone(),
-                expected: app.class(),
+                expected: spec.app.class(),
                 threads: r.threads,
                 cv,
                 threads_for_90pct: r.threads_for_90pct_work(),
@@ -109,7 +111,7 @@ pub fn run_workdist(params: &ExpParams) -> Result<Workdist, SimError> {
             }
         })
         .collect();
-    Ok(Workdist { rows })
+    Workdist { rows }
 }
 
 #[cfg(test)]

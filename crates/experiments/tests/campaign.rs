@@ -1,10 +1,17 @@
-//! End-to-end campaign crash test: three worker processes drain one
-//! sweep over a shared directory, one is SIGKILLed mid-flight, and the
-//! merged output must still be byte-identical to a single-process run.
+//! End-to-end campaign tests. Three worker processes drain one sweep
+//! over a shared directory, one is SIGKILLed mid-flight, and the merged
+//! output must still be byte-identical to a single-process run; and
+//! every artifact of the registry that runs as one sweep merges
+//! byte-identical from an in-process campaign.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
+
+use scalesim_experiments::campaign::{self, campaign_units, CampaignSpec};
+use scalesim_experiments::{
+    artifact_tables, clear_run_cache, take_run_manifests, ExpParams, Runs, ARTIFACTS,
+};
 
 const BIN: &str = env!("CARGO_BIN_EXE_scalesim-experiments");
 const SWEEP_ARGS: &[&str] = &["--scale", "0.02", "--seed", "7", "--threads", "2,4"];
@@ -195,4 +202,53 @@ fn campaign_rejects_mismatched_spec_directories() {
         .unwrap();
     assert_eq!(status.code(), Some(3), "spec mismatch must exit 3");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every campaignable registry id, aliases included, merges from a
+/// single-process campaign into the tables and (`host_ns` zeroed)
+/// manifests of a fresh in-process run; the rest are refused.
+#[test]
+fn every_campaignable_artifact_merges_byte_identical() {
+    let params = ExpParams::quick().with_scale(0.01).with_threads(vec![2, 4]);
+    let mut campaigned = 0;
+    for a in ARTIFACTS {
+        for id in std::iter::once(a.id).chain(a.alias) {
+            if matches!(a.runs, Runs::Direct(_)) {
+                assert!(campaign_units(id, &params).is_none(), "{id}");
+                continue;
+            }
+            clear_run_cache();
+            let _ = take_run_manifests();
+            let single = artifact_tables(id, &params).unwrap().unwrap();
+            let manifests: Vec<String> = take_run_manifests()
+                .into_iter()
+                .map(|mut m| {
+                    m.host_ns = 0;
+                    m.to_json_line()
+                })
+                .collect();
+
+            let dir = scratch(&format!("registry-{id}"));
+            let spec = CampaignSpec {
+                artifact: id.to_owned(),
+                params: params.clone(),
+            };
+            let merged = campaign::run_local(&dir, &spec).unwrap();
+            assert_eq!(merged.tables.len(), single.len(), "{id}");
+            for (m, s) in merged.tables.iter().zip(&single) {
+                assert_eq!((&m.name, &m.title), (&s.name, &s.title), "{id}");
+                assert_eq!(m.table.to_csv(), s.table.to_csv(), "{id}: table differs");
+            }
+            let merged_manifests: Vec<String> =
+                merged.manifests.iter().map(|m| m.to_json_line()).collect();
+            assert_eq!(merged_manifests, manifests, "{id}: manifests differ");
+            let _ = std::fs::remove_dir_all(&dir);
+            campaigned += 1;
+        }
+    }
+    // 17 artifacts plus the fig1b alias; only ext-heapsize is refused.
+    assert_eq!(
+        campaigned, 18,
+        "every id but ext-heapsize runs as a campaign"
+    );
 }

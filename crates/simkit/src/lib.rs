@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline;
 mod cancel;
 pub mod chaos;
 mod queue;

@@ -53,10 +53,6 @@
 //!   matters because stop-the-world GC pauses call it once per collection.
 //!   Relative order (including FIFO ties) is untouched because internal
 //!   times never change.
-//!
-//! The previous `BinaryHeap` + two-`HashSet` implementation survives as
-//! [`crate::baseline::BaselineQueue`], serving as the reference model for
-//! differential tests and the before/after comparator in benches.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -105,6 +105,18 @@ diff target/ci-campaign/single/scaletable.csv target/ci-campaign/merged/scaletab
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-campaign/single/manifest.jsonl \
     > target/ci-campaign/single.norm
 diff target/ci-campaign/single.norm target/ci-campaign/merged/manifest.jsonl
+echo '== variant campaign smoke (abl-sched must merge byte-identical to a single run)'
+cargo run --release -q -p scalesim-experiments -- \
+    abl-sched --scale 0.02 --threads 4,8 \
+    --out target/ci-campaign/abl-single > /dev/null
+cargo run --release -q -p scalesim-experiments -- \
+    campaign abl-sched --scale 0.02 --threads 4,8 \
+    --dir target/ci-campaign/abl-dir --workers 2 \
+    --out target/ci-campaign/abl-merged > /dev/null
+diff target/ci-campaign/abl-single/abl_sched.csv target/ci-campaign/abl-merged/abl_sched.csv
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-campaign/abl-single/manifest.jsonl \
+    > target/ci-campaign/abl-single.norm
+diff target/ci-campaign/abl-single.norm target/ci-campaign/abl-merged/manifest.jsonl
 echo '== campaign degraded smoke (panicking units must quarantine, exit 2)'
 rc=0
 SCALESIM_CHAOS='panic-at=2000' \

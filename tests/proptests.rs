@@ -13,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use scalesim::metrics::{Cdf, LogHistogram};
-use scalesim::simkit::baseline::BaselineQueue;
 use scalesim::simkit::{EventQueue, SimDuration, SimTime};
 
 /// Runs `check` once per case, each with an independent deterministic
@@ -42,14 +41,17 @@ fn sample_vec(rng: &mut StdRng, max_value: u64, len: std::ops::Range<usize>) -> 
 }
 
 // ---------------------------------------------------------------------
-// Event queue vs. two reference models
+// Event queue vs. a reference model
 // ---------------------------------------------------------------------
 
 /// The slab queue against a plain sorted-`Vec` model:
 /// schedule/cancel/pop/peek/`shift_all` agree with `(time, insertion
 /// order)` semantics, including when the cancelled event is the head.
-/// Across the cases both delivery paths serve pops: the front slot and
-/// the heap.
+/// `EventId`s never repeat across slot recycling, cancelling an id that
+/// was already popped or cancelled returns `false`, the lifetime counters
+/// match the model, and a final drain delivers the sorted model, FIFO
+/// ties included. Across the cases both delivery paths serve pops: the
+/// front slot and the heap.
 #[test]
 fn event_queue_matches_vec_model() {
     let front_pops = AtomicU64::new(0);
@@ -59,35 +61,39 @@ fn event_queue_matches_vec_model() {
         // Reference: (absolute time, insertion order, payload), popped in
         // lexicographic order.
         let mut model: Vec<(u64, usize, usize)> = Vec::new();
+        // Every id ever issued, by insertion order.
         let mut issued = Vec::new();
-        let mut now = 0u64;
+        let mut ever_issued = std::collections::HashSet::new();
+        let (mut now, mut popped) = (0u64, 0u64);
 
         for op in 0..rng.gen_range(0usize..200) {
             match rng.gen_range(0u32..5) {
                 0 => {
                     let at = now + rng.gen_range(0u64..1000);
                     let id = queue.schedule_at(SimTime::from_nanos(at), op);
+                    assert!(
+                        ever_issued.insert(id),
+                        "EventId reused across generations: {id:?}"
+                    );
                     model.push((at, issued.len(), op));
-                    issued.push(Some((id, issued.len())));
+                    issued.push(id);
                 }
+                // Cancel any id ever issued: pending, popped or cancelled.
                 1 => {
                     if issued.is_empty() {
                         continue;
                     }
-                    let i = rng.gen_range(0..issued.len());
-                    if let Some((id, ord)) = issued[i].take() {
-                        let was_pending = model.iter().any(|&(_, o, _)| o == ord);
-                        assert_eq!(queue.cancel(id), was_pending);
-                        model.retain(|&(_, o, _)| o != ord);
-                    }
+                    let ord = rng.gen_range(0..issued.len());
+                    let was_pending = model.iter().any(|&(_, o, _)| o == ord);
+                    assert_eq!(queue.cancel(issued[ord]), was_pending);
+                    model.retain(|&(_, o, _)| o != ord);
                 }
                 // Cancel the earliest pending event, i.e. the heap's head.
                 2 => {
                     let Some(&(_, ord, _)) = model.iter().min() else {
                         continue;
                     };
-                    let (id, _) = issued[ord].take().expect("pending events have ids");
-                    assert!(queue.cancel(id));
+                    assert!(queue.cancel(issued[ord]));
                     model.retain(|&(_, o, _)| o != ord);
                 }
                 // A pause: every pending time and the clock move by delta.
@@ -113,13 +119,17 @@ fn event_queue_matches_vec_model() {
                             assert_eq!(t, SimTime::from_nanos(at));
                             assert_eq!(p, payload);
                             now = at;
+                            popped += 1;
                         }
                         (e, g) => panic!("model {e:?} vs queue {g:?}"),
                     }
                 }
             }
             assert_eq!(queue.len(), model.len());
+            assert_eq!(queue.is_empty(), model.is_empty());
             assert_eq!(queue.now(), SimTime::from_nanos(now));
+            assert_eq!(queue.scheduled_total(), issued.len() as u64);
+            assert_eq!(queue.popped_total(), popped);
             let head = model
                 .iter()
                 .min()
@@ -128,76 +138,17 @@ fn event_queue_matches_vec_model() {
         }
         front_pops.fetch_add(queue.front_hits(), Ordering::Relaxed);
         heap_pops.fetch_add(queue.popped_total() - queue.front_hits(), Ordering::Relaxed);
+
+        // Drain to the end: the rest comes out in model order, FIFO ties
+        // included.
+        model.sort_unstable();
+        for (at, _, payload) in model {
+            assert_eq!(queue.pop(), Some((SimTime::from_nanos(at), payload)));
+        }
+        assert_eq!(queue.pop(), None);
     });
     assert!(front_pops.into_inner() > 0, "no pop took the front slot");
     assert!(heap_pops.into_inner() > 0, "no pop took the heap");
-}
-
-/// The slab queue against the retired `BinaryHeap`+`HashSet`
-/// implementation under random schedule/cancel/pop/`shift_all`
-/// interleavings — every observable (pops, clock, length, peek,
-/// cancellation results, lifetime counters) must agree, and `EventId`s
-/// must never repeat across slot recycling.
-#[test]
-fn event_queue_matches_baseline_under_shifts() {
-    for_cases(256, |rng| {
-        let mut queue: EventQueue<u64> = EventQueue::new();
-        let mut base: BaselineQueue<u64> = BaselineQueue::new();
-        let mut ids = Vec::new(); // (slab id, baseline id), in issue order
-        let mut ever_issued = std::collections::HashSet::new();
-
-        for payload in 0..rng.gen_range(0u64..250) {
-            match rng.gen_range(0u32..8) {
-                // schedule (weighted: half of all ops)
-                0..=3 => {
-                    let delta = SimDuration::from_nanos(rng.gen_range(0u64..500));
-                    let at = queue.now() + delta;
-                    let q_id = queue.schedule_at(at, payload);
-                    let b_id = base.schedule_at(at, payload);
-                    assert!(
-                        ever_issued.insert(q_id),
-                        "EventId reused across generations: {q_id:?}"
-                    );
-                    ids.push((q_id, b_id));
-                }
-                // cancel a random id from the whole history
-                4 => {
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    let i = rng.gen_range(0..ids.len());
-                    let (q_id, b_id) = ids[i];
-                    assert_eq!(queue.cancel(q_id), base.cancel(b_id));
-                }
-                // pop
-                5..=6 => {
-                    assert_eq!(queue.pop(), base.pop());
-                }
-                // shift (a stop-the-world pause)
-                _ => {
-                    let pause = SimDuration::from_nanos(rng.gen_range(0u64..300));
-                    queue.shift_all(pause);
-                    base.shift_all(pause);
-                }
-            }
-            assert_eq!(queue.now(), base.now());
-            assert_eq!(queue.len(), base.len());
-            assert_eq!(queue.is_empty(), base.is_empty());
-            assert_eq!(queue.peek_time(), base.peek_time());
-            assert_eq!(queue.scheduled_total(), base.scheduled_total());
-            assert_eq!(queue.popped_total(), base.popped_total());
-        }
-
-        // Drain to the end: the remaining event sequences must be
-        // identical, including FIFO ties.
-        loop {
-            let (q, b) = (queue.pop(), base.pop());
-            assert_eq!(q, b);
-            if q.is_none() {
-                break;
-            }
-        }
-    });
 }
 
 // ---------------------------------------------------------------------
