@@ -2,9 +2,9 @@
 //!
 //! `scripts/bench.sh` calls this after `bench_sweep` + `bench_check` so
 //! every successful benchmark run leaves a JSONL record — git SHA, date,
-//! and the full `BENCH_sweep.json` body minified onto one line — that
-//! performance drift can be diagnosed against long after the working
-//! tree has moved on.
+//! and the full `BENCH_sweep.json` body, parsed and re-rendered onto one
+//! line with its number text kept as written — that performance drift
+//! can be diagnosed against long after the working tree has moved on.
 //!
 //! Usage: `bench_history <BENCH_sweep.json> <history.jsonl> <sha> <date>`
 //!
@@ -14,18 +14,9 @@
 
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bench_history <BENCH_sweep.json> <history.jsonl> <sha> <date>";
+use scalesim_core::JsonValue;
 
-/// Minifies the flat one-field-per-line JSON `bench_sweep` writes onto a
-/// single line. No string value in that report contains whitespace, so
-/// dropping every whitespace character is lossless.
-fn minify(json: &str) -> Result<String, String> {
-    let flat: String = json.split_whitespace().collect();
-    if !flat.starts_with('{') || !flat.ends_with('}') {
-        return Err("bench report is not a JSON object".to_owned());
-    }
-    Ok(flat)
-}
+const USAGE: &str = "usage: bench_history <BENCH_sweep.json> <history.jsonl> <sha> <date>";
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +25,11 @@ fn run() -> Result<(), String> {
     };
     let bench =
         std::fs::read_to_string(bench_path).map_err(|e| format!("read {bench_path}: {e}"))?;
-    let bench = minify(&bench).map_err(|e| format!("{bench_path}: {e}"))?;
+    let bench = match JsonValue::parse(&bench) {
+        Ok(doc @ JsonValue::Obj(_)) => doc.to_string(),
+        Ok(_) => return Err(format!("{bench_path}: bench report is not a JSON object")),
+        Err(e) => return Err(format!("{bench_path}: {e}")),
+    };
     if sha.is_empty() || sha.contains(|c: char| c.is_whitespace() || c == '"') {
         return Err(format!("bad sha `{sha}`"));
     }
@@ -75,5 +70,18 @@ fn main() -> ExitCode {
             eprintln!("bench_history: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_committed_report_renders_as_its_whitespace_stripped_text() {
+        let committed = include_str!("../../../../BENCH_sweep.json");
+        let stripped: String = committed.split_whitespace().collect();
+        let rendered = JsonValue::parse(committed).unwrap().to_string();
+        assert_eq!(rendered, stripped);
     }
 }

@@ -1,35 +1,38 @@
-//! Minimal lossless JSON for checkpoint and repro records.
+//! The workspace's one JSON reader and writer.
 //!
-//! The CI validator in `scalesim-trace` parses numbers into `f64`, which
-//! silently rounds integers above 2^53 — fatal for checkpoint records
-//! that must round-trip `u64::MAX` sentinels bit-exactly. This module is
-//! the persistence-grade counterpart: integers are `u64` end to end, and
-//! anything wider (or floating) travels as a string.
+//! Integers are `u64` end to end, so checkpoint records round-trip
+//! `u64::MAX` sentinels bit-exactly; a float never stands in for one.
+//! Numbers with a sign, a fraction or an exponent (the Chrome trace
+//! exports' `ts`, the bench report's percentages) keep their source
+//! text, so a read-and-rewrite never changes their digits.
 //!
 //! There is one writer and one lexer, used two ways:
 //!
 //! * **Streaming.** [`JsonWriter`] appends values straight into one
 //!   buffer, and [`JsonCursor`] reads them back value by value from the
 //!   canonical text the writer emits: no whitespace, keys in the order
-//!   the caller names them. The snapshot codec for run reports uses this
-//!   pair, so a multi-megabyte report never becomes a tree.
+//!   the caller names them, and unsigned integers only. The snapshot
+//!   codec for run reports uses this pair, so a multi-megabyte report
+//!   never becomes a tree.
 //! * **Tree.** [`JsonValue`] holds a whole document, for small documents
-//!   (repro specs, `analytics.json`) and for callers that already hold a
-//!   tree. Its `Display` renders through [`JsonWriter`], and
-//!   [`JsonValue::parse`] runs on [`JsonCursor`]'s lexer, tolerating
-//!   whitespace.
+//!   (repro specs, `analytics.json`, manifest lines, the artifact
+//!   validators) and for callers that already hold a tree. Its `Display`
+//!   renders through [`JsonWriter`], and [`JsonValue::parse`] runs on
+//!   [`JsonCursor`]'s lexer, tolerating whitespace.
 
 use std::borrow::Cow;
 use std::fmt;
 
-/// A JSON value restricted to what lossless persistence needs: no
-/// floats, no negatives, no `null`.
+/// A parsed JSON document (anything but `null`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JsonValue {
     /// `true` / `false`.
     Bool(bool),
     /// An unsigned integer, held exactly.
     U64(u64),
+    /// Any other number (one with a sign, a fraction or an exponent),
+    /// as its source text.
+    Num(String),
     /// A string, with escapes decoded.
     Str(String),
     /// An array.
@@ -53,6 +56,16 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Any number, as the nearest `f64`.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::U64(n) => Some(*n as f64),
+            JsonValue::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -86,8 +99,8 @@ impl JsonValue {
 
     /// Parses one JSON document; trailing garbage is an error.
     ///
-    /// Numbers must be unsigned integers that fit in `u64` — the only
-    /// numeric shape the snapshot writer emits.
+    /// A plain integer must fit in `u64`; every other number must
+    /// follow the JSON number grammar.
     ///
     /// # Errors
     ///
@@ -105,6 +118,7 @@ impl JsonValue {
         match self {
             JsonValue::Bool(b) => w.bool(*b),
             JsonValue::U64(n) => w.u64(*n),
+            JsonValue::Num(text) => w.raw(text),
             JsonValue::Str(s) => w.str(s),
             JsonValue::Arr(items) => {
                 w.begin_arr();
@@ -294,6 +308,12 @@ impl JsonWriter {
     pub fn str(&mut self, s: &str) {
         self.sep();
         push_escaped(&mut self.out, s);
+    }
+
+    /// Writes `text`, already valid JSON, as it is.
+    fn raw(&mut self, text: &str) {
+        self.sep();
+        self.out.extend_from_slice(text.as_bytes());
     }
 }
 
@@ -571,10 +591,53 @@ impl<'a> JsonCursor<'a> {
             Some(b'"') => Ok(JsonValue::Str(self.lex_str()?.into_owned())),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'0'..=b'9') => self.lex_u64().map(JsonValue::U64),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(self.error(&format!("unexpected byte `{}`", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Reads a number: a plain one through the `u64` lexer, any other
+    /// as its text, checked against the JSON number grammar.
+    fn parse_number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let int = self.skip_digits();
+        if int == 0 || (int > 1 && self.bytes[self.pos - int] == b'0') {
+            return Err(self.error("malformed number"));
+        }
+        let mut plain = !negative;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            plain = false;
+            if self.skip_digits() == 0 {
+                return Err(self.error("malformed number"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            plain = false;
+            self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            if self.skip_digits() == 0 {
+                return Err(self.error("malformed number"));
+            }
+        }
+        if plain {
+            self.pos = start;
+            return self.lex_u64().map(JsonValue::U64);
+        }
+        Ok(JsonValue::Num(self.text[start..self.pos].to_owned()))
+    }
+
+    /// Steps over a run of ASCII digits and returns its length.
+    fn skip_digits(&mut self) -> usize {
+        let digits = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += digits;
+        digits
     }
 
     fn parse_literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -643,8 +706,10 @@ mod tests {
             ("flag".to_owned(), JsonValue::Bool(true)),
             (
                 "text".to_owned(),
-                JsonValue::Str("quote \" slash \\ nl \n tab \t café".to_owned()),
+                JsonValue::Str("quote \" slash \\ nl \n tab \t café — ok".to_owned()),
             ),
+            ("neg".to_owned(), JsonValue::Num("-2.5".to_owned())),
+            ("exp".to_owned(), JsonValue::Num("6.02E+23".to_owned())),
             (
                 "arr".to_owned(),
                 JsonValue::Arr(vec![JsonValue::U64(1), JsonValue::Obj(vec![])]),
@@ -663,14 +728,42 @@ mod tests {
 
     #[test]
     fn rejects_floats_negatives_null_and_garbage() {
-        assert!(JsonValue::parse("1.5").is_err());
-        assert!(JsonValue::parse("-3").is_err());
-        assert!(JsonValue::parse("1e3").is_err());
+        for float in ["1.5", "-3", "1e3"] {
+            assert_eq!(JsonValue::parse(float).unwrap().as_u64(), None, "{float}");
+        }
         assert!(JsonValue::parse("null").is_err());
         assert!(JsonValue::parse("{").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
+        assert!(JsonValue::parse("{\"a\" 1}").is_err());
+        assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("12 3").is_err());
         assert!(JsonValue::parse("18446744073709551616").is_err()); // u64::MAX + 1
+        for bad in [
+            "-", "01", "-01", "1.", ".5", "1e", "1e+", "+1", "--1", "1.5.5",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn other_numbers_keep_their_text() {
+        let doc = JsonValue::parse(r#"[0.00, 210.5, -2.5, 1e3, -0]"#).unwrap();
+        assert_eq!(doc.to_string(), "[0.00,210.5,-2.5,1e3,-0]");
+        let nums: Vec<Option<f64>> = doc
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(JsonValue::as_f64)
+            .collect();
+        assert_eq!(
+            nums,
+            [Some(0.0), Some(210.5), Some(-2.5), Some(1000.0), Some(-0.0)]
+        );
+        assert_eq!(JsonValue::U64(7).as_f64(), Some(7.0));
+        assert_eq!(JsonValue::Bool(true).as_f64(), None);
+        // The streaming reader stays unsigned-integer only.
+        assert!(JsonCursor::new("1.5").u64().is_err());
+        assert!(JsonCursor::new("-3").u64().is_err());
     }
 
     #[test]

@@ -1233,7 +1233,7 @@ impl ReproSpec {
             threads: get_usize(v, "threads")?,
             cores_override: opt_usize("cores")?,
             seed: get_u64(v, "seed")?,
-            heap_bytes_override: v.get("heap_bytes").and_then(JsonValue::as_u64),
+            heap_bytes_override: opt_u64(v, "heap_bytes")?,
             monitors: get_bool(v, "monitors")?,
             retention: retention_from_name(get_str(v, "retention")?)?,
             chaos: chaos_from_json(get(v, "chaos")?)?,
@@ -1394,6 +1394,7 @@ mod tests {
             "missing field",
         );
         rejects(format!("{good} "), "trailing data");
+        rejects(edit(&good, "{\"v\":1,", "{\"v\":1.0,"), "float version");
         let timeline = good.find("\"timeline\":").expect("timeline key");
         let (head, tail) = good.split_at(timeline);
         let first_event = tail.find("\"events\":[[\"").expect("a timeline event") + 12;
@@ -1520,6 +1521,14 @@ mod tests {
         assert!(!text.contains("lock_alg"), "{text}");
         let back = ReproSpec::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back.lock_alg, LockAlg::Fifo);
+        // A float where an integer belongs is an error, not a default.
+        for (from, to) in [
+            ("\"threads\":1,", "\"threads\":1.0,"),
+            ("\"seed\":1,", "\"seed\":1,\"heap_bytes\":1e3,"),
+        ] {
+            let doc = JsonValue::parse(&edit(&text, from, to)).unwrap();
+            assert!(ReproSpec::from_json(&doc).is_err(), "accepted {to}");
+        }
     }
 
     #[test]

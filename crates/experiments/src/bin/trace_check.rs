@@ -10,13 +10,16 @@
 //! ```
 //!
 //! The container builds fully offline — no `jq`, no Python — so this
-//! binary leans on `scalesim_trace::check`'s std-only JSON parser. Exit
-//! code 0 means every artifact validated; 1 means a malformed artifact
-//! or a usage error, with the reason on stderr.
+//! binary runs the validators in `scalesim_experiments::check`, which
+//! read through `scalesim_core`'s JSON reader. Exit code 0 means every
+//! artifact validated; 1 means a malformed artifact or a usage error,
+//! with the reason on stderr.
 
 use std::process::ExitCode;
 
-use scalesim_trace::check::{validate_analytics, validate_chrome_trace, validate_manifest_line};
+use scalesim_experiments::check::{
+    validate_analytics, validate_chrome_trace, validate_manifest_line,
+};
 
 const USAGE: &str = "usage: trace_check <trace.json> [<manifest.jsonl> <expected-lines>]\n\
        trace_check --analytics <analytics.json>";

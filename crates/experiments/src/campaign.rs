@@ -27,7 +27,7 @@
 //!
 //! **Correctness never depends on the leases.** A run is a pure
 //! function of its memo key, so two workers that both execute a unit
-//! (a stale-lease race, a resurrected heartbeat) merely write identical
+//! (a stale-lease race, a missed heartbeat) merely write identical
 //! records into different segments — last-wins merging is harmless.
 //! Leases only prevent *wasted* work. Likewise the `done/` markers are
 //! work-skipping hints: a marker without a segment record (crash
@@ -44,13 +44,13 @@
 //!
 //! Durability policy: the campaign directory is scratch state, so
 //! nothing in it is fsynced — segments are plain appends, done markers
-//! are plain writes (existence is the signal), and heartbeats and
-//! `campaign.json` are plain temp+rename writes. SIGKILL-safety needs
-//! only the page cache, which survives process death; whole-*host*
-//! crash durability is the fsynced checkpoint store's job
-//! (`--checkpoint`), and a torn `campaign.json` after a host crash is
-//! caught by the byte-compare on the next init. Only the final
-//! artifacts go through the fsynced
+//! are plain writes (existence is the signal), heartbeats only touch
+//! mtimes, and `campaign.json` is a plain temp+rename write.
+//! SIGKILL-safety needs only the page cache, which survives process
+//! death; whole-*host* crash durability is the fsynced checkpoint
+//! store's job (`--checkpoint`), and a torn `campaign.json` after a
+//! host crash is caught by the byte-compare on the next init. Only the
+//! final artifacts go through the fsynced
 //! [`write_atomic`](scalesim_trace::write_atomic).
 
 use std::collections::{HashMap, HashSet};
@@ -58,7 +58,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 use scalesim_core::SimError;
 use scalesim_simkit::splitmix64;
@@ -377,9 +377,8 @@ fn try_claim(leases: &Path, key: u64, ttl: Duration) -> io::Result<bool> {
 }
 
 /// Background refresher for every lease this process holds: one thread
-/// rewrites each held lease (temp+rename, refreshing its mtime) every
-/// TTL/4, so a live worker's leases never age past the TTL no matter
-/// how long its runs take.
+/// sets each held lease's mtime to now every TTL/4, so a live worker's
+/// leases never age past the TTL no matter how long its runs take.
 struct Heartbeat {
     inner: Arc<HeartbeatInner>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -401,7 +400,6 @@ impl Heartbeat {
         let period = ttl / 4;
         let thread_inner = Arc::clone(&inner);
         let handle = std::thread::spawn(move || {
-            let tmp_name = format!(".hb-{}", std::process::id());
             loop {
                 let guard = thread_inner
                     .stop
@@ -423,9 +421,14 @@ impl Heartbeat {
                     .cloned()
                     .collect();
                 for path in paths {
-                    // Refresh failures are tolerable: a missed beat at
-                    // worst lets another worker duplicate the unit.
-                    let _ = replace_file(&path, &tmp_name, &std::process::id().to_string());
+                    // Touch in place, never create: a lease released
+                    // since `paths` was read stays released. Refresh
+                    // failures are tolerable: a missed beat at worst
+                    // lets another worker duplicate the unit.
+                    let _ = std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&path)
+                        .and_then(|f| f.set_modified(SystemTime::now()));
                 }
             }
         });
@@ -613,6 +616,10 @@ pub fn worker_drain(
                                 .insert(key)
                             {
                                 stats.lock().unwrap_or_else(PoisonError::into_inner).skipped += 1;
+                                // A worker killed between marking a unit
+                                // done and releasing its lease leaves the
+                                // lease behind; a settled unit needs none.
+                                let _ = std::fs::remove_file(lease_path(leases, key));
                             }
                             continue;
                         }
@@ -884,6 +891,13 @@ mod tests {
         // Despite 200ms > TTL elapsing, the heartbeat kept the mtime
         // fresh, so the lease is not reclaimable.
         assert!(!try_claim(&leases, 3, ttl).unwrap());
+        // A lease released while still registered is not brought back.
+        std::fs::remove_file(lease_path(&leases, 3)).unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(
+            !lease_path(&leases, 3).exists(),
+            "heartbeat resurrected a lease"
+        );
         drop(hb);
         let _ = std::fs::remove_dir_all(&leases);
     }

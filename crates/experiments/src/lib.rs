@@ -55,6 +55,7 @@ mod analyze;
 mod artifacts;
 mod auditing;
 pub mod campaign;
+pub mod check;
 pub mod checkpoint;
 mod ext_locks;
 mod extensions;

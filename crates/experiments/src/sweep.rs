@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use scalesim_core::{Jvm, JvmConfig, JvmConfigBuilder, RunOutcome, RunReport, SimError};
+use scalesim_core::{JsonValue, Jvm, JvmConfig, JvmConfigBuilder, RunOutcome, RunReport, SimError};
 use scalesim_simkit::{splitmix64, AbortReason, CancelToken, ChaosPlan, FaultClass};
 use scalesim_trace::CounterId;
 use scalesim_workloads::{app_by_name, AppModel, SyntheticApp};
@@ -289,58 +289,37 @@ pub struct RunManifest {
     pub degraded: bool,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl RunManifest {
     /// Renders the manifest as one JSONL line (no trailing newline).
-    /// Carries every key `scalesim_trace::check::MANIFEST_REQUIRED_KEYS`
+    /// Carries every key [`MANIFEST_REQUIRED_KEYS`](crate::check::MANIFEST_REQUIRED_KEYS)
     /// demands.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        format!(
-            concat!(
-                "{{\"app\":\"{}\",\"threads\":{},\"seed\":{},\"outcome\":\"{}\",",
-                "\"detail\":\"{}\",\"host_ns\":{},\"events\":{},\"sim_wall_ns\":{},",
-                "\"gc_ns\":{},\"memo\":\"{}\",\"retries\":{},\"memo_evicted\":{},",
-                "\"monitor_scans\":{},\"trace_events\":{},\"trace_dropped\":{},",
-                "\"policy\":\"{}\",\"lat_p50_ns\":{},\"lat_p99_ns\":{},",
-                "\"lat_p999_ns\":{},\"degraded\":{}}}"
-            ),
-            json_escape(&self.app),
-            self.threads,
-            self.seed,
-            json_escape(&self.outcome),
-            json_escape(&self.detail),
-            self.host_ns,
-            self.events,
-            self.sim_wall_ns,
-            self.gc_ns,
-            json_escape(&self.memo),
-            self.retries,
-            self.memo_evicted,
-            self.monitor_scans,
-            self.trace_events,
-            self.trace_dropped,
-            json_escape(&self.policy),
-            self.lat_p50_ns,
-            self.lat_p99_ns,
-            self.lat_p999_ns,
-            self.degraded,
-        )
+        use JsonValue::{Bool, U64};
+        let text = |s: &str| JsonValue::Str(s.to_owned());
+        let pairs = [
+            ("app", text(&self.app)),
+            ("threads", U64(self.threads as u64)),
+            ("seed", U64(self.seed)),
+            ("outcome", text(&self.outcome)),
+            ("detail", text(&self.detail)),
+            ("host_ns", U64(self.host_ns)),
+            ("events", U64(self.events)),
+            ("sim_wall_ns", U64(self.sim_wall_ns)),
+            ("gc_ns", U64(self.gc_ns)),
+            ("memo", text(&self.memo)),
+            ("retries", U64(u64::from(self.retries))),
+            ("memo_evicted", Bool(self.memo_evicted)),
+            ("monitor_scans", U64(self.monitor_scans)),
+            ("trace_events", U64(self.trace_events)),
+            ("trace_dropped", U64(self.trace_dropped)),
+            ("policy", text(&self.policy)),
+            ("lat_p50_ns", U64(self.lat_p50_ns)),
+            ("lat_p99_ns", U64(self.lat_p99_ns)),
+            ("lat_p999_ns", U64(self.lat_p999_ns)),
+            ("degraded", Bool(self.degraded)),
+        ];
+        JsonValue::Obj(pairs.map(|(k, v)| (k.to_owned(), v)).into()).to_string()
     }
 }
 
@@ -1263,7 +1242,7 @@ mod tests {
         assert_eq!(mine[0].retries, 0);
         assert!(!mine[0].memo_evicted);
         for m in &mine {
-            scalesim_trace::check::validate_manifest_line(&m.to_json_line())
+            crate::check::validate_manifest_line(&m.to_json_line())
                 .expect("manifest line validates");
         }
         // A repeat sweep is served by the memo and says so.
@@ -1276,6 +1255,45 @@ mod tests {
         if !memo_disabled() {
             assert!(again.iter().all(|m| m.memo == "hit"), "{again:?}");
         }
+    }
+
+    #[test]
+    fn manifest_line_bytes_are_pinned() {
+        let m = RunManifest {
+            app: "xalan".to_owned(),
+            threads: 4,
+            seed: 42,
+            outcome: "quar".to_owned(),
+            detail: "panicked: \"boom\" at a\\b\nnext\tcol \u{1}".to_owned(),
+            host_ns: 7,
+            events: 8,
+            sim_wall_ns: 9,
+            gc_ns: 10,
+            memo: "miss".to_owned(),
+            retries: 1,
+            memo_evicted: true,
+            monitor_scans: 11,
+            trace_events: 12,
+            trace_dropped: 13,
+            policy: "robust".to_owned(),
+            lat_p50_ns: 14,
+            lat_p99_ns: 15,
+            lat_p999_ns: 16,
+            degraded: false,
+        };
+        let line = m.to_json_line();
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"app":"xalan","threads":4,"seed":42,"outcome":"quar","#,
+                r#""detail":"panicked: \"boom\" at a\\b\nnext\tcol \u0001","host_ns":7,"#,
+                r#""events":8,"sim_wall_ns":9,"gc_ns":10,"memo":"miss","retries":1,"#,
+                r#""memo_evicted":true,"monitor_scans":11,"trace_events":12,"#,
+                r#""trace_dropped":13,"policy":"robust","lat_p50_ns":14,"#,
+                r#""lat_p99_ns":15,"lat_p999_ns":16,"degraded":false}"#
+            )
+        );
+        crate::check::validate_manifest_line(&line).expect("pinned line validates");
     }
 
     #[test]
@@ -1299,7 +1317,7 @@ mod tests {
         assert_eq!(mine[0].outcome, "quar");
         assert_eq!(mine[0].retries, 1);
         assert!(mine[0].detail.contains("deliberate panic"), "{mine:?}");
-        scalesim_trace::check::validate_manifest_line(&mine[0].to_json_line())
+        crate::check::validate_manifest_line(&mine[0].to_json_line())
             .expect("quarantined manifest line validates");
         let _ = take_sweep_failures();
     }

@@ -20,8 +20,6 @@
 //!   ([`CounterId`]), O(1) to increment and always on, unifying the tallies
 //!   that were previously scattered across `LockReport`, `HeapStats`,
 //!   `StateTimes` and sweep internals.
-//! * [`check`] — a minimal std-only JSON parser used by CI to validate
-//!   exported traces and run manifests without external tooling.
 //! * [`write_atomic`] — the shared write-to-temp-then-rename helper every
 //!   artifact goes through, so a killed process never leaves a truncated
 //!   file behind.
@@ -35,7 +33,6 @@
 #![warn(missing_debug_implementations)]
 
 mod artifact;
-pub mod check;
 mod chrome;
 mod config;
 mod counters;

@@ -12,6 +12,8 @@ echo '== cargo build --release'
 cargo build --release --workspace
 echo '== cargo test -q'
 cargo test -q
+echo '== perfbench self-test (its workloads and digests against the workspace crates)'
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo '== goldens under release optimizations (the build perfbench measures)'
 cargo test --release -q -p scalesim-experiments --lib golden
 echo '== chaos self-validation (debug assertions)'

@@ -4,8 +4,8 @@
 //! `analytics.json` artifact must be deterministic byte for byte.
 
 use scalesim::analytics::UslClass;
+use scalesim::experiments::check::validate_analytics;
 use scalesim::experiments::{run_analytics, ExpParams};
-use scalesim::trace::check::validate_analytics;
 
 /// The pinned golden configuration: paper seed 42, the CI-sized 5%
 /// scale, and the 4/16/48 sweep — the smallest grid on which the USL

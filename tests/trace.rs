@@ -5,8 +5,8 @@
 //! seed)` must produce byte-identical exports, and switching tracing off
 //! must leave every measurement bit-for-bit unchanged.
 
+use scalesim::experiments::check::validate_chrome_trace;
 use scalesim::runtime::{Jvm, JvmConfig, RunReport};
-use scalesim::trace::check::validate_chrome_trace;
 use scalesim::trace::{
     format_timeline, parse_timeline, to_chrome_json, CounterId, EventKind, Phase, Timeline,
     TraceConfig,
