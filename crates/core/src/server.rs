@@ -35,8 +35,18 @@
 //! counter value at schedule time and, on firing, re-schedules itself by
 //! the pause time that accrued in between. Work stretches, the outside
 //! world does not — which is exactly how a backlog forms.
+//!
+//! # Attempt handles
+//!
+//! Admitted attempts live in an [`AttemptSlab`]; the accept queue, a busy
+//! worker and a pending [`Ev::Timeout`] each hold an [`AttemptKey`]
+//! (slot, generation). Resolving an attempt frees its slot and bumps the
+//! slot's generation, so every key still left behind — a queue entry
+//! skipped lazily, a timeout that raced its cancel — reads as absent,
+//! even after a later attempt reuses the slot.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 use rand::rngs::StdRng;
 
@@ -66,15 +76,42 @@ pub(crate) enum Ev {
     /// The next open-loop arrival fires (the schedule is generated
     /// lazily, one gap at a time, from the `server-arrival` RNG stream).
     OpenArrival,
-    /// A request attempt reaches the server.
-    Arrival { req: u64, attempt: u32 },
+    /// A request attempt reaches the server. `client` is the closed-loop
+    /// issuer, carried into every retry of the request.
+    Arrival {
+        req: u64,
+        attempt: u32,
+        client: Option<u32>,
+    },
     /// A client's per-attempt timer expires.
-    Timeout { req: u64, attempt: u32 },
+    Timeout(AttemptKey),
     /// A worker's critical-section hold ends; release and continue into
     /// the compute phase. `accum` is the STW counter at schedule time.
     HoldDone { worker: usize, accum: u64 },
     /// A worker's compute phase ends; the reply is ready.
     Done { worker: usize, accum: u64 },
+}
+
+// Every pending event carries an `Ev`; carrying the client in `Arrival`
+// must not grow it.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 24);
+
+/// Which in-service phase a completion event ends.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// The critical-section hold ([`Ev::HoldDone`]).
+    Hold,
+    /// The compute phase ([`Ev::Done`]).
+    Compute,
+}
+
+impl Stage {
+    fn event(self, worker: usize, accum: u64) -> Ev {
+        match self {
+            Stage::Hold => Ev::HoldDone { worker, accum },
+            Stage::Compute => Ev::Done { worker, accum },
+        }
+    }
 }
 
 /// Where an admitted attempt currently is.
@@ -91,6 +128,8 @@ enum Phase {
 
 #[derive(Debug)]
 struct Attempt {
+    req: u64,
+    attempt: u32,
     class: usize,
     arrival_at: u64,
     phase: Phase,
@@ -98,15 +137,124 @@ struct Attempt {
     timed_out: bool,
     timeout_ev: EventId,
     /// Closed-loop issuer (client index), when applicable.
-    client: Option<usize>,
+    client: Option<u32>,
     /// The allocation burst's object, once in service.
     obj: Option<ObjectId>,
+}
+
+/// Handle to an attempt in an [`AttemptSlab`]: valid until the attempt
+/// resolves, absent from then on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AttemptKey {
+    slot: u32,
+    gen: u32,
+}
+
+#[derive(Debug)]
+struct AttemptSlot {
+    gen: u32,
+    attempt: Option<Attempt>,
+}
+
+/// The admitted, unresolved attempts: a free-listed slab whose slots
+/// carry a generation, as in the heap's `ObjectTable` and the event
+/// queue's stamps.
+#[derive(Debug, Default)]
+struct AttemptSlab {
+    slots: Vec<AttemptSlot>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl AttemptSlab {
+    /// The key the next [`insert`](Self::insert) will return.
+    fn next_key(&self) -> AttemptKey {
+        match self.free.last() {
+            Some(&slot) => AttemptKey {
+                slot,
+                gen: self.slots[slot as usize].gen,
+            },
+            None => AttemptKey {
+                slot: u32::try_from(self.slots.len()).expect("attempt slab overflow"),
+                gen: 0,
+            },
+        }
+    }
+
+    fn insert(&mut self, attempt: Attempt) -> AttemptKey {
+        let key = self.next_key();
+        self.live += 1;
+        if self.free.pop().is_some() {
+            self.slots[key.slot as usize].attempt = Some(attempt);
+        } else {
+            self.slots.push(AttemptSlot {
+                gen: 0,
+                attempt: Some(attempt),
+            });
+        }
+        key
+    }
+
+    /// The attempt behind `key`, or `None` once it has resolved. A
+    /// resolved slot's generation has moved past every key issued for it.
+    fn get(&self, key: AttemptKey) -> Option<&Attempt> {
+        let s = &self.slots[key.slot as usize];
+        if s.gen == key.gen {
+            s.attempt.as_ref()
+        } else {
+            None
+        }
+    }
+
+    fn get_mut(&mut self, key: AttemptKey) -> Option<&mut Attempt> {
+        let s = &mut self.slots[key.slot as usize];
+        if s.gen == key.gen {
+            s.attempt.as_mut()
+        } else {
+            None
+        }
+    }
+
+    /// Resolves the attempt behind `key`: frees its slot and bumps the
+    /// slot's generation, so `key` and all its copies read as absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is already absent.
+    fn remove(&mut self, key: AttemptKey) -> Attempt {
+        let s = &mut self.slots[key.slot as usize];
+        assert_eq!(s.gen, key.gen, "stale attempt key");
+        let attempt = s.attempt.take().expect("live attempt key");
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(key.slot);
+        self.live -= 1;
+        attempt
+    }
+
+    /// Unresolved attempts.
+    fn len(&self) -> usize {
+        self.live
+    }
+}
+
+impl Index<AttemptKey> for AttemptSlab {
+    type Output = Attempt;
+
+    fn index(&self, key: AttemptKey) -> &Attempt {
+        self.get(key).expect("live attempt key")
+    }
+}
+
+impl IndexMut<AttemptKey> for AttemptSlab {
+    fn index_mut(&mut self, key: AttemptKey) -> &mut Attempt {
+        self.get_mut(key).expect("live attempt key")
+    }
 }
 
 #[derive(Debug, Default)]
 struct Worker {
     /// The attempt being served, if any (including blocked on a monitor).
-    busy: Option<(u64, u32)>,
+    busy: Option<AttemptKey>,
     /// Waiting in a monitor queue (dispatch must not hand it new work).
     blocked: bool,
     service_start_ns: u64,
@@ -121,16 +269,17 @@ pub(crate) struct ServerSim<'a> {
     seed: u64,
     queue: EventQueue<Ev>,
     locks: LockTable,
-    /// Monitor per distinct lock-profile class name.
-    monitors: BTreeMap<String, MonitorId>,
+    /// Per request class, the monitor of its lock profile: classes that
+    /// name the same lock class share one.
+    monitors: Vec<Option<MonitorId>>,
     heap: Heap,
     collector: Collector,
     chaos: ChaosPlan,
     timeline: Timeline,
     counters: Counters,
     arrival_rng: StdRng,
-    accept: VecDeque<(u64, u32)>,
-    attempts: BTreeMap<(u64, u32), Attempt>,
+    accept: VecDeque<AttemptKey>,
+    attempts: AttemptSlab,
     workers: Vec<Worker>,
     /// Cumulative stop-the-world nanoseconds (see module docs).
     stw_accum: u64,
@@ -138,9 +287,6 @@ pub(crate) struct ServerSim<'a> {
     retries_issued: u64,
     /// Closed-loop round counter per client.
     client_round: Vec<u64>,
-    /// Closed-loop request ownership: which client is waiting on a
-    /// request (across its retries). Open loop leaves this empty.
-    client_owner: BTreeMap<u64, usize>,
     /// First monitor-protocol misuse observed; the driver stops the run
     /// after the current event and `JvmConfig::salvage` decides between
     /// [`RunOutcome::Quarantined`] and an error, as for the batch runtime.
@@ -164,14 +310,18 @@ impl<'a> ServerSim<'a> {
         ));
         let mut locks = LockTable::with_algorithm(config.lock_alg);
         locks.set_timeline(config.trace.recorder());
-        let mut monitors = BTreeMap::new();
-        for class in &spec.classes {
-            if let Some(lock) = &class.lock {
-                if !monitors.contains_key(&lock.class) {
-                    let m = locks.create(&lock.class);
-                    monitors.insert(lock.class.clone(), m);
+        let mut monitors: Vec<Option<MonitorId>> = Vec::with_capacity(spec.classes.len());
+        for (i, class) in spec.classes.iter().enumerate() {
+            let m = class.lock.as_ref().map(|lock| {
+                let earlier = spec.classes[..i]
+                    .iter()
+                    .position(|c| c.lock.as_ref().is_some_and(|l| l.class == lock.class));
+                match earlier {
+                    Some(j) => monitors[j].expect("a locked class has a monitor"),
+                    None => locks.create(&lock.class),
                 }
-            }
+            });
+            monitors.push(m);
         }
         let clients = match spec.arrival {
             ArrivalProcess::ClosedLoop { clients, .. } => clients,
@@ -191,13 +341,12 @@ impl<'a> ServerSim<'a> {
             counters: Counters::new(),
             arrival_rng: RngFactory::new(config.seed).stream("server-arrival", 0),
             accept: VecDeque::new(),
-            attempts: BTreeMap::new(),
+            attempts: AttemptSlab::default(),
             workers: (0..config.threads).map(|_| Worker::default()).collect(),
             stw_accum: 0,
             next_req: 0,
             retries_issued: 0,
             client_round: vec![0; clients],
-            client_owner: BTreeMap::new(),
             violation: None,
             stats: ServerStats {
                 policy: spec.name.clone(),
@@ -239,9 +388,14 @@ impl<'a> ServerSim<'a> {
                     let at = think_ns(self.seed, c as u64, 0, range).max(1);
                     let req = self.next_req;
                     self.next_req += 1;
-                    self.client_owner.insert(req, c);
-                    self.queue
-                        .schedule_at(SimTime::from_nanos(at), Ev::Arrival { req, attempt: 1 });
+                    self.queue.schedule_at(
+                        SimTime::from_nanos(at),
+                        Ev::Arrival {
+                            req,
+                            attempt: 1,
+                            client: Some(u32::try_from(c).expect("client index fits in u32")),
+                        },
+                    );
                 }
             }
         }
@@ -260,7 +414,7 @@ impl<'a> ServerSim<'a> {
     fn on_open_arrival(&mut self) {
         let req = self.next_req;
         self.next_req += 1;
-        self.on_arrival(req, 1);
+        self.on_arrival(req, 1, None);
         let ArrivalProcess::OpenPoisson { rate_per_sec } = self.spec.arrival else {
             unreachable!("open arrival under closed-loop spec");
         };
@@ -272,7 +426,7 @@ impl<'a> ServerSim<'a> {
         }
     }
 
-    fn on_arrival(&mut self, req: u64, attempt: u32) {
+    fn on_arrival(&mut self, req: u64, attempt: u32, client: Option<u32>) {
         let now = self.now_ns();
         let class = self.spec.class_of(self.seed, req);
         self.stats.arrivals += 1;
@@ -280,9 +434,6 @@ impl<'a> ServerSim<'a> {
             self.stats.tail_arrivals += 1;
         }
         self.stats.queue_depth.record(self.accept.len() as u64);
-
-        // The client retains ownership across retries of the same req.
-        let client = self.client_owner.get(&req).copied();
 
         // Door checks, most drastic first. A shed is answered
         // immediately — the client reacts now, not at its timeout.
@@ -306,9 +457,10 @@ impl<'a> ServerSim<'a> {
 
         // Admitted. The request-drop chaos fault discards it silently:
         // the server took it and nothing will ever come back.
+        let key = self.attempts.next_key();
         let timeout_ev = self.queue.schedule_at(
             SimTime::from_nanos(now + self.spec.client.timeout_ns),
-            Ev::Timeout { req, attempt },
+            Ev::Timeout(key),
         );
         let phase = if self.chaos.fires(FaultClass::RequestDrop) {
             self.counters.inc(CounterId::ChaosInjections);
@@ -316,25 +468,25 @@ impl<'a> ServerSim<'a> {
                 .instant(EventKind::ChaosRequestDrop, 0, self.queue.now(), req);
             Phase::DroppedSilent
         } else {
-            self.accept.push_back((req, attempt));
+            self.accept.push_back(key);
             Phase::Queued
         };
-        self.attempts.insert(
-            (req, attempt),
-            Attempt {
-                class,
-                arrival_at: now,
-                phase,
-                timed_out: false,
-                timeout_ev,
-                client,
-                obj: None,
-            },
-        );
+        let inserted = self.attempts.insert(Attempt {
+            req,
+            attempt,
+            class,
+            arrival_at: now,
+            phase,
+            timed_out: false,
+            timeout_ev,
+            client,
+            obj: None,
+        });
+        debug_assert_eq!(inserted, key, "the timeout carries the attempt's key");
         self.dispatch_idle_workers();
     }
 
-    fn shed(&mut self, req: u64, attempt: u32, class: usize, client: Option<usize>) {
+    fn shed(&mut self, req: u64, attempt: u32, class: usize, client: Option<u32>) {
         self.stats.sheds += 1;
         self.timeline
             .instant(EventKind::ReqShed, class as u32, self.queue.now(), req);
@@ -343,7 +495,7 @@ impl<'a> ServerSim<'a> {
 
     /// The client learned this attempt failed (shed reply or timeout):
     /// retry with backoff if attempts and budget remain, else abandon.
-    fn client_reacts(&mut self, req: u64, attempt: u32, class: usize, client: Option<usize>) {
+    fn client_reacts(&mut self, req: u64, attempt: u32, class: usize, client: Option<u32>) {
         let can_retry = attempt <= self.spec.client.max_retries
             && self.retries_issued < self.spec.client.retry_budget;
         if can_retry {
@@ -357,35 +509,39 @@ impl<'a> ServerSim<'a> {
                 Ev::Arrival {
                     req,
                     attempt: attempt + 1,
+                    client,
                 },
             );
         } else if let Some(c) = client {
             // The request is abandoned; the closed-loop client moves on.
-            self.client_owner.remove(&req);
             self.next_client_round(c);
         }
     }
 
     /// Schedules closed-loop client `c`'s next request after a think.
-    fn next_client_round(&mut self, c: usize) {
+    fn next_client_round(&mut self, c: u32) {
         let ArrivalProcess::ClosedLoop {
             think_ns: range, ..
         } = self.spec.arrival
         else {
             return;
         };
-        self.client_round[c] += 1;
-        let round = self.client_round[c];
+        self.client_round[c as usize] += 1;
+        let round = self.client_round[c as usize];
         let req = self.next_req;
         self.next_req += 1;
-        let delay = think_ns(self.seed, c as u64, round, range).max(1);
+        let delay = think_ns(self.seed, u64::from(c), round, range).max(1);
         let at = self.now_ns() + delay;
         if at < self.spec.horizon_ns {
-            self.queue
-                .schedule_at(SimTime::from_nanos(at), Ev::Arrival { req, attempt: 1 });
+            self.queue.schedule_at(
+                SimTime::from_nanos(at),
+                Ev::Arrival {
+                    req,
+                    attempt: 1,
+                    client: Some(c),
+                },
+            );
         }
-        // The Arrival handler re-derives the issuer via this marker.
-        self.client_owner.insert(req, c);
     }
 
     // ------------------------------------------------------------------
@@ -402,40 +558,34 @@ impl<'a> ServerSim<'a> {
     }
 
     fn dispatch_one(&mut self, w: usize) {
-        while let Some((req, attempt)) = self.accept.pop_front() {
-            // Lazily skip entries resolved while queued (timeouts).
-            let Some(state) = self.attempts.get(&(req, attempt)) else {
+        while let Some(key) = self.accept.pop_front() {
+            // Lazily skip entries resolved while queued (timeouts): their
+            // keys are stale.
+            let Some(state) = self.attempts.get(key) else {
                 continue;
             };
-            if state.phase != Phase::Queued {
-                continue;
-            }
+            debug_assert_eq!(state.phase, Phase::Queued, "a live queued key");
             // Deadline shedding: don't waste a worker on a request that
             // has already waited past the deadline.
             if let Some(deadline) = self.spec.policy.deadline_shed_ns {
                 if self.now_ns().saturating_sub(state.arrival_at) > deadline {
-                    let (class, client) = (state.class, state.client);
-                    let timeout_ev = state.timeout_ev;
-                    self.attempts.remove(&(req, attempt));
-                    self.queue.cancel(timeout_ev);
-                    self.shed(req, attempt, class, client);
+                    let state = self.attempts.remove(key);
+                    self.queue.cancel(state.timeout_ev);
+                    self.shed(state.req, state.attempt, state.class, state.client);
                     continue;
                 }
             }
-            self.start_service(w, req, attempt);
+            self.start_service(w, key);
             return;
         }
     }
 
-    fn start_service(&mut self, w: usize, req: u64, attempt: u32) {
+    fn start_service(&mut self, w: usize, key: AttemptKey) {
         let now = self.now_ns();
-        let state = self
-            .attempts
-            .get_mut(&(req, attempt))
-            .expect("dispatched attempt exists");
+        let state = &mut self.attempts[key];
         state.phase = Phase::InService;
-        let class = state.class;
-        self.workers[w].busy = Some((req, attempt));
+        let (req, class) = (state.req, state.class);
+        self.workers[w].busy = Some(key);
         self.workers[w].dispatches += 1;
         self.workers[w].service_start_ns = now;
 
@@ -445,25 +595,19 @@ impl<'a> ServerSim<'a> {
         let bytes = self.spec.classes[class].alloc_bytes;
         if bytes > 0 {
             let tid = ThreadId::new(w);
-            loop {
+            let obj = loop {
                 match self.heap.alloc(tid, bytes) {
-                    AllocResult::Ok(obj) => {
-                        self.attempts
-                            .get_mut(&(req, attempt))
-                            .expect("still serving")
-                            .obj = Some(obj);
-                        break;
-                    }
+                    AllocResult::Ok(obj) => break obj,
                     AllocResult::NurseryFull { region } => {
                         pause_ns += self.minor_gc(region);
                     }
                 }
-            }
+            };
+            self.attempts[key].obj = Some(obj);
         }
 
         // Critical section (if the class has one), then compute.
-        if let Some(lock) = &self.spec.classes[class].lock {
-            let m = self.monitors[&lock.class];
+        if let Some(m) = self.monitors[class] {
             let tid = ThreadId::new(w);
             match self.locks.acquire(m, tid, self.queue.now()) {
                 Ok(AcquireOutcome::Acquired) => {
@@ -501,41 +645,28 @@ impl<'a> ServerSim<'a> {
         }
     }
 
-    /// Re-schedules an in-service event by the STW time that accrued
-    /// since it was scheduled. Returns `true` when the event was pushed
-    /// forward and must not be handled now.
-    fn stretch(&mut self, ev: Ev, accum: u64) -> bool {
+    /// Re-schedules worker `w`'s end of `stage`, scheduled when the STW
+    /// counter read `accum`, by the STW time that accrued since. Returns
+    /// `true` when the event was pushed forward and must not be handled
+    /// now.
+    fn stretch(&mut self, stage: Stage, w: usize, accum: u64) -> bool {
         if self.stw_accum > accum {
             let delta = self.stw_accum - accum;
             let at = SimTime::from_nanos(self.now_ns() + delta);
-            let pushed = match ev {
-                Ev::HoldDone { worker, .. } => Ev::HoldDone {
-                    worker,
-                    accum: self.stw_accum,
-                },
-                Ev::Done { worker, .. } => Ev::Done {
-                    worker,
-                    accum: self.stw_accum,
-                },
-                other => other,
-            };
-            self.queue.schedule_at(at, pushed);
+            self.queue.schedule_at(at, stage.event(w, self.stw_accum));
             return true;
         }
         false
     }
 
     fn on_hold_done(&mut self, w: usize, accum: u64) {
-        if self.stretch(Ev::HoldDone { worker: w, accum }, accum) {
+        if self.stretch(Stage::Hold, w, accum) {
             return;
         }
-        let (req, attempt) = self.workers[w].busy.expect("hold ends on a busy worker");
-        let class = self.attempts[&(req, attempt)].class;
-        let lock = self.spec.classes[class]
-            .lock
-            .as_ref()
-            .expect("held class has a lock profile");
-        let m = self.monitors[&lock.class];
+        let key = self.workers[w].busy.expect("hold ends on a busy worker");
+        let state = &self.attempts[key];
+        let (req, class) = (state.req, state.class);
+        let m = self.monitors[class].expect("held class has a monitor");
         let tid = ThreadId::new(w);
         match self.locks.release(m, tid, self.queue.now()) {
             Ok(Some(grant)) => {
@@ -545,11 +676,11 @@ impl<'a> ServerSim<'a> {
                 let next = grant.next.index();
                 self.counters.inc(CounterId::LockAcquires);
                 self.workers[next].blocked = false;
-                let key = self.workers[next].busy.expect("waiter is mid-request");
-                let nclass = self.attempts[&key].class;
+                let waiter = self.workers[next].busy.expect("waiter is mid-request");
+                let waiter = &self.attempts[waiter];
                 let hold = self
                     .spec
-                    .hold_ns(self.seed, key.0, nclass)
+                    .hold_ns(self.seed, waiter.req, waiter.class)
                     .expect("waiter's class has a hold draw");
                 self.queue.schedule_at(
                     SimTime::from_nanos(self.now_ns() + hold + grant.penalty.as_nanos()),
@@ -576,21 +707,18 @@ impl<'a> ServerSim<'a> {
     }
 
     fn on_done(&mut self, w: usize, accum: u64) {
-        if self.stretch(Ev::Done { worker: w, accum }, accum) {
+        if self.stretch(Stage::Compute, w, accum) {
             return;
         }
         let now = self.now_ns();
-        let (req, attempt) = self.workers[w].busy.take().expect("done on a busy worker");
+        let key = self.workers[w].busy.take().expect("done on a busy worker");
         self.workers[w].items_done += 1;
         self.workers[w].busy_ns += now.saturating_sub(self.workers[w].service_start_ns);
-        let state = self
-            .attempts
-            .remove(&(req, attempt))
-            .expect("serving attempt exists");
+        let state = self.attempts.remove(key);
+        // Only this completion frees a burst object (the collector never
+        // kills), so a dead one here is a double free: let the heap panic.
         if let Some(obj) = state.obj {
-            if self.heap.is_live(obj) {
-                self.heap.kill(obj);
-            }
+            self.heap.kill(obj);
         }
         if state.timed_out {
             // Nobody is waiting: the reply is orphan work.
@@ -605,7 +733,6 @@ impl<'a> ServerSim<'a> {
                 self.stats.tail_goodput += 1;
             }
             if let Some(c) = state.client {
-                self.client_owner.remove(&req);
                 self.next_client_round(c);
             }
         }
@@ -616,14 +743,15 @@ impl<'a> ServerSim<'a> {
     // Timeouts and faults
     // ------------------------------------------------------------------
 
-    fn on_timeout(&mut self, req: u64, attempt: u32) {
-        let Some(state) = self.attempts.get_mut(&(req, attempt)) else {
+    fn on_timeout(&mut self, key: AttemptKey) {
+        let Some(state) = self.attempts.get_mut(key) else {
             return; // resolved in the meantime; cancel raced the pop
         };
         if state.timed_out {
             return;
         }
         state.timed_out = true;
+        let (req, attempt) = (state.req, state.attempt);
         let (class, phase, client) = (state.class, state.phase, state.client);
         self.timeline
             .instant(EventKind::ReqTimeout, class as u32, self.queue.now(), req);
@@ -634,7 +762,7 @@ impl<'a> ServerSim<'a> {
             }
             Phase::Queued | Phase::DroppedSilent => {
                 // Never served and never will be: resolve as a timeout.
-                self.attempts.remove(&(req, attempt));
+                self.attempts.remove(key);
                 self.stats.timeouts += 1;
             }
         }
@@ -736,8 +864,12 @@ impl Engine for ServerSim<'_> {
     fn handle(&mut self, ev: Ev) -> Option<InvariantViolation> {
         match ev {
             Ev::OpenArrival => self.on_open_arrival(),
-            Ev::Arrival { req, attempt } => self.on_arrival(req, attempt),
-            Ev::Timeout { req, attempt } => self.on_timeout(req, attempt),
+            Ev::Arrival {
+                req,
+                attempt,
+                client,
+            } => self.on_arrival(req, attempt, client),
+            Ev::Timeout(key) => self.on_timeout(key),
             Ev::HoldDone { worker, accum } => self.on_hold_done(worker, accum),
             Ev::Done { worker, accum } => self.on_done(worker, accum),
         }
@@ -750,7 +882,7 @@ mod tests {
     use super::*;
     use crate::Jvm;
     use scalesim_gc::GcKind;
-    use scalesim_simkit::{AbortReason, CancelToken, RunBudget};
+    use scalesim_simkit::{AbortReason, CancelToken, ChaosConfig, RunBudget};
     use scalesim_workloads::xalan;
 
     fn run_spec(spec: ServerSpec, threads: usize, seed: u64) -> RunReport {
@@ -862,5 +994,83 @@ mod tests {
         let report = Jvm::new(config).run(&xalan()).unwrap();
         assert!(report.gc.count(GcKind::Minor) > 0, "nursery pressure");
         assert!(report.gc_time.as_nanos() > 0);
+    }
+
+    #[test]
+    fn a_resolved_attempts_keys_stay_absent_after_its_slot_is_reused() {
+        let mut spec = ServerSpec::naive(0);
+        // The lock-free class alone, so `Done` ends every service.
+        spec.classes.remove(0);
+        let config = JvmConfig::builder()
+            .threads(1)
+            .seed(42)
+            .server(spec)
+            .build()
+            .unwrap();
+        let mut sim = ServerSim::new(&config, config.server.as_ref().unwrap());
+        let arrive = |sim: &mut ServerSim, req| {
+            let ev = Ev::Arrival {
+                req,
+                attempt: 1,
+                client: None,
+            };
+            assert!(sim.handle(ev).is_none());
+        };
+        arrive(&mut sim, 0);
+        assert!(sim.workers[0].busy.is_some(), "the one worker serves req 0");
+        arrive(&mut sim, 1);
+        let stale = *sim.accept.back().expect("req 1 queues behind req 0");
+
+        // req 1's timer fires while it is queued: the attempt resolves
+        // and its accept-queue entry stays behind.
+        sim.handle(Ev::Timeout(stale));
+        assert_eq!((sim.stats.timeouts, sim.attempts.len()), (1, 1));
+        arrive(&mut sim, 2);
+        let reused = *sim.accept.back().expect("req 2 queues");
+        assert_eq!(reused.slot, stale.slot, "req 2 reuses the freed slot");
+        assert_ne!(reused, stale);
+        assert_eq!(sim.accept.len(), 2);
+
+        // The stale timeout is skipped and does not touch req 2.
+        sim.handle(Ev::Timeout(stale));
+        assert_eq!((sim.stats.timeouts, sim.stats.retries), (1, 1));
+        assert!(!sim.attempts[reused].timed_out);
+
+        // req 0 completes; dispatch skips the stale entry and serves req 2.
+        sim.handle(Ev::Done {
+            worker: 0,
+            accum: 0,
+        });
+        assert_eq!(sim.stats.goodput, 1);
+        assert_eq!(sim.workers[0].busy, Some(reused));
+        assert_eq!(sim.attempts[reused].req, 2);
+        assert!(sim.accept.is_empty());
+    }
+
+    #[test]
+    fn in_flight_is_the_slabs_live_count_at_finish() {
+        let config = JvmConfig::builder()
+            .threads(4)
+            .seed(42)
+            .chaos(ChaosConfig {
+                request_drop_period: 7,
+                ..ChaosConfig::default()
+            })
+            .server(short(ServerSpec::naive(20_000)))
+            .build()
+            .unwrap();
+        let mut sim = ServerSim::new(&config, config.server.as_ref().unwrap());
+        sim.start();
+        let end = crate::driver::run(&mut sim, &config, None).unwrap();
+        let live = sim
+            .attempts
+            .slots
+            .iter()
+            .filter(|s| s.attempt.is_some())
+            .count();
+        assert!(live > 0, "the horizon leaves attempts unresolved");
+        assert_eq!(sim.attempts.len(), live);
+        let report = sim.finish(end);
+        assert_eq!(report.server.unwrap().in_flight, live as u64);
     }
 }

@@ -312,6 +312,126 @@ mod tests {
         );
     }
 
+    /// A closed loop of 24 clients against 2 workers, with a client
+    /// timeout shorter than the queue they build: attempts time out in the
+    /// queue and in service, retry, and are abandoned.
+    fn closed_loop(mut spec: ServerSpec) -> ServerSpec {
+        spec.arrival = scalesim_workloads::ArrivalProcess::ClosedLoop {
+            clients: 24,
+            think_ns: (20_000, 60_000),
+        };
+        spec.client.timeout_ns = 1_000_000;
+        if spec.policy.deadline_shed_ns.is_some() {
+            spec.policy.deadline_shed_ns = Some(spec.client.timeout_ns);
+        }
+        spec
+    }
+
+    /// The server-engine paths the study never reaches, as (name,
+    /// threads, spec, chaos) at a 200 ms horizon.
+    fn engine_paths() -> Vec<(&'static str, usize, ServerSpec, ChaosConfig)> {
+        let drops = ChaosConfig {
+            request_drop_period: 7,
+            ..ChaosConfig::default()
+        };
+        let mut closed_drop = ServerSpec::naive(0);
+        closed_drop.arrival = scalesim_workloads::ArrivalProcess::ClosedLoop {
+            clients: 8,
+            think_ns: (50_000, 150_000),
+        };
+        let mut degrade = ServerSpec::naive(48_000);
+        degrade.policy.degrade_above = Some(16);
+        vec![
+            (
+                "closed-naive",
+                2,
+                closed_loop(ServerSpec::naive(0)),
+                ChaosConfig::default(),
+            ),
+            (
+                "closed-robust",
+                2,
+                closed_loop(ServerSpec::robust(0, 16)),
+                ChaosConfig::default(),
+            ),
+            ("open-drop", 4, ServerSpec::naive(20_000), drops),
+            ("closed-drop", 4, closed_drop, drops),
+            ("open-degrade", 4, degrade, ChaosConfig::default()),
+        ]
+        .into_iter()
+        .map(|(name, threads, mut spec, chaos)| {
+            spec.name = name.to_owned();
+            spec.horizon_ns = 200_000_000;
+            spec.measure_from_ns = 100_000_000;
+            (name, threads, spec, chaos)
+        })
+        .collect()
+    }
+
+    /// Every counter of every [`engine_paths`] run, one row per run.
+    fn server_engine_csv() -> String {
+        use scalesim_trace::CounterId;
+        let mut specs = Vec::new();
+        for (_, threads, spec, chaos) in engine_paths() {
+            let mut cfg = JvmConfig::builder();
+            cfg.threads(threads).seed(42).chaos(chaos).server(spec);
+            specs.push(RunSpec {
+                app: xalan(),
+                config: cfg.build().unwrap(),
+            });
+        }
+        let mut csv = String::from(
+            "policy,threads,events,wall_ns,arrivals,goodput,orphans,sheds,timeouts,retries,\
+             in_flight,degraded,tail_goodput,tail_arrivals,lat_p50,lat_p99,lat_p999,lat_sum,\
+             depth_n,depth_sum,depth_max,lock_acquires,lock_contentions,chaos_injections\n",
+        );
+        for (spec, r) in specs.iter().zip(run_all(&specs)) {
+            let s = r.server.as_ref().expect("server run");
+            let q = |p: f64| s.latency_p(p).map_or("-".to_owned(), |ns| ns.to_string());
+            csv += &format!(
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                s.policy,
+                spec.config.threads,
+                r.events_processed,
+                r.wall_time.as_nanos(),
+                s.arrivals,
+                s.goodput,
+                s.orphan_completions,
+                s.sheds,
+                s.timeouts,
+                s.retries,
+                s.in_flight,
+                s.degraded,
+                s.tail_goodput,
+                s.tail_arrivals,
+                q(0.50),
+                q(0.99),
+                q(0.999),
+                s.latency.sum(),
+                s.queue_depth.count(),
+                s.queue_depth.sum(),
+                s.queue_depth.max().unwrap_or(0),
+                r.counters.get(CounterId::LockAcquires),
+                r.counters.get(CounterId::LockContentions),
+                r.counters.get(CounterId::ChaosInjections),
+            );
+        }
+        csv
+    }
+
+    /// Pins the engine paths [`study_matches_the_ext_server_golden`]
+    /// never reaches: closed-loop clients, request-drop chaos on both
+    /// arrival processes, and an engaged degraded-mode watermark.
+    #[test]
+    fn engine_paths_match_the_server_engine_golden() {
+        let golden = include_str!("../goldens/server_engine.csv");
+        assert_eq!(
+            server_engine_csv(),
+            golden,
+            "server engine drifted from its golden"
+        );
+    }
+
     #[test]
     fn study_covers_every_scenario_and_thread_count() {
         let params = tiny();
