@@ -24,38 +24,53 @@
 //!   filter on pop are all single array reads — no `HashSet`, no hashing.
 //!   Slots are recycled through a free list while generations keep retired
 //!   ids from ever matching again.
-//! * **Live head.** Tombstones are dropped lazily, but never left on top:
-//!   `cancel` and `pop` discard dead entries from the head of the heap, so
-//!   the head is always the heap's earliest live event and
-//!   [`EventQueue::peek_time`] is one read of the front slot (below) or
-//!   one `peek` — O(1) however many events (or tombstones) are pending.
-//!   The server engine peeks before every pop to stop at its horizon, so
-//!   a linear peek would cost it a scan of its whole pending set per
-//!   event. Dropping a dead head at cancel time is the same heap pop the
-//!   next `pop` would otherwise have done.
+//! * **Live heads.** Tombstones are dropped lazily, but never left on
+//!   top: `cancel` and `pop` discard dead entries from the heads of the
+//!   heap and of the sorted run (below), so each head is its tier's
+//!   earliest live event and [`EventQueue::peek_time`] is a comparison of
+//!   at most three heads — O(1) however many events (or tombstones) are
+//!   pending. The server engine peeks before every pop to stop at its
+//!   horizon, so a linear peek would cost it a scan of its whole pending
+//!   set per event. Dropping a dead head at cancel time is the same
+//!   removal the next `pop` would otherwise have done.
 //! * **Front slot.** The earliest pending entry is often held outside
 //!   the heap in a one-entry slot. `schedule_at` puts a new entry there
-//!   when it sorts below everything pending (below the heap head, and
-//!   below the slot's occupant, which then moves into the heap), so a
+//!   when it sorts below everything pending (below both heads, and below
+//!   the slot's occupant, which then moves into the heap), so a
 //!   thread's own next step — typically due before any other thread's —
 //!   is delivered by `pop` without a heap push or pop. Invariant: an
-//!   occupied slot sorts below the heap head. Cancelling the occupant
-//!   just empties the slot. Ties stay FIFO because the slot compares
-//!   full `(time, seq)` keys: a new entry's seq is larger than every
-//!   pending one, so an entry due at the same instant as a pending one
-//!   never sorts below it and queues behind it in the heap. The slot
-//!   holds internal time like the heap, so `shift_all` leaves it alone.
+//!   occupied slot sorts below the heap head and the run head.
+//!   Cancelling the occupant just empties the slot. Ties stay FIFO
+//!   because the slot compares full `(time, seq)` keys: a new entry's seq
+//!   is larger than every pending one, so an entry due at the same
+//!   instant as a pending one never sorts below it and queues behind it.
 //!   [`EventQueue::front_hits`] counts the pops it served.
-//! * **Epoch-offset time shifting.** The heap orders entries by *internal*
-//!   time (external time minus the accumulated shift at schedule time).
-//!   [`EventQueue::shift_all`] just advances the queue-global offset and
-//!   the clock — O(1) instead of rewriting every pending entry, which
-//!   matters because stop-the-world GC pauses call it once per collection.
-//!   Relative order (including FIFO ties) is untouched because internal
-//!   times never change.
+//! * **Sorted run.** Beside the heap sits an append-only run of entries
+//!   in ascending `(time, seq)` order. An entry that does not take the
+//!   front slot is appended to the run when it sorts above the run's last
+//!   entry, and pushed on the heap otherwise, so the run is sorted by
+//!   construction and its head is its earliest entry. `pop` and
+//!   `peek_time` take the smallest of the slot, the heap head and the run
+//!   head. Timers armed at `now + constant` arrive in key order and land
+//!   in the run, where they cost an O(1) append and an O(1) pop instead
+//!   of two heap sifts: nearly all of the server engine's pending request
+//!   timeouts, and the scheduler's quantum timers until a later wake-up
+//!   (a helper thread's long sleep) is appended behind them. Cancelling a
+//!   run entry tombstones it like a heap entry; the tombstone is dropped
+//!   once it reaches the run head. Ties stay FIFO across tiers because
+//!   the run, the heap and the three-way head comparison all order by the
+//!   full `(time, seq)` key. [`EventQueue::run_hits`] counts the pops the
+//!   run served.
+//! * **Epoch-offset time shifting.** Every tier orders entries by
+//!   *internal* time (external time minus the accumulated shift at
+//!   schedule time). [`EventQueue::shift_all`] just advances the
+//!   queue-global offset and the clock — O(1) instead of rewriting every
+//!   pending entry, which matters because stop-the-world GC pauses call
+//!   it once per collection. Relative order (including FIFO ties) is
+//!   untouched because internal times never change.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -123,11 +138,15 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     /// The earliest pending entry, when it was scheduled below everything
     /// else pending. Invariant: if occupied, it is live and sorts below
-    /// the heap head.
+    /// the heap head and the run head.
     front: Option<Entry<E>>,
     /// Pending entries plus lazily-dropped tombstones. Invariant: the
     /// head, if any, is live (see [`Self::drop_dead_head`]).
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Pending entries that arrived in ascending key order, plus
+    /// lazily-dropped tombstones; sorted because an entry is only appended
+    /// above the last one. Invariant: the head, if any, is live.
+    run: VecDeque<Entry<E>>,
     /// Generation stamp per slot. `stamps[s] == g` ⇔ event `(s, g)` is
     /// pending; any other relation means fired, cancelled, or not issued.
     stamps: Vec<u32>,
@@ -143,6 +162,7 @@ pub struct EventQueue<E> {
     scheduled_total: u64,
     popped_total: u64,
     front_hits: u64,
+    run_hits: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -158,6 +178,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             front: None,
             heap: BinaryHeap::new(),
+            run: VecDeque::new(),
             stamps: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -167,6 +188,7 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             popped_total: 0,
             front_hits: 0,
+            run_hits: 0,
         }
     }
 
@@ -209,20 +231,28 @@ impl<E> EventQueue<E> {
             generation,
             payload,
         };
-        match &self.front {
-            Some(front) if entry < *front => {
-                let old = self.front.replace(entry).expect("occupied front slot");
+        let first = match &self.front {
+            Some(front) => entry < *front,
+            None => {
+                self.run.front().is_none_or(|head| entry < *head)
+                    && self.heap.peek().is_none_or(|Reverse(head)| entry < *head)
+            }
+        };
+        if first {
+            if let Some(old) = self.front.replace(entry) {
+                // It sorts below both heads, so it cannot follow a non-empty
+                // run's last entry: the heap takes it.
                 self.heap.push(Reverse(old));
             }
-            None if self.heap.peek().is_none_or(|Reverse(head)| entry < *head) => {
-                self.front = Some(entry);
-            }
-            _ => self.heap.push(Reverse(entry)),
+        } else if self.run.back().is_none_or(|last| entry > *last) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
         }
         self.live += 1;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        debug_assert!(self.front_sorts_first(), "front slot above the heap head");
+        debug_assert!(self.heads_are_sound(), "event queue head invariant broken");
         id
     }
 
@@ -249,25 +279,58 @@ impl<E> EventQueue<E> {
         self.live -= 1;
     }
 
-    /// The front-slot invariant: an occupant is live and sorts below the
-    /// heap head.
-    fn front_sorts_first(&self) -> bool {
-        let Some(front) = &self.front else {
-            return true;
-        };
-        self.is_live(front.slot, front.generation)
-            && self.heap.peek().is_none_or(|Reverse(head)| front < head)
+    /// Whether the run head sorts below the heap head (or the run alone is
+    /// non-empty), i.e. whether the next non-slot entry comes from the run.
+    fn run_leads(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(Reverse(heap))) => run < heap,
+            (run, _) => run.is_some(),
+        }
+    }
+
+    /// The earlier of the run head and the heap head.
+    fn tiers_head(&self) -> Option<&Entry<E>> {
+        if self.run_leads() {
+            self.run.front()
+        } else {
+            self.heap.peek().map(|Reverse(head)| head)
+        }
+    }
+
+    /// The head invariants, in O(1): the run and heap heads are live, and
+    /// a slot occupant is live and sorts below both.
+    fn heads_are_sound(&self) -> bool {
+        let live = |entry: &Entry<E>| self.is_live(entry.slot, entry.generation);
+        self.run.front().is_none_or(live)
+            && self.heap.peek().is_none_or(|Reverse(head)| live(head))
+            && self.front.as_ref().is_none_or(|front| {
+                live(front) && self.tiers_head().is_none_or(|head| front < head)
+            })
     }
 
     /// Restores the live-head invariant by discarding tombstones from the
-    /// top of the heap. Each tombstone is discarded exactly once, so this
-    /// is amortized O(log n) per cancellation.
+    /// heads of the heap and the run. Each tombstone is discarded exactly
+    /// once, so this is amortized O(log n) per cancellation.
     fn drop_dead_head(&mut self) {
+        self.drop_dead_heap_head();
+        self.drop_dead_run_head();
+    }
+
+    fn drop_dead_heap_head(&mut self) {
         while let Some(Reverse(head)) = self.heap.peek() {
             if self.is_live(head.slot, head.generation) {
                 return;
             }
             self.heap.pop();
+        }
+    }
+
+    fn drop_dead_run_head(&mut self) {
+        while let Some(head) = self.run.front() {
+            if self.is_live(head.slot, head.generation) {
+                return;
+            }
+            self.run.pop_front();
         }
     }
 
@@ -284,11 +347,11 @@ impl<E> EventQueue<E> {
             // A live slot names one pending entry, so this is it.
             self.front = None;
         } else {
-            // Tombstone; the heap entry is dropped once it reaches the
-            // top, which may be right now.
+            // Tombstone; the run or heap entry is dropped once it reaches
+            // its tier's head, which may be right now.
             self.drop_dead_head();
         }
-        debug_assert!(self.front_sorts_first(), "front slot above the heap head");
+        debug_assert!(self.heads_are_sound(), "event queue head invariant broken");
         true
     }
 
@@ -296,21 +359,25 @@ impl<E> EventQueue<E> {
     /// to its timestamp. Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = if let Some(front) = self.front.take() {
-            // The heap head is untouched, so it is still live.
+            // The tier heads are untouched, so they are still live.
             self.front_hits += 1;
-            self.retire(front.slot);
             front
+        } else if self.run_leads() {
+            self.run_hits += 1;
+            let entry = self.run.pop_front().expect("non-empty run");
+            self.drop_dead_run_head();
+            entry
         } else {
             let Reverse(entry) = self.heap.pop()?;
-            debug_assert!(
-                self.is_live(entry.slot, entry.generation),
-                "tombstone at the head of the event queue"
-            );
-            self.retire(entry.slot);
-            self.drop_dead_head();
+            self.drop_dead_heap_head();
             entry
         };
-        debug_assert!(self.front_sorts_first(), "front slot above the heap head");
+        debug_assert!(
+            self.is_live(entry.slot, entry.generation),
+            "tombstone at the head of the event queue"
+        );
+        self.retire(entry.slot);
+        debug_assert!(self.heads_are_sound(), "event queue head invariant broken");
         let at = entry.time + self.offset;
         debug_assert!(at >= self.now, "event queue clock went backwards");
         self.now = at;
@@ -325,7 +392,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         let head = match &self.front {
             Some(front) => front,
-            None => &self.heap.peek()?.0,
+            None => self.tiers_head()?,
         };
         Some(head.time + self.offset)
     }
@@ -359,6 +426,13 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn front_hits(&self) -> u64 {
         self.front_hits
+    }
+
+    /// Deliveries served by the sorted run, without touching the heap,
+    /// over the queue's lifetime (diagnostics).
+    #[must_use]
+    pub fn run_hits(&self) -> u64 {
+        self.run_hits
     }
 
     /// Moves every pending event later by `delta` and advances the clock by
@@ -396,9 +470,10 @@ mod tests {
     use super::*;
 
     impl<E> EventQueue<E> {
-        /// Entries held, tombstones included: the heap plus the slot.
+        /// Entries held, tombstones included: the heap, the run and the
+        /// slot.
         fn held(&self) -> usize {
-            self.heap.len() + usize::from(self.front.is_some())
+            self.heap.len() + self.run.len() + usize::from(self.front.is_some())
         }
     }
 
@@ -549,10 +624,10 @@ mod tests {
         q.schedule_at(ns(20), "b");
         assert_eq!(q.front.as_ref().map(|f| f.payload), Some("b"));
         q.schedule_at(ns(30), "c");
-        assert_eq!(q.heap.len(), 1, "later entries go to the heap");
+        assert_eq!(q.run.len(), 1, "a later entry is appended to the run");
         assert_eq!(q.pop(), Some((ns(20), "b")));
         assert!(q.front.is_none());
-        // Below the heap head (30): the emptied slot takes it.
+        // Below the run head (30): the emptied slot takes it.
         q.schedule_at(ns(25), "a");
         assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
         assert_eq!(q.peek_time(), Some(ns(25)));
@@ -560,6 +635,108 @@ mod tests {
         assert_eq!(q.pop(), Some((ns(30), "c")));
         assert_eq!(q.front_hits(), 2);
         assert_eq!(q.popped_total(), 3);
+    }
+
+    #[test]
+    fn in_order_entries_are_served_by_the_run_alone() {
+        let mut q = EventQueue::new();
+        for i in 0..5 {
+            q.schedule_at(ns(10 * (i + 1)), i);
+        }
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some(0));
+        assert_eq!(q.run.len(), 4);
+        // A timer re-armed at `now + constant` after every pop keeps
+        // arriving above the run's last entry.
+        for expect in 0..20 {
+            let (t, e) = q.pop().unwrap();
+            assert_eq!(e, expect);
+            q.schedule_at(t + dur(50), expect + 5);
+            assert!(q.heap.is_empty(), "an in-order entry reached the heap");
+        }
+        assert_eq!(q.front_hits(), 1);
+        assert_eq!(q.run_hits(), 19);
+        assert_eq!(q.peek_time(), Some(ns(210)));
+    }
+
+    #[test]
+    fn an_entry_below_the_runs_last_goes_to_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(10), "a"); // slot
+        q.schedule_at(ns(20), "b"); // run
+        q.schedule_at(ns(40), "d"); // run
+        q.schedule_at(ns(30), "c"); // below d: heap
+        assert_eq!((q.run.len(), q.heap.len()), (2, 1));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![(ns(10), "a"), (ns(20), "b"), (ns(30), "c"), (ns(40), "d")]
+        );
+        assert_eq!((q.front_hits(), q.run_hits()), (1, 2));
+    }
+
+    #[test]
+    fn cancelled_run_entries_leave_the_head_live() {
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (1..=5).map(|i| q.schedule_at(ns(10 * i), i)).collect();
+        assert_eq!(q.pop(), Some((ns(10), 1))); // the slot
+        assert_eq!(q.run.len(), 4);
+        // Cancelling the run head drops it at once: peek stays exact.
+        assert!(q.cancel(ids[1]));
+        assert_eq!(q.run.len(), 3);
+        assert_eq!(q.peek_time(), Some(ns(30)));
+        // A mid-run cancel leaves a tombstone until it reaches the head.
+        assert!(q.cancel(ids[3]));
+        assert_eq!((q.held(), q.len()), (3, 2));
+        assert_eq!(q.peek_time(), Some(ns(30)));
+        assert_eq!(q.pop(), Some((ns(30), 3)));
+        assert_eq!(q.held(), 1, "the tombstone went with the head");
+        assert_eq!(q.peek_time(), Some(ns(50)));
+        assert_eq!(q.pop(), Some((ns(50), 5)));
+        assert!(q.pop().is_none());
+        assert_eq!(q.run_hits(), 2);
+    }
+
+    #[test]
+    fn ties_across_slot_heap_and_run_pop_in_schedule_order() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(10), "a"); // slot
+        let x = q.schedule_at(ns(20), "x"); // run
+        q.schedule_at(ns(10), "b"); // below x: heap
+        assert!(q.cancel(x)); // the run empties
+        q.schedule_at(ns(10), "c"); // the empty run takes it
+        q.schedule_at(ns(10), "d"); // above c: run
+        q.schedule_at(ns(30), "y"); // run
+        q.schedule_at(ns(10), "e"); // below y: heap
+        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!((q.run.len(), q.heap.len()), (3, 2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b", "c", "d", "e", "y"]);
+        assert_eq!((q.front_hits(), q.run_hits()), (1, 3));
+    }
+
+    #[test]
+    fn shift_all_moves_all_three_tiers() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(10), "a"); // slot
+        q.schedule_at(ns(30), "c"); // run
+        q.schedule_at(ns(20), "b"); // heap
+        assert!(q.front.is_some());
+        assert_eq!((q.run.len(), q.heap.len()), (1, 1));
+        q.shift_all(dur(100));
+        assert_eq!(q.peek_time(), Some(ns(110)));
+        // Scheduled after the shift, in internal time above c: run.
+        q.schedule_at(ns(140), "d");
+        assert_eq!(q.run.len(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (ns(110), "a"),
+                (ns(120), "b"),
+                (ns(130), "c"),
+                (ns(140), "d")
+            ]
+        );
     }
 
     #[test]

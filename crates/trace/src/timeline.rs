@@ -205,14 +205,15 @@ impl Timeline {
     pub fn merge(parts: Vec<Timeline>) -> Timeline {
         let enabled = parts.iter().any(Timeline::is_enabled);
         let dropped = parts.iter().map(Timeline::dropped).sum();
-        let mut tagged: Vec<(u64, usize, TimelineEvent)> = Vec::new();
-        for (rank, part) in parts.iter().enumerate() {
-            tagged.extend(part.events().map(|&e| (e.at.as_nanos(), rank, e)));
+        // Concatenating the parts in rank order lays events out in
+        // (rank, emission) order, so a stable sort by time alone breaks
+        // every time tie by rank, then by emission.
+        let mut events: Vec<TimelineEvent> =
+            Vec::with_capacity(parts.iter().map(Timeline::len).sum());
+        for part in &parts {
+            events.extend(part.events());
         }
-        // Stable sort: emission order within one recorder breaks the
-        // remaining (time, rank) ties.
-        tagged.sort_by_key(|&(at, rank, _)| (at, rank));
-        let events: Vec<TimelineEvent> = tagged.into_iter().map(|(_, _, e)| e).collect();
+        events.sort_by_key(|e| e.at);
         Timeline {
             enabled,
             capacity: events.len().max(1),

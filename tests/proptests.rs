@@ -50,12 +50,17 @@ fn sample_vec(rng: &mut StdRng, max_value: u64, len: std::ops::Range<usize>) -> 
 /// `EventId`s never repeat across slot recycling, cancelling an id that
 /// was already popped or cancelled returns `false`, the lifetime counters
 /// match the model, and a final drain delivers the sorted model, FIFO
-/// ties included. Across the cases both delivery paths serve pops: the
-/// front slot and the heap.
+/// ties included. Besides random times, events are scheduled as timers
+/// at `now + TIMER_NS`, the timeout/quantum pattern that arrives in key
+/// order, so cancels also hit entries of the sorted run. Across the cases
+/// all three delivery paths serve pops: the front slot, the heap and the
+/// run.
 #[test]
 fn event_queue_matches_vec_model() {
+    const TIMER_NS: u64 = 300;
     let front_pops = AtomicU64::new(0);
     let heap_pops = AtomicU64::new(0);
+    let run_pops = AtomicU64::new(0);
     for_cases(256, |rng| {
         let mut queue: EventQueue<usize> = EventQueue::new();
         // Reference: (absolute time, insertion order, payload), popped in
@@ -67,9 +72,15 @@ fn event_queue_matches_vec_model() {
         let (mut now, mut popped) = (0u64, 0u64);
 
         for op in 0..rng.gen_range(0usize..200) {
-            match rng.gen_range(0u32..5) {
-                0 => {
-                    let at = now + rng.gen_range(0u64..1000);
+            match rng.gen_range(0u32..6) {
+                // A random time, or a timer at a fixed distance.
+                kind @ (0 | 4) => {
+                    let after = if kind == 0 {
+                        rng.gen_range(0u64..1000)
+                    } else {
+                        TIMER_NS
+                    };
+                    let at = now + after;
                     let id = queue.schedule_at(SimTime::from_nanos(at), op);
                     assert!(
                         ever_issued.insert(id),
@@ -88,7 +99,7 @@ fn event_queue_matches_vec_model() {
                     assert_eq!(queue.cancel(issued[ord]), was_pending);
                     model.retain(|&(_, o, _)| o != ord);
                 }
-                // Cancel the earliest pending event, i.e. the heap's head.
+                // Cancel the earliest pending event, i.e. the queue's head.
                 2 => {
                     let Some(&(_, ord, _)) = model.iter().min() else {
                         continue;
@@ -137,7 +148,11 @@ fn event_queue_matches_vec_model() {
             assert_eq!(queue.peek_time(), head);
         }
         front_pops.fetch_add(queue.front_hits(), Ordering::Relaxed);
-        heap_pops.fetch_add(queue.popped_total() - queue.front_hits(), Ordering::Relaxed);
+        run_pops.fetch_add(queue.run_hits(), Ordering::Relaxed);
+        heap_pops.fetch_add(
+            queue.popped_total() - queue.front_hits() - queue.run_hits(),
+            Ordering::Relaxed,
+        );
 
         // Drain to the end: the rest comes out in model order, FIFO ties
         // included.
@@ -149,6 +164,7 @@ fn event_queue_matches_vec_model() {
     });
     assert!(front_pops.into_inner() > 0, "no pop took the front slot");
     assert!(heap_pops.into_inner() > 0, "no pop took the heap");
+    assert!(run_pops.into_inner() > 0, "no pop took the run");
 }
 
 // ---------------------------------------------------------------------
