@@ -36,10 +36,20 @@
 //! every point once.
 //!
 //! Workers frame their records before taking the store lock, which
-//! guards only the append and the rotation. Resume decodes and verifies
-//! records on up to [`worker_budget`](crate::sweep::worker_budget)
-//! threads, keeping line order, so the last record per key wins exactly
-//! as in a serial pass.
+//! guards only the append and the rotation.
+//!
+//! Every read of a store file — the tail and sealed segments behind
+//! [`resume_from`], and the campaign merge's worker segments — goes
+//! through one streaming reader. Up to
+//! [`worker_budget`](crate::sweep::worker_budget) decode workers take
+//! the next line under the reader's lock, then check it for UTF-8,
+//! decode it and re-fingerprint its report outside the lock. Only the
+//! lines in flight are resident, never the whole file, and results keep
+//! line order, so the last record per key wins exactly as in a serial
+//! pass. UTF-8 is checked per line: a bad byte costs the one record it
+//! sits in, which counts as skipped like any other corrupt line. A tail
+//! with rejected lines is rewritten by streaming it a second time and
+//! copying only the lines that decoded.
 //!
 //! Host-time-dependent truncations
 //! ([`Watchdog`](scalesim_simkit::AbortReason::Watchdog) /
@@ -49,13 +59,13 @@
 //! store either (they are not memoized for the same reason).
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use scalesim_core::{read_report, write_report, JsonCursor, JsonWriter, RunReport};
-use scalesim_trace::{sync_dir, write_atomic};
+use scalesim_trace::{sync_dir, write_atomic_with};
 
 use crate::sweep;
 
@@ -67,8 +77,9 @@ pub const SEGMENT_RECORDS: usize = 128;
 pub struct ResumeStats {
     /// Verified records replayed into the memo cache.
     pub loaded: usize,
-    /// Records dropped: crc mismatch, unparsable JSON, or a fingerprint
-    /// that no longer matches the deserialized report.
+    /// Records dropped: a line that is not UTF-8, a crc mismatch,
+    /// unparsable JSON, or a fingerprint that no longer matches the
+    /// deserialized report.
     pub skipped: usize,
     /// Sealed segments read (the tail is not counted).
     pub segments: usize,
@@ -211,41 +222,112 @@ pub(crate) fn decode_record(line: &str) -> Option<Record> {
     })
 }
 
-/// Decodes store lines on up to [`worker_budget`](sweep::worker_budget)
-/// scoped threads, recomputing each record's fingerprint from the
-/// decoded report. Results keep line order: `None` for a line
-/// [`decode_record`] rejects, otherwise the record and whether its
-/// stored fingerprint matched.
-fn decode_verified(lines: &[&str]) -> Vec<Option<(Record, bool)>> {
-    let next = AtomicUsize::new(0);
-    let workers = sweep::worker_budget().min(lines.len());
-    let mut out: Vec<Option<(Record, bool)>> = Vec::new();
-    out.resize_with(lines.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+/// One store file read a line at a time, shared by the decode workers
+/// behind a lock: a worker holds it only to take the next line.
+struct LineReader {
+    reader: BufReader<File>,
+    /// Lines handed out so far; the next line's index.
+    lines: usize,
+    /// The first read failure; the reader yields nothing after it.
+    error: Option<std::io::Error>,
+}
+
+impl LineReader {
+    fn open(path: &Path) -> std::io::Result<Self> {
+        Ok(LineReader {
+            reader: BufReader::with_capacity(1 << 16, File::open(path)?),
+            lines: 0,
+            error: None,
+        })
+    }
+
+    /// The next line and its index, split as [`str::lines`] splits: at
+    /// `\n`, with a `\r` before it dropped too, and no empty line after
+    /// a final `\n`. The bytes are not checked for UTF-8 here.
+    fn next_line(&mut self) -> Option<(usize, Vec<u8>)> {
+        if self.error.is_some() {
+            return None;
+        }
+        let mut line = Vec::new();
+        match self.reader.read_until(b'\n', &mut line) {
+            Ok(0) => None,
+            Ok(_) => {
+                if line.pop_if(|b| *b == b'\n').is_some() {
+                    line.pop_if(|b| *b == b'\r');
+                }
+                self.lines += 1;
+                Some((self.lines - 1, line))
+            }
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+
+    /// The read failure, if any, once the lines are drained.
+    fn finish(self) -> std::io::Result<usize> {
+        self.error.map_or(Ok(self.lines), Err)
+    }
+}
+
+/// What one store line decoded to: `None` for a line that is not UTF-8
+/// or that [`decode_record`] rejects, otherwise the record and whether
+/// its stored fingerprint matches the decoded report.
+type Decoded = Option<(Record, bool)>;
+
+/// Streams the store file at `path` through up to
+/// [`worker_budget`](sweep::worker_budget) scoped decode workers. Each
+/// takes the next line under the reader's lock, then checks it for
+/// UTF-8, decodes it and re-fingerprints the report outside the lock, so
+/// only the lines in flight are resident. Results keep line order.
+///
+/// # Errors
+///
+/// An open or read failure; the lines read before it are dropped, so
+/// an unreadable file contributes nothing.
+fn decode_file(path: &Path) -> std::io::Result<Vec<Decoded>> {
+    let reader = Mutex::new(LineReader::open(path)?);
+    let done: Vec<Vec<(usize, Decoded)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..sweep::worker_budget())
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(line) = lines.get(i) else { break };
-                        let decoded = decode_record(line).map(|record| {
-                            let verified = sweep::fingerprint(&record.report) == record.fp;
-                            (record, verified)
-                        });
+                        let next = reader
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .next_line();
+                        let Some((i, line)) = next else { break };
+                        let decoded =
+                            std::str::from_utf8(&line)
+                                .ok()
+                                .and_then(decode_record)
+                                .map(|record| {
+                                    let verified = sweep::fingerprint(&record.report) == record.fp;
+                                    (record, verified)
+                                });
                         done.push((i, decoded));
                     }
                     done
                 })
             })
             .collect();
-        for handle in handles {
-            for (i, decoded) in handle.join().expect("record decoder panicked") {
-                out[i] = decoded;
-            }
-        }
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("record decoder panicked"))
+            .collect()
     });
-    out
+    let lines = reader
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .finish()?;
+    let mut out: Vec<Decoded> = Vec::new();
+    out.resize_with(lines, || None);
+    for (i, decoded) in done.into_iter().flatten() {
+        out[i] = decoded;
+    }
+    Ok(out)
 }
 
 /// Decodes one segment file (a sealed store segment or a campaign
@@ -253,12 +335,11 @@ fn decode_verified(lines: &[&str]) -> Vec<Option<(Record, bool)>> {
 /// and returns the number of lines rejected. An unreadable file adds
 /// nothing.
 pub(crate) fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> usize {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(decoded) = decode_file(path) else {
         return 0;
     };
-    let lines: Vec<&str> = text.lines().collect();
     let mut rejected = 0;
-    for decoded in decode_verified(&lines) {
+    for decoded in decoded {
         match decoded {
             Some((record, verified)) => {
                 latest.insert(record.key, (record, verified));
@@ -379,10 +460,10 @@ pub fn set_store(dir: &Path) -> std::io::Result<()> {
 /// Every valid record is fingerprint-verified (the hash is recomputed
 /// from the deserialized report and compared against the stored value)
 /// before it seeds the cache; mismatches count as skipped and the point
-/// re-runs. Decoding and verification run in parallel per file, with
+/// re-runs. Each file is streamed through the decode workers, with
 /// results kept in line order. A torn tail is tolerated: invalid tail
 /// lines are dropped and the tail is rewritten atomically with only the
-/// verified ones.
+/// lines that decoded.
 ///
 /// # Errors
 ///
@@ -401,25 +482,27 @@ pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
     }
     let tail = dir.join("tail.jsonl");
     let mut tail_records = 0;
-    if let Ok(text) = std::fs::read_to_string(&tail) {
-        let lines: Vec<&str> = text.lines().collect();
-        let mut valid_tail_lines: Vec<&str> = Vec::new();
-        for (line, decoded) in lines.iter().zip(decode_verified(&lines)) {
-            match decoded {
-                Some((record, verified)) => {
-                    valid_tail_lines.push(*line);
-                    latest.insert(record.key, (record, verified));
-                }
-                None => stats.skipped += 1,
-            }
+    if let Ok(decoded) = decode_file(&tail) {
+        let keep: Vec<bool> = decoded.iter().map(Option::is_some).collect();
+        for (record, verified) in decoded.into_iter().flatten() {
+            latest.insert(record.key, (record, verified));
         }
-        tail_records = valid_tail_lines.len();
-        if tail_records < lines.len() {
-            let mut body = valid_tail_lines.join("\n");
-            if !body.is_empty() {
-                body.push('\n');
-            }
-            write_atomic(&tail, body)?;
+        tail_records = keep.iter().filter(|&&k| k).count();
+        stats.skipped += keep.len() - tail_records;
+        if tail_records < keep.len() {
+            // Stream the tail a second time, copying only the lines that
+            // decoded, so the rewrite holds no more than the reader does.
+            // A read failure aborts the rewrite and leaves the tail as is.
+            let mut lines = LineReader::open(&tail)?;
+            write_atomic_with(&tail, move |w| {
+                while let Some((i, line)) = lines.next_line() {
+                    if keep.get(i) == Some(&true) {
+                        w.write_all(&line)?;
+                        w.write_all(b"\n")?;
+                    }
+                }
+                lines.finish().map(drop)
+            })?;
         }
     }
 
@@ -647,6 +730,179 @@ mod tests {
             assert_eq!(decoded.key, K);
             assert_eq!(sweep::fingerprint(&decoded.report), fp);
         }
+    }
+
+    /// A small, distinct report per index: quarantined stubs carry no
+    /// timeline, so a record costs well under a kilobyte.
+    fn stub(i: usize) -> RunReport {
+        RunReport::quarantined("xalan", i + 1, 8, format!("stub {i}"))
+    }
+
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("scalesim-ckpt-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// `line` with one byte of its JSON body overwritten by `0xFF`, which
+    /// is never valid UTF-8.
+    fn poisoned(line: &str) -> Vec<u8> {
+        let mut bytes = line.as_bytes().to_vec();
+        bytes[200] = 0xff;
+        bytes
+    }
+
+    /// Per key, the seeded memo entry as `(Debug, fp)`.
+    type Seeded = Vec<Option<(String, u64)>>;
+
+    /// Resumes `dir`, then reads back everything the resume left for
+    /// `keys`: the stats, the tail's bytes, and per key the seeded
+    /// entry and the restored retries.
+    fn resume_and_collect(
+        dir: &Path,
+        keys: &[u64],
+    ) -> (ResumeStats, Vec<u8>, Seeded, Vec<Option<u32>>) {
+        let stats = resume_from(dir).unwrap();
+        disable_store();
+        let cached = keys
+            .iter()
+            .map(|&k| sweep::cached_entry(k).map(|(r, fp)| (format!("{r:?}"), fp)))
+            .collect();
+        let retries = keys.iter().map(|&k| take_restored(k)).collect();
+        let tail = std::fs::read(dir.join("tail.jsonl")).unwrap_or_default();
+        (stats, tail, cached, retries)
+    }
+
+    #[test]
+    fn streamed_tail_matches_the_whole_file_read() {
+        // More records than decode workers, so every worker reads several
+        // lines and results must be put back in line order.
+        let n = 2 * sweep::worker_budget() + 3;
+        let keys: Vec<u64> = (0..n as u64).map(|i| 0x5ca1_e5ee_d000_0100 + i).collect();
+        let mut lines: Vec<String> = (0..n)
+            .map(|i| {
+                let report = stub(i);
+                encode_record(keys[i], &report, sweep::fingerprint(&report), i as u32)
+            })
+            .collect();
+        // A stale fingerprint in the middle, a later record for key 1 that
+        // must win over the first, and a torn last line.
+        lines[n / 2] = encode_record(keys[n / 2], &stub(n / 2), 0xbad, 0);
+        let dup = stub(n);
+        lines.push(encode_record(keys[1], &dup, sweep::fingerprint(&dup), 9));
+        let torn = encode_record(keys[0] + 0x80, &stub(0), 0, 0);
+        let text = format!("{}\n{}", lines.join("\n"), &torn[..torn.len() / 2]);
+
+        // The whole-file reference: one serial pass over `str::lines`.
+        let mut latest: HashMap<u64, Record> = HashMap::new();
+        let mut kept: Vec<&str> = Vec::new();
+        let mut skipped = 0;
+        for line in text.lines() {
+            match decode_record(line) {
+                Some(record) => {
+                    kept.push(line);
+                    latest.insert(record.key, record);
+                }
+                None => skipped += 1,
+            }
+        }
+        let verified = |r: &Record| sweep::fingerprint(&r.report) == r.fp;
+        let loaded = latest.values().filter(|r| verified(r)).count();
+        skipped += latest.len() - loaded;
+        let want_tail = kept.join("\n") + "\n";
+        let want_cached: Vec<_> = keys
+            .iter()
+            .map(|k| {
+                let r = latest.get(k).filter(|r| verified(r))?;
+                Some((format!("{:?}", r.report), r.fp))
+            })
+            .collect();
+        let want_retries: Vec<_> = keys
+            .iter()
+            .map(|k| latest.get(k).filter(|r| verified(r)).map(|r| r.retries))
+            .collect();
+
+        let dir = fresh_dir("stream");
+        std::fs::write(dir.join("tail.jsonl"), &text).unwrap();
+        let (stats, tail, cached, retries) = resume_and_collect(&dir, &keys);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!((loaded, skipped), (n - 1, 2));
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded,
+                skipped,
+                segments: 0,
+            }
+        );
+        // Sweeps in concurrent tests may append after the rewrite.
+        assert_eq!(
+            &tail[..want_tail.len().min(tail.len())],
+            want_tail.as_bytes()
+        );
+        assert_eq!(cached, want_cached);
+        assert_eq!(retries, want_retries);
+    }
+
+    #[test]
+    fn a_bad_byte_in_the_tail_skips_only_its_record() {
+        let keys: Vec<u64> = (0..3).map(|i| 0x5ca1_e5ee_d000_0200 + i).collect();
+        let lines: Vec<String> = (0..3)
+            .map(|i| {
+                let report = stub(i);
+                encode_record(keys[i], &report, sweep::fingerprint(&report), 0)
+            })
+            .collect();
+        let mut text = format!("{}\n", lines[0]).into_bytes();
+        text.extend(poisoned(&lines[1]));
+        text.extend(format!("\n{}\n", lines[2]).into_bytes());
+        let dir = fresh_dir("badbyte-tail");
+        std::fs::write(dir.join("tail.jsonl"), &text).unwrap();
+        let (stats, tail, cached, _) = resume_and_collect(&dir, &keys);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded: 2,
+                skipped: 1,
+                segments: 0,
+            }
+        );
+        let want_tail = format!("{}\n{}\n", lines[0], lines[2]);
+        assert_eq!(
+            &tail[..want_tail.len().min(tail.len())],
+            want_tail.as_bytes()
+        );
+        let seeded: Vec<bool> = cached.iter().map(Option::is_some).collect();
+        assert_eq!(seeded, [true, false, true]);
+    }
+
+    #[test]
+    fn a_bad_byte_in_a_segment_rejects_only_its_line() {
+        let keys: Vec<u64> = (0..3).map(|i| 0x5ca1_e5ee_d000_0300 + i).collect();
+        let lines: Vec<String> = (0..3)
+            .map(|i| {
+                let report = stub(i);
+                encode_record(keys[i], &report, sweep::fingerprint(&report), 0)
+            })
+            .collect();
+        let mut text = format!("{}\n", lines[0]).into_bytes();
+        text.extend(poisoned(&lines[1]));
+        text.extend(format!("\n{}\n", lines[2]).into_bytes());
+        let dir = fresh_dir("badbyte-seg");
+        let path = dir.join(seg_name(0));
+        std::fs::write(&path, &text).unwrap();
+        let mut latest = HashMap::new();
+        let rejected = load_segment(&path, &mut latest);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(rejected, 1);
+        let mut loaded: Vec<(u64, bool)> = latest.iter().map(|(&k, (_, v))| (k, *v)).collect();
+        loaded.sort_unstable();
+        assert_eq!(loaded, [(keys[0], true), (keys[2], true)]);
     }
 
     #[test]

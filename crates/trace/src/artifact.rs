@@ -40,6 +40,20 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 /// Propagates the first I/O failure; on error the temp file is removed
 /// on a best-effort basis and `path` is left untouched.
 pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    write_atomic_with(path, |w| w.write_all(contents.as_ref()))
+}
+
+/// [`write_atomic`] for contents too large to hold at once: `fill`
+/// streams them into a buffered writer over the temp file.
+///
+/// # Errors
+///
+/// As [`write_atomic`]; an error from `fill` also aborts the write and
+/// leaves `path` untouched.
+pub fn write_atomic_with(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
     let name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
@@ -51,12 +65,14 @@ pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
     tmp_name.push(name);
     tmp_name.push(format!(".tmp-{}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    let write_synced = |bytes: &[u8]| -> io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+    let write_synced = || -> io::Result<()> {
+        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        fill(&mut w)?;
+        w.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()
     };
-    write_synced(contents.as_ref()).inspect_err(|_| {
+    write_synced().inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })?;
     std::fs::rename(&tmp, path).inspect_err(|_| {
@@ -89,6 +105,25 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(entries, vec![std::ffi::OsString::from("out.json")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_fill_leaves_the_old_file_and_no_temp() {
+        let dir = scratch("fill");
+        let path = dir.join("out.jsonl");
+        write_atomic(&path, "old").unwrap();
+        let err = write_atomic_with(&path, |w| {
+            w.write_all(b"partial")?;
+            Err(io::Error::other("reader failed"))
+        });
+        assert!(err.is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "old");
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, vec![std::ffi::OsString::from("out.jsonl")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -265,10 +265,36 @@ impl EventKind {
         }
     }
 
-    /// Inverse of [`EventKind::name`], for the text-format parser.
+    /// Inverse of [`EventKind::name`], for the text-format parser and
+    /// the snapshot codec (once per decoded event).
     #[must_use]
     pub fn from_name(name: &str) -> Option<EventKind> {
-        EventKind::ALL.iter().copied().find(|k| k.name() == name)
+        Some(match name {
+            "running" => EventKind::ThreadRunning,
+            "runnable" => EventKind::ThreadRunnable,
+            "blocked-monitor" => EventKind::ThreadBlockedMonitor,
+            "blocked-starved" => EventKind::ThreadBlockedStarved,
+            "blocked-sleep" => EventKind::ThreadBlockedSleep,
+            "safepoint" => EventKind::ThreadSafepoint,
+            "hold" => EventKind::MonitorHold,
+            "wait" => EventKind::MonitorWait,
+            "enqueue" => EventKind::MonitorEnqueue,
+            "minor-gc" => EventKind::GcMinor,
+            "local-minor-gc" => EventKind::GcLocalMinor,
+            "full-gc" => EventKind::GcFull,
+            "conc-initial-mark" => EventKind::GcConcMark,
+            "conc-mark-work" => EventKind::GcConcWork,
+            "conc-remark" => EventKind::GcConcRemark,
+            "chaos:drop-wakeup" => EventKind::ChaosDropWakeup,
+            "chaos:spurious-wakeup" => EventKind::ChaosSpuriousWakeup,
+            "chaos:gc-stall" => EventKind::ChaosGcStall,
+            "chaos:request-drop" => EventKind::ChaosRequestDrop,
+            "req-shed" => EventKind::ReqShed,
+            "req-retry" => EventKind::ReqRetry,
+            "req-timeout" => EventKind::ReqTimeout,
+            "heap-used" => EventKind::HeapUsed,
+            _ => return None,
+        })
     }
 }
 
@@ -308,6 +334,8 @@ mod tests {
         for kind in EventKind::ALL {
             assert_eq!(EventKind::from_name(kind.name()), Some(kind));
         }
+        assert_eq!(EventKind::from_name("hold "), None);
+        assert_eq!(EventKind::from_name(""), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod event;
 mod text;
 mod timeline;
 
-pub use artifact::{sync_dir, write_atomic};
+pub use artifact::{sync_dir, write_atomic, write_atomic_with};
 pub use chrome::to_chrome_json;
 pub use config::TraceConfig;
 pub use counters::{CounterId, Counters, COUNTER_SLOTS};

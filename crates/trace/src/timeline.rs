@@ -6,6 +6,21 @@
 //! runtime merges the per-subsystem recorders into one timeline ordered by
 //! `(simulated time, subsystem rank, emission order)` — a pure function of
 //! the recorded events, so equal runs merge to byte-identical traces.
+//!
+//! A recorder writes into a `Vec` it owns outright: no atomic operation
+//! per event, and no allocation at all while tracing is off. A *closed*
+//! timeline — the output of [`Timeline::merge`] or
+//! [`Timeline::from_raw_parts`] — moves its events into one immutable
+//! `Arc`'d buffer without copying them, so every clone of it (a report
+//! handed out by the sweep memo, a resumed report) shares that buffer.
+//! Recording into a closed timeline first takes a private copy, so a
+//! clone never sees another's events. The storage is invisible from
+//! outside: `Debug`, `Hash` and equality read the events as the plain
+//! slice a `Vec` would show.
+
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::event::{EventKind, Phase, TimelineEvent};
 use scalesim_simkit::{SimDuration, SimTime};
@@ -19,10 +34,70 @@ use scalesim_simkit::{SimDuration, SimTime};
 pub struct Timeline {
     enabled: bool,
     capacity: usize,
-    events: Vec<TimelineEvent>,
+    events: Events,
     /// Index of the oldest retained event once the ring has wrapped.
     head: usize,
     dropped: u64,
+}
+
+/// The event storage in ring order: owned while recording, shared once
+/// closed.
+#[derive(Clone)]
+enum Events {
+    /// A recorder's own ring, written in place.
+    Ring(Vec<TimelineEvent>),
+    /// A closed timeline's buffer, shared by all its clones.
+    Closed(Arc<Vec<TimelineEvent>>),
+}
+
+impl Events {
+    /// Closes `events` without copying them. An empty buffer stays a
+    /// ring: sharing nothing is not worth an allocation.
+    fn closed(events: Vec<TimelineEvent>) -> Self {
+        if events.is_empty() {
+            Events::Ring(events)
+        } else {
+            Events::Closed(Arc::new(events))
+        }
+    }
+
+    fn as_slice(&self) -> &[TimelineEvent] {
+        match self {
+            Events::Ring(ring) => ring,
+            Events::Closed(shared) => shared,
+        }
+    }
+
+    /// The ring to record into; a closed buffer is copied out first.
+    fn ring(&mut self) -> &mut Vec<TimelineEvent> {
+        if let Events::Closed(shared) = self {
+            *self = Events::Ring(shared.to_vec());
+        }
+        match self {
+            Events::Ring(ring) => ring,
+            Events::Closed(_) => unreachable!("a closed buffer was just reopened"),
+        }
+    }
+}
+
+impl fmt::Debug for Events {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl PartialEq for Events {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Events {}
+
+impl Hash for Events {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
 }
 
 impl Default for Timeline {
@@ -38,7 +113,7 @@ impl Timeline {
         Timeline {
             enabled: false,
             capacity: 0,
-            events: Vec::new(),
+            events: Events::Ring(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -50,7 +125,7 @@ impl Timeline {
         Timeline {
             enabled: true,
             capacity: capacity.max(1),
-            events: Vec::new(),
+            events: Events::Ring(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -65,13 +140,13 @@ impl Timeline {
     /// Number of events currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.as_slice().len()
     }
 
     /// True when nothing has been retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events.as_slice().is_empty()
     }
 
     /// Events evicted by ring retention since recording started.
@@ -84,10 +159,11 @@ impl Timeline {
         if !self.enabled {
             return;
         }
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
+        let ring = self.events.ring();
+        if ring.len() < self.capacity {
+            ring.push(ev);
         } else {
-            self.events[self.head] = ev;
+            ring[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
@@ -152,7 +228,7 @@ impl Timeline {
     /// Retained events in chronological *emission* order (ring rotation
     /// already applied).
     pub fn events(&self) -> impl Iterator<Item = &TimelineEvent> {
-        let (tail, front) = self.events.split_at(self.head);
+        let (tail, front) = self.events.as_slice().split_at(self.head);
         front.iter().chain(tail.iter())
     }
 
@@ -167,7 +243,7 @@ impl Timeline {
         (
             self.enabled,
             self.capacity,
-            &self.events,
+            self.events.as_slice(),
             self.head,
             self.dropped,
         )
@@ -176,7 +252,8 @@ impl Timeline {
     /// Rebuilds a recorder from [`Timeline::raw_parts`] output.
     ///
     /// The parts are trusted as-is; this is a persistence hook, not a
-    /// public constructor for new recordings.
+    /// public constructor for new recordings. The result is closed:
+    /// `events` becomes its shared buffer without being copied.
     #[must_use]
     pub fn from_raw_parts(
         enabled: bool,
@@ -188,7 +265,7 @@ impl Timeline {
         Timeline {
             enabled,
             capacity,
-            events,
+            events: Events::closed(events),
             head,
             dropped,
         }
@@ -200,7 +277,7 @@ impl Timeline {
     /// — rank is the position in `parts` — which is deterministic for a
     /// deterministic simulation. The merged recorder is enabled iff any
     /// part was, holds every retained event, and accumulates the parts'
-    /// dropped counts.
+    /// dropped counts. It is closed: clones share its event buffer.
     #[must_use]
     pub fn merge(parts: Vec<Timeline>) -> Timeline {
         let enabled = parts.iter().any(Timeline::is_enabled);
@@ -217,7 +294,7 @@ impl Timeline {
         Timeline {
             enabled,
             capacity: events.len().max(1),
-            events,
+            events: Events::closed(events),
             head: 0,
             dropped,
         }
@@ -295,6 +372,61 @@ mod tests {
         assert_eq!(format!("{tl:?}"), format!("{back:?}"));
         let args: Vec<u64> = back.events().map(|e| e.arg).collect();
         assert_eq!(args, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn clones_of_a_merged_timeline_share_one_buffer() {
+        let mut part = Timeline::with_capacity(8);
+        part.instant(EventKind::ChaosGcStall, 0, t(1), 7);
+        let merged = Timeline::merge(vec![part]);
+        let clone = merged.clone();
+        assert_eq!(merged.raw_parts().2.as_ptr(), clone.raw_parts().2.as_ptr());
+        assert_eq!(merged, clone);
+    }
+
+    #[test]
+    fn a_cloned_recorder_diverges_on_push() {
+        let mut tl = Timeline::with_capacity(8);
+        tl.instant(EventKind::ChaosGcStall, 0, t(1), 1);
+        let mut copy = tl.clone();
+        copy.instant(EventKind::ChaosGcStall, 0, t(2), 2);
+        assert_eq!(tl.len(), 1);
+        assert_eq!(copy.len(), 2);
+        // A closed timeline that records again takes a private copy too
+        // (its capacity is its length, so the new event evicts the old).
+        let closed = Timeline::merge(vec![tl]);
+        let mut reopened = closed.clone();
+        reopened.instant(EventKind::ChaosGcStall, 0, t(3), 3);
+        let args = |tl: &Timeline| tl.events().map(|e| e.arg).collect::<Vec<_>>();
+        assert_eq!((args(&closed), closed.dropped()), (vec![1], 0));
+        assert_eq!((args(&reopened), reopened.dropped()), (vec![3], 1));
+    }
+
+    #[test]
+    fn a_shared_timeline_debugs_and_hashes_like_its_events_held_alone() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+
+        fn hash(tl: &Timeline) -> u64 {
+            let mut h = DefaultHasher::new();
+            tl.hash(&mut h);
+            h.finish()
+        }
+        let mut alone = Timeline::with_capacity(4);
+        alone.instant(EventKind::ChaosGcStall, 0, t(1), 1);
+        alone.span(EventKind::GcMinor, 0, t(2), t(5), 2);
+        let (enabled, capacity, events, head, dropped) = alone.raw_parts();
+        let shared = Timeline::from_raw_parts(enabled, capacity, events.to_vec(), head, dropped);
+        let other = shared.clone();
+        assert_eq!(shared.raw_parts().2.as_ptr(), other.raw_parts().2.as_ptr());
+        assert_eq!(format!("{other:?}"), format!("{alone:?}"));
+        assert_eq!(format!("{other:#?}"), format!("{alone:#?}"));
+        assert_eq!(hash(&other), hash(&alone));
+        // The storage really is the plain `Vec` rendering and hash.
+        let vec = events.to_vec();
+        assert!(format!("{alone:?}").contains(&format!("events: {vec:?}")));
+        let mut h = DefaultHasher::new();
+        (enabled, capacity, &vec, head, dropped).hash(&mut h);
+        assert_eq!(hash(&alone), h.finish());
     }
 
     #[test]

@@ -54,6 +54,23 @@ done
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/a/manifest.jsonl > target/ci-resume/a.norm
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/b/manifest.jsonl > target/ci-resume/b.norm
 diff target/ci-resume/a.norm target/ci-resume/b.norm
+echo '== poisoned resume smoke (one non-UTF-8 byte must cost one record, not the store)'
+rm -rf target/ci-resume/poison target/ci-resume/c
+cp -r target/ci-resume/ckpt target/ci-resume/poison
+# 0xFF is never valid UTF-8; write it 200 bytes into the second record.
+off=$(( $(head -n 1 target/ci-resume/poison/tail.jsonl | wc -c) + 200 ))
+printf '\377' | dd of=target/ci-resume/poison/tail.jsonl bs=1 seek="$off" conv=notrunc status=none
+cargo run --release -q -p scalesim-experiments -- \
+    fig1d --scale 0.02 --threads 4,8 \
+    --out target/ci-resume/c --checkpoint target/ci-resume/poison --resume \
+    > target/ci-resume/poison.out
+grep -q 'resumed 1 run(s) .* 1 record(s) skipped' target/ci-resume/poison.out \
+    || { echo "poisoned resume did not skip exactly one record"; cat target/ci-resume/poison.out; exit 1; }
+for csv in target/ci-resume/a/*.csv; do
+    diff "$csv" "target/ci-resume/c/$(basename "$csv")"
+done
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/c/manifest.jsonl > target/ci-resume/c.norm
+diff target/ci-resume/a.norm target/ci-resume/c.norm
 echo '== traced resume smoke (a traced ext-locks resume must reproduce identical tables)'
 rm -rf target/ci-resume-traced
 mkdir -p target/ci-resume-traced
