@@ -34,10 +34,12 @@
 //! between the two) just means the merge re-simulates that unit.
 //!
 //! The merge pass ([`merge`]) replays every verified segment record
-//! into the sweep memo cache (with restored-provenance bookkeeping, as
-//! a checkpoint resume does) and then re-runs the ordinary artifact
-//! driver in-process: restored units are served as cache hits whose
-//! manifests report what an uninterrupted run would have said, missing
+//! into the sweep memo cache through the same
+//! [`replay`](crate::checkpoint::replay) a checkpoint resume uses, so
+//! each entry carries its restored provenance, and then re-runs the
+//! ordinary artifact driver in-process: restored units are served as
+//! cache hits whose manifests report what an uninterrupted run would
+//! have said, missing
 //! or quarantined units re-execute under the usual
 //! retry-once-then-quarantine policy, and the tables render through the
 //! exact code path a single-process run uses.
@@ -65,10 +67,10 @@ use scalesim_simkit::splitmix64;
 use scalesim_workloads::AppModel;
 
 use crate::artifacts::{artifact, artifact_tables, ArtifactTable, Runs, ARTIFACTS};
-use crate::checkpoint::{self, encode_record, load_segment, Record};
+use crate::checkpoint::{self, encode_record, load_segment};
 use crate::params::ExpParams;
 use crate::sweep::{
-    attempt, checkpointable, clear_run_cache, fingerprint, seed_cache_entry, take_run_manifests,
+    attempt, checkpointable, clear_run_cache, fingerprint, retry_once, take_run_manifests,
     take_sweep_failures, worker_budget, RunManifest, RunSpec, SweepFailure,
 };
 
@@ -669,21 +671,11 @@ pub fn worker_drain(
                     let (key, run_spec) = (unit.0, &unit.1);
                     let lease = lease_path(leases, key);
                     heartbeat.add(key, lease.clone());
-                    let outcome = match attempt(run_spec, None) {
-                        Ok(report) => Ok((report, 0u32)),
-                        Err(first) => match attempt(run_spec, None) {
-                            Ok(report) => Ok((report, 1)),
-                            Err(second) => Err(if first == second {
-                                format!("{first} (and again on retry)")
-                            } else {
-                                format!("{first}; retry: {second}")
-                            }),
-                        },
-                    };
+                    let (outcome, retries) = retry_once(|| attempt(run_spec, None));
                     let persisted: io::Result<()> = match &outcome {
-                        Ok((report, retries)) if checkpointable(report) => {
+                        Ok(report) if checkpointable(report) => {
                             let fp = fingerprint(report);
-                            let mut line = encode_record(key, report, fp, *retries);
+                            let mut line = encode_record(key, report, fp, retries);
                             line.push('\n');
                             seg.lock()
                                 .unwrap_or_else(PoisonError::into_inner)
@@ -716,7 +708,7 @@ pub fn worker_drain(
                                 .insert(key);
                             let mut s = stats.lock().unwrap_or_else(PoisonError::into_inner);
                             match &outcome {
-                                Ok((report, _)) if checkpointable(report) => s.ran += 1,
+                                Ok(report) if checkpointable(report) => s.ran += 1,
                                 Ok(_) => s.volatile += 1,
                                 Err(_) => s.quarantined += 1,
                             }
@@ -772,37 +764,14 @@ pub fn merge(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignEr
     let _ = take_run_manifests();
     let _ = take_sweep_failures();
 
-    let mut seg_paths: Vec<PathBuf> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_str().unwrap_or("");
-            if name.starts_with("seg-") && name.ends_with(".jsonl") {
-                seg_paths.push(entry.path());
-            }
-        }
-    }
-    seg_paths.sort();
-
     let mut skipped_lines = 0usize;
-    let mut latest: HashMap<u64, (Record, bool)> = HashMap::new();
-    for path in &seg_paths {
+    let mut latest = HashMap::new();
+    for path in &checkpoint::segments_of(dir).0 {
         skipped_lines += load_segment(path, &mut latest);
     }
-
-    let mut restored = 0usize;
-    for (key, (record, verified)) in latest {
-        if !unit_keys.contains(&key) {
-            continue;
-        }
-        if !verified || !checkpointable(&record.report) {
-            skipped_lines += 1;
-            continue;
-        }
-        seed_cache_entry(key, record.report, record.fp);
-        checkpoint::seed_restored(key, record.retries);
-        restored += 1;
-    }
+    latest.retain(|key, _| unit_keys.contains(key));
+    let (restored, skipped) = checkpoint::replay(latest);
+    skipped_lines += skipped;
     let reran = units.len() - restored;
 
     let tables = artifact_tables(&spec.artifact, &spec.params)
@@ -813,11 +782,8 @@ pub fn merge(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignEr
         m.host_ns = 0;
     }
     let failures = take_sweep_failures();
-    // Leave no restored-provenance residue behind (a memo-off merge
-    // would otherwise strand entries).
-    for key in &unit_keys {
-        let _ = checkpoint::take_restored(*key);
-    }
+    // Clearing the cache drops any restored provenance no sweep claimed
+    // (a memo-off merge claims none).
     clear_run_cache();
     Ok(MergeOutcome {
         tables,

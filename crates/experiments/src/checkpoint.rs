@@ -54,8 +54,9 @@
 //! Host-time-dependent truncations
 //! ([`Watchdog`](scalesim_simkit::AbortReason::Watchdog) /
 //! [`MaxHostMs`](scalesim_simkit::AbortReason::MaxHostMs)) are never
-//! checkpointed: replaying them would freeze a transient host condition
-//! into a deterministic artifact. Quarantined stubs never reach the
+//! checkpointed, and [`replay`] refuses them if a store holds one anyway:
+//! replaying them would freeze a transient host condition into a
+//! deterministic artifact. Quarantined stubs never reach the
 //! store either (they are not memoized for the same reason).
 
 use std::collections::HashMap;
@@ -78,8 +79,8 @@ pub struct ResumeStats {
     /// Verified records replayed into the memo cache.
     pub loaded: usize,
     /// Records dropped: a line that is not UTF-8, a crc mismatch,
-    /// unparsable JSON, or a fingerprint that no longer matches the
-    /// deserialized report.
+    /// unparsable JSON, a fingerprint that no longer matches the
+    /// deserialized report, or a report that may not be checkpointed.
     pub skipped: usize,
     /// Sealed segments read (the tail is not counted).
     pub segments: usize,
@@ -393,8 +394,10 @@ fn seg_name(n: u64) -> String {
     format!("seg-{n:05}.jsonl")
 }
 
-/// Sealed segment paths in rotation order, plus the next free index.
-fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
+/// Segment paths (`seg-*.jsonl`) in name order — a store's sealed
+/// segments in rotation order, or a campaign's worker segments — plus
+/// the next free store segment index.
+pub(crate) fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
     let mut names: Vec<String> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -418,15 +421,6 @@ fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
 fn store() -> &'static Mutex<Option<Store>> {
     static STORE: OnceLock<Mutex<Option<Store>>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(None))
-}
-
-/// Retry counts of resumed keys, consumed once per key by the first
-/// sweep that serves the key from cache so its manifest reports the
-/// provenance (`memo:"miss"`, original retries) an uninterrupted run
-/// would have recorded.
-fn restored() -> &'static Mutex<HashMap<u64, u32>> {
-    static RESTORED: OnceLock<Mutex<HashMap<u64, u32>>> = OnceLock::new();
-    RESTORED.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Activates a **fresh** checkpoint store in `dir`: any existing
@@ -459,11 +453,11 @@ pub fn set_store(dir: &Path) -> std::io::Result<()> {
 ///
 /// Every valid record is fingerprint-verified (the hash is recomputed
 /// from the deserialized report and compared against the stored value)
-/// before it seeds the cache; mismatches count as skipped and the point
-/// re-runs. Each file is streamed through the decode workers, with
-/// results kept in line order. A torn tail is tolerated: invalid tail
-/// lines are dropped and the tail is rewritten atomically with only the
-/// lines that decoded.
+/// and seeds the cache through [`replay`]; mismatches count as skipped
+/// and the point re-runs. Each file is streamed through the decode
+/// workers, with results kept in line order. A torn tail is tolerated:
+/// invalid tail lines are dropped and the tail is rewritten atomically
+/// with only the lines that decoded.
 ///
 /// # Errors
 ///
@@ -506,20 +500,9 @@ pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
         }
     }
 
-    // A survivor may stand in for a simulation only if its fingerprint
-    // verified.
-    for (key, (record, verified)) in latest {
-        if !verified {
-            stats.skipped += 1;
-            continue;
-        }
-        sweep::seed_cache_entry(key, record.report, record.fp);
-        restored()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, record.retries);
-        stats.loaded += 1;
-    }
+    let (loaded, skipped) = replay(latest);
+    stats.loaded = loaded;
+    stats.skipped += skipped;
 
     *store().lock().unwrap_or_else(PoisonError::into_inner) = Some(Store {
         dir: dir.to_owned(),
@@ -527,6 +510,24 @@ pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
         next_seg,
     });
     Ok(stats)
+}
+
+/// Seeds the memo cache with every survivor in `latest` (the last record
+/// per key) that may stand in for a simulation: its fingerprint verified
+/// and its report is [`checkpointable`](sweep::checkpointable). Each
+/// seeded entry carries the record's retries as restored provenance, so
+/// the first sweep that serves it reports what the uninterrupted run
+/// did. Returns `(loaded, skipped)`.
+pub(crate) fn replay(latest: HashMap<u64, (Record, bool)>) -> (usize, usize) {
+    let survivors = latest.len();
+    let mut loaded = 0;
+    for (record, verified) in latest.into_values() {
+        if verified && sweep::checkpointable(&record.report) {
+            sweep::seed_cache_entry(record);
+            loaded += 1;
+        }
+    }
+    (loaded, survivors - loaded)
 }
 
 /// Deactivates the store; completed runs are no longer persisted.
@@ -561,26 +562,6 @@ pub(crate) fn append_completed(key: u64, report: &RunReport, fp: u64, retries: u
     if let Err(e) = st.append(&line) {
         eprintln!("checkpoint: dropping record for key {key:016x}: {e}");
     }
-}
-
-/// Seeds the restored-provenance map directly — the campaign merge's
-/// way of marking a segment-replayed key so the first sweep that serves
-/// it from cache reports `memo:"miss"` plus the retries the run cost
-/// when a worker first executed it, exactly like [`resume_from`] does.
-pub(crate) fn seed_restored(key: u64, retries: u32) {
-    restored()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(key, retries);
-}
-
-/// Consumes the restored-provenance entry for `key`, if resume seeded
-/// it and no sweep has claimed it yet.
-pub(crate) fn take_restored(key: u64) -> Option<u32> {
-    restored()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .remove(&key)
 }
 
 #[cfg(test)]
@@ -677,7 +658,10 @@ mod tests {
         // Other tests' sweeps may append to the store while it is active;
         // keep only this test's keys.
         let cached: Vec<_> = K.iter().map(|&k| sweep::cached_entry(k)).collect();
-        let retries: Vec<_> = K.iter().map(|&k| take_restored(k)).collect();
+        let retries: Vec<_> = cached
+            .iter()
+            .map(|entry| entry.as_ref().and_then(|e| e.restored))
+            .collect();
         let tail: Vec<String> = std::fs::read_to_string(dir.join("tail.jsonl"))
             .unwrap()
             .lines()
@@ -700,7 +684,7 @@ mod tests {
         let expected = [Some(&first), Some(&second), None, Some(&first), None];
         for ((entry, want), key) in cached.iter().zip(expected).zip(K) {
             assert_eq!(
-                entry.as_ref().map(|(r, fp)| (debug(r), *fp)),
+                entry.as_ref().map(|e| (debug(&e.report), e.fp)),
                 want.map(|r| (debug(r), sweep::fingerprint(r))),
                 "key {key:016x}"
             );
@@ -758,18 +742,25 @@ mod tests {
 
     /// Resumes `dir`, then reads back everything the resume left for
     /// `keys`: the stats, the tail's bytes, and per key the seeded
-    /// entry and the restored retries.
+    /// entry and its restored retries.
     fn resume_and_collect(
         dir: &Path,
         keys: &[u64],
     ) -> (ResumeStats, Vec<u8>, Seeded, Vec<Option<u32>>) {
         let stats = resume_from(dir).unwrap();
         disable_store();
-        let cached = keys
+        let entries: Vec<_> = keys.iter().map(|&k| sweep::cached_entry(k)).collect();
+        let cached = entries
             .iter()
-            .map(|&k| sweep::cached_entry(k).map(|(r, fp)| (format!("{r:?}"), fp)))
+            .map(|entry| {
+                let e = entry.as_ref()?;
+                Some((format!("{:?}", e.report), e.fp))
+            })
             .collect();
-        let retries = keys.iter().map(|&k| take_restored(k)).collect();
+        let retries = entries
+            .iter()
+            .map(|entry| entry.as_ref().and_then(|e| e.restored))
+            .collect();
         let tail = std::fs::read(dir.join("tail.jsonl")).unwrap_or_default();
         (stats, tail, cached, retries)
     }
@@ -878,6 +869,39 @@ mod tests {
         );
         let seeded: Vec<bool> = cached.iter().map(Option::is_some).collect();
         assert_eq!(seeded, [true, false, true]);
+    }
+
+    #[test]
+    fn a_host_time_truncation_in_the_tail_is_skipped() {
+        use scalesim_core::RunOutcome;
+        use scalesim_simkit::AbortReason;
+        let keys: Vec<u64> = (0..2).map(|i| 0x5ca1_e5ee_d000_0400 + i).collect();
+        let mut truncated = stub(1);
+        truncated.outcome = RunOutcome::Truncated(AbortReason::MaxHostMs(250));
+        let lines: Vec<String> = [stub(0), truncated]
+            .iter()
+            .zip(&keys)
+            .map(|(report, &key)| encode_record(key, report, sweep::fingerprint(report), 0))
+            .collect();
+        let text = lines.join("\n") + "\n";
+        let dir = fresh_dir("hostms");
+        std::fs::write(dir.join("tail.jsonl"), &text).unwrap();
+        let (stats, tail, cached, _) = resume_and_collect(&dir, &keys);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The record decodes and verifies, so it stays in the tail, but a
+        // host-time truncation never stands in for a simulation.
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded: 1,
+                skipped: 1,
+                segments: 0,
+            }
+        );
+        assert_eq!(&tail[..text.len().min(tail.len())], text.as_bytes());
+        let seeded: Vec<bool> = cached.iter().map(Option::is_some).collect();
+        assert_eq!(seeded, [true, false]);
     }
 
     #[test]

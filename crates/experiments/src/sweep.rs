@@ -336,8 +336,16 @@ pub fn take_run_manifests() -> Vec<RunManifest> {
     std::mem::take(&mut *manifests().lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-/// A cached report plus the content fingerprint taken when it was stored.
-type CacheEntry = (Arc<RunReport>, u64);
+/// A memo entry: the cached report, the content fingerprint taken when
+/// it was stored, and — while no sweep has served it yet — the retries a
+/// run replayed from a checkpoint store or campaign segment cost when it
+/// first executed.
+#[derive(Clone)]
+pub(crate) struct CacheEntry {
+    pub(crate) report: Arc<RunReport>,
+    pub(crate) fp: u64,
+    pub(crate) restored: Option<u32>,
+}
 
 /// The process-wide run cache, keyed by [`RunSpec::memo_key`].
 fn cache() -> &'static Mutex<HashMap<u64, CacheEntry>> {
@@ -407,15 +415,20 @@ pub(crate) fn fingerprint(report: &RunReport) -> u64 {
     h.finish()
 }
 
-/// Inserts a report into the memo cache under `key` with an
-/// already-computed fingerprint — the checkpoint layer's way of
-/// replaying persisted runs so a resumed sweep serves them without
-/// re-simulation.
-pub(crate) fn seed_cache_entry(key: u64, report: RunReport, fp: u64) {
+/// Inserts a persisted record into the memo cache under its key, with
+/// its stored fingerprint and its retries as restored provenance — the
+/// checkpoint layer's way of replaying persisted runs so a resumed sweep
+/// serves them without re-simulation.
+pub(crate) fn seed_cache_entry(record: checkpoint::Record) {
+    let entry = CacheEntry {
+        report: Arc::new(record.report),
+        fp: record.fp,
+        restored: Some(record.retries),
+    };
     cache()
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(key, (Arc::new(report), fp));
+        .insert(record.key, entry);
 }
 
 /// The memo entry under `key`, if one is held.
@@ -454,7 +467,7 @@ pub fn cached_event_total() -> u64 {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .values()
-        .map(|(r, _)| r.events_processed)
+        .map(|entry| entry.report.events_processed)
         .sum()
 }
 
@@ -593,6 +606,28 @@ fn guarded_attempt(spec: &RunSpec, slot: &WatchdogSlot) -> Result<RunReport, Str
     }
 }
 
+/// Calls `run`, and once more if it fails: crash isolation, so a second
+/// failure comes back as data rather than tearing the caller down.
+/// Returns the outcome and the retries it cost.
+pub(crate) fn retry_once(
+    mut run: impl FnMut() -> Result<RunReport, String>,
+) -> (Result<RunReport, String>, u32) {
+    match run() {
+        Ok(report) => (Ok(report), 0),
+        Err(first) => match run() {
+            Ok(report) => (Ok(report), 1),
+            Err(second) => {
+                let msg = if first == second {
+                    format!("{first} (and again on retry)")
+                } else {
+                    format!("{first}; retry: {second}")
+                };
+                (Err(msg), 1)
+            }
+        },
+    }
+}
+
 /// Whether a completed report may be persisted to the checkpoint store
 /// (or a campaign worker's segment).
 /// Host-time-dependent truncations are excluded: they encode transient
@@ -626,11 +661,12 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
     let keys: Vec<u64> = specs.iter().map(RunSpec::memo_key).collect();
 
     // Resolve what is already known — verifying each entry's fingerprint
-    // and evicting corrupt ones — then deduplicate the remainder. Keys
-    // seeded by a checkpoint resume are claimed here (once, process-wide)
-    // so their manifests report the provenance the original, uninterrupted
-    // sweep would have: `memo:"miss"` plus the retries the run actually
-    // cost when it first executed.
+    // and evicting corrupt ones — then deduplicate the remainder. An
+    // entry replayed from a checkpoint store or campaign segment gives up
+    // its restored provenance to the first sweep that serves it, so that
+    // sweep's manifests report what the original, uninterrupted sweep
+    // would have: `memo:"miss"` plus the retries the run actually cost
+    // when it first executed.
     let mut resolved: HashMap<u64, Arc<RunReport>> = HashMap::new();
     let mut evicted: HashSet<u64> = HashSet::new();
     let mut restored: HashMap<u64, u32> = HashMap::new();
@@ -640,10 +676,10 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
             if resolved.contains_key(&k) {
                 continue;
             }
-            if let Some((r, stored_fp)) = cached.get(&k) {
-                if fingerprint(r) == *stored_fp {
-                    resolved.insert(k, Arc::clone(r));
-                    if let Some(retries) = checkpoint::take_restored(k) {
+            if let Some(entry) = cached.get_mut(&k) {
+                if fingerprint(&entry.report) == entry.fp {
+                    resolved.insert(k, Arc::clone(&entry.report));
+                    if let Some(retries) = entry.restored.take() {
                         restored.insert(k, retries);
                     }
                 } else {
@@ -657,8 +693,6 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                     });
                     evicted.insert(k);
                     cached.remove(&k);
-                    // An evicted entry's restored provenance is stale too.
-                    let _ = checkpoint::take_restored(k);
                 }
             }
         }
@@ -725,23 +759,7 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                     loop {
                         let n = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = pending.get(n) else { break };
-                        // Crash isolation: one retry, then the failure
-                        // travels back as data rather than tearing the
-                        // sweep down.
-                        let (outcome, retries) = match guarded_attempt(&specs[i], slot) {
-                            Ok(report) => (Ok(report), 0),
-                            Err(first) => match guarded_attempt(&specs[i], slot) {
-                                Ok(report) => (Ok(report), 1),
-                                Err(second) => {
-                                    let msg = if first == second {
-                                        format!("{first} (and again on retry)")
-                                    } else {
-                                        format!("{first}; retry: {second}")
-                                    };
-                                    (Err(msg), 1)
-                                }
-                            },
-                        };
+                        let (outcome, retries) = retry_once(|| guarded_attempt(&specs[i], slot));
                         // One fingerprint per run, taken here off the main
                         // thread: the checkpoint record and the memo entry
                         // below both reuse it.
@@ -823,7 +841,11 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                         // the entry, evict it, and re-simulate.
                         fp ^= 0x05ca_1ab1_e0dd_ba11;
                     }
-                    cached.entry(k).or_insert_with(|| (Arc::clone(r), fp));
+                    cached.entry(k).or_insert_with(|| CacheEntry {
+                        report: Arc::clone(r),
+                        fp,
+                        restored: None,
+                    });
                 }
             }
         }
@@ -908,21 +930,30 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         .collect()
 }
 
+/// [`RunSpec::new`] with every knob the builder reads from the
+/// environment fixed: no budget, no chaos, monitors on, tracing off, the
+/// default lock algorithm.
+#[cfg(test)]
+pub(crate) fn pinned_spec(app: SyntheticApp, threads: usize, seed: u64) -> RunSpec {
+    use scalesim_core::{LockAlg, TraceConfig};
+    use scalesim_simkit::{ChaosConfig, RunBudget};
+    let mut spec = RunSpec::new(app, threads, seed);
+    spec.config.budget = RunBudget::default();
+    spec.config.chaos = ChaosConfig::default();
+    spec.config.monitors = true;
+    spec.config.trace = TraceConfig::off();
+    spec.config.lock_alg = LockAlg::default();
+    spec
+}
+
 /// A traced xalan run at 2 threads, seed 9, with a timeline and full
 /// object retention. Every knob the builder reads from the
 /// environment is fixed, and `host_ns` is zeroed.
 #[cfg(test)]
 pub(crate) fn traced_fixture(scale: f64) -> RunReport {
-    use scalesim_core::{LockAlg, TraceConfig};
-    use scalesim_objtrace::Retention;
-    use scalesim_simkit::{ChaosConfig, RunBudget};
-    let mut spec = RunSpec::new(scalesim_workloads::xalan().scaled(scale), 2, 9);
-    spec.config.trace = TraceConfig::on();
-    spec.config.retention = Retention::Full;
-    spec.config.budget = RunBudget::default();
-    spec.config.chaos = ChaosConfig::default();
-    spec.config.monitors = true;
-    spec.config.lock_alg = LockAlg::default();
+    let mut spec = pinned_spec(scalesim_workloads::xalan().scaled(scale), 2, 9);
+    spec.config.trace = scalesim_core::TraceConfig::on();
+    spec.config.retention = scalesim_objtrace::Retention::Full;
     let mut report = spec.run().expect("fixture runs clean");
     report.host_ns = 0;
     report
@@ -1132,6 +1163,37 @@ mod tests {
     }
 
     #[test]
+    fn memo_keys_are_pinned() {
+        // Checkpoint records and campaign segments are found by these
+        // keys: a change to `DefaultHasher` or to the `Debug` rendering of
+        // an app or a config would make every stored record miss.
+        use scalesim_simkit::{ChaosConfig, RunBudget};
+        let batch = pinned_spec(xalan().scaled(0.05), 16, 42);
+        let mut chaotic = pinned_spec(sunflow().scaled(0.002), 4, 7);
+        chaotic.config.chaos = ChaosConfig {
+            drop_wakeup_period: 64,
+            ..ChaosConfig::default()
+        };
+        chaotic.config.budget = RunBudget {
+            max_events: 1000,
+            ..RunBudget::default()
+        };
+        let mut server = pinned_spec(xalan().scaled(0.02), 8, 42);
+        server.config.server = Some(
+            scalesim_workloads::ServerSpec::robust(8_000, 128)
+                .with_fault_window(2_000_000, 6_000_000),
+        );
+        assert_eq!(
+            [batch.memo_key(), chaotic.memo_key(), server.memo_key()],
+            [
+                0x0d4f_2af2_ed55_8f40,
+                0x5f70_0665_dcb2_d924,
+                0x312a_6c79_1153_ab5f
+            ]
+        );
+    }
+
+    #[test]
     fn duplicate_specs_share_one_simulation() {
         let spec = RunSpec::new(sunflow().scaled(0.002), 3, 21);
         let reports = run_all(&[spec.clone(), spec.clone(), spec]);
@@ -1336,7 +1398,7 @@ mod tests {
         {
             let mut cached = cache().lock().expect("run cache poisoned");
             let entry = cached.get_mut(&spec.memo_key()).expect("entry memoized");
-            entry.1 ^= 1;
+            entry.fp ^= 1;
         }
         let healed = run_all(std::slice::from_ref(&spec));
         assert_eq!(clean[0].wall_time, healed[0].wall_time);

@@ -28,39 +28,31 @@
 //!   top: `cancel` and `pop` discard dead entries from the heads of the
 //!   heap and of the sorted run (below), so each head is its tier's
 //!   earliest live event and [`EventQueue::peek_time`] is a comparison of
-//!   at most three heads — O(1) however many events (or tombstones) are
-//!   pending. The server engine peeks before every pop to stop at its
-//!   horizon, so a linear peek would cost it a scan of its whole pending
-//!   set per event. Dropping a dead head at cancel time is the same
-//!   removal the next `pop` would otherwise have done.
-//! * **Front slot.** The earliest pending entry is often held outside
-//!   the heap in a one-entry slot. `schedule_at` puts a new entry there
-//!   when it sorts below everything pending (below both heads, and below
-//!   the slot's occupant, which then moves into the heap), so a
-//!   thread's own next step — typically due before any other thread's —
-//!   is delivered by `pop` without a heap push or pop. Invariant: an
-//!   occupied slot sorts below the heap head and the run head.
-//!   Cancelling the occupant just empties the slot. Ties stay FIFO
-//!   because the slot compares full `(time, seq)` keys: a new entry's seq
-//!   is larger than every pending one, so an entry due at the same
+//!   two heads — O(1) however many events (or tombstones) are pending.
+//!   The server engine peeks before every pop to stop at its horizon, so
+//!   a linear peek would cost it a scan of its whole pending set per
+//!   event. Dropping a dead head at cancel time is the same removal the
+//!   next `pop` would otherwise have done.
+//! * **Sorted run.** Beside the heap sits a run of entries in ascending
+//!   `(time, seq)` order. `schedule_at` pushes a new entry onto the run's
+//!   front when it sorts below both heads, appends it to the run's back
+//!   when it sorts above the run's last entry, and pushes it on the heap
+//!   otherwise, so the run is sorted by construction and its head is its
+//!   earliest entry. `pop` and `peek_time` take the smaller of the heap
+//!   head and the run head. A thread's own next step — typically due
+//!   before any other thread's — goes onto the front and is delivered
+//!   without a heap push or pop; timers armed at `now + constant` arrive
+//!   in key order and land on the back, where they cost an O(1) append
+//!   and an O(1) pop instead of two heap sifts: nearly all of the server
+//!   engine's pending request timeouts, and the scheduler's quantum
+//!   timers until a later wake-up (a helper thread's long sleep) is
+//!   appended behind them. Cancelling a run entry tombstones it like a
+//!   heap entry; the tombstone is dropped once it reaches the run head.
+//!   Ties stay FIFO across tiers because the run, the heap and the head
+//!   comparison all order by the full `(time, seq)` key: a new entry's
+//!   seq is larger than every pending one, so an entry due at the same
 //!   instant as a pending one never sorts below it and queues behind it.
-//!   [`EventQueue::front_hits`] counts the pops it served.
-//! * **Sorted run.** Beside the heap sits an append-only run of entries
-//!   in ascending `(time, seq)` order. An entry that does not take the
-//!   front slot is appended to the run when it sorts above the run's last
-//!   entry, and pushed on the heap otherwise, so the run is sorted by
-//!   construction and its head is its earliest entry. `pop` and
-//!   `peek_time` take the smallest of the slot, the heap head and the run
-//!   head. Timers armed at `now + constant` arrive in key order and land
-//!   in the run, where they cost an O(1) append and an O(1) pop instead
-//!   of two heap sifts: nearly all of the server engine's pending request
-//!   timeouts, and the scheduler's quantum timers until a later wake-up
-//!   (a helper thread's long sleep) is appended behind them. Cancelling a
-//!   run entry tombstones it like a heap entry; the tombstone is dropped
-//!   once it reaches the run head. Ties stay FIFO across tiers because
-//!   the run, the heap and the three-way head comparison all order by the
-//!   full `(time, seq)` key. [`EventQueue::run_hits`] counts the pops the
-//!   run served.
+//!   [`EventQueue::run_hits`] counts the pops the run served.
 //! * **Epoch-offset time shifting.** Every tier orders entries by
 //!   *internal* time (external time minus the accumulated shift at
 //!   schedule time). [`EventQueue::shift_all`] just advances the
@@ -136,16 +128,13 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The earliest pending entry, when it was scheduled below everything
-    /// else pending. Invariant: if occupied, it is live and sorts below
-    /// the heap head and the run head.
-    front: Option<Entry<E>>,
     /// Pending entries plus lazily-dropped tombstones. Invariant: the
     /// head, if any, is live (see [`Self::drop_dead_head`]).
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Pending entries that arrived in ascending key order, plus
-    /// lazily-dropped tombstones; sorted because an entry is only appended
-    /// above the last one. Invariant: the head, if any, is live.
+    /// Pending entries in ascending key order, plus lazily-dropped
+    /// tombstones; sorted because an entry is only pushed below the head
+    /// or appended above the last one. Invariant: the head, if any, is
+    /// live.
     run: VecDeque<Entry<E>>,
     /// Generation stamp per slot. `stamps[s] == g` ⇔ event `(s, g)` is
     /// pending; any other relation means fired, cancelled, or not issued.
@@ -161,7 +150,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     scheduled_total: u64,
     popped_total: u64,
-    front_hits: u64,
     run_hits: u64,
 }
 
@@ -176,7 +164,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            front: None,
             heap: BinaryHeap::new(),
             run: VecDeque::new(),
             stamps: Vec::new(),
@@ -187,7 +174,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             scheduled_total: 0,
             popped_total: 0,
-            front_hits: 0,
             run_hits: 0,
         }
     }
@@ -231,19 +217,10 @@ impl<E> EventQueue<E> {
             generation,
             payload,
         };
-        let first = match &self.front {
-            Some(front) => entry < *front,
-            None => {
-                self.run.front().is_none_or(|head| entry < *head)
-                    && self.heap.peek().is_none_or(|Reverse(head)| entry < *head)
-            }
-        };
-        if first {
-            if let Some(old) = self.front.replace(entry) {
-                // It sorts below both heads, so it cannot follow a non-empty
-                // run's last entry: the heap takes it.
-                self.heap.push(Reverse(old));
-            }
+        if self.run.front().is_none_or(|head| entry < *head)
+            && self.heap.peek().is_none_or(|Reverse(head)| entry < *head)
+        {
+            self.run.push_front(entry);
         } else if self.run.back().is_none_or(|last| entry > *last) {
             self.run.push_back(entry);
         } else {
@@ -280,7 +257,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Whether the run head sorts below the heap head (or the run alone is
-    /// non-empty), i.e. whether the next non-slot entry comes from the run.
+    /// non-empty), i.e. whether the next entry comes from the run.
     fn run_leads(&self) -> bool {
         match (self.run.front(), self.heap.peek()) {
             (Some(run), Some(Reverse(heap))) => run < heap,
@@ -297,15 +274,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The head invariants, in O(1): the run and heap heads are live, and
-    /// a slot occupant is live and sorts below both.
+    /// The head invariant, in O(1): the run and heap heads are live.
     fn heads_are_sound(&self) -> bool {
         let live = |entry: &Entry<E>| self.is_live(entry.slot, entry.generation);
-        self.run.front().is_none_or(live)
-            && self.heap.peek().is_none_or(|Reverse(head)| live(head))
-            && self.front.as_ref().is_none_or(|front| {
-                live(front) && self.tiers_head().is_none_or(|head| front < head)
-            })
+        self.run.front().is_none_or(live) && self.heap.peek().is_none_or(|Reverse(head)| live(head))
     }
 
     /// Restores the live-head invariant by discarding tombstones from the
@@ -343,14 +315,9 @@ impl<E> EventQueue<E> {
             return false; // already fired, or already cancelled
         }
         self.retire(id.slot);
-        if self.front.as_ref().is_some_and(|f| f.slot == id.slot) {
-            // A live slot names one pending entry, so this is it.
-            self.front = None;
-        } else {
-            // Tombstone; the run or heap entry is dropped once it reaches
-            // its tier's head, which may be right now.
-            self.drop_dead_head();
-        }
+        // Tombstone; the run or heap entry is dropped once it reaches its
+        // tier's head, which may be right now.
+        self.drop_dead_head();
         debug_assert!(self.heads_are_sound(), "event queue head invariant broken");
         true
     }
@@ -358,11 +325,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = if let Some(front) = self.front.take() {
-            // The tier heads are untouched, so they are still live.
-            self.front_hits += 1;
-            front
-        } else if self.run_leads() {
+        let entry = if self.run_leads() {
             self.run_hits += 1;
             let entry = self.run.pop_front().expect("non-empty run");
             self.drop_dead_run_head();
@@ -390,11 +353,7 @@ impl<E> EventQueue<E> {
     /// Does not advance the clock.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let head = match &self.front {
-            Some(front) => front,
-            None => self.tiers_head()?,
-        };
-        Some(head.time + self.offset)
+        Some(self.tiers_head()?.time + self.offset)
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -419,13 +378,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn popped_total(&self) -> u64 {
         self.popped_total
-    }
-
-    /// Deliveries served by the front slot, without touching the heap,
-    /// over the queue's lifetime (diagnostics).
-    #[must_use]
-    pub fn front_hits(&self) -> u64 {
-        self.front_hits
     }
 
     /// Deliveries served by the sorted run, without touching the heap,
@@ -470,10 +422,17 @@ mod tests {
     use super::*;
 
     impl<E> EventQueue<E> {
-        /// Entries held, tombstones included: the heap, the run and the
-        /// slot.
+        /// Entries held, tombstones included: the heap and the run.
         fn held(&self) -> usize {
-            self.heap.len() + self.run.len() + usize::from(self.front.is_some())
+            self.heap.len() + self.run.len()
+        }
+
+        /// The run's payloads, head first, tombstones included.
+        fn run_payloads(&self) -> Vec<E>
+        where
+            E: Copy,
+        {
+            self.run.iter().map(|entry| entry.payload).collect()
         }
     }
 
@@ -619,21 +578,20 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_due_first_takes_the_empty_slot() {
+    fn an_entry_due_first_goes_onto_the_run_front() {
         let mut q = EventQueue::new();
         q.schedule_at(ns(20), "b");
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("b"));
         q.schedule_at(ns(30), "c");
-        assert_eq!(q.run.len(), 1, "a later entry is appended to the run");
+        assert_eq!(q.run_payloads(), ["b", "c"], "a later entry is appended");
         assert_eq!(q.pop(), Some((ns(20), "b")));
-        assert!(q.front.is_none());
-        // Below the run head (30): the emptied slot takes it.
+        // Below the run head (30): pushed onto the front.
         q.schedule_at(ns(25), "a");
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!(q.run_payloads(), ["a", "c"]);
         assert_eq!(q.peek_time(), Some(ns(25)));
         assert_eq!(q.pop(), Some((ns(25), "a")));
         assert_eq!(q.pop(), Some((ns(30), "c")));
-        assert_eq!(q.front_hits(), 2);
+        assert!(q.heap.is_empty());
+        assert_eq!(q.run_hits(), 3);
         assert_eq!(q.popped_total(), 3);
     }
 
@@ -643,8 +601,7 @@ mod tests {
         for i in 0..5 {
             q.schedule_at(ns(10 * (i + 1)), i);
         }
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some(0));
-        assert_eq!(q.run.len(), 4);
+        assert_eq!(q.run_payloads(), [0, 1, 2, 3, 4]);
         // A timer re-armed at `now + constant` after every pop keeps
         // arriving above the run's last entry.
         for expect in 0..20 {
@@ -653,32 +610,32 @@ mod tests {
             q.schedule_at(t + dur(50), expect + 5);
             assert!(q.heap.is_empty(), "an in-order entry reached the heap");
         }
-        assert_eq!(q.front_hits(), 1);
-        assert_eq!(q.run_hits(), 19);
+        assert_eq!(q.run_hits(), 20);
         assert_eq!(q.peek_time(), Some(ns(210)));
     }
 
     #[test]
     fn an_entry_below_the_runs_last_goes_to_the_heap() {
         let mut q = EventQueue::new();
-        q.schedule_at(ns(10), "a"); // slot
+        q.schedule_at(ns(10), "a"); // run
         q.schedule_at(ns(20), "b"); // run
         q.schedule_at(ns(40), "d"); // run
-        q.schedule_at(ns(30), "c"); // below d: heap
-        assert_eq!((q.run.len(), q.heap.len()), (2, 1));
+        q.schedule_at(ns(30), "c"); // between the run's head and last: heap
+        assert_eq!(q.run_payloads(), ["a", "b", "d"]);
+        assert_eq!(q.heap.len(), 1);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,
             vec![(ns(10), "a"), (ns(20), "b"), (ns(30), "c"), (ns(40), "d")]
         );
-        assert_eq!((q.front_hits(), q.run_hits()), (1, 2));
+        assert_eq!(q.run_hits(), 3);
     }
 
     #[test]
     fn cancelled_run_entries_leave_the_head_live() {
         let mut q = EventQueue::new();
         let ids: Vec<_> = (1..=5).map(|i| q.schedule_at(ns(10 * i), i)).collect();
-        assert_eq!(q.pop(), Some((ns(10), 1))); // the slot
+        assert_eq!(q.pop(), Some((ns(10), 1)));
         assert_eq!(q.run.len(), 4);
         // Cancelling the run head drops it at once: peek stays exact.
         assert!(q.cancel(ids[1]));
@@ -693,40 +650,37 @@ mod tests {
         assert_eq!(q.peek_time(), Some(ns(50)));
         assert_eq!(q.pop(), Some((ns(50), 5)));
         assert!(q.pop().is_none());
+        assert_eq!(q.run_hits(), 3);
+    }
+
+    #[test]
+    fn ties_across_heap_and_run_pop_in_schedule_order() {
+        let mut q = EventQueue::new();
+        q.schedule_at(ns(10), "a"); // the empty run takes it
+        let x = q.schedule_at(ns(20), "x"); // above a: run
+        q.schedule_at(ns(10), "b"); // between a and x: heap
+        q.schedule_at(ns(20), "c"); // above x: run
+        q.schedule_at(ns(10), "d"); // behind b: heap
+        assert!(q.cancel(x)); // a mid-run tombstone
+        assert_eq!(q.run_payloads(), ["a", "x", "c"]);
+        assert_eq!((q.heap.len(), q.len()), (2, 4));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b", "d", "c"]);
         assert_eq!(q.run_hits(), 2);
     }
 
     #[test]
-    fn ties_across_slot_heap_and_run_pop_in_schedule_order() {
+    fn shift_all_moves_both_tiers() {
         let mut q = EventQueue::new();
-        q.schedule_at(ns(10), "a"); // slot
-        let x = q.schedule_at(ns(20), "x"); // run
-        q.schedule_at(ns(10), "b"); // below x: heap
-        assert!(q.cancel(x)); // the run empties
-        q.schedule_at(ns(10), "c"); // the empty run takes it
-        q.schedule_at(ns(10), "d"); // above c: run
-        q.schedule_at(ns(30), "y"); // run
-        q.schedule_at(ns(10), "e"); // below y: heap
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
-        assert_eq!((q.run.len(), q.heap.len()), (3, 2));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c", "d", "e", "y"]);
-        assert_eq!((q.front_hits(), q.run_hits()), (1, 3));
-    }
-
-    #[test]
-    fn shift_all_moves_all_three_tiers() {
-        let mut q = EventQueue::new();
-        q.schedule_at(ns(10), "a"); // slot
+        q.schedule_at(ns(10), "a"); // run
         q.schedule_at(ns(30), "c"); // run
         q.schedule_at(ns(20), "b"); // heap
-        assert!(q.front.is_some());
-        assert_eq!((q.run.len(), q.heap.len()), (1, 1));
+        assert_eq!((q.run.len(), q.heap.len()), (2, 1));
         q.shift_all(dur(100));
         assert_eq!(q.peek_time(), Some(ns(110)));
         // Scheduled after the shift, in internal time above c: run.
         q.schedule_at(ns(140), "d");
-        assert_eq!(q.run.len(), 2);
+        assert_eq!(q.run_payloads(), ["a", "c", "d"]);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,
@@ -740,61 +694,62 @@ mod tests {
     }
 
     #[test]
-    fn an_earlier_entry_displaces_the_occupant_into_the_heap() {
+    fn an_earlier_entry_keeps_the_old_head_in_the_run() {
         let mut q = EventQueue::new();
         q.schedule_at(ns(20), "b");
         q.schedule_at(ns(10), "a");
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
-        assert_eq!(q.heap.len(), 1, "the occupant moved into the heap");
+        assert_eq!(q.run_payloads(), ["a", "b"]);
+        assert!(q.heap.is_empty(), "the old head stayed in the run");
         assert_eq!(q.pop(), Some((ns(10), "a")));
         assert_eq!(q.pop(), Some((ns(20), "b")));
-        assert_eq!(q.front_hits(), 1);
+        assert_eq!(q.run_hits(), 2);
     }
 
     #[test]
-    fn cancelling_the_occupant_empties_the_slot() {
+    fn cancelling_the_run_head_leaves_no_tombstone() {
         let mut q = EventQueue::new();
         let a = q.schedule_at(ns(10), "a");
         q.schedule_at(ns(20), "b");
         assert!(q.cancel(a));
-        assert!(q.front.is_none());
         assert_eq!(q.held(), 1, "no tombstone is left behind");
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(ns(20)));
         assert_eq!(q.pop(), Some((ns(20), "b")));
-        assert_eq!(q.front_hits(), 0);
+        assert_eq!(q.run_hits(), 1);
         assert!(!q.cancel(a));
     }
 
     #[test]
-    fn shift_all_keeps_an_occupied_slot_first_and_ties_fifo() {
+    fn shift_all_keeps_the_run_head_first_and_ties_fifo() {
         let mut q = EventQueue::new();
-        q.schedule_at(ns(10), "a"); // slot
-        q.schedule_at(ns(10), "b"); // heap, behind a
+        q.schedule_at(ns(10), "a");
+        q.schedule_at(ns(10), "b"); // a tie sorts above a: appended
         q.shift_all(dur(5));
         assert_eq!(q.peek_time(), Some(ns(15)));
         q.schedule_at(ns(15), "c"); // same shifted instant: behind both
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        assert_eq!(q.run_payloads(), ["a", "b", "c"]);
         assert_eq!(q.pop(), Some((ns(15), "a")));
         assert_eq!(q.pop(), Some((ns(15), "b")));
         assert_eq!(q.pop(), Some((ns(15), "c")));
-        assert_eq!(q.front_hits(), 1);
+        assert_eq!(q.run_hits(), 3);
     }
 
     #[test]
     fn a_same_time_entry_queues_behind_the_head() {
         let mut q = EventQueue::new();
-        q.schedule_at(ns(10), "a"); // slot
-        q.schedule_at(ns(10), "b"); // ties never displace the occupant
-        assert_eq!(q.front.as_ref().map(|f| f.payload), Some("a"));
+        q.schedule_at(ns(30), "x");
+        q.schedule_at(ns(10), "a"); // below x: the front
+        q.schedule_at(ns(10), "b"); // a tie never goes below a: heap
+        assert_eq!(q.run_payloads(), ["a", "x"]);
         assert_eq!(q.pop(), Some((ns(10), "a")));
-        // The slot is empty and b heads the heap: a new entry at b's
-        // instant sorts after b, so it stays out of the slot.
+        // b heads the heap: a new entry at b's instant sorts after b, so
+        // it does not go onto the run's front.
         q.schedule_now("c");
-        assert!(q.front.is_none());
+        assert_eq!(q.run_payloads(), ["x"]);
+        assert_eq!(q.heap.len(), 2);
         assert_eq!(q.pop(), Some((ns(10), "b")));
         assert_eq!(q.pop(), Some((ns(10), "c")));
-        assert_eq!(q.front_hits(), 1);
+        assert_eq!(q.pop(), Some((ns(30), "x")));
     }
 
     #[test]

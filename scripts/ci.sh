@@ -16,8 +16,6 @@ echo '== perfbench self-test (its workloads and digests against the workspace cr
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo '== goldens under release optimizations (the build perfbench measures)'
 cargo test --release -q -p scalesim-experiments --lib golden
-echo '== chaos self-validation (debug assertions)'
-cargo test -q --test chaos
 echo '== chaos CLI smoke (env-driven faults + budget must exit 0)'
 SCALESIM_CHAOS='gc-stall=5,gc-stall-factor=0.05' \
 SCALESIM_MAX_EVENTS=50000000 \

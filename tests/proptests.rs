@@ -53,12 +53,10 @@ fn sample_vec(rng: &mut StdRng, max_value: u64, len: std::ops::Range<usize>) -> 
 /// ties included. Besides random times, events are scheduled as timers
 /// at `now + TIMER_NS`, the timeout/quantum pattern that arrives in key
 /// order, so cancels also hit entries of the sorted run. Across the cases
-/// all three delivery paths serve pops: the front slot, the heap and the
-/// run.
+/// both delivery paths serve pops: the heap and the run.
 #[test]
 fn event_queue_matches_vec_model() {
     const TIMER_NS: u64 = 300;
-    let front_pops = AtomicU64::new(0);
     let heap_pops = AtomicU64::new(0);
     let run_pops = AtomicU64::new(0);
     for_cases(256, |rng| {
@@ -147,12 +145,8 @@ fn event_queue_matches_vec_model() {
                 .map(|&(at, _, _)| SimTime::from_nanos(at));
             assert_eq!(queue.peek_time(), head);
         }
-        front_pops.fetch_add(queue.front_hits(), Ordering::Relaxed);
         run_pops.fetch_add(queue.run_hits(), Ordering::Relaxed);
-        heap_pops.fetch_add(
-            queue.popped_total() - queue.front_hits() - queue.run_hits(),
-            Ordering::Relaxed,
-        );
+        heap_pops.fetch_add(queue.popped_total() - queue.run_hits(), Ordering::Relaxed);
 
         // Drain to the end: the rest comes out in model order, FIFO ties
         // included.
@@ -162,7 +156,6 @@ fn event_queue_matches_vec_model() {
         }
         assert_eq!(queue.pop(), None);
     });
-    assert!(front_pops.into_inner() > 0, "no pop took the front slot");
     assert!(heap_pops.into_inner() > 0, "no pop took the heap");
     assert!(run_pops.into_inner() > 0, "no pop took the run");
 }

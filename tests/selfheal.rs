@@ -130,6 +130,45 @@ fn kill_and_resume_is_byte_identical_even_with_a_torn_tail() {
 }
 
 #[test]
+fn a_cache_clear_after_a_resume_drops_the_restored_provenance() {
+    if memo_disabled() {
+        return;
+    }
+    let _guard = guard();
+    let dir = temp_store("stale");
+    let seed = 884_333;
+    let spec = RunSpec::new(xalan().scaled(0.004), 2, seed);
+
+    checkpoint::disable_store();
+    clear_run_cache();
+    checkpoint::set_store(&dir).unwrap();
+    let _ = run_all(std::slice::from_ref(&spec));
+    checkpoint::disable_store();
+    clear_run_cache();
+    let stats = checkpoint::resume_from(&dir).unwrap();
+    checkpoint::disable_store();
+    assert_eq!(stats.loaded, 1, "{stats:?}");
+
+    // The clear drops the replayed entry and its provenance with it: the
+    // next sweep simulates the point afresh, and the one after it is an
+    // ordinary cache hit.
+    clear_run_cache();
+    let _ = take_run_manifests();
+    let _ = run_all(std::slice::from_ref(&spec));
+    let _ = run_all(std::slice::from_ref(&spec));
+    let memo: Vec<String> = take_run_manifests()
+        .into_iter()
+        .filter(|m| m.seed == seed)
+        .map(|m| m.memo)
+        .collect();
+    assert_eq!(memo, ["miss", "hit"]);
+
+    clear_run_cache();
+    let _ = take_sweep_failures();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn truncated_runs_checkpoint_and_resume_like_any_other() {
     if memo_disabled() {
         return;
