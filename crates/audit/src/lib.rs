@@ -51,6 +51,7 @@ mod consistency;
 mod lockgraph;
 mod pairing;
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::fmt;
@@ -411,8 +412,8 @@ pub(crate) struct AuditCtx {
 }
 
 impl AuditCtx {
-    pub(crate) fn new<'a>(
-        events: impl IntoIterator<Item = &'a TimelineEvent>,
+    pub(crate) fn new(
+        events: impl IntoIterator<Item = impl Borrow<TimelineEvent>>,
         aborted: bool,
         complete: bool,
     ) -> Self {
@@ -448,6 +449,7 @@ impl AuditCtx {
         ctx.waits.reserve(hint / 8 + 1);
         ctx.enqueues.reserve(hint / 8 + 1);
         for e in events {
+            let e = e.borrow();
             ctx.events_scanned += 1;
             match e.kind {
                 EventKind::MonitorHold => {
@@ -556,7 +558,7 @@ pub fn audit(timeline: &Timeline, counters: &Counters, aborted: bool) -> AuditRe
     // bisector's prefix replays — the (common) clean path stays a single
     // streaming pass.
     let divergence = findings.first().and_then(|f| {
-        let events: Vec<TimelineEvent> = timeline.events().copied().collect();
+        let events: Vec<TimelineEvent> = timeline.events().collect();
         bisect::divergence(&events, f, aborted, complete)
     });
     AuditReport {

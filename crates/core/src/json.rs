@@ -362,12 +362,6 @@ impl<'a> JsonCursor<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    /// Bytes not yet read.
-    #[must_use]
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;

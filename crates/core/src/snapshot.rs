@@ -444,18 +444,9 @@ fn write_tracer(w: &mut JsonWriter, tracer: &ObjectTracer) {
 /// Reads an array whose elements `item` reads.
 fn read_list<T>(
     p: &mut JsonCursor<'_>,
-    item: impl FnMut(&mut JsonCursor<'_>) -> Read<T>,
-) -> Read<Vec<T>> {
-    read_list_into(p, Vec::new(), item)
-}
-
-/// [`read_list`] appending to `items`, whose capacity the caller may
-/// have sized already.
-fn read_list_into<T>(
-    p: &mut JsonCursor<'_>,
-    mut items: Vec<T>,
     mut item: impl FnMut(&mut JsonCursor<'_>) -> Read<T>,
 ) -> Read<Vec<T>> {
+    let mut items = Vec::new();
     p.begin_arr()?;
     while !p.at_arr_end() {
         items.push(item(p)?);
@@ -564,11 +555,6 @@ fn write_timeline(w: &mut JsonWriter, timeline: &Timeline) {
     w.end_obj();
 }
 
-/// The shortest text [`write_timeline`] emits for one event:
-/// `["hold",0,0,0,0]`. A shorter kind name would only make the bound
-/// below err low, and the buffer grow.
-const MIN_EVENT_BYTES: usize = 16;
-
 fn read_timeline_event(p: &mut JsonCursor<'_>) -> Read<TimelineEvent> {
     p.begin_arr()?;
     let name = p.str()?;
@@ -594,20 +580,25 @@ fn read_timeline(p: &mut JsonCursor<'_>) -> Read<Timeline> {
     let head = read_usize(p, "head")?;
     let dropped = take_u64(p, "dropped")?;
     p.key("events")?;
-    // A merged timeline's capacity is its event count, so the buffer is
-    // sized once and never grows; the bytes left bound a corrupt or
-    // oversized capacity. Trimming is then a no-op except for a
-    // recorder that was saved part-full.
-    let presized = capacity.min(p.remaining() / MIN_EVENT_BYTES);
-    let mut events = read_list_into(p, Vec::with_capacity(presized), read_timeline_event)?;
-    events.shrink_to_fit();
-    if head > events.len() {
+    // Each event is packed as it is parsed: no unpacked list is built.
+    p.begin_arr()?;
+    let mut failed = None;
+    let events = std::iter::from_fn(|| {
+        if p.at_arr_end() {
+            return None;
+        }
+        read_timeline_event(p).map_err(|e| failed = Some(e)).ok()
+    });
+    let timeline = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    p.end_arr()?;
+    if head > timeline.len() {
         return Err(bad(p, "timeline head is past its events"));
     }
     p.end_obj()?;
-    Ok(Timeline::from_raw_parts(
-        enabled, capacity, events, head, dropped,
-    ))
+    Ok(timeline)
 }
 
 fn write_counters(w: &mut JsonWriter, counters: &Counters) {

@@ -1019,7 +1019,7 @@ mod tests {
         type Ring = (Vec<TimelineEvent>, usize, u64);
         fn retimeline(r: &mut RunReport, edit: fn(&mut Ring)) {
             let (enabled, capacity, events, head, dropped) = r.timeline.raw_parts();
-            let mut ring = (events.to_vec(), head, dropped);
+            let mut ring = (events.collect(), head, dropped);
             edit(&mut ring);
             let (events, head, dropped) = ring;
             r.timeline = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);

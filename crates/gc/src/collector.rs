@@ -575,7 +575,7 @@ mod tests {
         c.collect_full(&mut h, 1, SimTime::from_nanos(500));
 
         let tl = c.take_timeline();
-        let events: Vec<_> = tl.events().copied().collect();
+        let events: Vec<_> = tl.events().collect();
         let minor = events
             .iter()
             .find(|e| e.kind == EventKind::GcMinor)

@@ -734,7 +734,7 @@ mod tests {
         s.terminate(ids[0], t(40));
 
         let tl = s.take_timeline();
-        let events: Vec<_> = tl.events().copied().collect();
+        let events: Vec<_> = tl.events().collect();
         assert!(!events.is_empty());
         let running: Vec<_> = events
             .iter()

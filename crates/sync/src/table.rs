@@ -425,7 +425,7 @@ mod tests {
         lt.release(m, tid(1), t(45)).unwrap();
 
         let tl = lt.take_timeline();
-        let events: Vec<_> = tl.events().copied().collect();
+        let events: Vec<_> = tl.events().collect();
         let holds: Vec<_> = events
             .iter()
             .filter(|e| e.kind == EventKind::MonitorHold)
@@ -472,7 +472,7 @@ mod tests {
             // Every algorithm emits the same trace shape: one enqueue,
             // one closed wait span, two closed hold spans — and the wait
             // span reconstructs the enqueue instant exactly.
-            let events: Vec<_> = lt.take_timeline().events().copied().collect();
+            let events: Vec<_> = lt.take_timeline().events().collect();
             let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
             assert_eq!(count(EventKind::MonitorEnqueue), 1, "{alg}");
             assert_eq!(count(EventKind::MonitorHold), 2, "{alg}");

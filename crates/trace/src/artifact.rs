@@ -13,6 +13,11 @@
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers the temp files of one process, so writers on different
+/// threads never share one.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Fsyncs a directory so a rename performed inside it is durable across
 /// a host crash, not just a process crash. (On Linux, directories are
@@ -28,12 +33,14 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 /// Writes `contents` to `path` atomically and durably.
 ///
 /// The bytes land in a hidden sibling temp file first
-/// (`.<name>.tmp-<pid>`, same directory so the rename cannot cross a
-/// filesystem), are fsynced, then replace `path` in one `rename` step,
-/// and the parent directory is fsynced so the rename itself survives a
-/// host crash. Readers therefore see either the previous artifact or
-/// the complete new one, never a torn mix — even across power loss.
-/// Parent directories are created as needed.
+/// (`.<name>.tmp-<pid>-<seq>`, unique per call, same directory so the
+/// rename cannot cross a filesystem), are fsynced, then replace `path`
+/// in one `rename` step, and the parent directory is fsynced so the
+/// rename itself survives a host crash. Readers therefore see either
+/// the previous artifact or the complete new one, never a torn mix —
+/// even across power loss. Concurrent writers to one `path` all
+/// succeed, and the file holds whichever renamed last. Parent
+/// directories are created as needed.
 ///
 /// # Errors
 ///
@@ -63,7 +70,8 @@ pub fn write_atomic_with(
     }
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(name);
-    tmp_name.push(format!(".tmp-{}", std::process::id()));
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".tmp-{}-{seq}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
     let write_synced = || -> io::Result<()> {
         let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
@@ -124,6 +132,41 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(entries, vec![std::ffi::OsString::from("out.jsonl")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_all_succeed() {
+        let dir = scratch("race");
+        let path = dir.join("trace.json");
+        let contents: Vec<String> = (0..2)
+            .map(|i| format!("writer {i} ").repeat(4096))
+            .collect();
+        let (path, start) = (&path, &std::sync::Barrier::new(contents.len()));
+        for _ in 0..20 {
+            let results: Vec<io::Result<()>> = std::thread::scope(|s| {
+                let writers: Vec<_> = contents
+                    .iter()
+                    .map(|c| {
+                        s.spawn(move || {
+                            start.wait();
+                            write_atomic(path, c)
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for r in results {
+                r.unwrap();
+            }
+            let got = std::fs::read_to_string(path).unwrap();
+            assert!(contents.contains(&got), "torn or foreign contents");
+            let entries: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(entries, vec![std::ffi::OsString::from("trace.json")]);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -128,7 +128,7 @@ pub fn to_chrome_json(timeline: &Timeline) -> String {
             out.push(',');
         }
         first = false;
-        push_event(&mut out, ev);
+        push_event(&mut out, &ev);
     }
     let _ = write!(
         out,

@@ -37,6 +37,7 @@ mod chrome;
 mod config;
 mod counters;
 mod event;
+mod packed;
 mod text;
 mod timeline;
 

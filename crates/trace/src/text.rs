@@ -184,7 +184,7 @@ mod tests {
         let tl = sample_timeline();
         let text = format_timeline(&tl);
         let parsed = parse_timeline(&text).unwrap();
-        let original: Vec<TimelineEvent> = tl.events().copied().collect();
+        let original: Vec<TimelineEvent> = tl.events().collect();
         assert_eq!(parsed, original);
     }
 

@@ -10,19 +10,22 @@
 //! A recorder writes into a `Vec` it owns outright: no atomic operation
 //! per event, and no allocation at all while tracing is off. A *closed*
 //! timeline — the output of [`Timeline::merge`] or
-//! [`Timeline::from_raw_parts`] — moves its events into one immutable
-//! `Arc`'d buffer without copying them, so every clone of it (a report
-//! handed out by the sweep memo, a resumed report) shares that buffer.
-//! Recording into a closed timeline first takes a private copy, so a
-//! clone never sees another's events. The storage is invisible from
-//! outside: `Debug`, `Hash` and equality read the events as the plain
-//! slice a `Vec` would show.
+//! [`Timeline::from_raw_parts`] — packs its events into one immutable,
+//! shared buffer of delta-coded varints (about 7 bytes per event instead
+//! of 32; see `packed.rs`), so every clone of it (a report handed out by
+//! the sweep memo, a resumed report) shares that buffer. Recording into a
+//! closed timeline first unpacks a private copy, so a clone never sees
+//! another's events. The storage is invisible from outside: events come
+//! out by value in either form, and `Debug`, `Hash` and equality read
+//! them as the plain slice a `Vec` would show.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::iter::{Chain, Copied};
+use std::slice;
 
 use crate::event::{EventKind, Phase, TimelineEvent};
+use crate::packed::{Encoder, Packed, Reader};
 use scalesim_simkit::{SimDuration, SimTime};
 
 /// A deterministic, bounded recorder of [`TimelineEvent`]s.
@@ -34,69 +37,123 @@ use scalesim_simkit::{SimDuration, SimTime};
 pub struct Timeline {
     enabled: bool,
     capacity: usize,
-    events: Events,
+    events: Store,
     /// Index of the oldest retained event once the ring has wrapped.
     head: usize,
     dropped: u64,
 }
 
-/// The event storage in ring order: owned while recording, shared once
-/// closed.
+/// The event storage in ring order: owned while recording, packed and
+/// shared once closed.
 #[derive(Clone)]
-enum Events {
+enum Store {
     /// A recorder's own ring, written in place.
     Ring(Vec<TimelineEvent>),
     /// A closed timeline's buffer, shared by all its clones.
-    Closed(Arc<Vec<TimelineEvent>>),
+    Closed(Packed),
 }
 
-impl Events {
-    /// Closes `events` without copying them. An empty buffer stays a
+impl Store {
+    /// Packs `events`, in order. Without any, the store stays an empty
     /// ring: sharing nothing is not worth an allocation.
-    fn closed(events: Vec<TimelineEvent>) -> Self {
-        if events.is_empty() {
-            Events::Ring(events)
-        } else {
-            Events::Closed(Arc::new(events))
+    fn closed(events: impl IntoIterator<Item = TimelineEvent>) -> Self {
+        let mut enc = Encoder::default();
+        for e in events {
+            enc.push(e);
         }
+        enc.finish().map_or(Store::Ring(Vec::new()), Store::Closed)
     }
 
-    fn as_slice(&self) -> &[TimelineEvent] {
+    fn len(&self) -> usize {
         match self {
-            Events::Ring(ring) => ring,
-            Events::Closed(shared) => shared,
+            Store::Ring(ring) => ring.len(),
+            Store::Closed(packed) => packed.len(),
         }
     }
 
-    /// The ring to record into; a closed buffer is copied out first.
+    /// The events in ring order.
+    fn iter(&self) -> Iter<'_> {
+        self.rotated(0)
+    }
+
+    /// The events in emission order: `ring[head..]`, then `ring[..head]`.
+    fn rotated(&self, head: usize) -> Iter<'_> {
+        match self {
+            Store::Ring(ring) => {
+                let (tail, front) = ring.split_at(head);
+                Iter::Ring(front.iter().chain(tail).copied())
+            }
+            Store::Closed(packed) => Iter::Packed(packed.rotated(head)),
+        }
+    }
+
+    /// The ring to record into; a closed buffer is unpacked first.
     fn ring(&mut self) -> &mut Vec<TimelineEvent> {
-        if let Events::Closed(shared) = self {
-            *self = Events::Ring(shared.to_vec());
+        if let Store::Closed(packed) = self {
+            *self = Store::Ring(packed.iter().collect());
         }
         match self {
-            Events::Ring(ring) => ring,
-            Events::Closed(_) => unreachable!("a closed buffer was just reopened"),
+            Store::Ring(ring) => ring,
+            Store::Closed(_) => unreachable!("a closed buffer was just unpacked"),
         }
     }
 }
 
-impl fmt::Debug for Events {
+impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl PartialEq for Events {
+impl PartialEq for Store {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        match (self, other) {
+            // One encoding per sequence: equal bytes are equal events.
+            (Store::Closed(a), Store::Closed(b)) => a.ptr_eq(b) || a.bytes() == b.bytes(),
+            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+        }
     }
 }
 
-impl Eq for Events {}
+impl Eq for Store {}
 
-impl Hash for Events {
+impl Hash for Store {
+    /// As `[TimelineEvent]` hashes: the length, then each event.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        state.write_usize(self.len());
+        self.iter().for_each(|e| e.hash(state));
+    }
+}
+
+/// Stored events by value, from either form.
+enum Iter<'a> {
+    Ring(Copied<Chain<slice::Iter<'a, TimelineEvent>, slice::Iter<'a, TimelineEvent>>>),
+    Packed(Reader<'a>),
+}
+
+impl Iterator for Iter<'_> {
+    type Item = TimelineEvent;
+
+    fn next(&mut self) -> Option<TimelineEvent> {
+        match self {
+            Iter::Ring(events) => events.next(),
+            Iter::Packed(events) => events.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Iter::Ring(events) => events.size_hint(),
+            Iter::Packed(events) => events.size_hint(),
+        }
+    }
+
+    /// Dispatches once, so `for_each` and friends run the form's own loop.
+    fn fold<B, F: FnMut(B, TimelineEvent) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Iter::Ring(events) => events.fold(init, f),
+            Iter::Packed(events) => events.fold(init, f),
+        }
     }
 }
 
@@ -113,7 +170,7 @@ impl Timeline {
         Timeline {
             enabled: false,
             capacity: 0,
-            events: Events::Ring(Vec::new()),
+            events: Store::Ring(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -125,7 +182,7 @@ impl Timeline {
         Timeline {
             enabled: true,
             capacity: capacity.max(1),
-            events: Events::Ring(Vec::new()),
+            events: Store::Ring(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -140,13 +197,13 @@ impl Timeline {
     /// Number of events currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.as_slice().len()
+        self.events.len()
     }
 
     /// True when nothing has been retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.as_slice().is_empty()
+        self.events.len() == 0
     }
 
     /// Events evicted by ring retention since recording started.
@@ -164,7 +221,10 @@ impl Timeline {
             ring.push(ev);
         } else {
             ring[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }
@@ -226,24 +286,30 @@ impl Timeline {
     }
 
     /// Retained events in chronological *emission* order (ring rotation
-    /// already applied).
-    pub fn events(&self) -> impl Iterator<Item = &TimelineEvent> {
-        let (tail, front) = self.events.as_slice().split_at(self.head);
-        front.iter().chain(tail.iter())
+    /// already applied), by value.
+    pub fn events(&self) -> impl Iterator<Item = TimelineEvent> + '_ {
+        self.events.rotated(self.head)
     }
 
     /// The raw recorder state: `(enabled, capacity, events, head, dropped)`.
     ///
-    /// `events` is the backing storage in *ring* order (not rotated);
+    /// `events` yields the backing storage in *ring* order (not rotated);
     /// together with `head` this captures the recorder exactly, so a
     /// rebuild via [`Timeline::from_raw_parts`] is `Debug`-identical to
     /// the original. Ordinary consumers want [`Timeline::events`].
-    #[must_use]
-    pub fn raw_parts(&self) -> (bool, usize, &[TimelineEvent], usize, u64) {
+    pub fn raw_parts(
+        &self,
+    ) -> (
+        bool,
+        usize,
+        impl Iterator<Item = TimelineEvent> + '_,
+        usize,
+        u64,
+    ) {
         (
             self.enabled,
             self.capacity,
-            self.events.as_slice(),
+            self.events.iter(),
             self.head,
             self.dropped,
         )
@@ -253,19 +319,19 @@ impl Timeline {
     ///
     /// The parts are trusted as-is; this is a persistence hook, not a
     /// public constructor for new recordings. The result is closed:
-    /// `events` becomes its shared buffer without being copied.
+    /// `events` are packed, as they come, into its shared buffer.
     #[must_use]
     pub fn from_raw_parts(
         enabled: bool,
         capacity: usize,
-        events: Vec<TimelineEvent>,
+        events: impl IntoIterator<Item = TimelineEvent>,
         head: usize,
         dropped: u64,
     ) -> Self {
         Timeline {
             enabled,
             capacity,
-            events: Events::closed(events),
+            events: Store::closed(events),
             head,
             dropped,
         }
@@ -287,14 +353,14 @@ impl Timeline {
         // every time tie by rank, then by emission.
         let mut events: Vec<TimelineEvent> =
             Vec::with_capacity(parts.iter().map(Timeline::len).sum());
-        for part in &parts {
+        for part in parts {
             events.extend(part.events());
         }
         events.sort_by_key(|e| e.at);
         Timeline {
             enabled,
             capacity: events.len().max(1),
-            events: Events::closed(events),
+            events: Store::closed(events),
             head: 0,
             dropped,
         }
@@ -307,6 +373,10 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    fn share_a_buffer(a: &Timeline, b: &Timeline) -> bool {
+        matches!((&a.events, &b.events), (Store::Closed(x), Store::Closed(y)) if x.ptr_eq(y))
     }
 
     #[test]
@@ -367,7 +437,7 @@ mod tests {
         // from emission order — the round trip must preserve both.
         let (enabled, capacity, events, head, dropped) = tl.raw_parts();
         assert_ne!(head, 0);
-        let back = Timeline::from_raw_parts(enabled, capacity, events.to_vec(), head, dropped);
+        let back = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
         assert_eq!(tl, back);
         assert_eq!(format!("{tl:?}"), format!("{back:?}"));
         let args: Vec<u64> = back.events().map(|e| e.arg).collect();
@@ -380,7 +450,7 @@ mod tests {
         part.instant(EventKind::ChaosGcStall, 0, t(1), 7);
         let merged = Timeline::merge(vec![part]);
         let clone = merged.clone();
-        assert_eq!(merged.raw_parts().2.as_ptr(), clone.raw_parts().2.as_ptr());
+        assert!(share_a_buffer(&merged, &clone));
         assert_eq!(merged, clone);
     }
 
@@ -415,14 +485,14 @@ mod tests {
         alone.instant(EventKind::ChaosGcStall, 0, t(1), 1);
         alone.span(EventKind::GcMinor, 0, t(2), t(5), 2);
         let (enabled, capacity, events, head, dropped) = alone.raw_parts();
-        let shared = Timeline::from_raw_parts(enabled, capacity, events.to_vec(), head, dropped);
+        let vec: Vec<TimelineEvent> = events.collect();
+        let shared = Timeline::from_raw_parts(enabled, capacity, vec.clone(), head, dropped);
         let other = shared.clone();
-        assert_eq!(shared.raw_parts().2.as_ptr(), other.raw_parts().2.as_ptr());
+        assert!(share_a_buffer(&shared, &other));
         assert_eq!(format!("{other:?}"), format!("{alone:?}"));
         assert_eq!(format!("{other:#?}"), format!("{alone:#?}"));
         assert_eq!(hash(&other), hash(&alone));
         // The storage really is the plain `Vec` rendering and hash.
-        let vec = events.to_vec();
         assert!(format!("{alone:?}").contains(&format!("events: {vec:?}")));
         let mut h = DefaultHasher::new();
         (enabled, capacity, &vec, head, dropped).hash(&mut h);

@@ -75,12 +75,18 @@ mkdir -p target/ci-resume-traced
 SCALESIM_TRACE=target/ci-resume-traced/t.json \
     cargo run --release -q -p scalesim-experiments -- \
     ext-locks --scale 0.02 --threads 4 \
-    --out target/ci-resume-traced/a --checkpoint target/ci-resume-traced/ckpt > /dev/null
+    --out target/ci-resume-traced/a --checkpoint target/ci-resume-traced/ckpt > /dev/null \
+    2> target/ci-resume-traced/a.err
 SCALESIM_TRACE=target/ci-resume-traced/t.json \
     cargo run --release -q -p scalesim-experiments -- \
     ext-locks --scale 0.02 --threads 4 \
     --out target/ci-resume-traced/b --checkpoint target/ci-resume-traced/ckpt --resume \
-    > target/ci-resume-traced/resume.out
+    > target/ci-resume-traced/resume.out 2> target/ci-resume-traced/b.err
+# Sweep workers export to the one SCALESIM_TRACE path at once; every
+# export must land.
+if grep -h 'failed to write trace' target/ci-resume-traced/a.err target/ci-resume-traced/b.err; then
+    echo "a traced run failed to export its trace"; exit 1
+fi
 grep -q 'resumed 18 run(s) .* 0 record(s) skipped' target/ci-resume-traced/resume.out \
     || { echo "traced resume did not replay every record"; cat target/ci-resume-traced/resume.out; exit 1; }
 for csv in target/ci-resume-traced/a/*.csv; do

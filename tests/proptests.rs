@@ -722,6 +722,208 @@ fn snapshot_round_trip_preserves_any_small_report() {
     });
 }
 
+/// A closed timeline is lossless and invisible: rebuilt by
+/// `from_raw_parts` from any events — every kind, `u64::MAX` times,
+/// durations and args, `u32::MAX` tracks, unsorted order, a ring whose
+/// `head` is past 0 — it yields exactly those events, raw and rotated,
+/// and `Debug`, `Hash` and `==` read it as the plain `Vec` of them.
+/// Across the cases a recorder that really wrapped is rebuilt too.
+#[test]
+fn closed_timelines_read_as_their_plain_events() {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+
+    use scalesim::trace::{EventKind, Timeline, TimelineEvent};
+
+    /// The field layout `Timeline` derives its `Debug` and `Hash` from,
+    /// with the events in a plain `Vec`.
+    mod plain {
+        #[derive(Debug, Hash)]
+        pub struct Timeline {
+            pub enabled: bool,
+            pub capacity: usize,
+            pub events: Vec<scalesim::trace::TimelineEvent>,
+            pub head: usize,
+            pub dropped: u64,
+        }
+    }
+
+    fn hash(value: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+    /// An extreme, a small value or any value.
+    fn pick(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0u32..4) {
+            0 => u64::MAX,
+            1 => rng.gen_range(0u64..300),
+            _ => rng.gen(),
+        }
+    }
+    fn arbitrary(rng: &mut StdRng, n: usize) -> Vec<TimelineEvent> {
+        let mut at = rng.gen_range(0u64..1000);
+        (0..n)
+            .map(|_| {
+                // Mostly time-sorted, as merged timelines are, with
+                // jumps back and extremes in between.
+                at = match rng.gen_range(0u32..4) {
+                    0 => pick(rng),
+                    _ => at.wrapping_add(rng.gen_range(0u64..5000)),
+                };
+                TimelineEvent {
+                    kind: EventKind::ALL[rng.gen_range(0..EventKind::ALL.len())],
+                    track: match rng.gen_range(0u32..4) {
+                        0 => u32::MAX,
+                        _ => rng.gen_range(0u32..64),
+                    },
+                    at: SimTime::from_nanos(at),
+                    dur: SimDuration::from_nanos(pick(rng)),
+                    arg: pick(rng),
+                }
+            })
+            .collect()
+    }
+    fn check(closed: &Timeline, plain: &plain::Timeline) {
+        let (enabled, capacity, raw, head, dropped) = closed.raw_parts();
+        assert_eq!(
+            (enabled, capacity, head, dropped),
+            (plain.enabled, plain.capacity, plain.head, plain.dropped)
+        );
+        assert_eq!(raw.collect::<Vec<_>>(), plain.events);
+        let (tail, front) = plain.events.split_at(plain.head);
+        let rotated: Vec<TimelineEvent> = front.iter().chain(tail).copied().collect();
+        assert_eq!(closed.events().collect::<Vec<_>>(), rotated);
+        assert_eq!(closed.len(), plain.events.len());
+        assert_eq!(format!("{closed:?}"), format!("{plain:?}"));
+        assert_eq!(format!("{closed:#?}"), format!("{plain:#?}"));
+        assert_eq!(hash(closed), hash(plain));
+    }
+    fn close(plain: &plain::Timeline) -> Timeline {
+        Timeline::from_raw_parts(
+            plain.enabled,
+            plain.capacity,
+            plain.events.iter().copied(),
+            plain.head,
+            plain.dropped,
+        )
+    }
+
+    let kinds_seen = AtomicU64::new(0);
+    let (maxed, unsorted, rotated, wrapped) = (
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+    );
+    for_cases(256, |rng| {
+        let n = rng.gen_range(0usize..48);
+        let events = arbitrary(rng, n);
+        for e in &events {
+            kinds_seen.fetch_or(1 << (e.kind as u32), Ordering::Relaxed);
+            if e.at.as_nanos() == u64::MAX
+                && e.dur.as_nanos() == u64::MAX
+                && e.arg == u64::MAX
+                && e.track == u32::MAX
+            {
+                maxed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if events.windows(2).any(|w| w[1].at < w[0].at) {
+            unsorted.fetch_add(1, Ordering::Relaxed);
+        }
+        let head = if n == 0 { 0 } else { rng.gen_range(0..n) };
+        rotated.fetch_add(u64::from(head > 0), Ordering::Relaxed);
+        let plain = plain::Timeline {
+            enabled: rng.gen_bool(0.9),
+            capacity: n.max(1) + rng.gen_range(0usize..3),
+            events,
+            head,
+            dropped: rng.gen_range(0u64..10),
+        };
+        let closed = close(&plain);
+        check(&closed, &plain);
+        check(&closed.clone(), &plain);
+
+        // `==` agrees with the plain events': an equal copy, then one
+        // edit of one field of one event, or a shorter list.
+        let same = close(&plain);
+        assert_eq!(closed, same);
+        let mut edited = plain::Timeline {
+            events: plain.events.clone(),
+            ..plain
+        };
+        if let Some(last) = edited.events.len().checked_sub(1) {
+            let i = rng.gen_range(0..=last);
+            match rng.gen_range(0u32..6) {
+                0 => edited.events[i].arg ^= 1,
+                1 => edited.events[i].track ^= 1,
+                2 => edited.events[i].at = SimTime::from_nanos(edited.events[i].at.as_nanos() ^ 1),
+                3 => {
+                    edited.events[i].dur =
+                        SimDuration::from_nanos(edited.events[i].dur.as_nanos() ^ 1)
+                }
+                4 => {
+                    edited.events[i].kind =
+                        EventKind::ALL[(edited.events[i].kind as usize + 1) % EventKind::ALL.len()]
+                }
+                _ => {
+                    edited.events.pop();
+                    edited.head = edited.head.min(edited.events.len());
+                }
+            }
+        }
+        let other = close(&edited);
+        let plain_eq = plain.events == edited.events && plain.head == edited.head;
+        assert_eq!(closed == other, plain_eq);
+        assert_eq!(hash(&closed) == hash(&other), plain_eq);
+
+        // A recorder that wrapped, rebuilt from its raw parts.
+        let capacity = rng.gen_range(1usize..8);
+        let mut ring = Timeline::with_capacity(capacity);
+        let total = rng.gen_range(0usize..3 * capacity + 2);
+        let instants: Vec<(u64, u64)> = (0..total).map(|_| (pick(rng), pick(rng))).collect();
+        for &(at, arg) in &instants {
+            ring.instant(
+                EventKind::ChaosGcStall,
+                u32::MAX,
+                SimTime::from_nanos(at),
+                arg,
+            );
+        }
+        let (enabled, capacity, raw, head, dropped) = ring.raw_parts();
+        wrapped.fetch_add(u64::from(head > 0), Ordering::Relaxed);
+        let plain = plain::Timeline {
+            enabled,
+            capacity,
+            events: raw.collect(),
+            head,
+            dropped,
+        };
+        assert_eq!(format!("{ring:?}"), format!("{plain:?}"));
+        let rebuilt = close(&plain);
+        check(&rebuilt, &plain);
+        assert_eq!(rebuilt, ring);
+        let kept: Vec<u64> = instants
+            .iter()
+            .rev()
+            .take(capacity)
+            .rev()
+            .map(|i| i.1)
+            .collect();
+        assert_eq!(rebuilt.events().map(|e| e.arg).collect::<Vec<_>>(), kept);
+    });
+    let every_kind = (1u64 << EventKind::ALL.len()) - 1;
+    assert_eq!(kinds_seen.into_inner(), every_kind, "some kind never drawn");
+    for (what, count) in [
+        ("an all-maximal event", maxed),
+        ("an unsorted list", unsorted),
+        ("a rebuilt ring with head > 0", rotated),
+        ("a wrapped recorder", wrapped),
+    ] {
+        assert!(count.into_inner() > 0, "no case drew {what}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // USL fitting
 // ---------------------------------------------------------------------

@@ -41,7 +41,7 @@ fn identical_traced_runs_export_byte_identical_artifacts() {
     let text = format_timeline(&a.timeline);
     assert_eq!(text, format_timeline(&b.timeline));
     let reparsed = parse_timeline(&text).expect("own text output parses");
-    let original: Vec<_> = a.timeline.events().copied().collect();
+    let original: Vec<_> = a.timeline.events().collect();
     assert_eq!(reparsed, original);
 }
 
