@@ -1,12 +1,12 @@
 //! The one event loop both engines run. The batch runtime and the server
 //! request engine implement [`Engine`] (where events come from, what one
 //! does); [`run`] owns the rest: the event budget, the chaos `panic-at`,
-//! the violation rule, the watchdog / timed-budget poll and the periodic
-//! invariant scan.
+//! the violation rule, the timed-budget poll (host deadlines included)
+//! and the periodic invariant scan.
 
 use std::time::Instant;
 
-use scalesim_simkit::{AbortReason, CancelToken, ChaosPlan, EventQueue, SimTime};
+use scalesim_simkit::{AbortReason, ChaosPlan, EventQueue, SimTime};
 
 use crate::config::JvmConfig;
 use crate::error::{InvariantViolation, SimError};
@@ -15,8 +15,8 @@ use crate::report::RunOutcome;
 /// Period, in events, of the invariant scan under `JvmConfig::monitors`.
 pub(crate) const MONITOR_SCAN_PERIOD: u64 = 1 << 16;
 
-/// Period, in events, of the watchdog and timed-budget polls.
-const BUDGET_CHECK_PERIOD: u64 = 1 << 10;
+/// Period, in events, of the timed-budget poll.
+pub(crate) const BUDGET_CHECK_PERIOD: u64 = 1 << 10;
 
 /// An event-driven engine the driver can run.
 pub(crate) trait Engine {
@@ -42,11 +42,12 @@ pub(crate) trait Engine {
 pub(crate) fn run<E: Engine>(
     engine: &mut E,
     config: &JvmConfig,
-    cancel: Option<&CancelToken>,
 ) -> Result<(SimTime, RunOutcome), SimError> {
     let host_start = Instant::now();
     let budget = config.budget;
-    let timed_budget = budget.max_sim_time.is_some() || budget.max_host_ms.is_some();
+    let timed_budget = budget.max_sim_time.is_some()
+        || budget.max_host_ms.is_some()
+        || budget.watchdog_ms.is_some();
     let chaos = ChaosPlan::new(config.chaos, config.seed);
     let quarantine = |v: InvariantViolation| {
         if config.salvage {
@@ -74,18 +75,10 @@ pub(crate) fn run<E: Engine>(
         if let Some(v) = violation {
             break quarantine(v)?;
         }
-        if processed.is_multiple_of(BUDGET_CHECK_PERIOD) {
-            // Watchdog cancellation is polled unconditionally at the
-            // budget cadence — an attached token must interrupt runs
-            // that never configured a timed budget.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break RunOutcome::Truncated(AbortReason::Watchdog);
-            }
-            if timed_budget {
-                let host_ms = host_start.elapsed().as_millis() as u64;
-                if let Some(reason) = budget.check(processed, wall, host_ms) {
-                    break RunOutcome::Truncated(reason);
-                }
+        if timed_budget && processed.is_multiple_of(BUDGET_CHECK_PERIOD) {
+            let host_ms = host_start.elapsed().as_millis() as u64;
+            if let Some(reason) = budget.check(processed, wall, host_ms) {
+                break RunOutcome::Truncated(reason);
             }
         }
         if config.monitors && processed.is_multiple_of(MONITOR_SCAN_PERIOD) {
@@ -171,7 +164,7 @@ mod tests {
     fn max_events_truncates_before_handling_the_next_event() {
         let mut t = Ticker::new();
         let cfg = config(|c| c.budget.max_events = 2);
-        let (wall, outcome) = run(&mut t, &cfg, None).unwrap();
+        let (wall, outcome) = run(&mut t, &cfg).unwrap();
         assert_eq!(outcome, RunOutcome::Truncated(AbortReason::MaxEvents(2)));
         assert_eq!(wall, SimTime::from_nanos(2), "the 2nd event's time");
         assert_eq!(t.handled, 2, "the 3rd event is never handled");
@@ -186,7 +179,7 @@ mod tests {
             let mut source = Ticker::new();
             source.deadlock_at = Some(5);
             for t in [&mut handler, &mut source] {
-                let result = run(t, &cfg, None);
+                let result = run(t, &cfg);
                 if salvage {
                     let (wall, outcome) = result.unwrap();
                     assert_eq!(outcome, RunOutcome::Quarantined(violation().to_string()));
@@ -200,12 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn a_cancelled_token_truncates_at_the_first_budget_check() {
-        let token = CancelToken::new();
-        token.cancel();
+    fn an_expired_watchdog_truncates_at_the_first_budget_check() {
         let mut t = Ticker::new();
-        let cfg = config(|_| {});
-        let (_, outcome) = run(&mut t, &cfg, Some(&token)).unwrap();
+        let cfg = config(|c| c.budget.watchdog_ms = Some(0));
+        let (_, outcome) = run(&mut t, &cfg).unwrap();
         assert_eq!(outcome, RunOutcome::Truncated(AbortReason::Watchdog));
         assert_eq!(t.handled, BUDGET_CHECK_PERIOD);
     }
@@ -218,7 +209,7 @@ mod tests {
                 c.monitors = monitors;
                 c.budget.max_events = 2 * MONITOR_SCAN_PERIOD;
             });
-            run(&mut t, &cfg, None).unwrap();
+            run(&mut t, &cfg).unwrap();
             assert_eq!(t.scans, if monitors { 2 } else { 0 });
         }
     }

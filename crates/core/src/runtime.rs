@@ -29,7 +29,7 @@ use scalesim_heap::{AllocResult, Heap, HeapConfig, NurseryLayout, ObjectId};
 use scalesim_objtrace::{ObjSeq, ObjectTracer};
 use scalesim_sched::{BlockReason, CpuScheduler, SchedPolicy, ThreadId, ThreadState};
 use scalesim_simkit::{
-    CancelToken, ChaosPlan, EventId, EventQueue, FaultClass, RngFactory, SimDuration, SimTime,
+    ChaosPlan, EventId, EventQueue, FaultClass, RngFactory, SimDuration, SimTime,
 };
 use scalesim_sync::{AcquireOutcome, LockTable, MonitorId};
 use scalesim_trace::{CounterId, Counters, EventKind, Timeline};
@@ -56,30 +56,13 @@ use crate::report::{RunOutcome, RunReport, ThreadReport};
 #[derive(Debug, Clone)]
 pub struct Jvm {
     config: JvmConfig,
-    /// External cancellation handle (the sweep watchdog), if attached.
-    /// Deliberately outside [`JvmConfig`] so attaching a watchdog never
-    /// changes a run's identity (memo keys hash the config).
-    cancel: Option<CancelToken>,
 }
 
 impl Jvm {
     /// Creates a VM with the given configuration.
     #[must_use]
     pub fn new(config: JvmConfig) -> Self {
-        Jvm {
-            config,
-            cancel: None,
-        }
-    }
-
-    /// Attaches a cooperative cancellation token. The driver polls it
-    /// at the budget-check cadence; once cancelled, the run truncates with
-    /// [`AbortReason::Watchdog`](scalesim_simkit::AbortReason::Watchdog)
-    /// and returns its partial metrics.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
+        Jvm { config }
     }
 
     /// The VM's configuration.
@@ -100,18 +83,17 @@ impl Jvm {
     /// inconsistent runtime state (which injected chaos faults are
     /// designed to provoke).
     pub fn run(&self, app: &dyn AppModel) -> Result<RunReport, SimError> {
-        let cancel = self.cancel.as_ref();
         if let Some(spec) = &self.config.server {
             // Server mode: the app is only a carrier for memoization and
             // repro plumbing; the request workload drives the run.
             let mut sim = crate::server::ServerSim::new(&self.config, spec);
             sim.start();
-            let end = driver::run(&mut sim, &self.config, cancel)?;
+            let end = driver::run(&mut sim, &self.config)?;
             return Ok(sim.finish(end));
         }
         let mut sim = Sim::new(&self.config, app);
         sim.start();
-        let end = driver::run(&mut sim, &self.config, cancel)?;
+        let end = driver::run(&mut sim, &self.config)?;
         Ok(sim.finish(end))
     }
 }
@@ -669,23 +651,7 @@ impl<'a> Sim<'a> {
             // The algorithm's handoff penalty (park/wake latency) lands
             // inside the granted hold: the monitor is owned while the
             // waiter finishes waking and refills its cache.
-            let held = p.held + p.penalty;
-            match p.purpose {
-                Purpose::Fetch => {
-                    self.begin_step(tid, StepKind::Fetch(p.monitor), held);
-                }
-                Purpose::Critical => {
-                    self.ctxs[tid.index()]
-                        .cursor
-                        .as_mut()
-                        .expect("critical without an item")
-                        .next += 1;
-                    self.begin_step(tid, StepKind::Critical(p.monitor), held);
-                }
-                Purpose::Merge => {
-                    self.begin_step(tid, StepKind::Critical(p.monitor), held);
-                }
-            }
+            self.begin_held(tid, p.monitor, p.held + p.penalty, p.purpose);
             return;
         }
 
@@ -769,36 +735,63 @@ impl<'a> Sim<'a> {
                 }
                 Step::Critical { class, held } => {
                     let mon = self.pick_monitor(tid, class.0);
-                    match self.locks.acquire(mon, tid, self.now()) {
-                        Ok(AcquireOutcome::Acquired) => {
-                            self.counters.inc(CounterId::LockAcquires);
-                            self.ctxs[tid.index()].cursor.as_mut().expect("item").next += 1;
-                            self.begin_step(tid, StepKind::Critical(mon), held);
-                            return;
-                        }
-                        Ok(AcquireOutcome::Contended) => {
-                            self.counters.inc(CounterId::LockContentions);
-                            self.ctxs[tid.index()].pending = Some(PendingAcquire {
-                                monitor: mon,
-                                held,
-                                purpose: Purpose::Critical,
-                                granted: false,
-                                penalty: SimDuration::ZERO,
-                            });
-                            self.block_on_monitor(tid);
-                            return;
-                        }
-                        Err(misuse) => {
-                            self.flag_violation(
-                                MonitorKind::MonitorProtocol,
-                                format!("{misuse} ({mon})"),
-                            );
-                            return;
-                        }
-                    }
+                    self.acquire_monitor(tid, mon, held, Purpose::Critical);
+                    return;
                 }
             }
         }
+    }
+
+    /// Acquires `mon` for `purpose` and begins the held step, or queues
+    /// `tid` on the monitor until a release grants it. Returns whether
+    /// the step began; a misuse flags a protocol violation instead.
+    fn acquire_monitor(
+        &mut self,
+        tid: ThreadId,
+        mon: MonitorId,
+        held: SimDuration,
+        purpose: Purpose,
+    ) -> bool {
+        match self.locks.acquire(mon, tid, self.now()) {
+            Ok(AcquireOutcome::Acquired) => {
+                self.counters.inc(CounterId::LockAcquires);
+                self.begin_held(tid, mon, held, purpose);
+                true
+            }
+            Ok(AcquireOutcome::Contended) => {
+                self.counters.inc(CounterId::LockContentions);
+                self.ctxs[tid.index()].pending = Some(PendingAcquire {
+                    monitor: mon,
+                    held,
+                    purpose,
+                    granted: false,
+                    penalty: SimDuration::ZERO,
+                });
+                self.block_on_monitor(tid);
+                false
+            }
+            Err(misuse) => {
+                self.flag_violation(MonitorKind::MonitorProtocol, format!("{misuse} ({mon})"));
+                false
+            }
+        }
+    }
+
+    /// Begins the step that holds `mon` for `purpose`, once it is owned.
+    fn begin_held(&mut self, tid: ThreadId, mon: MonitorId, held: SimDuration, purpose: Purpose) {
+        let kind = match purpose {
+            Purpose::Fetch => StepKind::Fetch(mon),
+            Purpose::Critical => {
+                self.ctxs[tid.index()]
+                    .cursor
+                    .as_mut()
+                    .expect("critical without an item")
+                    .next += 1;
+                StepKind::Critical(mon)
+            }
+            Purpose::Merge => StepKind::Critical(mon),
+        };
+        self.begin_step(tid, kind, held);
     }
 
     fn try_get_work(&mut self, tid: ThreadId) -> WorkOutcome {
@@ -848,64 +841,21 @@ impl<'a> Sim<'a> {
                             let rng = &mut self.ctxs[tid.index()].rng;
                             SimDuration::from_nanos(rng.gen_range(m.held_ns.0..=m.held_ns.1))
                         };
-                        match self.locks.acquire(mon, tid, self.now()) {
-                            Ok(AcquireOutcome::Acquired) => {
-                                self.counters.inc(CounterId::LockAcquires);
-                                self.begin_step(tid, StepKind::Critical(mon), held);
-                                return WorkOutcome::StepScheduled;
-                            }
-                            Ok(AcquireOutcome::Contended) => {
-                                self.counters.inc(CounterId::LockContentions);
-                                self.ctxs[tid.index()].pending = Some(PendingAcquire {
-                                    monitor: mon,
-                                    held,
-                                    purpose: Purpose::Merge,
-                                    granted: false,
-                                    penalty: SimDuration::ZERO,
-                                });
-                                self.block_on_monitor(tid);
-                                return WorkOutcome::Blocked;
-                            }
-                            Err(misuse) => {
-                                self.flag_violation(
-                                    MonitorKind::MonitorProtocol,
-                                    format!("{misuse} ({mon})"),
-                                );
-                                return WorkOutcome::Blocked;
-                            }
-                        }
+                        return if self.acquire_monitor(tid, mon, held, Purpose::Merge) {
+                            WorkOutcome::StepScheduled
+                        } else {
+                            WorkOutcome::Blocked
+                        };
                     }
                 }
                 if self.shared_remaining == 0 {
                     return WorkOutcome::Finished;
                 }
                 let mon = self.class_monitors[lock.0][0];
-                let dispatch = *dispatch;
-                match self.locks.acquire(mon, tid, self.now()) {
-                    Ok(AcquireOutcome::Acquired) => {
-                        self.counters.inc(CounterId::LockAcquires);
-                        self.begin_step(tid, StepKind::Fetch(mon), dispatch);
-                        WorkOutcome::StepScheduled
-                    }
-                    Ok(AcquireOutcome::Contended) => {
-                        self.counters.inc(CounterId::LockContentions);
-                        self.ctxs[tid.index()].pending = Some(PendingAcquire {
-                            monitor: mon,
-                            held: dispatch,
-                            purpose: Purpose::Fetch,
-                            granted: false,
-                            penalty: SimDuration::ZERO,
-                        });
-                        self.block_on_monitor(tid);
-                        WorkOutcome::Blocked
-                    }
-                    Err(misuse) => {
-                        self.flag_violation(
-                            MonitorKind::MonitorProtocol,
-                            format!("{misuse} ({mon})"),
-                        );
-                        WorkOutcome::Blocked
-                    }
+                if self.acquire_monitor(tid, mon, *dispatch, Purpose::Fetch) {
+                    WorkOutcome::StepScheduled
+                } else {
+                    WorkOutcome::Blocked
                 }
             }
         }

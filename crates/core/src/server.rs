@@ -882,7 +882,7 @@ mod tests {
     use super::*;
     use crate::Jvm;
     use scalesim_gc::GcKind;
-    use scalesim_simkit::{AbortReason, CancelToken, ChaosConfig, RunBudget};
+    use scalesim_simkit::{AbortReason, ChaosConfig, RunBudget};
     use scalesim_workloads::xalan;
 
     fn run_spec(spec: ServerSpec, threads: usize, seed: u64) -> RunReport {
@@ -969,14 +969,12 @@ mod tests {
     }
 
     #[test]
-    fn a_cancelled_watchdog_token_truncates_the_run() {
-        let token = CancelToken::new();
-        token.cancel();
-        let report = Jvm::new(truncated_config(u64::MAX))
-            .with_cancel(token)
-            .run(&xalan())
-            .unwrap();
+    fn an_expired_watchdog_truncates_the_run_at_the_first_poll() {
+        let mut config = truncated_config(u64::MAX);
+        config.budget.watchdog_ms = Some(0);
+        let report = Jvm::new(config).run(&xalan()).unwrap();
         assert_eq!(report.outcome, RunOutcome::Truncated(AbortReason::Watchdog));
+        assert_eq!(report.events_processed, crate::driver::BUDGET_CHECK_PERIOD);
         assert!(report.server.as_ref().unwrap().conserves());
     }
 
@@ -1061,7 +1059,7 @@ mod tests {
             .unwrap();
         let mut sim = ServerSim::new(&config, config.server.as_ref().unwrap());
         sim.start();
-        let end = crate::driver::run(&mut sim, &config, None).unwrap();
+        let end = crate::driver::run(&mut sim, &config).unwrap();
         let live = sim
             .attempts
             .slots

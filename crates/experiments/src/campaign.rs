@@ -671,7 +671,7 @@ pub fn worker_drain(
                     let (key, run_spec) = (unit.0, &unit.1);
                     let lease = lease_path(leases, key);
                     heartbeat.add(key, lease.clone());
-                    let (outcome, retries) = retry_once(|| attempt(run_spec, None));
+                    let (outcome, retries) = retry_once(|| attempt(run_spec));
                     let persisted: io::Result<()> = match &outcome {
                         Ok(report) if checkpointable(report) => {
                             let fp = fingerprint(report);

@@ -22,7 +22,8 @@
 //!
 //! Three self-healing layers keep long sweeps durable: completed runs
 //! checkpoint to disk and replay on resume ([`checkpoint`]), hung runs
-//! are cancelled by a watchdog and quarantined (see [`run_all`]), and
+//! meet their watchdog deadline inside the engine and are retried once,
+//! then quarantined (see [`run_all`]), and
 //! quarantined specs are minimized into standalone repro files
 //! ([`shrink_failure`] / [`write_repro`]). A fourth layer audits the
 //! evidence: [`audit_spec`] re-executes a spec with salvage + tracing

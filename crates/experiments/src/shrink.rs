@@ -19,15 +19,14 @@
 //! self-contained `repro-<key>.json` ([`write_repro`]) that the
 //! `scalesim-experiments repro FILE` subcommand re-executes exactly.
 //!
-//! Specs carrying a watchdog deadline are executed here under the
-//! engine's own host-time budget instead (no sweep watchdog thread is
-//! running), so a hung candidate still terminates; such a truncation
-//! counts as "still failing" for the predicate.
+//! Candidates run through the sweep's own [`attempt`], so a spec carrying
+//! a watchdog deadline meets it here exactly as in the sweep: the engine
+//! truncates the hung candidate, and that counts as "still failing" for
+//! the predicate.
 
 use std::path::{Path, PathBuf};
 
-use scalesim_core::{ReproSpec, RunOutcome, RunReport};
-use scalesim_simkit::AbortReason;
+use scalesim_core::{ReproSpec, RunReport};
 
 use crate::sweep::{attempt, RunSpec};
 
@@ -51,34 +50,15 @@ pub struct ShrinkOutcome {
 }
 
 /// Executes one spec with panic isolation, outside the sweep and its
-/// cache. A spec whose budget carries a watchdog deadline is run under
-/// an equivalent engine-side host-time cap (the sweep's watchdog thread
-/// is not available here), and the resulting truncation is reported as
-/// an error so hangs register as failures.
+/// cache, as one sweep attempt.
 ///
 /// # Errors
 ///
 /// Returns the panic payload or [`SimError`](scalesim_core::SimError)
-/// text when the run fails, or a synthetic `hung:` message when the
-/// host deadline guard fired.
+/// text when the run fails, or a `watchdog:` message when it overstayed
+/// its watchdog deadline.
 pub fn run_isolated(spec: &RunSpec) -> Result<RunReport, String> {
-    let Some(ms) = spec.config.budget.watchdog_ms else {
-        return attempt(spec, None);
-    };
-    let mut guarded = spec.clone();
-    let capped = guarded.config.budget.max_host_ms.map_or(ms, |h| h.min(ms));
-    guarded.config.budget.max_host_ms = Some(capped);
-    match attempt(&guarded, None)? {
-        report
-            if matches!(
-                report.outcome,
-                RunOutcome::Truncated(AbortReason::MaxHostMs(_) | AbortReason::Watchdog)
-            ) =>
-        {
-            Err(format!("hung: run exceeded host deadline of {capped} ms"))
-        }
-        report => Ok(report),
-    }
+    attempt(spec)
 }
 
 /// Shrinks a failing spec to a smaller one that still fails.

@@ -39,12 +39,11 @@
 //!   process replays the store into this cache so interrupted sweeps
 //!   pick up where they stopped with byte-identical output.
 //! * **Watchdog.** A spec whose [`RunBudget`](scalesim_simkit::RunBudget)
-//!   carries `watchdog_ms` is executed under a monotonic-clock deadline:
-//!   a dedicated watchdog thread scans per-worker deadline slots and
-//!   cancels overdue runs cooperatively (the engine polls the token on
-//!   its budget-check cadence). A cancelled run reports
-//!   [`AbortReason::Watchdog`], counts as a failure, is retried once,
-//!   and then quarantined — a hung point cannot stall its siblings.
+//!   carries `watchdog_ms` has a host deadline, which the engine checks
+//!   on its budget-poll cadence and meets by truncating with
+//!   [`AbortReason::Watchdog`]. [`attempt`] turns that truncation into a
+//!   failure, so the run is retried once and then quarantined — a hung
+//!   point cannot stall its siblings.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -53,10 +52,10 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use scalesim_core::{JsonValue, Jvm, JvmConfig, JvmConfigBuilder, RunOutcome, RunReport, SimError};
-use scalesim_simkit::{splitmix64, AbortReason, CancelToken, ChaosPlan, FaultClass};
+use scalesim_simkit::{splitmix64, AbortReason, ChaosPlan, FaultClass};
 use scalesim_trace::CounterId;
 use scalesim_workloads::{app_by_name, AppModel, SyntheticApp};
 
@@ -101,27 +100,8 @@ impl RunSpec {
     /// Propagates any [`SimError`] from the engine (invariant violation,
     /// deadlock). Budget-truncated runs are `Ok` with a truncated outcome.
     pub fn run(&self) -> Result<RunReport, SimError> {
-        self.run_with_cancel(None)
-    }
-
-    /// Executes this run like [`RunSpec::run`], optionally attaching a
-    /// cooperative cancellation token (the sweep watchdog's lever). The
-    /// token lives outside [`JvmConfig`], so attaching one never
-    /// changes the memo key or the simulated behavior of an
-    /// uncancelled run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from the engine. A cancelled run is
-    /// `Ok` with a [`Watchdog`](scalesim_simkit::AbortReason::Watchdog)
-    /// truncation.
-    pub fn run_with_cancel(&self, cancel: Option<&CancelToken>) -> Result<RunReport, SimError> {
         let start = Instant::now();
-        let mut jvm = Jvm::new(self.config.clone());
-        if let Some(token) = cancel {
-            jvm = jvm.with_cancel(token.clone());
-        }
-        let mut report = jvm.run(&self.app)?;
+        let mut report = Jvm::new(self.config.clone()).run(&self.app)?;
         report.host_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(report)
     }
@@ -566,8 +546,15 @@ fn physical_cores() -> Option<usize> {
 }
 
 /// One execution attempt, with panics converted into described errors.
-pub(crate) fn attempt(spec: &RunSpec, cancel: Option<&CancelToken>) -> Result<RunReport, String> {
-    match catch_unwind(AssertUnwindSafe(|| spec.run_with_cancel(cancel))) {
+/// A run that overstayed its watchdog deadline is hung, not truncated:
+/// it comes back as an `Err`, so every caller's retry-then-quarantine
+/// policy handles it like any other failure.
+pub(crate) fn attempt(spec: &RunSpec) -> Result<RunReport, String> {
+    match catch_unwind(AssertUnwindSafe(|| spec.run())) {
+        Ok(Ok(report)) if report.outcome == RunOutcome::Truncated(AbortReason::Watchdog) => {
+            let ms = spec.config.budget.watchdog_ms.unwrap_or_default();
+            Err(format!("watchdog: run exceeded host deadline of {ms} ms"))
+        }
         Ok(Ok(report)) => Ok(report),
         Ok(Err(err)) => Err(err.to_string()),
         Err(payload) => {
@@ -578,31 +565,6 @@ pub(crate) fn attempt(spec: &RunSpec, cancel: Option<&CancelToken>) -> Result<Ru
                 .unwrap_or("<non-string panic payload>");
             Err(format!("panicked: {msg}"))
         }
-    }
-}
-
-/// A worker's watchdog slot: the host deadline of its in-flight run and
-/// the token that cancels it. `None` between runs and for runs without
-/// a watchdog budget.
-type WatchdogSlot = Mutex<Option<(Instant, CancelToken)>>;
-
-/// One attempt under the worker's watchdog slot. Arms the slot before
-/// the run, clears it after, and converts a watchdog truncation into an
-/// `Err` so the ordinary retry-then-quarantine path handles hung runs.
-fn guarded_attempt(spec: &RunSpec, slot: &WatchdogSlot) -> Result<RunReport, String> {
-    let Some(ms) = spec.config.budget.watchdog_ms else {
-        return attempt(spec, None);
-    };
-    let token = CancelToken::new();
-    *slot.lock().unwrap_or_else(PoisonError::into_inner) =
-        Some((Instant::now() + Duration::from_millis(ms), token.clone()));
-    let result = attempt(spec, Some(&token));
-    *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    match result {
-        Ok(report) if matches!(report.outcome, RunOutcome::Truncated(AbortReason::Watchdog)) => {
-            Err(format!("watchdog: run exceeded host deadline of {ms} ms"))
-        }
-        other => other,
     }
 }
 
@@ -718,48 +680,17 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<RunReport, String>, Option<u64>, u32)>();
 
-        // Watchdog scaffolding: one deadline slot per worker. The
-        // watchdog thread only spawns when some pending spec carries a
-        // host deadline; it scans the slots on a monotonic clock and
-        // cancels overdue runs, then exits once every worker is done.
-        let wd_slots: Vec<WatchdogSlot> = (0..workers).map(|_| Mutex::new(None)).collect();
-        let min_watchdog_ms = pending
-            .iter()
-            .filter_map(|&i| specs[i].config.budget.watchdog_ms)
-            .min();
-        let active_workers = AtomicUsize::new(workers);
-
         std::thread::scope(|scope| {
-            if let Some(ms) = min_watchdog_ms {
-                let wd_slots = &wd_slots;
-                let active_workers = &active_workers;
-                let poll = Duration::from_millis((ms / 4).clamp(5, 50));
-                scope.spawn(move || {
-                    while active_workers.load(Ordering::Acquire) > 0 {
-                        std::thread::sleep(poll);
-                        let now = Instant::now();
-                        for slot in wd_slots {
-                            let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                            if let Some((deadline, token)) = guard.as_ref() {
-                                if now >= *deadline {
-                                    token.cancel();
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            for slot in &wd_slots {
+            for _ in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
                 let pending = &pending;
                 let keys = &keys;
-                let active_workers = &active_workers;
                 scope.spawn(move || {
                     loop {
                         let n = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = pending.get(n) else { break };
-                        let (outcome, retries) = retry_once(|| guarded_attempt(&specs[i], slot));
+                        let (outcome, retries) = retry_once(|| attempt(&specs[i]));
                         // One fingerprint per run, taken here off the main
                         // thread: the checkpoint record and the memo entry
                         // below both reuse it.
@@ -781,7 +712,6 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                         tx.send((i, outcome, fp, retries))
                             .expect("result channel closed");
                     }
-                    active_workers.fetch_sub(1, Ordering::Release);
                 });
             }
         });
@@ -1414,5 +1344,45 @@ mod tests {
         let again = run_all(std::slice::from_ref(&spec));
         assert_eq!(again[0].wall_time, clean[0].wall_time);
         assert!(take_sweep_failures().is_empty());
+    }
+
+    #[test]
+    fn attempt_fails_a_livelocked_run_at_its_watchdog_deadline() {
+        use scalesim_simkit::{ChaosConfig, RunBudget};
+        const WATCHDOG_MS: u64 = 250;
+        // The livelock recipe of `tests/selfheal.rs` (dropped wakeups,
+        // monitors off, 48 threads on 12 cores). The event budget only
+        // keeps a run that ignores the deadline from running forever.
+        let spec = RunSpec {
+            app: xalan().scaled(0.02),
+            config: JvmConfig::builder()
+                .threads(48)
+                .cores(12)
+                .seed(42)
+                .chaos(ChaosConfig {
+                    drop_wakeup_period: 32,
+                    ..ChaosConfig::default()
+                })
+                .monitors(false)
+                .budget(RunBudget {
+                    max_events: 50_000_000,
+                    max_sim_time: None,
+                    max_host_ms: None,
+                    watchdog_ms: Some(WATCHDOG_MS),
+                })
+                .build()
+                .unwrap(),
+        };
+        let started = Instant::now();
+        let outcome = attempt(&spec);
+        let elapsed_ms = started.elapsed().as_millis();
+        let why = outcome
+            .map(|r| r.outcome)
+            .expect_err("a hung run is a failure");
+        assert!(why.contains("watchdog"), "{why}");
+        assert!(
+            elapsed_ms < 10 * u128::from(WATCHDOG_MS),
+            "watchdog took {elapsed_ms} ms for a {WATCHDOG_MS} ms deadline"
+        );
     }
 }

@@ -251,19 +251,6 @@ impl ObjectTracer {
             censored: s.censored,
         }
     }
-
-    /// Merges another tracer's distribution into this one (used to pool
-    /// per-thread tracers). Event traces and per-thread attributions are
-    /// not merged — ordering and thread identities across tracers are
-    /// undefined.
-    pub fn merge_distribution(&mut self, other: &ObjectTracer) {
-        self.hist.merge(&other.hist);
-        self.exact.extend_from_slice(&other.exact);
-        self.allocations += other.allocations;
-        self.allocated_bytes += other.allocated_bytes;
-        self.deaths += other.deaths;
-        self.censored += other.censored;
-    }
 }
 
 /// The complete raw state of an [`ObjectTracer`], exposed for lossless
@@ -390,20 +377,6 @@ mod tests {
 
         let h = ObjectTracer::new(Retention::HistogramOnly);
         assert!(h.per_thread_histograms().is_none());
-    }
-
-    #[test]
-    fn merge_pools_distributions() {
-        let mut a = ObjectTracer::new(Retention::Full);
-        let o = a.on_alloc(0, 8, 8);
-        a.on_death(o, 100, 108);
-        let mut b = ObjectTracer::new(Retention::Full);
-        let o = b.on_alloc(1, 8, 8);
-        b.on_death(o, 300, 308);
-        a.merge_distribution(&b);
-        assert_eq!(a.allocations(), 2);
-        assert_eq!(a.deaths(), 2);
-        assert_eq!(a.cdf().len(), 2);
     }
 
     #[test]

@@ -444,27 +444,10 @@ impl CpuScheduler {
         self.threads.iter().filter(|r| r.state.is_live()).count()
     }
 
-    /// Total registered threads (including terminated).
-    #[must_use]
-    pub fn registered_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Whether demand currently exceeds core supply.
-    #[must_use]
-    pub fn is_contended(&self) -> bool {
-        !self.ready.is_empty()
-    }
-
     /// How many cohort rotations have occurred (biased policy).
     #[must_use]
     pub fn cohort_rotations(&self) -> u64 {
         self.cohort_rotations
-    }
-
-    /// Ids of the threads currently running, in core order.
-    pub fn running_threads(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        self.occupants.iter().filter_map(|&o| o)
     }
 
     /// Full cross-structure consistency check, for the runtime's invariant
@@ -579,7 +562,6 @@ mod tests {
         assert_eq!(s.state(ids[2]), ThreadState::Runnable);
         assert_eq!(s.running_count(), 2);
         assert_eq!(s.runnable_count(), 1);
-        assert!(s.is_contended());
     }
 
     #[test]
@@ -785,15 +767,6 @@ mod tests {
         let mut s = sched(1);
         s.rotate_cohort();
         assert_eq!(s.cohort_rotations(), 0);
-    }
-
-    #[test]
-    fn running_threads_iterates_core_order() {
-        let mut s = sched(2);
-        let ids = spawn_started(&mut s, 2);
-        s.dispatch(t(0));
-        let running: Vec<_> = s.running_threads().collect();
-        assert_eq!(running, ids);
     }
 
     #[test]

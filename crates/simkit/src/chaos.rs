@@ -235,12 +235,6 @@ impl ChaosPlan {
         self.injected[class.index()]
     }
 
-    /// Total faults injected across all classes.
-    #[must_use]
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
     /// True when the engine should deliberately panic at `events_processed`
     /// events (crash-isolation testing).
     #[must_use]
@@ -263,10 +257,10 @@ pub struct RunBudget {
     pub max_sim_time: Option<SimDuration>,
     /// Maximum host wall-clock milliseconds a run may take, if any.
     pub max_host_ms: Option<u64>,
-    /// Per-run host deadline enforced *externally* by the sweep watchdog
-    /// thread, if any. Unlike `max_host_ms` this is not polled by
-    /// [`RunBudget::check`]: the watchdog cancels the run cooperatively
-    /// and the engine truncates with [`AbortReason::Watchdog`].
+    /// Per-run host deadline, if any. [`RunBudget::check`] polls it like
+    /// `max_host_ms` but truncates with [`AbortReason::Watchdog`], which
+    /// the sweep treats as a hung run (retried once, then quarantined)
+    /// rather than as a truncated result.
     pub watchdog_ms: Option<u64>,
 }
 
@@ -324,6 +318,11 @@ impl RunBudget {
                 return Some(AbortReason::MaxHostMs(limit));
             }
         }
+        if let Some(limit) = self.watchdog_ms {
+            if host_elapsed_ms >= limit {
+                return Some(AbortReason::Watchdog);
+            }
+        }
         None
     }
 }
@@ -337,7 +336,7 @@ pub enum AbortReason {
     MaxSimTime(SimDuration),
     /// The host wall-clock budget was exhausted.
     MaxHostMs(u64),
-    /// The sweep watchdog cancelled the run past its host deadline.
+    /// The run overstayed its watchdog host deadline.
     Watchdog,
 }
 
@@ -351,7 +350,7 @@ impl fmt::Display for AbortReason {
             AbortReason::MaxHostMs(ms) => {
                 write!(f, "host-time budget exhausted ({ms} ms)")
             }
-            AbortReason::Watchdog => f.write_str("watchdog cancelled run past host deadline"),
+            AbortReason::Watchdog => f.write_str("watchdog host deadline exceeded"),
         }
     }
 }
@@ -459,7 +458,6 @@ mod tests {
             .count();
         assert!((500..2000).contains(&fired), "fired {fired} of 4000");
         assert_eq!(plan.injected(FaultClass::GcStall) as usize, fired);
-        assert_eq!(plan.total_injected() as usize, fired);
     }
 
     #[test]
@@ -538,6 +536,12 @@ mod tests {
             Some(AbortReason::MaxHostMs(1000))
         );
         assert_eq!(b.check(99, SimTime::ZERO, 999), None);
+        let w = RunBudget {
+            watchdog_ms: Some(1000),
+            ..RunBudget::default()
+        };
+        assert_eq!(w.check(1, SimTime::ZERO, 999), None);
+        assert_eq!(w.check(1, SimTime::ZERO, 1000), Some(AbortReason::Watchdog));
     }
 
     #[test]

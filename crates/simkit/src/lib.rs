@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cancel;
 pub mod chaos;
 mod queue;
 mod rng;
 mod time;
 
-pub use cancel::CancelToken;
 pub use chaos::{AbortReason, ChaosConfig, ChaosPlan, FaultClass, RunBudget};
 pub use queue::{EventId, EventQueue};
 pub use rng::{splitmix64, RngFactory};

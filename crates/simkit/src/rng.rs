@@ -42,12 +42,6 @@ impl RngFactory {
         RngFactory { master }
     }
 
-    /// The master seed this factory was built from.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Returns the deterministic stream for `(label, index)`.
     #[must_use]
     pub fn stream(&self, label: &str, index: u64) -> StdRng {
@@ -113,11 +107,6 @@ mod tests {
             RngFactory::new(1).derive("t", 0),
             RngFactory::new(2).derive("t", 0)
         );
-    }
-
-    #[test]
-    fn master_seed_round_trips() {
-        assert_eq!(RngFactory::new(99).master_seed(), 99);
     }
 
     #[test]

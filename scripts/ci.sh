@@ -148,6 +148,31 @@ SCALESIM_CHAOS='panic-at=2000' \
     --dir target/ci-campaign/chaos --workers 2 \
     --out target/ci-campaign/chaos-out > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected degraded campaign exit 2, got $rc"; exit 1; }
+echo '== watchdog campaign smoke (livelocked units must quarantine in a campaign as in a single run)'
+rm -rf target/ci-watchdog
+rc=0
+SCALESIM_CHAOS='drop-wakeup=32' SCALESIM_MONITORS=0 \
+SCALESIM_WATCHDOG_MS=200 SCALESIM_MAX_EVENTS=20000000 \
+    cargo run --release -q -p scalesim-experiments -- \
+    scaletable --scale 0.02 --threads 4 \
+    --out target/ci-watchdog/single > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected degraded watchdog run exit 2, got $rc"; exit 1; }
+rc=0
+SCALESIM_CHAOS='drop-wakeup=32' SCALESIM_MONITORS=0 \
+SCALESIM_WATCHDOG_MS=200 SCALESIM_MAX_EVENTS=20000000 \
+    cargo run --release -q -p scalesim-experiments -- \
+    campaign scaletable --scale 0.02 --threads 4 \
+    --dir target/ci-watchdog/dir --workers 2 \
+    --out target/ci-watchdog/merged > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected degraded watchdog campaign exit 2, got $rc"; exit 1; }
+rows=$(tail -n +2 target/ci-watchdog/merged/scaletable.csv | wc -l)
+quar=$(grep -c '(quar)' target/ci-watchdog/merged/scaletable.csv || true)
+[ "$rows" -gt 0 ] && [ "$rows" -eq "$quar" ] \
+    || { echo "expected every watchdog row quarantined, got $quar of $rows"; exit 1; }
+diff target/ci-watchdog/single/scaletable.csv target/ci-watchdog/merged/scaletable.csv
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-watchdog/single/manifest.jsonl \
+    > target/ci-watchdog/single.norm
+diff target/ci-watchdog/single.norm target/ci-watchdog/merged/manifest.jsonl
 echo '== analyze smoke (analytics.json must validate, re-derive byte-identical, stay stable)'
 rm -rf target/ci-analyze
 cargo run --release -q -p scalesim-experiments -- \
