@@ -31,7 +31,8 @@
 //!    run wall) rather than as an A/B pair difference.
 //! 8. **Campaign overhead** — a scalability sweep run as a
 //!    single-process campaign (`campaign::run_local`: lease files,
-//!    per-worker segment appends, and the deterministic merge) vs the
+//!    per-worker segment appends, and the deterministic merge, then the
+//!    table rendered from the merged memo) vs the
 //!    same sweep in-process, budgeted at <= 3%. The sweep uses fewer,
 //!    larger units than the broad bench grid so the fixed per-unit
 //!    machinery cost is priced against realistically-sized runs. This
@@ -349,6 +350,10 @@ fn main() {
             let dir = camp_dir.join(camp_round.get().to_string());
             camp_round.set(camp_round.get() + 1);
             black_box(campaign::run_local(&dir, &camp_spec).expect("campaign"));
+            black_box(artifact_tables("scaletable", &camp_params).expect("registry id"))
+                .expect("scaletable");
+            let _ = take_run_manifests();
+            let _ = take_sweep_failures();
         },
     );
     let _ = std::fs::remove_dir_all(&camp_dir);

@@ -77,7 +77,7 @@ pub(crate) fn run<E: Engine>(
         }
         if timed_budget && processed.is_multiple_of(BUDGET_CHECK_PERIOD) {
             let host_ms = host_start.elapsed().as_millis() as u64;
-            if let Some(reason) = budget.check(processed, wall, host_ms) {
+            if let Some(reason) = budget.check(wall, host_ms) {
                 break RunOutcome::Truncated(reason);
             }
         }
@@ -168,6 +168,27 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Truncated(AbortReason::MaxEvents(2)));
         assert_eq!(wall, SimTime::from_nanos(2), "the 2nd event's time");
         assert_eq!(t.handled, 2, "the 3rd event is never handled");
+    }
+
+    #[test]
+    fn a_timed_budget_leaves_the_event_budget_to_the_driver() {
+        let untimed = config(|c| c.budget.max_events = BUDGET_CHECK_PERIOD);
+        let timed = config(|c| {
+            c.budget.max_events = BUDGET_CHECK_PERIOD;
+            c.budget.max_host_ms = Some(u64::MAX);
+        });
+        let mut runs = Vec::new();
+        for cfg in [&untimed, &timed] {
+            let mut t = Ticker::new();
+            let (wall, outcome) = run(&mut t, cfg).unwrap();
+            assert_eq!(
+                outcome,
+                RunOutcome::Truncated(AbortReason::MaxEvents(BUDGET_CHECK_PERIOD))
+            );
+            runs.push((wall, t.handled, t.queue.popped_total()));
+        }
+        assert_eq!(runs[0], runs[1], "the poll must not truncate a run early");
+        assert_eq!(runs[0].1, BUDGET_CHECK_PERIOD);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   record. This is how quarantined sweep points get audited — their
 //!   original (untraced) execution discarded the evidence.
 //! * [`write_audit_repro`] emits an atomic `audit-<key>.json` artifact for
-//!   the first finding: a full [`ReproSpec`] (so `scalesim-experiments
+//!   the first finding: a full [`ReproSpec`](scalesim_core::ReproSpec)
+//!   captured as the shrinker captures one (so `scalesim-experiments
 //!   repro FILE` re-executes the same run exactly — the parser ignores the
 //!   audit keys) plus the finding's check, class, fingerprint and the
 //!   bisected first-divergent-event index.
@@ -17,11 +18,10 @@
 use std::path::{Path, PathBuf};
 
 use scalesim_audit::{audit, AuditReport};
-use scalesim_core::RunReport;
-use scalesim_core::{JsonValue, ReproSpec, TraceConfig};
+use scalesim_core::{JsonValue, RunReport, TraceConfig};
 use scalesim_trace::write_atomic;
 
-use crate::shrink::run_isolated;
+use crate::shrink::{capture_exact, run_isolated};
 use crate::sweep::RunSpec;
 
 /// Event-budget backstop for audit re-executions: generous for the pinned
@@ -69,11 +69,7 @@ pub fn write_audit_repro(
     let Some(finding) = report.findings.first() else {
         return Ok(None);
     };
-    let mut repro = ReproSpec::capture(&spec.app, &spec.config, spec.memo_key());
-    repro.exact = repro
-        .reconstruct()
-        .map(|(app, config)| RunSpec { app, config }.memo_key() == repro.spec_key)
-        .unwrap_or(false);
+    let repro = capture_exact(spec);
     let mut json = repro.to_json();
     if let JsonValue::Obj(pairs) = &mut json {
         pairs.push((

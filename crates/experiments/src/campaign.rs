@@ -31,18 +31,20 @@
 //! records into different segments — last-wins merging is harmless.
 //! Leases only prevent *wasted* work. Likewise the `done/` markers are
 //! work-skipping hints: a marker without a segment record (crash
-//! between the two) just means the merge re-simulates that unit.
+//! between the two) just means the sweep after the merge re-simulates
+//! that unit.
 //!
-//! The merge pass ([`merge`]) replays every verified segment record
-//! into the sweep memo cache through the same
-//! [`replay`](crate::checkpoint::replay) a checkpoint resume uses, so
-//! each entry carries its restored provenance, and then re-runs the
-//! ordinary artifact driver in-process: restored units are served as
-//! cache hits whose manifests report what an uninterrupted run would
-//! have said, missing
+//! The merge pass ([`merge`]) is a replay and nothing more: it reads
+//! the worker segments through the reader a checkpoint resume uses
+//! ([`replay_dir`](crate::checkpoint::replay_dir)) and leaves every
+//! verified record in the sweep memo cache with its restored
+//! provenance. The caller then runs the artifact exactly as a single
+//! process would: restored units are served as cache hits whose
+//! manifests report what an uninterrupted run would have said, missing
 //! or quarantined units re-execute under the usual
-//! retry-once-then-quarantine policy, and the tables render through the
-//! exact code path a single-process run uses.
+//! retry-once-then-quarantine policy, and everything after the sweep —
+//! tables, analytics, shrinking, auditing, manifests — is the
+//! single-process path.
 //!
 //! Durability policy: the campaign directory is scratch state, so
 //! nothing in it is fsynced — segments are plain appends, done markers
@@ -66,12 +68,12 @@ use scalesim_core::SimError;
 use scalesim_simkit::splitmix64;
 use scalesim_workloads::AppModel;
 
-use crate::artifacts::{artifact, artifact_tables, ArtifactTable, Runs, ARTIFACTS};
-use crate::checkpoint::{self, encode_record, load_segment};
+use crate::artifacts::{artifact, Runs, ARTIFACTS};
+use crate::checkpoint::{self, encode_record};
 use crate::params::ExpParams;
 use crate::sweep::{
     attempt, checkpointable, clear_run_cache, fingerprint, retry_once, take_run_manifests,
-    take_sweep_failures, worker_budget, RunManifest, RunSpec, SweepFailure,
+    take_sweep_failures, worker_budget, RunSpec,
 };
 
 /// What one campaign runs: an artifact id plus the shared sweep
@@ -149,50 +151,28 @@ pub struct DrainStats {
     /// Units skipped because another worker's done marker existed.
     pub skipped: usize,
     /// Units that completed with a host-time-dependent truncation and
-    /// were therefore not persisted (the merge re-runs them).
+    /// were therefore not persisted (the sweep after the merge re-runs
+    /// them).
     pub volatile: usize,
     /// Units that failed twice and were marked quarantined (no record;
-    /// the merge re-runs them through the ordinary quarantine path).
+    /// the sweep after the merge re-runs them through the ordinary
+    /// quarantine path).
     pub quarantined: usize,
 }
 
-/// What the merge pass produced.
-#[derive(Debug)]
+/// What the merge pass replayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeOutcome {
-    /// The artifact's rendered tables, byte-identical to a
-    /// single-process run.
-    pub tables: Vec<ArtifactTable>,
-    /// One manifest per sweep input, in sweep order, with `host_ns`
-    /// zeroed (the only field that depends on which host executed a
-    /// unit).
-    pub manifests: Vec<RunManifest>,
-    /// The failure digest of the merge sweep (quarantined units
-    /// re-fail here exactly as they would in a single-process run).
-    pub failures: Vec<SweepFailure>,
     /// Distinct work units the campaign covers.
     pub units: usize,
     /// Units restored from worker segments (served without
     /// re-simulation).
     pub restored: usize,
-    /// Units re-simulated by the merge (never persisted, volatile, or
-    /// quarantined).
+    /// Units the artifact sweep after the merge re-simulates (never
+    /// persisted, volatile, or quarantined).
     pub reran: usize,
     /// Torn, corrupt, or fingerprint-mismatched segment lines dropped.
     pub skipped_lines: usize,
-}
-
-impl MergeOutcome {
-    /// Whether the campaign finished degraded (any quarantined,
-    /// truncated, or memo-corrupted unit, or a server run that entered
-    /// degraded mode) — the CLI's exit-2 condition.
-    #[must_use]
-    pub fn degraded(&self) -> bool {
-        !self.failures.is_empty()
-            || self
-                .manifests
-                .iter()
-                .any(|m| m.outcome != "ok" || m.degraded)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -495,7 +475,7 @@ fn backoff_delay(round: u32, ttl: Duration, nonce: u64) -> Duration {
 /// Drops the advisory completion marker. A direct write, not
 /// temp+rename: readers only test existence (the status byte is
 /// informational), so a torn marker is at worst a skipped unit the
-/// merge re-simulates.
+/// sweep after the merge re-simulates.
 fn mark_done(done: &Path, key: u64, status: &str) -> io::Result<()> {
     std::fs::write(done.join(key16(key)), status)
 }
@@ -737,75 +717,51 @@ pub fn worker_drain(
 // Merge
 // ---------------------------------------------------------------------
 
-/// Deterministically folds every worker segment into the final
-/// artifact: decodes all `seg-*.jsonl` records (sorted by segment name,
-/// last record wins per key — duplicates are identical by purity),
-/// scrubs torn or corrupt lines, verifies each survivor's fingerprint,
-/// seeds the sweep memo cache with restored provenance, and re-runs the
-/// ordinary artifact driver in-process. Restored units are served as
-/// cache hits whose manifests match an uninterrupted run; missing,
-/// volatile, or quarantined units re-execute under the usual policy.
-/// `host_ns` — the one host-dependent manifest field — is zeroed.
+/// Replays the campaign directory into the sweep memo cache and does
+/// nothing else: every `seg-*.jsonl` worker segment goes through the
+/// reader a checkpoint resume uses ([`replay_dir`](checkpoint::replay_dir),
+/// segments in name order, last record per key wins — duplicates are
+/// identical by purity), which scrubs torn or corrupt lines, verifies
+/// each survivor's fingerprint and seeds the memo with its restored
+/// provenance.
 ///
-/// The memo cache and manifest/failure digests are cleared going in and
-/// the cache cleared again going out, so the merge is reproducible and
-/// leaves no state behind.
+/// The memo cache and the manifest and failure logs are cleared going
+/// in, so the merge is reproducible, and the memo stays seeded going
+/// out. The artifact's own sweep then runs as in a single process:
+/// restored units are served as cache hits whose manifests match an
+/// uninterrupted run, while missing, volatile, or quarantined units
+/// re-execute under the usual policy.
 ///
 /// # Errors
 ///
 /// [`CampaignError::Config`] for spec problems, [`CampaignError::Runtime`]
-/// for engine failures. Quarantined units do not error — they surface
-/// in `failures` and [`MergeOutcome::degraded`].
+/// when the directory cannot be replayed.
 pub fn merge(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignError> {
     init(dir, spec)?;
-    let units = units_of(spec)?;
-    let unit_keys: HashSet<u64> = units.iter().map(|u| u.0).collect();
+    let units = units_of(spec)?.len();
     clear_run_cache();
     let _ = take_run_manifests();
     let _ = take_sweep_failures();
-
-    let mut skipped_lines = 0usize;
-    let mut latest = HashMap::new();
-    for path in &checkpoint::segments_of(dir).0 {
-        skipped_lines += load_segment(path, &mut latest);
-    }
-    latest.retain(|key, _| unit_keys.contains(key));
-    let (restored, skipped) = checkpoint::replay(latest);
-    skipped_lines += skipped;
-    let reran = units.len() - restored;
-
-    let tables = artifact_tables(&spec.artifact, &spec.params)
-        .expect("campaignable artifacts are registry ids")
-        .map_err(|e| classify_sim(&e))?;
-    let mut manifests = take_run_manifests();
-    for m in &mut manifests {
-        m.host_ns = 0;
-    }
-    let failures = take_sweep_failures();
-    // Clearing the cache drops any restored provenance no sweep claimed
-    // (a memo-off merge claims none).
-    clear_run_cache();
+    let (stats, _, _) =
+        checkpoint::replay_dir(dir).map_err(|e| rt(&format!("replay {}", dir.display()), &e))?;
     Ok(MergeOutcome {
-        tables,
-        manifests,
-        failures,
-        units: units.len(),
-        restored,
-        reran,
-        skipped_lines,
+        units,
+        restored: stats.loaded,
+        reran: units.saturating_sub(stats.loaded),
+        skipped_lines: stats.skipped,
     })
 }
 
-/// Convenience single-process campaign: initialize, drain everything as
-/// worker 0, and merge. What the benchmark times against a plain sweep,
-/// and the cheapest way to run a campaign without spawning processes.
+/// Convenience single-process campaign: drain everything as worker 0,
+/// then merge. What the benchmark times against a plain sweep, and the
+/// cheapest way to run a campaign without spawning processes; the
+/// caller renders the artifact from the seeded memo.
 ///
 /// # Errors
 ///
-/// Propagates [`init`], [`worker_drain`], and [`merge`] errors.
+/// Propagates [`worker_drain`] and [`merge`] errors.
 pub fn run_local(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignError> {
-    init(dir, spec)?;
-    let _ = worker_drain(dir, spec, 0)?;
+    worker_drain(dir, spec, 0)?;
     merge(dir, spec)
 }
 

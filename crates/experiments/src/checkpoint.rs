@@ -38,9 +38,9 @@
 //! Workers frame their records before taking the store lock, which
 //! guards only the append and the rotation.
 //!
-//! Every read of a store file — the tail and sealed segments behind
-//! [`resume_from`], and the campaign merge's worker segments — goes
-//! through one streaming reader. Up to
+//! Every read of a store directory — a resume's tail and sealed
+//! segments, and the campaign merge's worker segments — goes through
+//! [`replay_dir`] and its one streaming reader. Up to
 //! [`worker_budget`](crate::sweep::worker_budget) decode workers take
 //! the next line under the reader's lock, then check it for UTF-8,
 //! decode it and re-fingerprint its report outside the lock. Only the
@@ -54,9 +54,9 @@
 //! Host-time-dependent truncations
 //! ([`Watchdog`](scalesim_simkit::AbortReason::Watchdog) /
 //! [`MaxHostMs`](scalesim_simkit::AbortReason::MaxHostMs)) are never
-//! checkpointed, and [`replay`] refuses them if a store holds one anyway:
-//! replaying them would freeze a transient host condition into a
-//! deterministic artifact. Quarantined stubs never reach the
+//! checkpointed, and [`replay_dir`] refuses them if a store holds one
+//! anyway: replaying them would freeze a transient host condition into
+//! a deterministic artifact. Quarantined stubs never reach the
 //! store either (they are not memoized for the same reason).
 
 use std::collections::HashMap;
@@ -335,7 +335,7 @@ fn decode_file(path: &Path) -> std::io::Result<Vec<Decoded>> {
 /// worker's segment) into `latest`, where the last record per key wins,
 /// and returns the number of lines rejected. An unreadable file adds
 /// nothing.
-pub(crate) fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> usize {
+fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> usize {
     let Ok(decoded) = decode_file(path) else {
         return 0;
     };
@@ -397,7 +397,7 @@ fn seg_name(n: u64) -> String {
 /// Segment paths (`seg-*.jsonl`) in name order — a store's sealed
 /// segments in rotation order, or a campaign's worker segments — plus
 /// the next free store segment index.
-pub(crate) fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
+fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
     let mut names: Vec<String> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -450,14 +450,7 @@ pub fn set_store(dir: &Path) -> std::io::Result<()> {
 
 /// Replays the store in `dir` into the memo cache and keeps the store
 /// active so the resumed sweep continues appending where it left off.
-///
-/// Every valid record is fingerprint-verified (the hash is recomputed
-/// from the deserialized report and compared against the stored value)
-/// and seeds the cache through [`replay`]; mismatches count as skipped
-/// and the point re-runs. Each file is streamed through the decode
-/// workers, with results kept in line order. A torn tail is tolerated:
-/// invalid tail lines are dropped and the tail is rewritten atomically
-/// with only the lines that decoded.
+/// The replay itself is [`replay_dir`].
 ///
 /// # Errors
 ///
@@ -466,6 +459,36 @@ pub fn set_store(dir: &Path) -> std::io::Result<()> {
 /// is exactly the cold-start case.
 pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
     std::fs::create_dir_all(dir)?;
+    let (stats, tail_records, next_seg) = replay_dir(dir)?;
+    *store().lock().unwrap_or_else(PoisonError::into_inner) = Some(Store {
+        dir: dir.to_owned(),
+        tail_records,
+        next_seg,
+    });
+    Ok(stats)
+}
+
+/// Replays every record under `dir` into the memo cache: the sealed
+/// `seg-*.jsonl` segments in name order, then `tail.jsonl`. This one
+/// reader serves a checkpoint resume (and so `analyze --dir`) and the
+/// campaign merge, whose worker segments share the store's framing, so
+/// all three drop torn and corrupt lines by one policy.
+///
+/// Every valid record is fingerprint-verified (the hash is recomputed
+/// from the deserialized report and compared against the stored value)
+/// before it seeds the cache; mismatches count as skipped and the point
+/// re-runs. Each file is streamed through the decode
+/// workers, with results kept in line order, and the last record per key
+/// wins. A torn tail is tolerated: invalid tail lines are dropped and the
+/// tail is rewritten atomically with only the lines that decoded.
+///
+/// Returns the stats, the tail's surviving record count, and the next
+/// free sealed-segment index.
+///
+/// # Errors
+///
+/// Propagates tail-rewrite failures.
+pub(crate) fn replay_dir(dir: &Path) -> std::io::Result<(ResumeStats, usize, u64)> {
     let mut stats = ResumeStats::default();
     // Last record wins per key; only the survivor's verification counts.
     let mut latest: HashMap<u64, (Record, bool)> = HashMap::new();
@@ -500,34 +523,20 @@ pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
         }
     }
 
-    let (loaded, skipped) = replay(latest);
-    stats.loaded = loaded;
-    stats.skipped += skipped;
-
-    *store().lock().unwrap_or_else(PoisonError::into_inner) = Some(Store {
-        dir: dir.to_owned(),
-        tail_records,
-        next_seg,
-    });
-    Ok(stats)
-}
-
-/// Seeds the memo cache with every survivor in `latest` (the last record
-/// per key) that may stand in for a simulation: its fingerprint verified
-/// and its report is [`checkpointable`](sweep::checkpointable). Each
-/// seeded entry carries the record's retries as restored provenance, so
-/// the first sweep that serves it reports what the uninterrupted run
-/// did. Returns `(loaded, skipped)`.
-pub(crate) fn replay(latest: HashMap<u64, (Record, bool)>) -> (usize, usize) {
+    // Seed the memo with every survivor that may stand in for a
+    // simulation: its fingerprint verified and its report is
+    // checkpointable. Each seeded entry carries the record's retries as
+    // restored provenance, so the first sweep that serves it reports
+    // what the uninterrupted run did.
     let survivors = latest.len();
-    let mut loaded = 0;
     for (record, verified) in latest.into_values() {
         if verified && sweep::checkpointable(&record.report) {
             sweep::seed_cache_entry(record);
-            loaded += 1;
+            stats.loaded += 1;
         }
     }
-    (loaded, survivors - loaded)
+    stats.skipped += survivors - stats.loaded;
+    Ok((stats, tail_records, next_seg))
 }
 
 /// Deactivates the store; completed runs are no longer persisted.

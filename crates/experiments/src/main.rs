@@ -6,7 +6,8 @@
 //! scalesim-experiments fig2 --out results  # also write CSV files
 //! ```
 
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use scalesim_core::{JsonValue, Jvm, JvmConfig, LockAlg, ReproSpec, SimError, TraceConfig};
@@ -14,7 +15,7 @@ use scalesim_experiments::campaign::{self, CampaignError, CampaignSpec};
 use scalesim_experiments::{
     artifact_tables, audit_spec, checkpoint, run_analytics, run_isolated, shrink_failure,
     take_run_manifests, take_sweep_failures, write_analytics, write_audit_repro, write_repro,
-    ExpParams, RunSpec, SweepFailureKind, ARTIFACTS,
+    ExpParams, RunSpec, SweepFailure, SweepFailureKind, ARTIFACTS,
 };
 use scalesim_metrics::Table;
 use scalesim_trace::write_atomic;
@@ -67,7 +68,9 @@ artifacts:
               segments, and the final merge is byte-identical to a
               single-process run no matter how many workers ran or
               crashed (SIGKILL included). Campaignable artifacts:
-              every artifact except ext-heapsize
+              every artifact except ext-heapsize. Takes every option a
+              single run takes except --checkpoint and --resume (the
+              campaign directory is its own store)
   repro FILE  re-execute a shrunk failure spec (repro-*.json or
               audit-*.json) exactly; exits 0 when the failure
               reproduces, 1 when it does not
@@ -149,6 +152,30 @@ struct Cli {
 enum CliError {
     Config(String),
     Runtime(String),
+}
+
+impl From<CampaignError> for CliError {
+    fn from(e: CampaignError) -> Self {
+        match e {
+            CampaignError::Config(msg) => CliError::Config(msg),
+            CampaignError::Runtime(msg) => CliError::Runtime(msg),
+        }
+    }
+}
+
+/// Reports `e` and maps it onto its exit code.
+fn fail(e: CliError) -> ExitCode {
+    match e {
+        CliError::Config(msg) => {
+            eprintln!("error: {msg}\n");
+            eprint!("{USAGE}");
+            ExitCode::from(3)
+        }
+        CliError::Runtime(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Maps engine errors onto the CLI's exit-code classes: rejected
@@ -262,6 +289,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         if dir.is_none() {
             return Err("campaign needs --dir DIR (the shared campaign directory)".to_owned());
         }
+        if checkpoint.is_some() || resume {
+            return Err(
+                "campaign takes no --checkpoint or --resume: its --dir is its own store".to_owned(),
+            );
+        }
     }
     Ok(Cli {
         artifact,
@@ -283,7 +315,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 /// Runs a traced 4-thread lusearch at the CLI's scale/seed and exports
 /// its timeline as Chrome trace-event JSON — the quick way to eyeball a
 /// run at <https://ui.perfetto.dev>.
-fn export_trace(cli: &Cli, path: &std::path::Path) -> Result<(), String> {
+fn export_trace(cli: &Cli, path: &Path) -> Result<(), String> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     }
@@ -310,7 +342,7 @@ fn export_trace(cli: &Cli, path: &std::path::Path) -> Result<(), String> {
 /// `analytics_fp` keys cross-linking it to `analytics.json` (manifest
 /// validators ignore unknown keys, so old consumers keep working).
 fn write_manifests(
-    dir: &std::path::Path,
+    dir: &Path,
     manifests: &[scalesim_experiments::RunManifest],
     analytics_fp: Option<u64>,
 ) -> Result<(), String> {
@@ -339,7 +371,7 @@ fn write_manifests(
 /// or campaign — prints the rendered report, and writes
 /// `analytics.json` into `dir`. Returns the artifact fingerprint for
 /// manifest cross-linking.
-fn emit_analytics(params: &ExpParams, dir: &std::path::Path) -> Result<u64, CliError> {
+fn emit_analytics(params: &ExpParams, dir: &Path) -> Result<u64, CliError> {
     let analytics = run_analytics(params).map_err(|e| classify(&e))?;
     print!("{}", analytics.render());
     let path = write_analytics(dir, &analytics)
@@ -378,68 +410,32 @@ fn run_artifact(cli: &Cli, artifact: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn campaign_fail(e: &CampaignError) -> ExitCode {
-    match e {
-        CampaignError::Config(msg) => {
-            eprintln!("error: {msg}\n");
-            eprint!("{USAGE}");
-            ExitCode::from(3)
-        }
-        CampaignError::Runtime(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+/// A campaign worker process (`SCALESIM_CAMPAIGN_ROLE=worker`, spawned
+/// by [`run_campaign`] or launched by hand on another terminal or host
+/// sharing the directory): drains and exits.
+fn drain_as_worker(dir: &Path, spec: &CampaignSpec) -> Result<(), CliError> {
+    let id: u32 = std::env::var("SCALESIM_CAMPAIGN_WORKER_ID")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    let stats = campaign::worker_drain(dir, spec, id)?;
+    println!(
+        "campaign worker {id}: ran {} skipped {} volatile {} quarantined {}",
+        stats.ran, stats.skipped, stats.volatile, stats.quarantined
+    );
+    Ok(())
 }
 
-/// The `campaign` subcommand. Two roles share this entry point:
-///
-/// * A child worker (`SCALESIM_CAMPAIGN_ROLE=worker`, spawned below or
-///   launched by hand on another terminal/host sharing the directory)
-///   just drains and exits.
-/// * The parent initializes the directory, spawns `--workers` children
-///   of itself, waits for them — tolerating any of them dying, since
-///   survivors reclaim expired leases — runs a final in-process drain to
-///   settle anything left over, and merges.
-fn run_campaign(cli: &Cli) -> ExitCode {
-    let (Some(target), Some(dir)) = (cli.target.clone(), cli.dir.clone()) else {
-        // parse_args enforces both; unreachable in practice.
-        return campaign_fail(&CampaignError::Config(
-            "campaign needs a target artifact and --dir DIR".to_owned(),
-        ));
-    };
-    let spec = CampaignSpec {
-        artifact: target,
-        params: cli.params.clone(),
-    };
-
-    if std::env::var_os("SCALESIM_CAMPAIGN_ROLE").is_some_and(|v| v == "worker") {
-        let id: u32 = std::env::var("SCALESIM_CAMPAIGN_WORKER_ID")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        return match campaign::worker_drain(&dir, &spec, id) {
-            Ok(stats) => {
-                println!(
-                    "campaign worker {id}: ran {} skipped {} volatile {} quarantined {}",
-                    stats.ran, stats.skipped, stats.volatile, stats.quarantined
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => campaign_fail(&e),
-        };
-    }
-
-    if let Err(e) = campaign::init(&dir, &spec) {
-        return campaign_fail(&e);
-    }
-    let workers = cli.workers.unwrap_or_else(campaign::default_workers);
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            return campaign_fail(&CampaignError::Runtime(format!("locate own binary: {e}")));
-        }
-    };
+/// The `campaign` parent up to its merge: initializes the directory,
+/// spawns `workers` children of itself, waits for them — tolerating
+/// any of them dying, since survivors reclaim expired leases — runs a
+/// final in-process drain to settle anything left over, and merges the
+/// segments into the memo cache. The caller then finishes like a single
+/// run of the target artifact.
+fn run_campaign(dir: &Path, spec: &CampaignSpec, workers: usize) -> Result<(), CliError> {
+    campaign::init(dir, spec)?;
+    let exe = std::env::current_exe()
+        .map_err(|e| CliError::Runtime(format!("locate own binary: {e}")))?;
     let threads_arg: String = spec
         .params
         .thread_counts
@@ -453,7 +449,7 @@ fn run_campaign(cli: &Cli) -> ExitCode {
             .arg("campaign")
             .arg(&spec.artifact)
             .arg("--dir")
-            .arg(&dir)
+            .arg(dir)
             .arg("--scale")
             .arg(format!("{:?}", spec.params.scale))
             .arg("--seed")
@@ -490,63 +486,60 @@ fn run_campaign(cli: &Cli) -> ExitCode {
     // Final in-process drain: settles anything still unclaimed (dead
     // workers, no workers at all) by reclaiming expired leases, so the
     // merge always sees a fully settled campaign.
-    let stats = match campaign::worker_drain(&dir, &spec, 0) {
-        Ok(stats) => stats,
-        Err(e) => return campaign_fail(&e),
-    };
-    let outcome = match campaign::merge(&dir, &spec) {
-        Ok(outcome) => outcome,
-        Err(e) => return campaign_fail(&e),
-    };
+    let stats = campaign::worker_drain(dir, spec, 0)?;
+    let merged = campaign::merge(dir, spec)?;
     println!(
-        "campaign: {} unit(s): {} restored from segments, {} re-ran in merge; \
+        "campaign: {} unit(s): {} restored from segments, {} left to the sweep; \
          finisher ran {}, {} torn/corrupt line(s) skipped",
-        outcome.units, outcome.restored, outcome.reran, stats.ran, outcome.skipped_lines
+        merged.units, merged.restored, merged.reran, stats.ran, merged.skipped_lines
     );
-    for t in &outcome.tables {
-        if let Err(e) = emit(&cli.out, &t.name, &t.title, &t.table) {
-            return match e {
-                CliError::Config(msg) => campaign_fail(&CampaignError::Config(msg)),
-                CliError::Runtime(msg) => campaign_fail(&CampaignError::Runtime(msg)),
-            };
-        }
-    }
-    if !outcome.failures.is_empty() {
-        eprintln!("sweep failure digest ({} entries):", outcome.failures.len());
-        for f in &outcome.failures {
-            eprintln!("  [{}] {}: {}", f.kind, f.spec, f.detail);
-        }
-    }
-    let repro_dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    let _ = shrink_quarantined(&outcome.failures, &repro_dir);
-    // The merge seeded the memo cache with every campaign unit, so the
-    // analytics pass over a figure-sweep campaign is pure re-derivation
-    // and its artifact byte-identical to a single-process --analyze run.
-    let analyze_on = cli.analyze || std::env::var_os("SCALESIM_ANALYZE").is_some_and(|v| v == "1");
-    let mut analytics_fp = None;
-    if analyze_on {
-        match emit_analytics(&cli.params, &repro_dir) {
-            Ok(fp) => analytics_fp = Some(fp),
-            Err(CliError::Config(msg)) => return campaign_fail(&CampaignError::Config(msg)),
-            Err(CliError::Runtime(msg)) => return campaign_fail(&CampaignError::Runtime(msg)),
-        }
-    }
-    if let Some(out) = &cli.out {
-        if let Err(msg) = write_manifests(out, &outcome.manifests, analytics_fp) {
-            return campaign_fail(&CampaignError::Runtime(msg));
-        }
-    }
-    if outcome.degraded() {
-        ExitCode::from(2)
+    Ok(())
+}
+
+/// Activates the checkpoint store. CLI flags win, env vars
+/// (`SCALESIM_CHECKPOINT` / `SCALESIM_RESUME=1`) reach the same
+/// machinery from wrappers. For the analyze subcommand `--dir CKPT` is
+/// resume sugar: replay the store, then derive the artifact from the
+/// replayed runs.
+fn open_checkpoint(cli: &Cli) -> Result<(), CliError> {
+    let analyze_from_dir = cli.artifact == "analyze" && cli.dir.is_some();
+    let ckpt_dir = cli
+        .checkpoint
+        .clone()
+        .or_else(|| cli.dir.clone().filter(|_| analyze_from_dir))
+        .or_else(|| std::env::var_os("SCALESIM_CHECKPOINT").map(PathBuf::from));
+    let resume = cli.resume
+        || analyze_from_dir
+        || std::env::var_os("SCALESIM_RESUME").is_some_and(|v| v == "1");
+    let Some(dir) = &ckpt_dir else {
+        return if resume {
+            Err(CliError::Config(
+                "--resume needs --checkpoint DIR or SCALESIM_CHECKPOINT".to_owned(),
+            ))
+        } else {
+            Ok(())
+        };
+    };
+    let activated = if resume {
+        checkpoint::resume_from(dir).map(|stats| {
+            println!(
+                "resumed {} run(s) from {} ({} segment(s), {} record(s) skipped)",
+                stats.loaded,
+                dir.display(),
+                stats.segments,
+                stats.skipped
+            );
+        })
     } else {
-        ExitCode::SUCCESS
-    }
+        checkpoint::set_store(dir)
+    };
+    activated.map_err(|e| CliError::Config(format!("checkpoint store {}: {e}", dir.display())))
 }
 
 /// Re-executes a shrunk failure spec from a `repro-*.json` file.
 /// Exit 0 when the failure reproduces, 1 when the run completes, 3 when
 /// the file does not parse or reconstruct.
-fn run_repro(path: &std::path::Path) -> ExitCode {
+fn run_repro(path: &Path) -> ExitCode {
     let config_fail = |msg: String| -> ExitCode {
         eprintln!("error: {msg}");
         ExitCode::from(3)
@@ -597,35 +590,31 @@ fn run_repro(path: &std::path::Path) -> ExitCode {
     }
 }
 
+/// The distinct quarantined specs of a failure digest, first occurrence
+/// first: what the shrinker and the auditor re-execute.
+fn quarantined(failures: &[SweepFailure]) -> impl Iterator<Item = (&SweepFailure, &RunSpec)> {
+    let mut seen = HashSet::new();
+    failures
+        .iter()
+        .filter(|f| f.kind == SweepFailureKind::Quarantined)
+        .filter_map(|f| Some((f, f.run_spec.as_ref()?)))
+        .filter(move |(_, spec)| seen.insert(spec.memo_key()))
+}
+
 /// Shrinks every quarantined failure in the digest to a minimal failing
 /// spec and writes one `repro-<key>.json` per distinct point into
-/// `dir`. Returns how many repro files were written.
-fn shrink_quarantined(
-    failures: &[scalesim_experiments::SweepFailure],
-    dir: &std::path::Path,
-) -> usize {
-    let mut seen = std::collections::HashSet::new();
-    let mut written = 0;
-    for f in failures {
-        if f.kind != SweepFailureKind::Quarantined {
-            continue;
-        }
-        let Some(spec) = &f.run_spec else { continue };
-        if !seen.insert(spec.memo_key()) {
-            continue;
-        }
+/// `dir`.
+fn shrink_quarantined(failures: &[SweepFailure], dir: &Path) {
+    for (f, spec) in quarantined(failures) {
         match shrink_failure(spec) {
             Some(outcome) => match write_repro(&outcome, dir) {
-                Ok(path) => {
-                    println!(
-                        "shrunk {} -> threads={} ({} attempts): {}",
-                        f.spec,
-                        outcome.shrunk.threads,
-                        outcome.attempts,
-                        path.display()
-                    );
-                    written += 1;
-                }
+                Ok(path) => println!(
+                    "shrunk {} -> threads={} ({} attempts): {}",
+                    f.spec,
+                    outcome.shrunk.threads,
+                    outcome.attempts,
+                    path.display()
+                ),
                 Err(e) => eprintln!("error: write repro for {}: {e}", f.spec),
             },
             None => eprintln!(
@@ -634,7 +623,6 @@ fn shrink_quarantined(
             ),
         }
     }
-    written
 }
 
 /// Runs the concurrency auditor over the pinned traced runs (the same
@@ -699,20 +687,8 @@ fn run_audit(cli: &Cli) -> ExitCode {
 /// Re-audits every quarantined sweep point with salvage + tracing (the
 /// `--audit` / `SCALESIM_AUDIT=1` path), writing `audit-<key>.json`
 /// artifacts next to the shrinker's repro files.
-fn audit_quarantined(
-    failures: &[scalesim_experiments::SweepFailure],
-    dir: &std::path::Path,
-) -> usize {
-    let mut seen = std::collections::HashSet::new();
-    let mut audited = 0;
-    for f in failures {
-        if f.kind != SweepFailureKind::Quarantined {
-            continue;
-        }
-        let Some(spec) = &f.run_spec else { continue };
-        if !seen.insert(spec.memo_key()) {
-            continue;
-        }
+fn audit_quarantined(failures: &[SweepFailure], dir: &Path) {
+    for (f, spec) in quarantined(failures) {
         match audit_spec(spec) {
             Ok((report, audit_report)) => {
                 println!(
@@ -726,12 +702,10 @@ fn audit_quarantined(
                         Err(e) => eprintln!("error: write audit repro for {}: {e}", f.spec),
                     }
                 }
-                audited += 1;
             }
             Err(why) => eprintln!("audit: {} failed even with salvage: {why}", f.spec),
         }
     }
-    audited
 }
 
 fn main() -> ExitCode {
@@ -742,11 +716,7 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        Err(msg) => {
-            eprintln!("error: {msg}\n");
-            eprint!("{USAGE}");
-            return ExitCode::from(3);
-        }
+        Err(msg) => return fail(CliError::Config(msg)),
     };
     if let Some(alg) = cli.lock_alg {
         // Every JvmConfig builder reads SCALESIM_LOCK_ALG, and spawned
@@ -755,70 +725,51 @@ fn main() -> ExitCode {
         std::env::set_var("SCALESIM_LOCK_ALG", alg.as_str());
     }
     if cli.artifact == "repro" {
-        let Some(file) = cli.file.as_deref() else {
-            eprintln!("error: repro needs a repro-*.json file argument\n");
-            eprint!("{USAGE}");
-            return ExitCode::from(3);
-        };
+        let file = cli
+            .file
+            .as_deref()
+            .expect("parse_args requires a repro file");
         return run_repro(file);
     }
     if cli.artifact == "audit" {
         return run_audit(&cli);
     }
-    if cli.artifact == "campaign" {
-        return run_campaign(&cli);
-    }
-
-    // Checkpointing: CLI flags win, env vars (SCALESIM_CHECKPOINT /
-    // SCALESIM_RESUME=1) reach the same machinery from wrappers. For
-    // the analyze subcommand `--dir CKPT` is resume sugar: replay the
-    // store, then derive the artifact from the replayed runs.
-    let analyze_from_dir = cli.artifact == "analyze" && cli.dir.is_some();
-    let ckpt_dir = cli
-        .checkpoint
-        .clone()
-        .or_else(|| {
-            if analyze_from_dir {
-                cli.dir.clone()
-            } else {
-                None
-            }
-        })
-        .or_else(|| std::env::var_os("SCALESIM_CHECKPOINT").map(PathBuf::from));
-    let resume = cli.resume
-        || analyze_from_dir
-        || std::env::var_os("SCALESIM_RESUME").is_some_and(|v| v == "1");
-    if let Some(dir) = &ckpt_dir {
-        let activated = if resume {
-            checkpoint::resume_from(dir).map(|stats| {
-                println!(
-                    "resumed {} run(s) from {} ({} segment(s), {} record(s) skipped)",
-                    stats.loaded,
-                    dir.display(),
-                    stats.segments,
-                    stats.skipped
-                );
-            })
-        } else {
-            checkpoint::set_store(dir)
+    // A campaign drains and merges its directory into the memo cache,
+    // then finishes exactly like a single run of its target artifact.
+    let artifact = if cli.artifact == "campaign" {
+        let dir = cli
+            .dir
+            .as_deref()
+            .expect("parse_args requires campaign --dir");
+        let target = cli
+            .target
+            .as_deref()
+            .expect("parse_args requires a campaign target");
+        let spec = CampaignSpec {
+            artifact: target.to_owned(),
+            params: cli.params.clone(),
         };
-        if let Err(e) = activated {
-            eprintln!("error: checkpoint store {}: {e}\n", dir.display());
-            eprint!("{USAGE}");
-            return ExitCode::from(3);
+        if std::env::var_os("SCALESIM_CAMPAIGN_ROLE").is_some_and(|v| v == "worker") {
+            return drain_as_worker(dir, &spec).map_or_else(fail, |()| ExitCode::SUCCESS);
         }
-    } else if resume {
-        eprintln!("error: --resume needs --checkpoint DIR or SCALESIM_CHECKPOINT\n");
-        eprint!("{USAGE}");
-        return ExitCode::from(3);
-    }
+        let workers = cli.workers.unwrap_or_else(campaign::default_workers);
+        if let Err(e) = run_campaign(dir, &spec, workers) {
+            return fail(e);
+        }
+        target
+    } else {
+        if let Err(e) = open_checkpoint(&cli) {
+            return fail(e);
+        }
+        cli.artifact.as_str()
+    };
 
-    let mut result = if cli.artifact == "analyze" {
+    let mut result = if artifact == "analyze" {
         Ok(())
     } else {
-        run_artifact(&cli, &cli.artifact.clone())
+        run_artifact(&cli, artifact)
     };
-    let analyze_on = cli.artifact == "analyze"
+    let analyze_on = artifact == "analyze"
         || cli.analyze
         || std::env::var_os("SCALESIM_ANALYZE").is_some_and(|v| v == "1");
     let mut analytics_fp = None;
@@ -847,12 +798,19 @@ fn main() -> ExitCode {
         }
     }
     let repro_dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    let _ = shrink_quarantined(&failures, &repro_dir);
+    shrink_quarantined(&failures, &repro_dir);
     let audit_on = cli.audit || std::env::var_os("SCALESIM_AUDIT").is_some_and(|v| v == "1");
     if audit_on {
-        let _ = audit_quarantined(&failures, &repro_dir);
+        audit_quarantined(&failures, &repro_dir);
     }
-    let manifests = take_run_manifests();
+    let mut manifests = take_run_manifests();
+    if cli.artifact == "campaign" {
+        // Host wall time is the one manifest field that says which
+        // process ran a unit, so a campaign zeroes it.
+        for m in &mut manifests {
+            m.host_ns = 0;
+        }
+    }
     if result.is_ok() {
         if let Some(dir) = &cli.out {
             result = write_manifests(dir, &manifests, analytics_fp).map_err(CliError::Runtime);
@@ -863,15 +821,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) if degraded => ExitCode::from(2),
         Ok(()) => ExitCode::SUCCESS,
-        Err(CliError::Config(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprint!("{USAGE}");
-            ExitCode::from(3)
-        }
-        Err(CliError::Runtime(msg)) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
 }
 
@@ -1014,6 +964,9 @@ mod tests {
         assert!(parse_args(&s(&["campaign", "scaletable", "--workers", "x"])).is_err());
         let cli = parse_args(&s(&["campaign", "fig2", "--dir", "d"])).unwrap();
         assert!(cli.workers.is_none());
+        // The campaign directory is its own store.
+        assert!(parse_args(&s(&["campaign", "fig2", "--dir", "d", "--checkpoint", "c"])).is_err());
+        assert!(parse_args(&s(&["campaign", "fig2", "--dir", "d", "--resume"])).is_err());
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub fn shrink_failure(spec: &RunSpec) -> Option<ShrinkOutcome> {
 /// Captures a spec as a [`ReproSpec`], verifying that reconstructing it
 /// lands on the identical memo key (and recording the verdict in
 /// [`ReproSpec::exact`]).
-fn capture_exact(spec: &RunSpec) -> ReproSpec {
+pub(crate) fn capture_exact(spec: &RunSpec) -> ReproSpec {
     let mut repro = ReproSpec::capture(&spec.app, &spec.config, spec.memo_key());
     repro.exact = repro
         .reconstruct()

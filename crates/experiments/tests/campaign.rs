@@ -1,8 +1,10 @@
 //! End-to-end campaign tests. Three worker processes drain one sweep
 //! over a shared directory, one is SIGKILLed mid-flight, and the merged
-//! output must still be byte-identical to a single-process run; and
-//! every artifact of the registry that runs as one sweep merges
-//! byte-identical from an in-process campaign.
+//! output must still be byte-identical to a single-process run; every
+//! artifact of the registry that runs as one sweep merges
+//! byte-identical from an in-process campaign; and after its merge a
+//! campaign finishes like a single run: `--analyze`, `--trace` and
+//! `--audit` write the single run's artifacts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -39,6 +41,16 @@ fn campaign_cmd(dir: &Path, extra: &[&str]) -> Command {
         .args(SWEEP_ARGS)
         .args(extra)
         .env("SCALESIM_LEASE_TTL_MS", TTL_MS)
+        .stdout(Stdio::null());
+    cmd
+}
+
+/// `scaletable <SWEEP_ARGS> <extra...>` as a single-process run.
+fn single_cmd(extra: &[&str]) -> Command {
+    let mut cmd = Command::new(BIN);
+    cmd.arg("scaletable")
+        .args(SWEEP_ARGS)
+        .args(extra)
         .stdout(Stdio::null());
     cmd
 }
@@ -175,6 +187,128 @@ fn sigkilled_worker_still_merges_byte_identical() {
     }
 }
 
+/// After the merge a campaign runs the single run's tail: analytics
+/// re-derived from the merged memo (so every analytics-pass row is a
+/// memo hit), the `--trace` export, and the manifest with both passes.
+#[test]
+fn campaign_analyze_and_trace_match_a_single_run() {
+    let single_out = scratch("analyze-single");
+    let camp_dir = scratch("analyze-dir");
+    let camp_out = scratch("analyze-merged");
+    let single_trace = single_out.join("trace.json");
+    let camp_trace = camp_out.join("trace.json");
+
+    let status = single_cmd(&["--analyze", "--out"])
+        .arg(&single_out)
+        .arg("--trace")
+        .arg(&single_trace)
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(0), "single run failed: {status}");
+    let status = campaign_cmd(&camp_dir, &["--workers", "0", "--analyze", "--out"])
+        .arg(&camp_out)
+        .arg("--trace")
+        .arg(&camp_trace)
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(0), "campaign failed: {status}");
+
+    assert_eq!(
+        read(&single_out.join("analytics.json")),
+        read(&camp_out.join("analytics.json")),
+        "campaign analytics.json diverged from the single run"
+    );
+    let single_manifest = zero_host_ns(&read(&single_out.join("manifest.jsonl")));
+    let camp_manifest = read(&camp_out.join("manifest.jsonl"));
+    assert_eq!(
+        single_manifest, camp_manifest,
+        "campaign manifest diverged from the single run"
+    );
+    // 12 sweep rows, then 12 analytics-pass rows served from the memo.
+    let rows: Vec<&str> = camp_manifest.lines().collect();
+    assert_eq!(rows.len(), 24);
+    assert!(rows[12..].iter().all(|r| r.contains("\"memo\":\"hit\"")));
+    assert_eq!(
+        read(&single_trace),
+        read(&camp_trace),
+        "campaign --trace export diverged from the single run"
+    );
+
+    for dir in [single_out, camp_dir, camp_out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// `audit-*.json` file names and bytes in `dir`, sorted by name.
+fn audit_repros(dir: &Path) -> Vec<(String, String)> {
+    let mut repros: Vec<(String, String)> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("audit-") && n.ends_with(".json"))
+        .map(|n| {
+            let body = read(&dir.join(&n));
+            (n, body)
+        })
+        .collect();
+    repros.sort();
+    repros
+}
+
+/// Under injected lost wakeups every unit quarantines; `--audit`
+/// re-audits the quarantined points of a campaign exactly as it does a
+/// single run's.
+#[test]
+fn campaign_audit_writes_the_single_runs_audit_repros() {
+    const CHAOS: &str = "drop-wakeup=64";
+    let single_out = scratch("audit-single");
+    let camp_dir = scratch("audit-dir");
+    let camp_out = scratch("audit-merged");
+
+    let status = single_cmd(&["--audit", "--out"])
+        .arg(&single_out)
+        .env("SCALESIM_CHAOS", CHAOS)
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "degraded single run: {status}");
+    let status = campaign_cmd(&camp_dir, &["--workers", "0", "--audit", "--out"])
+        .arg(&camp_out)
+        .env("SCALESIM_CHAOS", CHAOS)
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "degraded campaign: {status}");
+
+    let single = audit_repros(&single_out);
+    assert!(!single.is_empty(), "the chaos left nothing to audit");
+    assert_eq!(single, audit_repros(&camp_out));
+
+    for dir in [single_out, camp_dir, camp_out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// The campaign directory is the campaign's store, so a checkpoint
+/// store on top of it is a usage error.
+#[test]
+fn campaign_refuses_checkpoint_and_resume() {
+    let dir = scratch("ckpt");
+    let store = dir.join("ckpt");
+    for extra in [
+        &["--checkpoint", store.to_str().unwrap()][..],
+        &["--resume"][..],
+    ] {
+        let status = campaign_cmd(&dir.join("camp"), &[&["--workers", "0"], extra].concat())
+            .stderr(Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(3), "{extra:?} must exit 3");
+    }
+    assert!(!store.exists(), "a refused campaign opened the store");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn campaign_rejects_mismatched_spec_directories() {
     let dir = scratch("mismatch");
@@ -233,14 +367,20 @@ fn every_campaignable_artifact_merges_byte_identical() {
                 artifact: id.to_owned(),
                 params: params.clone(),
             };
-            let merged = campaign::run_local(&dir, &spec).unwrap();
-            assert_eq!(merged.tables.len(), single.len(), "{id}");
-            for (m, s) in merged.tables.iter().zip(&single) {
+            campaign::run_local(&dir, &spec).unwrap();
+            let merged = artifact_tables(id, &params).unwrap().unwrap();
+            assert_eq!(merged.len(), single.len(), "{id}");
+            for (m, s) in merged.iter().zip(&single) {
                 assert_eq!((&m.name, &m.title), (&s.name, &s.title), "{id}");
                 assert_eq!(m.table.to_csv(), s.table.to_csv(), "{id}: table differs");
             }
-            let merged_manifests: Vec<String> =
-                merged.manifests.iter().map(|m| m.to_json_line()).collect();
+            let merged_manifests: Vec<String> = take_run_manifests()
+                .into_iter()
+                .map(|mut m| {
+                    m.host_ns = 0;
+                    m.to_json_line()
+                })
+                .collect();
             assert_eq!(merged_manifests, manifests, "{id}: manifests differ");
             let _ = std::fs::remove_dir_all(&dir);
             campaigned += 1;

@@ -297,17 +297,11 @@ impl RunBudget {
         budget
     }
 
-    /// Checks the budget against a run's progress; `None` means in budget.
+    /// Checks the timed budgets (simulated time, host time, watchdog)
+    /// against a run's progress; `None` means in budget. `max_events` is
+    /// not checked here: the driver tests it before every event.
     #[must_use]
-    pub fn check(
-        &self,
-        events_processed: u64,
-        now: SimTime,
-        host_elapsed_ms: u64,
-    ) -> Option<AbortReason> {
-        if events_processed >= self.max_events {
-            return Some(AbortReason::MaxEvents(self.max_events));
-        }
+    pub fn check(&self, now: SimTime, host_elapsed_ms: u64) -> Option<AbortReason> {
         if let Some(limit) = self.max_sim_time {
             if now.as_nanos() >= limit.as_nanos() {
                 return Some(AbortReason::MaxSimTime(limit));
@@ -510,7 +504,7 @@ mod tests {
     fn budget_default_allows_ordinary_runs() {
         let b = RunBudget::default();
         assert_eq!(
-            b.check(1_000_000, SimTime::ZERO + SimDuration::from_millis(50), 10),
+            b.check(SimTime::ZERO + SimDuration::from_millis(50), 10),
             None
         );
     }
@@ -524,24 +518,20 @@ mod tests {
             watchdog_ms: None,
         };
         assert_eq!(
-            b.check(100, SimTime::ZERO, 0),
-            Some(AbortReason::MaxEvents(100))
-        );
-        assert_eq!(
-            b.check(1, SimTime::ZERO + SimDuration::from_millis(5), 0),
+            b.check(SimTime::ZERO + SimDuration::from_millis(5), 0),
             Some(AbortReason::MaxSimTime(SimDuration::from_millis(5)))
         );
         assert_eq!(
-            b.check(1, SimTime::ZERO, 1000),
+            b.check(SimTime::ZERO, 1000),
             Some(AbortReason::MaxHostMs(1000))
         );
-        assert_eq!(b.check(99, SimTime::ZERO, 999), None);
+        assert_eq!(b.check(SimTime::ZERO, 999), None);
         let w = RunBudget {
             watchdog_ms: Some(1000),
             ..RunBudget::default()
         };
-        assert_eq!(w.check(1, SimTime::ZERO, 999), None);
-        assert_eq!(w.check(1, SimTime::ZERO, 1000), Some(AbortReason::Watchdog));
+        assert_eq!(w.check(SimTime::ZERO, 999), None);
+        assert_eq!(w.check(SimTime::ZERO, 1000), Some(AbortReason::Watchdog));
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!   recorder; the runtime merges them into a single deterministic timeline
 //!   at the end of a run. Same `(config, seed)` ⇒ byte-identical trace.
 //! * [`to_chrome_json`] — a Chrome trace-event / Perfetto JSON exporter
-//!   (load the output at <https://ui.perfetto.dev>), plus a compact text
-//!   round-trip format ([`format_timeline`] / [`parse_timeline`]) in the
-//!   style of `objtrace::format_trace`.
+//!   (load the output at <https://ui.perfetto.dev>).
 //! * [`Counters`] — fixed-slot monotonic counters and gauges
 //!   ([`CounterId`]), O(1) to increment and always on, unifying the tallies
 //!   that were previously scattered across `LockReport`, `HeapStats`,
@@ -38,7 +36,6 @@ mod config;
 mod counters;
 mod event;
 mod packed;
-mod text;
 mod timeline;
 
 pub use artifact::{sync_dir, write_atomic, write_atomic_with};
@@ -46,5 +43,4 @@ pub use chrome::to_chrome_json;
 pub use config::TraceConfig;
 pub use counters::{CounterId, Counters, COUNTER_SLOTS};
 pub use event::{EventKind, Phase, Process, TimelineEvent};
-pub use text::{format_timeline, parse_timeline, ParseTimelineError};
 pub use timeline::Timeline;

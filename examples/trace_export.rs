@@ -11,7 +11,7 @@
 
 use scalesim::objtrace::{format_trace, parse_trace, Retention};
 use scalesim::runtime::{Jvm, JvmConfig};
-use scalesim::trace::{format_timeline, parse_timeline, to_chrome_json, TraceConfig};
+use scalesim::trace::{to_chrome_json, TraceConfig};
 use scalesim::workloads::lusearch;
 
 fn main() {
@@ -76,14 +76,6 @@ fn main() {
         "  wrote {} — open at https://ui.perfetto.dev",
         path.display()
     );
-
-    // The compact text form round-trips losslessly, like the object trace.
-    let text = format_timeline(&report.timeline);
-    let reparsed = parse_timeline(&text).expect("own timeline output parses");
-    assert_eq!(reparsed.len(), report.timeline.len());
-    for line in text.lines().take(5) {
-        println!("  {line}");
-    }
 
     // The counters registry is always on, traced or not.
     println!("\ncounters:");

@@ -128,6 +128,18 @@ diff target/ci-campaign/single/scaletable.csv target/ci-campaign/merged/scaletab
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-campaign/single/manifest.jsonl \
     > target/ci-campaign/single.norm
 diff target/ci-campaign/single.norm target/ci-campaign/merged/manifest.jsonl
+echo '== campaign analyze smoke (a campaign finishes like a single run: same analytics and manifest)'
+cargo run --release -q -p scalesim-experiments -- \
+    scaletable --scale 0.02 --threads 4,8 --analyze \
+    --out target/ci-campaign/analyze-single > /dev/null
+cargo run --release -q -p scalesim-experiments -- \
+    campaign scaletable --scale 0.02 --threads 4,8 --analyze \
+    --dir target/ci-campaign/analyze-dir --workers 2 \
+    --out target/ci-campaign/analyze-merged > /dev/null
+cmp target/ci-campaign/analyze-single/analytics.json target/ci-campaign/analyze-merged/analytics.json
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-campaign/analyze-single/manifest.jsonl \
+    > target/ci-campaign/analyze-single.norm
+diff target/ci-campaign/analyze-single.norm target/ci-campaign/analyze-merged/manifest.jsonl
 echo '== variant campaign smoke (abl-sched must merge byte-identical to a single run)'
 cargo run --release -q -p scalesim-experiments -- \
     abl-sched --scale 0.02 --threads 4,8 \
