@@ -139,7 +139,7 @@ impl std::error::Error for SimError {
 
 impl From<crate::snapshot::SnapshotError> for SimError {
     fn from(e: crate::snapshot::SnapshotError) -> Self {
-        SimError::Snapshot(e.0)
+        SimError::Snapshot(e.detail())
     }
 }
 

@@ -19,6 +19,10 @@
 //!   validators) and for callers that already hold a tree. Its `Display`
 //!   renders through [`JsonWriter`], and [`JsonValue::parse`] runs on
 //!   [`JsonCursor`]'s lexer, tolerating whitespace.
+//!
+//! Binary data travels as a base64 string (RFC 4648 §4: the standard
+//! alphabet, `=`-padded): [`JsonWriter::base64`] writes it and
+//! [`JsonCursor::base64`] reads back only that canonical spelling.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -212,6 +216,86 @@ fn push_escaped(out: &mut Vec<u8>, s: &str) {
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
+/// The base64 alphabet, by 6-bit value.
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// The 6-bit value of each alphabet byte; `0xff` for any other byte.
+const BASE64_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends `bytes` in base64, padded with `=` to a multiple of four.
+fn push_base64(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.reserve(bytes.len().div_ceil(3) * 4);
+    let sextet = |n: u32, shift: u32| BASE64[(n >> shift & 0x3f) as usize];
+    let mut chunks = bytes.chunks_exact(3);
+    for c in &mut chunks {
+        let n = u32::from(c[0]) << 16 | u32::from(c[1]) << 8 | u32::from(c[2]);
+        out.extend_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), sextet(n, 0)]);
+    }
+    match *chunks.remainder() {
+        [a] => {
+            let n = u32::from(a) << 16;
+            out.extend_from_slice(&[sextet(n, 18), sextet(n, 12), b'=', b'=']);
+        }
+        [a, b] => {
+            let n = u32::from(a) << 16 | u32::from(b) << 8;
+            out.extend_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), b'=']);
+        }
+        _ => {}
+    }
+}
+
+/// Decodes [`push_base64`] output. Only its spelling is accepted: the
+/// length a multiple of four, `=` only as one or two final padding
+/// bytes, and zero in the bits the padding leaves unused, so each byte
+/// string has exactly one encoding.
+fn decode_base64(text: &[u8]) -> Result<Vec<u8>, &'static str> {
+    if !text.len().is_multiple_of(4) {
+        return Err("base64 length is not a multiple of 4");
+    }
+    let pad = text
+        .iter()
+        .rev()
+        .take(2)
+        .take_while(|&&b| b == b'=')
+        .count();
+    let mut out = Vec::with_capacity(text.len() / 4 * 3 - pad);
+    let sextet = |b: u8| match BASE64_VALUE[usize::from(b)] {
+        0xff => Err("not a base64 string"),
+        v => Ok(u32::from(v)),
+    };
+    let mut quads = text.chunks_exact(4);
+    let last = if pad > 0 { quads.next_back() } else { None };
+    for q in quads {
+        let n = sextet(q[0])? << 18 | sextet(q[1])? << 12 | sextet(q[2])? << 6 | sextet(q[3])?;
+        out.extend_from_slice(&n.to_be_bytes()[1..]);
+    }
+    if let Some(q) = last {
+        let (a, b) = (sextet(q[0])?, sextet(q[1])?);
+        if pad == 2 {
+            if b & 0xf != 0 {
+                return Err("base64 padding bits are not zero");
+            }
+            out.push((a << 2 | b >> 4) as u8);
+        } else {
+            let c = sextet(q[2])?;
+            if c & 0x3 != 0 {
+                return Err("base64 padding bits are not zero");
+            }
+            let n = a << 10 | b << 4 | c >> 2;
+            out.extend_from_slice(&n.to_be_bytes()[2..]);
+        }
+    }
+    Ok(out)
+}
+
 /// A streaming JSON writer: appends straight into one buffer, placing
 /// the `,` separators itself. Its output is byte-identical to
 /// `JsonValue`'s `Display` for the same sequence of values.
@@ -308,6 +392,14 @@ impl JsonWriter {
     pub fn str(&mut self, s: &str) {
         self.sep();
         push_escaped(&mut self.out, s);
+    }
+
+    /// Writes `bytes` as a base64 string (see the module docs).
+    pub fn base64(&mut self, bytes: &[u8]) {
+        self.sep();
+        self.out.push(b'"');
+        push_base64(&mut self.out, bytes);
+        self.out.push(b'"');
     }
 
     /// Writes `text`, already valid JSON, as it is.
@@ -483,6 +575,20 @@ impl<'a> JsonCursor<'a> {
     pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
         self.sep()?;
         self.lex_str()
+    }
+
+    /// Reads a string [`JsonWriter::base64`] wrote and decodes it. Any
+    /// other spelling of the bytes, an escape included, is an error.
+    pub fn base64(&mut self) -> Result<Vec<u8>, String> {
+        self.sep()?;
+        self.expect(b'"')?;
+        let text = &self.bytes[self.pos..];
+        let Some(len) = text.iter().position(|&b| b == b'"') else {
+            return Err(self.error("unterminated string"));
+        };
+        let bytes = decode_base64(&text[..len]).map_err(|why| self.error(why))?;
+        self.pos += len + 1;
+        Ok(bytes)
     }
 
     fn lex_u64(&mut self) -> Result<u64, String> {
@@ -785,5 +891,76 @@ mod tests {
             Some(true)
         );
         assert!(doc.get("missing").is_none());
+    }
+
+    /// `bytes` written by [`JsonWriter::base64`], as a whole document.
+    fn base64_doc(bytes: &[u8]) -> String {
+        let mut w = JsonWriter::default();
+        w.base64(bytes);
+        w.finish()
+    }
+
+    fn read_base64(doc: &str) -> Result<Vec<u8>, String> {
+        let mut p = JsonCursor::new(doc);
+        let bytes = p.base64()?;
+        p.finish()?;
+        Ok(bytes)
+    }
+
+    #[test]
+    fn base64_matches_the_rfc_4648_vectors() {
+        // RFC 4648 §10.
+        for (plain, encoded) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            let doc = format!("\"{encoded}\"");
+            assert_eq!(base64_doc(plain.as_bytes()), doc);
+            assert_eq!(read_base64(&doc).unwrap(), plain.as_bytes(), "{encoded}");
+        }
+    }
+
+    #[test]
+    fn base64_round_trips_every_byte_at_every_remainder() {
+        let bytes: Vec<u8> = (0..=255u8).chain((0..=255u8).rev()).collect();
+        for len in 0..bytes.len() {
+            let doc = base64_doc(&bytes[..len]);
+            assert_eq!(doc.len(), 2 + len.div_ceil(3) * 4);
+            assert_eq!(read_base64(&doc).unwrap(), &bytes[..len]);
+        }
+    }
+
+    #[test]
+    fn base64_rejects_foreign_bytes_and_bad_padding() {
+        for doc in [
+            // Outside the standard alphabet: URL-safe, space, escapes.
+            "\"Zm9-\"",
+            "\"Zm9_\"",
+            "\"Zm9 \"",
+            "\"Zm\\/v\"",
+            "\"Zm9\\u0076\"",
+            "\"Zm9vé===\"",
+            // Padding missing, short, long, misplaced or mid-string.
+            "\"Zg\"",
+            "\"Zg=\"",
+            "\"Z===\"",
+            "\"====\"",
+            "\"Zg==Zm8=\"",
+            "\"=Zg=\"",
+            "\"Zm=v\"",
+            // Nonzero bits under the padding: other spellings of "f", "fo".
+            "\"Zh==\"",
+            "\"Zm9=\"",
+            // Not a string, or not a whole one.
+            "Zm9v",
+            "\"Zm9v",
+        ] {
+            assert!(read_base64(doc).is_err(), "accepted {doc}");
+        }
     }
 }

@@ -58,5 +58,5 @@ pub use scalesim_sync::LockAlg;
 pub use scalesim_trace::TraceConfig;
 pub use snapshot::{
     read_report, report_from_json, report_from_str, report_to_json, write_report, ReproSpec,
-    SnapshotError,
+    SnapshotError, SNAPSHOT_VERSION,
 };

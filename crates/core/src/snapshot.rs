@@ -16,6 +16,15 @@
 //! the pair for a whole document, and [`report_from_json`] adapts it for
 //! callers that hold a parsed tree.
 //!
+//! Every report document opens with its schema version,
+//! [`SNAPSHOT_VERSION`]. Version 2 stores a timeline as the bytes a
+//! closed timeline already holds (`trace/src/packed.rs`, about 7 bytes
+//! per event), base64 in a `packed` string, where version 1 wrote one
+//! JSON array per event (about 31 bytes). The reader takes the current
+//! version only; an older one is [`SnapshotError::OlderVersion`], so a
+//! checkpoint store written by an earlier build says why it no longer
+//! resumes.
+//!
 //! [`ReproSpec`] is the companion for failure shrinking: a self-contained
 //! description of one failing run (app, workload size, config knobs,
 //! chaos plan, budget) that `scalesim repro <file>` can re-execute
@@ -31,7 +40,7 @@ use scalesim_objtrace::{ObjectTracer, Retention, TraceEvent, TracerSnapshot};
 use scalesim_sched::StateTimes;
 use scalesim_simkit::{AbortReason, ChaosConfig, RunBudget, SimDuration, SimTime};
 use scalesim_sync::{LockAlg, LockReport, MonitorStats};
-use scalesim_trace::{CounterId, Counters, EventKind, Timeline, TimelineEvent, TraceConfig};
+use scalesim_trace::{CounterId, Counters, Timeline, TraceConfig};
 use scalesim_workloads::{
     app_by_name, AppModel, ArrivalProcess, Backoff, ClientPolicy, LockProfile, RequestClass,
     ServerPolicy, ServerSpec, SyntheticApp,
@@ -42,26 +51,51 @@ use crate::error::SimError;
 use crate::json::{JsonCursor, JsonValue, JsonWriter};
 use crate::report::{RunOutcome, RunReport, ServerStats, ThreadReport};
 
-/// A snapshot (de)serialization failure: a missing key, a wrong shape,
-/// or an unknown enum tag.
+/// The run-report schema [`write_report`] writes and [`read_report`]
+/// reads: the `v` that opens every report document. Version 2 stores a
+/// timeline as its packed bytes; version 1 stored one JSON array per
+/// event.
+pub const SNAPSHOT_VERSION: u64 = 2;
+
+/// A snapshot (de)serialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError(pub String);
+pub enum SnapshotError {
+    /// A report document in an earlier schema than
+    /// [`SNAPSHOT_VERSION`], written by an earlier build. It was valid
+    /// when written; this build reads only the current schema.
+    OlderVersion(u64),
+    /// Anything else: a missing key, a wrong shape, an unknown enum tag,
+    /// a malformed timeline section, or an unknown future version.
+    Malformed(String),
+}
+
+impl SnapshotError {
+    /// The failure without the `snapshot:` prefix `Display` adds.
+    pub(crate) fn detail(&self) -> String {
+        match self {
+            SnapshotError::OlderVersion(v) => {
+                format!("older snapshot version {v} (this build reads version {SNAPSHOT_VERSION})")
+            }
+            SnapshotError::Malformed(message) => message.clone(),
+        }
+    }
+}
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot: {}", self.0)
+        write!(f, "snapshot: {}", self.detail())
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
 fn err(message: impl Into<String>) -> SnapshotError {
-    SnapshotError(message.into())
+    SnapshotError::Malformed(message.into())
 }
 
 impl From<String> for SnapshotError {
     fn from(message: String) -> Self {
-        SnapshotError(message)
+        SnapshotError::Malformed(message)
     }
 }
 
@@ -77,7 +111,7 @@ impl From<String> for SnapshotError {
 type Read<T> = Result<T, SnapshotError>;
 
 fn bad(p: &JsonCursor<'_>, message: &str) -> SnapshotError {
-    SnapshotError(p.error(message))
+    SnapshotError::Malformed(p.error(message))
 }
 
 fn put_u64(w: &mut JsonWriter, key: &str, n: u64) {
@@ -345,11 +379,11 @@ fn retention_name(retention: Retention) -> &'static str {
     }
 }
 
-fn retention_from_name(name: &str) -> Result<Retention, SnapshotError> {
+fn retention_from_name(name: &str) -> Result<Retention, String> {
     match name {
         "hist" => Ok(Retention::HistogramOnly),
         "full" => Ok(Retention::Full),
-        other => Err(err(format!("unknown retention `{other}`"))),
+        other => Err(format!("unknown retention `{other}`")),
     }
 }
 
@@ -461,7 +495,7 @@ fn read_tracer(p: &mut JsonCursor<'_>) -> Read<ObjectTracer> {
         retention: {
             p.key("retention")?;
             let name = p.str()?;
-            retention_from_name(&name).map_err(|e| bad(p, &e.0))?
+            retention_from_name(&name).map_err(|e| bad(p, &e))?
         },
         hist: {
             p.key("hist")?;
@@ -531,43 +565,19 @@ fn read_thread_report(p: &mut JsonCursor<'_>) -> Read<ThreadReport> {
 }
 
 fn write_timeline(w: &mut JsonWriter, timeline: &Timeline) {
-    // Raw ring order + head, so the rebuilt recorder's internal state
+    // Ring order + head, so the rebuilt recorder's internal state
     // (and therefore its Debug rendering) matches the original exactly.
-    let (enabled, capacity, events, head, dropped) = timeline.raw_parts();
+    // The events are the closed timeline's own packed buffer, as is.
+    let (enabled, capacity, head, dropped, packed) = timeline.packed_parts();
     w.begin_obj();
     w.key("enabled");
     w.bool(enabled);
     put_u64(w, "capacity", capacity as u64);
     put_u64(w, "head", head as u64);
     put_u64(w, "dropped", dropped);
-    w.key("events");
-    w.begin_arr();
-    for e in events {
-        w.begin_arr();
-        w.str(e.kind.name());
-        w.u64(u64::from(e.track));
-        w.u64(e.at.as_nanos());
-        w.u64(e.dur.as_nanos());
-        w.u64(e.arg);
-        w.end_arr();
-    }
-    w.end_arr();
+    w.key("packed");
+    w.base64(&packed);
     w.end_obj();
-}
-
-fn read_timeline_event(p: &mut JsonCursor<'_>) -> Read<TimelineEvent> {
-    p.begin_arr()?;
-    let name = p.str()?;
-    let event = TimelineEvent {
-        kind: EventKind::from_name(&name)
-            .ok_or_else(|| bad(p, &format!("unknown timeline kind `{name}`")))?,
-        track: u32::try_from(p.u64()?).map_err(|_| bad(p, "timeline track exceeds u32"))?,
-        at: SimTime::from_nanos(p.u64()?),
-        dur: read_dur(p)?,
-        arg: p.u64()?,
-    };
-    p.end_arr()?;
-    Ok(event)
 }
 
 fn read_timeline(p: &mut JsonCursor<'_>) -> Read<Timeline> {
@@ -579,24 +589,10 @@ fn read_timeline(p: &mut JsonCursor<'_>) -> Read<Timeline> {
     p.key("head")?;
     let head = read_usize(p, "head")?;
     let dropped = take_u64(p, "dropped")?;
-    p.key("events")?;
-    // Each event is packed as it is parsed: no unpacked list is built.
-    p.begin_arr()?;
-    let mut failed = None;
-    let events = std::iter::from_fn(|| {
-        if p.at_arr_end() {
-            return None;
-        }
-        read_timeline_event(p).map_err(|e| failed = Some(e)).ok()
-    });
-    let timeline = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    p.end_arr()?;
-    if head > timeline.len() {
-        return Err(bad(p, "timeline head is past its events"));
-    }
+    p.key("packed")?;
+    let packed = p.base64()?;
+    let timeline = Timeline::from_packed_parts(enabled, capacity, head, dropped, packed)
+        .map_err(|e| bad(p, &format!("timeline: {e}")))?;
     p.end_obj()?;
     Ok(timeline)
 }
@@ -686,7 +682,7 @@ fn read_outcome(p: &mut JsonCursor<'_>) -> Read<RunOutcome> {
 /// its fingerprint verifies a checkpointed record.
 pub fn write_report(w: &mut JsonWriter, report: &RunReport) {
     w.begin_obj();
-    put_u64(w, "v", 1);
+    put_u64(w, "v", SNAPSHOT_VERSION);
     w.key("app");
     w.str(&report.app);
     put_u64(w, "threads", report.threads as u64);
@@ -733,13 +729,19 @@ pub fn write_report(w: &mut JsonWriter, report: &RunReport) {
 ///
 /// # Errors
 ///
-/// A [`SnapshotError`] naming the byte offset of the first deviation:
-/// an unknown schema version, a missing, extra or reordered key, a
-/// tuple of the wrong arity, an unknown tag, or an out-of-range number.
+/// [`SnapshotError::OlderVersion`] for a document in an earlier
+/// schema; otherwise a [`SnapshotError::Malformed`] naming the byte
+/// offset of the first deviation: a future schema version, a missing,
+/// extra or reordered key, a tuple of the wrong arity, an unknown tag,
+/// an out-of-range number, or a timeline section that is not canonical
+/// base64 of a well-formed packed buffer.
 pub fn read_report(p: &mut JsonCursor<'_>) -> Result<RunReport, SnapshotError> {
     p.begin_obj()?;
     let version = take_u64(p, "v")?;
-    if version != 1 {
+    if version < SNAPSHOT_VERSION {
+        return Err(SnapshotError::OlderVersion(version));
+    }
+    if version != SNAPSHOT_VERSION {
         return Err(bad(p, &format!("unsupported snapshot version {version}")));
     }
     let report = RunReport {
@@ -1396,7 +1398,12 @@ mod tests {
         let rejects = |doc: String, why: &str| {
             assert!(report_from_str(&doc).is_err(), "accepted: {why}");
         };
-        rejects(edit(&good, "{\"v\":1,", "{\"v\":9,"), "unknown version");
+        rejects(edit(&good, "{\"v\":2,", "{\"v\":9,"), "unknown version");
+        // A schema-1 document is named as one, not as malformed.
+        assert_eq!(
+            report_from_str(&edit(&good, "{\"v\":2,", "{\"v\":1,")).err(),
+            Some(SnapshotError::OlderVersion(1))
+        );
         let counters = good.find(",\"counters\":[").expect("counters key");
         let counters_end = counters + good[counters..].find(']').expect("counters end");
         rejects(
@@ -1404,21 +1411,43 @@ mod tests {
             "missing field",
         );
         rejects(format!("{good} "), "trailing data");
-        rejects(edit(&good, "{\"v\":1,", "{\"v\":1.0,"), "float version");
-        let timeline = good.find("\"timeline\":").expect("timeline key");
-        let (head, tail) = good.split_at(timeline);
-        let first_event = tail.find("\"events\":[[\"").expect("a timeline event") + 12;
-        let kind_end = first_event + tail[first_event..].find('"').expect("kind end");
-        rejects(
-            format!("{head}{}bogus{}", &tail[..first_event], &tail[kind_end..]),
-            "unknown timeline kind",
-        );
-        let track = kind_end + 2;
-        let track_end = track + tail[track..].find(',').expect("track end");
-        rejects(
-            format!("{head}{}4294967296{}", &tail[..track], &tail[track_end..]),
-            "track above u32::MAX",
-        );
+        rejects(edit(&good, "{\"v\":2,", "{\"v\":2.0,"), "float version");
+        // The timeline section's packed bytes, edited and re-encoded.
+        let packed_at = good.find("\"packed\":\"").expect("a packed timeline") + 9;
+        let packed_end = packed_at + 1 + good[packed_at + 1..].find('"').expect("packed end") + 1;
+        let packed = JsonCursor::new(&good[packed_at..packed_end])
+            .base64()
+            .unwrap();
+        let with_packed = |bytes: &[u8]| {
+            let mut w = JsonWriter::default();
+            w.base64(bytes);
+            format!(
+                "{}{}{}",
+                &good[..packed_at],
+                w.finish(),
+                &good[packed_end..]
+            )
+        };
+        assert_eq!(with_packed(&packed), good);
+        let rejects_timeline = |bytes: &[u8], why: &str| {
+            let e = report_from_str(&with_packed(bytes)).expect_err(why);
+            assert!(e.to_string().contains(why), "{why}: {e}");
+        };
+        // The first event's kind byte follows the count's varint.
+        let kind = packed.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+        let mut bogus = packed.clone();
+        bogus[kind] = 0xff;
+        rejects_timeline(&bogus, "unknown timeline kind");
+        let track_len = packed[kind + 1..]
+            .iter()
+            .position(|b| b & 0x80 == 0)
+            .unwrap()
+            + 1;
+        let mut wide = packed[..=kind].to_vec();
+        wide.extend([0x80, 0x80, 0x80, 0x80, 0x10]); // 2^32
+        wide.extend(&packed[kind + 1 + track_len..]);
+        rejects_timeline(&wide, "track exceeds u32");
+        rejects(edit(&good, "\"packed\":\"", "\"packed\":\"!"), "not base64");
         let threads = good.find("\"per_thread\":[[").expect("per_thread tuples") + 15;
         let first_item = threads + good[threads..].find(',').expect("tuple item");
         rejects(

@@ -27,7 +27,12 @@
 //! ([`write_report`](scalesim_core::write_report)) straight into the
 //! line, and read back by one strict cursor pass
 //! ([`read_report`](scalesim_core::read_report)) that accepts only the
-//! canonical text the writer emits. The stored
+//! canonical text the writer emits. The report's own `v`
+//! ([`SNAPSHOT_VERSION`](scalesim_core::SNAPSHOT_VERSION), 2 since
+//! timelines are stored as their packed bytes in base64) is the store's
+//! version header: an intact record an earlier build wrote in an older
+//! snapshot version is skipped, counted in [`ResumeStats::older`], and
+//! its point re-runs. The stored
 //! fingerprint is always the *true* report fingerprint — the structural
 //! hash the sweep memo uses, taken once by the worker that ran the
 //! point — and resume recomputes it from the deserialized report and
@@ -65,7 +70,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use scalesim_core::{read_report, write_report, JsonCursor, JsonWriter, RunReport};
+use scalesim_core::{read_report, write_report, JsonCursor, JsonWriter, RunReport, SnapshotError};
 use scalesim_trace::{sync_dir, write_atomic_with};
 
 use crate::sweep;
@@ -80,8 +85,12 @@ pub struct ResumeStats {
     pub loaded: usize,
     /// Records dropped: a line that is not UTF-8, a crc mismatch,
     /// unparsable JSON, a fingerprint that no longer matches the
-    /// deserialized report, or a report that may not be checkpointed.
+    /// deserialized report, a report that may not be checkpointed, or a
+    /// record in an older snapshot version.
     pub skipped: usize,
+    /// Of `skipped`, the records an earlier build wrote in an older
+    /// snapshot version: intact, but not readable by this build.
+    pub older: usize,
     /// Sealed segments read (the tail is not counted).
     pub segments: usize,
 }
@@ -189,15 +198,20 @@ pub(crate) struct Record {
     pub(crate) report: RunReport,
 }
 
-/// Decodes one store line. `None` means the line is torn, corrupt, or
-/// from a future format — the caller skips it and re-runs the point.
-pub(crate) fn decode_record(line: &str) -> Option<Record> {
-    let (crc_hex, body) = line.split_once(' ')?;
-    let stored_crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc_hex.len() != 8 || crc32(body.as_bytes()) != stored_crc {
-        return None;
-    }
-    let mut p = JsonCursor::new(body);
+/// Why a store line is not replayed. Either way the caller skips it and
+/// the point re-runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reject {
+    /// Torn, bit-flipped, not UTF-8, or not a record any build wrote
+    /// (a future format included).
+    Corrupt,
+    /// An intact record from an earlier build, whose report is in an
+    /// older snapshot version than this build reads.
+    OlderVersion,
+}
+
+/// The record fields before its report: `(key, fp, retries)`.
+fn read_record_head(p: &mut JsonCursor<'_>) -> Option<(u64, u64, u32)> {
     p.begin_obj().ok()?;
     p.key("v").ok()?;
     if p.u64().ok()? != 1 {
@@ -212,10 +226,26 @@ pub(crate) fn decode_record(line: &str) -> Option<Record> {
     p.key("retries").ok()?;
     let retries = u32::try_from(p.u64().ok()?).ok()?;
     p.key("report").ok()?;
-    let report = read_report(&mut p).ok()?;
-    p.end_obj().ok()?;
-    p.finish().ok()?;
-    Some(Record {
+    Some((key, fp, retries))
+}
+
+/// Decodes one store line, or says why it cannot be replayed.
+pub(crate) fn decode_record(line: &str) -> Result<Record, Reject> {
+    let (crc_hex, body) = line.split_once(' ').ok_or(Reject::Corrupt)?;
+    let stored_crc = u32::from_str_radix(crc_hex, 16).map_err(|_| Reject::Corrupt)?;
+    if crc_hex.len() != 8 || crc32(body.as_bytes()) != stored_crc {
+        return Err(Reject::Corrupt);
+    }
+    let mut p = JsonCursor::new(body);
+    let (key, fp, retries) = read_record_head(&mut p).ok_or(Reject::Corrupt)?;
+    let report = read_report(&mut p).map_err(|e| match e {
+        SnapshotError::OlderVersion(_) => Reject::OlderVersion,
+        SnapshotError::Malformed(_) => Reject::Corrupt,
+    })?;
+    p.end_obj()
+        .and_then(|()| p.finish())
+        .map_err(|_| Reject::Corrupt)?;
+    Ok(Record {
         key,
         fp,
         retries,
@@ -242,22 +272,25 @@ impl LineReader {
         })
     }
 
-    /// The next line and its index, split as [`str::lines`] splits: at
-    /// `\n`, with a `\r` before it dropped too, and no empty line after
-    /// a final `\n`. The bytes are not checked for UTF-8 here.
-    fn next_line(&mut self) -> Option<(usize, Vec<u8>)> {
+    /// Reads the next line into `line`, replacing its contents but
+    /// keeping its capacity, so a caller that reuses one buffer stops
+    /// allocating once it has held the longest line. Returns the line's
+    /// index. Lines split as [`str::lines`] splits them: at `\n`, with a
+    /// `\r` before it dropped too, and no empty line after a final `\n`.
+    /// The bytes are not checked for UTF-8 here.
+    fn next_line(&mut self, line: &mut Vec<u8>) -> Option<usize> {
         if self.error.is_some() {
             return None;
         }
-        let mut line = Vec::new();
-        match self.reader.read_until(b'\n', &mut line) {
+        line.clear();
+        match self.reader.read_until(b'\n', line) {
             Ok(0) => None,
             Ok(_) => {
                 if line.pop_if(|b| *b == b'\n').is_some() {
                     line.pop_if(|b| *b == b'\r');
                 }
                 self.lines += 1;
-                Some((self.lines - 1, line))
+                Some(self.lines - 1)
             }
             Err(e) => {
                 self.error = Some(e);
@@ -272,10 +305,10 @@ impl LineReader {
     }
 }
 
-/// What one store line decoded to: `None` for a line that is not UTF-8
-/// or that [`decode_record`] rejects, otherwise the record and whether
-/// its stored fingerprint matches the decoded report.
-type Decoded = Option<(Record, bool)>;
+/// What one store line decoded to: the record and whether its stored
+/// fingerprint matches the decoded report, or why [`decode_record`]
+/// rejects it (a line that is not UTF-8 is corrupt).
+type Decoded = Result<(Record, bool), Reject>;
 
 /// Streams the store file at `path` through up to
 /// [`worker_budget`](sweep::worker_budget) scoped decode workers. Each
@@ -294,20 +327,20 @@ fn decode_file(path: &Path) -> std::io::Result<Vec<Decoded>> {
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
+                    let mut line = Vec::new();
                     loop {
                         let next = reader
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
-                            .next_line();
-                        let Some((i, line)) = next else { break };
-                        let decoded =
-                            std::str::from_utf8(&line)
-                                .ok()
-                                .and_then(decode_record)
-                                .map(|record| {
-                                    let verified = sweep::fingerprint(&record.report) == record.fp;
-                                    (record, verified)
-                                });
+                            .next_line(&mut line);
+                        let Some(i) = next else { break };
+                        let decoded = std::str::from_utf8(&line)
+                            .map_err(|_| Reject::Corrupt)
+                            .and_then(decode_record)
+                            .map(|record| {
+                                let verified = sweep::fingerprint(&record.report) == record.fp;
+                                (record, verified)
+                            });
                         done.push((i, decoded));
                     }
                     done
@@ -324,7 +357,7 @@ fn decode_file(path: &Path) -> std::io::Result<Vec<Decoded>> {
         .unwrap_or_else(PoisonError::into_inner)
         .finish()?;
     let mut out: Vec<Decoded> = Vec::new();
-    out.resize_with(lines, || None);
+    out.resize_with(lines, || Err(Reject::Corrupt));
     for (i, decoded) in done.into_iter().flatten() {
         out[i] = decoded;
     }
@@ -333,22 +366,28 @@ fn decode_file(path: &Path) -> std::io::Result<Vec<Decoded>> {
 
 /// Decodes one segment file (a sealed store segment or a campaign
 /// worker's segment) into `latest`, where the last record per key wins,
-/// and returns the number of lines rejected. An unreadable file adds
-/// nothing.
-fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> usize {
+/// and returns why each rejected line was rejected, in line order. An
+/// unreadable file adds nothing.
+fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> Vec<Reject> {
     let Ok(decoded) = decode_file(path) else {
-        return 0;
+        return Vec::new();
     };
-    let mut rejected = 0;
+    insert_latest(decoded, latest)
+}
+
+/// Inserts each decoded record into `latest` in order, so the last one
+/// per key wins, and returns the rejects in order.
+fn insert_latest(decoded: Vec<Decoded>, latest: &mut HashMap<u64, (Record, bool)>) -> Vec<Reject> {
+    let mut rejects = Vec::new();
     for decoded in decoded {
         match decoded {
-            Some((record, verified)) => {
+            Ok((record, verified)) => {
                 latest.insert(record.key, (record, verified));
             }
-            None => rejected += 1,
+            Err(why) => rejects.push(why),
         }
     }
-    rejected
+    rejects
 }
 
 // ---------------------------------------------------------------------
@@ -492,27 +531,26 @@ pub(crate) fn replay_dir(dir: &Path) -> std::io::Result<(ResumeStats, usize, u64
     let mut stats = ResumeStats::default();
     // Last record wins per key; only the survivor's verification counts.
     let mut latest: HashMap<u64, (Record, bool)> = HashMap::new();
+    let mut rejects = Vec::new();
     let (segs, next_seg) = segments_of(dir);
     stats.segments = segs.len();
     for seg in &segs {
-        stats.skipped += load_segment(seg, &mut latest);
+        rejects.extend(load_segment(seg, &mut latest));
     }
     let tail = dir.join("tail.jsonl");
     let mut tail_records = 0;
     if let Ok(decoded) = decode_file(&tail) {
-        let keep: Vec<bool> = decoded.iter().map(Option::is_some).collect();
-        for (record, verified) in decoded.into_iter().flatten() {
-            latest.insert(record.key, (record, verified));
-        }
+        let keep: Vec<bool> = decoded.iter().map(Result::is_ok).collect();
+        rejects.extend(insert_latest(decoded, &mut latest));
         tail_records = keep.iter().filter(|&&k| k).count();
-        stats.skipped += keep.len() - tail_records;
         if tail_records < keep.len() {
             // Stream the tail a second time, copying only the lines that
             // decoded, so the rewrite holds no more than the reader does.
             // A read failure aborts the rewrite and leaves the tail as is.
             let mut lines = LineReader::open(&tail)?;
             write_atomic_with(&tail, move |w| {
-                while let Some((i, line)) = lines.next_line() {
+                let mut line = Vec::new();
+                while let Some(i) = lines.next_line(&mut line) {
                     if keep.get(i) == Some(&true) {
                         w.write_all(&line)?;
                         w.write_all(b"\n")?;
@@ -535,7 +573,11 @@ pub(crate) fn replay_dir(dir: &Path) -> std::io::Result<(ResumeStats, usize, u64
             stats.loaded += 1;
         }
     }
-    stats.skipped += survivors - stats.loaded;
+    stats.older = rejects
+        .iter()
+        .filter(|&&why| why == Reject::OlderVersion)
+        .count();
+    stats.skipped = rejects.len() + survivors - stats.loaded;
     Ok((stats, tail_records, next_seg))
 }
 
@@ -617,10 +659,13 @@ mod tests {
         assert_eq!(sweep::fingerprint(&decoded.report), fp);
         // A flipped byte in the body fails the crc.
         let corrupt = line.replace("\"v\":1", "\"v\":2");
-        assert!(decode_record(&corrupt).is_none());
+        assert_eq!(decode_record(&corrupt).err(), Some(Reject::Corrupt));
         // A torn prefix fails too.
-        assert!(decode_record(&line[..line.len() / 2]).is_none());
-        assert!(decode_record("").is_none());
+        assert_eq!(
+            decode_record(&line[..line.len() / 2]).err(),
+            Some(Reject::Corrupt)
+        );
+        assert_eq!(decode_record("").err(), Some(Reject::Corrupt));
     }
 
     #[test]
@@ -674,7 +719,7 @@ mod tests {
         let tail: Vec<String> = std::fs::read_to_string(dir.join("tail.jsonl"))
             .unwrap()
             .lines()
-            .filter(|l| decode_record(l).is_some_and(|r| K.contains(&r.key)))
+            .filter(|l| decode_record(l).is_ok_and(|r| K.contains(&r.key)))
             .map(str::to_owned)
             .collect();
         let _ = std::fs::remove_dir_all(&dir);
@@ -684,6 +729,7 @@ mod tests {
             ResumeStats {
                 loaded: 3,
                 skipped: 2,
+                older: 0,
                 segments: 2,
             }
         );
@@ -702,8 +748,9 @@ mod tests {
 
     #[test]
     fn record_bytes_are_pinned() {
-        // A change here means stores written by earlier builds no longer
-        // resume: every record they hold fails its crc or its decode.
+        // A change here changes the store format, so records written by
+        // earlier builds no longer resume. Bump the snapshot version
+        // with it: those records are then skipped as older ones.
         const K: u64 = 0x5ca1_e5ee_d000_0010;
         let traced = sweep::traced_fixture(0.002);
         let quarantined = RunReport::quarantined(
@@ -713,8 +760,8 @@ mod tests {
             "panic: \"quoted\" back\\slash\nline two".to_owned(),
         );
         for (report, len, crc) in [
-            (&traced, 98_995, 0x7c03_f14d),
-            (&quarantined, 879, 0x2fc5_73dd),
+            (&traced, 94_037, 0xa08f_6f48),
+            (&quarantined, 879, 0xb53a_bc19),
         ] {
             let fp = sweep::fingerprint(report);
             let line = encode_record(K, report, fp, 1);
@@ -723,6 +770,38 @@ mod tests {
             assert_eq!(decoded.key, K);
             assert_eq!(sweep::fingerprint(&decoded.report), fp);
         }
+    }
+
+    /// A store holding one record from the build before snapshot
+    /// version 2: the quarantined record `record_bytes_are_pinned` pinned
+    /// then (879 bytes, crc 0x2fc573dd), with each timeline event an
+    /// array of its own.
+    const V1_RECORD: &str = include_str!("../fixtures/record-snapshot-v1.jsonl");
+
+    #[test]
+    fn a_record_in_an_older_snapshot_version_is_skipped_as_older() {
+        let line = V1_RECORD.trim_end();
+        assert_eq!((line.len(), crc32(line.as_bytes())), (879, 0x2fc5_73dd));
+        // Intact framing, an older report schema: named, not corrupt.
+        assert_eq!(decode_record(line).err(), Some(Reject::OlderVersion));
+        let key = 0x5ca1_e5ee_d000_0010;
+        let dir = fresh_dir("v1");
+        std::fs::write(dir.join("tail.jsonl"), V1_RECORD).unwrap();
+        let (stats, tail, cached, _) = resume_and_collect(&dir, &[key]);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded: 0,
+                skipped: 1,
+                older: 1,
+                segments: 0,
+            }
+        );
+        assert_eq!(cached, [None]);
+        // Like a corrupt line, it is scrubbed from the tail.
+        assert!(!tail.starts_with(line.as_bytes()));
     }
 
     /// A small, distinct report per index: quarantined stubs carry no
@@ -800,11 +879,11 @@ mod tests {
         let mut skipped = 0;
         for line in text.lines() {
             match decode_record(line) {
-                Some(record) => {
+                Ok(record) => {
                     kept.push(line);
                     latest.insert(record.key, record);
                 }
-                None => skipped += 1,
+                Err(_) => skipped += 1,
             }
         }
         let verified = |r: &Record| sweep::fingerprint(&r.report) == r.fp;
@@ -834,6 +913,7 @@ mod tests {
             ResumeStats {
                 loaded,
                 skipped,
+                older: 0,
                 segments: 0,
             }
         );
@@ -868,6 +948,7 @@ mod tests {
             ResumeStats {
                 loaded: 2,
                 skipped: 1,
+                older: 0,
                 segments: 0,
             }
         );
@@ -905,6 +986,7 @@ mod tests {
             ResumeStats {
                 loaded: 1,
                 skipped: 1,
+                older: 0,
                 segments: 0,
             }
         );
@@ -932,7 +1014,7 @@ mod tests {
         let rejected = load_segment(&path, &mut latest);
         let _ = std::fs::remove_dir_all(&dir);
 
-        assert_eq!(rejected, 1);
+        assert_eq!(rejected, [Reject::Corrupt]);
         let mut loaded: Vec<(u64, bool)> = latest.iter().map(|(&k, (_, v))| (k, *v)).collect();
         loaded.sort_unstable();
         assert_eq!(loaded, [(keys[0], true), (keys[2], true)]);

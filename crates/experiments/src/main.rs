@@ -522,8 +522,13 @@ fn open_checkpoint(cli: &Cli) -> Result<(), CliError> {
     };
     let activated = if resume {
         checkpoint::resume_from(dir).map(|stats| {
+            let older = if stats.older > 0 {
+                format!(", {} from an older snapshot version", stats.older)
+            } else {
+                String::new()
+            };
             println!(
-                "resumed {} run(s) from {} ({} segment(s), {} record(s) skipped)",
+                "resumed {} run(s) from {} ({} segment(s), {} record(s) skipped{older})",
                 stats.loaded,
                 dir.display(),
                 stats.segments,

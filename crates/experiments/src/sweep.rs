@@ -668,7 +668,7 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         }
     }
 
-    let mut quarantined: HashSet<u64> = HashSet::new();
+    let mut fps: HashMap<u64, u64> = HashMap::new();
     let mut retries_by_key: HashMap<u64, u32> = HashMap::new();
     for (&k, &r) in &restored {
         if r > 0 {
@@ -718,7 +718,6 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         drop(tx);
 
         // All workers have exited; drain the (buffered) channel.
-        let mut fps: HashMap<u64, u64> = HashMap::new();
         for (i, outcome, fp, retries) in rx {
             let k = keys[i];
             if retries > 0 {
@@ -738,7 +737,6 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                         detail: why.clone(),
                         run_spec: Some(specs[i].clone()),
                     });
-                    quarantined.insert(k);
                     let spec = &specs[i];
                     resolved.insert(
                         k,
@@ -752,30 +750,47 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                 }
             }
         }
+    }
 
-        if use_memo {
-            // Quarantined stubs are never memoized: a later sweep gets a
-            // fresh chance at the point. Truncated runs are deterministic
-            // (the budget is part of the key) and cache normally.
-            let mut chaos = ChaosPlan::new(specs[0].config.chaos, specs[0].config.seed);
-            let mut cached = cache().lock().unwrap_or_else(PoisonError::into_inner);
-            for &i in &pending {
-                let k = keys[i];
-                if quarantined.contains(&k) {
-                    continue;
-                }
-                if let (Some(r), Some(mut fp)) = (resolved.get(&k), fps.get(&k).copied()) {
-                    if chaos.fires(FaultClass::MemoCorrupt) {
-                        // Deliberate cache corruption: store a fingerprint
-                        // that cannot match, so the next lookup must detect
-                        // the entry, evict it, and re-simulate.
-                        fp ^= 0x05ca_1ab1_e0dd_ba11;
-                    }
+    if use_memo {
+        // Memoize every run simulated here. Quarantined stubs are never
+        // memoized (they have no fingerprint): a later sweep gets a fresh
+        // chance at the point. Truncated runs are deterministic (the
+        // budget is part of the key) and cache normally.
+        //
+        // Memo corruption is drawn once per first-occurrence key that
+        // stands for a miss: a run simulated here, or an entry restored
+        // from a store, which stands in for the simulation an
+        // uninterrupted sweep ran at this point. So a resumed sweep or a
+        // campaign corrupts the entries a single run does.
+        let mut chaos = ChaosPlan::new(specs[0].config.chaos, specs[0].config.seed);
+        let mut cached = cache().lock().unwrap_or_else(PoisonError::into_inner);
+        let mut drawn: HashSet<u64> = HashSet::new();
+        for &k in &keys {
+            let fresh = fps.get(&k).copied();
+            if (fresh.is_none() && !restored.contains_key(&k)) || !drawn.insert(k) {
+                continue;
+            }
+            // Deliberate cache corruption: a fingerprint that cannot
+            // match, so the next lookup must detect the entry, evict it,
+            // and re-simulate.
+            let corrupt = if chaos.fires(FaultClass::MemoCorrupt) {
+                0x05ca_1ab1_e0dd_ba11
+            } else {
+                0
+            };
+            match fresh {
+                Some(fp) => {
                     cached.entry(k).or_insert_with(|| CacheEntry {
-                        report: Arc::clone(r),
-                        fp,
+                        report: Arc::clone(&resolved[&k]),
+                        fp: fp ^ corrupt,
                         restored: None,
                     });
+                }
+                None => {
+                    if let Some(entry) = cached.get_mut(&k) {
+                        entry.fp ^= corrupt;
+                    }
                 }
             }
         }
@@ -941,23 +956,30 @@ mod tests {
         use scalesim_gc::GcLog;
         use scalesim_metrics::LogHistogram;
         use scalesim_objtrace::{ObjectTracer, TraceEvent};
-        use scalesim_trace::{Timeline, TimelineEvent};
+        use scalesim_trace::Timeline;
 
         let base = traced_fixture(0.02);
         let fp = fingerprint(&base);
         assert_eq!(fingerprint(&base.clone()), fp);
-        type Ring = (Vec<TimelineEvent>, usize, u64);
+        /// The packed events, head and dropped count.
+        type Ring = (Vec<u8>, usize, u64);
         fn retimeline(r: &mut RunReport, edit: fn(&mut Ring)) {
-            let (enabled, capacity, events, head, dropped) = r.timeline.raw_parts();
-            let mut ring = (events.collect(), head, dropped);
+            let (enabled, capacity, head, dropped, packed) = r.timeline.packed_parts();
+            let mut ring = (packed.into_owned(), head, dropped);
             edit(&mut ring);
-            let (events, head, dropped) = ring;
-            r.timeline = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
+            let (packed, head, dropped) = ring;
+            r.timeline =
+                Timeline::from_packed_parts(enabled, capacity, head, dropped, packed).unwrap();
         }
         type Edit = fn(&mut RunReport);
         let edits: [(&str, Edit); 12] = [
             ("timeline event arg", |r| {
-                retimeline(r, |ring| ring.0[0].arg += 1);
+                // The last byte ends the last event's `arg` varint; one
+                // more or one less keeps it the shortest encoding.
+                retimeline(r, |ring| {
+                    let last = ring.0.last_mut().unwrap();
+                    *last = if *last < 0x7f { *last + 1 } else { *last - 1 };
+                });
             }),
             ("timeline head", |r| retimeline(r, |ring| ring.1 += 1)),
             ("timeline dropped", |r| retimeline(r, |ring| ring.2 += 1)),

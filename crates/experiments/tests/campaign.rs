@@ -4,7 +4,8 @@
 //! artifact of the registry that runs as one sweep merges
 //! byte-identical from an in-process campaign; and after its merge a
 //! campaign finishes like a single run: `--analyze`, `--trace` and
-//! `--audit` write the single run's artifacts.
+//! `--audit` write the single run's artifacts, and under memo-corruption
+//! chaos a campaign and a resume degrade exactly as the single run does.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -287,6 +288,72 @@ fn campaign_audit_writes_the_single_runs_audit_repros() {
     for dir in [single_out, camp_dir, camp_out] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Memo-corruption chaos: one run in two has its memo entry corrupted.
+const MEMO_CHAOS: &str = "memo=2";
+
+/// A single `--analyze` run under [`MEMO_CHAOS`]: its exit code and its
+/// manifest with `host_ns` zeroed. The analytics pass re-reads the memo,
+/// so the corrupted entries are evicted, re-simulated and flagged.
+fn memo_chaos_single_run(name: &str) -> (Option<i32>, String) {
+    let out = scratch(name);
+    let status = single_cmd(&["--analyze", "--out"])
+        .arg(&out)
+        .env("SCALESIM_CHAOS", MEMO_CHAOS)
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    let manifest = zero_host_ns(&read(&out.join("manifest.jsonl")));
+    let _ = std::fs::remove_dir_all(out);
+    assert!(
+        manifest.contains("\"memo_evicted\":true"),
+        "the chaos evicted nothing"
+    );
+    (status.code(), manifest)
+}
+
+/// A campaign's restored entries stand in for the single run's misses,
+/// so memo-corruption chaos corrupts the same entries in both: the same
+/// degraded exit and the same evictions in the manifest.
+#[test]
+fn memo_corruption_chaos_degrades_a_campaign_like_a_single_run() {
+    let (code, manifest) = memo_chaos_single_run("memo-chaos-single");
+    let dir = scratch("memo-chaos-dir");
+    let out = scratch("memo-chaos-merged");
+    let status = campaign_cmd(&dir, &["--workers", "0", "--analyze", "--out"])
+        .arg(&out)
+        .env("SCALESIM_CHAOS", MEMO_CHAOS)
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), code, "campaign exit");
+    assert_eq!(read(&out.join("manifest.jsonl")), manifest);
+    for dir in [dir, out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// The same for a checkpointed run resumed from its store.
+#[test]
+fn memo_corruption_chaos_degrades_a_resume_like_a_single_run() {
+    let (code, manifest) = memo_chaos_single_run("memo-chaos-resume-single");
+    let dir = scratch("memo-chaos-resume");
+    let (store, first, resumed) = (dir.join("ckpt"), dir.join("a"), dir.join("b"));
+    for (out, extra) in [(&first, &[][..]), (&resumed, &["--resume"][..])] {
+        let status = single_cmd(&["--analyze", "--out"])
+            .arg(out)
+            .arg("--checkpoint")
+            .arg(&store)
+            .args(extra)
+            .env("SCALESIM_CHAOS", MEMO_CHAOS)
+            .stderr(Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), code, "{} exit", out.display());
+        assert_eq!(zero_host_ns(&read(&out.join("manifest.jsonl"))), manifest);
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The campaign directory is the campaign's store, so a checkpoint

@@ -12,6 +12,11 @@
 //!   scheduler, the lock table, the collector, the runtime itself) owns one
 //!   recorder; the runtime merges them into a single deterministic timeline
 //!   at the end of a run. Same `(config, seed)` ⇒ byte-identical trace.
+//!   A merged (closed) timeline packs its events into one shared buffer
+//!   of delta-coded varints, about 7 bytes per event, and that buffer is
+//!   also its on-disk form: a run-report snapshot stores it as it is
+//!   ([`Timeline::packed_parts`]) and adopts it back only after checking
+//!   it ([`Timeline::from_packed_parts`], [`PackedError`]).
 //! * [`to_chrome_json`] — a Chrome trace-event / Perfetto JSON exporter
 //!   (load the output at <https://ui.perfetto.dev>).
 //! * [`Counters`] — fixed-slot monotonic counters and gauges
@@ -43,4 +48,5 @@ pub use chrome::to_chrome_json;
 pub use config::TraceConfig;
 pub use counters::{CounterId, Counters, COUNTER_SLOTS};
 pub use event::{EventKind, Phase, Process, TimelineEvent};
+pub use packed::PackedError;
 pub use timeline::Timeline;

@@ -1,4 +1,5 @@
-//! The compact, immutable form of a closed timeline.
+//! The compact, immutable form of a closed timeline, in memory and on
+//! disk.
 //!
 //! A closed timeline never changes again, and it is held for as long as
 //! its report is (the sweep memo, a resumed grid), so it is stored
@@ -14,26 +15,34 @@
 //! * `dur` and `arg`, each a LEB128 varint.
 //!
 //! Every event has exactly one encoding, so two buffers are equal iff
-//! their event sequences are.
+//! their event sequences are. The same bytes are the timeline section of
+//! a run-report snapshot (schema v2), which stores them as they are;
+//! [`Packed::from_bytes`] adopts such bytes back only if they are exactly
+//! what the encoder could have written: shortest varints, known kinds,
+//! tracks that fit a `u32`, a count of at least one, and no byte missing
+//! or left over. An empty timeline has no buffer (and no bytes) at all.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::event::{EventKind, TimelineEvent};
 use scalesim_simkit::{SimDuration, SimTime};
 
-/// A packed, shared, non-empty event sequence.
+/// A packed, shared, non-empty event sequence. The buffer is the `Vec`
+/// it was encoded or decoded into, shared as it is: wrapping it copies
+/// no bytes.
 #[derive(Clone)]
-pub(crate) struct Packed(Arc<[u8]>);
+pub(crate) struct Packed(Arc<Vec<u8>>);
 
 impl Packed {
     /// Number of events in the buffer.
     pub(crate) fn len(&self) -> usize {
-        Reader::new(&self.0).remaining
+        Reader::new(self.bytes()).remaining
     }
 
     /// The events in stored order.
     pub(crate) fn iter(&self) -> Reader<'_> {
-        Reader::new(&self.0)
+        Reader::new(self.bytes())
     }
 
     /// The events from index `head` to the end, then from the start up
@@ -52,11 +61,83 @@ impl Packed {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
-    /// The encoded bytes, for equality of two packed sequences.
+    /// The encoded bytes: for equality of two packed sequences, and
+    /// what a snapshot stores.
     pub(crate) fn bytes(&self) -> &[u8] {
-        &self.0
+        self.0.as_slice()
+    }
+
+    /// Adopts encoded bytes after checking they are exactly an
+    /// [`Encoder`]'s output, so decoding them can neither panic nor
+    /// give two byte strings the same events.
+    ///
+    /// # Errors
+    ///
+    /// The first [`PackedError`] a front-to-back walk meets.
+    pub(crate) fn from_bytes(bytes: Vec<u8>) -> Result<Packed, PackedError> {
+        let mut pos = 0;
+        let count = checked_varint(&bytes, &mut pos)?;
+        if count == 0 {
+            return Err(PackedError::ZeroCount);
+        }
+        // Each event takes at least five bytes, so a forged count runs
+        // out of bytes long before it runs out of iterations.
+        for _ in 0..count {
+            let kind = *bytes.get(pos).ok_or(PackedError::Truncated)?;
+            if usize::from(kind) >= KINDS.len() {
+                return Err(PackedError::UnknownKind(kind));
+            }
+            pos += 1;
+            if checked_varint(&bytes, &mut pos)? > u64::from(u32::MAX) {
+                return Err(PackedError::TrackOverflow);
+            }
+            for _ in 0..3 {
+                checked_varint(&bytes, &mut pos)?;
+            }
+        }
+        if pos != bytes.len() {
+            return Err(PackedError::TrailingBytes);
+        }
+        Ok(Packed(Arc::new(bytes)))
     }
 }
+
+/// Why bytes are not a packed timeline (or, for
+/// [`HeadPastEvents`](PackedError::HeadPastEvents), not a ring).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackedError {
+    /// The bytes end inside the count or an event.
+    Truncated,
+    /// A varint that is not the shortest encoding of a `u64`: a final
+    /// zero group, or more than 64 bits.
+    BadVarint,
+    /// A kind byte past [`EventKind::ALL`].
+    UnknownKind(u8),
+    /// A track above `u32::MAX`.
+    TrackOverflow,
+    /// A count of zero: a timeline without events has no bytes at all.
+    ZeroCount,
+    /// Bytes after the last event.
+    TrailingBytes,
+    /// A ring head past the last event.
+    HeadPastEvents,
+}
+
+impl fmt::Display for PackedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PackedError::Truncated => f.write_str("packed events end early"),
+            PackedError::BadVarint => f.write_str("a varint is not in its shortest form"),
+            PackedError::UnknownKind(kind) => write!(f, "unknown timeline kind byte {kind}"),
+            PackedError::TrackOverflow => f.write_str("timeline track exceeds u32"),
+            PackedError::ZeroCount => f.write_str("a packed count of zero events"),
+            PackedError::TrailingBytes => f.write_str("bytes after the last packed event"),
+            PackedError::HeadPastEvents => f.write_str("timeline head is past its events"),
+        }
+    }
+}
+
+impl std::error::Error for PackedError {}
 
 /// Packs events one at a time, in the order they should be stored.
 #[derive(Default)]
@@ -82,13 +163,19 @@ impl Encoder {
 
     /// The packed buffer, or `None` when nothing was pushed.
     pub(crate) fn finish(self) -> Option<Packed> {
+        let bytes = self.into_bytes();
+        (!bytes.is_empty()).then(|| Packed(Arc::new(bytes)))
+    }
+
+    /// The packed bytes, empty when nothing was pushed.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         if self.len == 0 {
-            return None;
+            return Vec::new();
         }
         let mut buf = Vec::with_capacity(MAX_VARINT + self.body.len());
         put_varint(&mut buf, self.len as u64);
         buf.extend_from_slice(&self.body);
-        Some(Packed(Arc::from(buf)))
+        buf
     }
 }
 
@@ -186,6 +273,28 @@ fn varint(bytes: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
+/// [`varint`] for bytes from outside: the varint at `*pos`, which must
+/// be the shortest encoding of its value, and within `bytes`.
+fn checked_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, PackedError> {
+    let mut value = 0u64;
+    let mut shift = 0;
+    loop {
+        let byte = *bytes.get(*pos).ok_or(PackedError::Truncated)?;
+        *pos += 1;
+        // The tenth byte holds bit 63 alone, so it also ends the varint;
+        // a zero final group after the first byte is a longer spelling
+        // of a shorter varint.
+        if (shift == 63 && byte > 1) || (shift > 0 && byte == 0) {
+            return Err(PackedError::BadVarint);
+        }
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+        shift += 7;
+    }
+}
+
 fn put_varint(out: &mut Vec<u8>, mut value: u64) {
     while value >= 0x80 {
         out.push(value as u8 | 0x80);
@@ -259,5 +368,136 @@ mod tests {
     #[test]
     fn empty_input_packs_to_nothing() {
         assert!(Encoder::default().finish().is_none());
+    }
+
+    /// Two events, the second with every field at its extreme.
+    fn sample() -> Vec<u8> {
+        let mut enc = Encoder::default();
+        enc.push(TimelineEvent {
+            kind: EventKind::GcMinor,
+            track: 5,
+            at: SimTime::from_nanos(100),
+            dur: SimDuration::from_nanos(20),
+            arg: 3,
+        });
+        enc.push(TimelineEvent {
+            kind: EventKind::ALL[EventKind::ALL.len() - 1],
+            track: u32::MAX,
+            at: SimTime::from_nanos(u64::MAX),
+            dur: SimDuration::from_nanos(u64::MAX),
+            arg: u64::MAX,
+        });
+        enc.into_bytes()
+    }
+
+    fn adopt(bytes: &[u8]) -> Result<Vec<TimelineEvent>, PackedError> {
+        Packed::from_bytes(bytes.to_vec()).map(|p| p.iter().collect())
+    }
+
+    #[test]
+    fn encoder_output_is_adopted_as_is() {
+        let bytes = sample();
+        let packed = Packed::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(packed.bytes(), &bytes[..]);
+        assert_eq!(packed.len(), 2);
+        let back: Vec<TimelineEvent> = packed.iter().collect();
+        assert_eq!((back[1].track, back[1].arg), (u32::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn malformed_bytes_are_rejected_by_reason() {
+        use PackedError::*;
+        let good = sample();
+        // Count 2; event 1: kind, track 5, `at` delta 100 (zigzag 200,
+        // 2 B), dur 20, arg 3; event 2 starts at byte 7.
+        assert_eq!(good[..3], [2, EventKind::GcMinor as u8, 5]);
+        let edited = |at: usize, with: &[u8]| {
+            let mut b = good.clone();
+            b.splice(at..at + 1, with.iter().copied());
+            b
+        };
+        let cases: Vec<(Vec<u8>, PackedError)> = vec![
+            (vec![], Truncated),
+            (vec![0], ZeroCount),
+            (vec![0x80, 0x00], BadVarint),
+            // The count 2 spelled in two bytes, then in eleven.
+            (edited(0, &[0x82, 0x00]), BadVarint),
+            (
+                edited(
+                    0,
+                    &[
+                        0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+                    ],
+                ),
+                BadVarint,
+            ),
+            // A tenth byte above 1 overflows 64 bits.
+            (
+                edited(
+                    0,
+                    &[0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02],
+                ),
+                BadVarint,
+            ),
+            (
+                edited(1, &[EventKind::ALL.len() as u8]),
+                UnknownKind(EventKind::ALL.len() as u8),
+            ),
+            (edited(1, &[0xff]), UnknownKind(0xff)),
+            // Track 2^32.
+            (edited(2, &[0x80, 0x80, 0x80, 0x80, 0x10]), TrackOverflow),
+            (good[..good.len() - 1].to_vec(), Truncated),
+            (good[..7].to_vec(), Truncated),
+            ([&good[..], &[0]].concat(), TrailingBytes),
+            // One event counted too many, one too few.
+            (edited(0, &[3]), Truncated),
+            (edited(0, &[1]), TrailingBytes),
+        ];
+        for (bytes, why) in cases {
+            assert_eq!(adopt(&bytes), Err(why), "{bytes:02x?}");
+        }
+        // The tenth byte may hold bit 63.
+        let mut top = Encoder::default();
+        top.push(TimelineEvent {
+            kind: EventKind::GcMinor,
+            track: 0,
+            at: SimTime::ZERO,
+            dur: SimDuration::ZERO,
+            arg: 1 << 63,
+        });
+        assert_eq!(adopt(&top.into_bytes()).unwrap()[0].arg, 1 << 63);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_constructor() {
+        let good = sample();
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = scalesim_simkit::splitmix64(state);
+            state
+        };
+        let mut adopted = 0;
+        for round in 0..20_000 {
+            let bytes: Vec<u8> = if round % 2 == 0 {
+                // Noise of any length up to 48 bytes.
+                (0..next() % 48).map(|_| next() as u8).collect()
+            } else {
+                // A valid buffer with up to three bytes changed.
+                let mut b = good.clone();
+                for _ in 0..1 + next() % 3 {
+                    let at = (next() % b.len() as u64) as usize;
+                    b[at] = next() as u8;
+                }
+                b
+            };
+            if let Ok(packed) = Packed::from_bytes(bytes.clone()) {
+                // Whatever is adopted decodes, and re-packs to itself.
+                let mut enc = Encoder::default();
+                packed.iter().for_each(|e| enc.push(e));
+                assert_eq!(enc.into_bytes(), bytes);
+                adopted += 1;
+            }
+        }
+        assert!(adopted > 100, "only {adopted} inputs were well-formed");
     }
 }

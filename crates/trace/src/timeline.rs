@@ -10,22 +10,25 @@
 //! A recorder writes into a `Vec` it owns outright: no atomic operation
 //! per event, and no allocation at all while tracing is off. A *closed*
 //! timeline — the output of [`Timeline::merge`] or
-//! [`Timeline::from_raw_parts`] — packs its events into one immutable,
+//! [`Timeline::from_packed_parts`] — packs its events into one immutable,
 //! shared buffer of delta-coded varints (about 7 bytes per event instead
 //! of 32; see `packed.rs`), so every clone of it (a report handed out by
-//! the sweep memo, a resumed report) shares that buffer. Recording into a
+//! the sweep memo, a resumed report) shares that buffer. A snapshot
+//! writes that buffer as it is and a resume adopts it back, so a
+//! timeline is packed once, when it closes. Recording into a
 //! closed timeline first unpacks a private copy, so a clone never sees
 //! another's events. The storage is invisible from outside: events come
 //! out by value in either form, and `Debug`, `Hash` and equality read
 //! them as the plain slice a `Vec` would show.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::iter::{Chain, Copied};
 use std::slice;
 
 use crate::event::{EventKind, Phase, TimelineEvent};
-use crate::packed::{Encoder, Packed, Reader};
+use crate::packed::{Encoder, Packed, PackedError, Reader};
 use scalesim_simkit::{SimDuration, SimTime};
 
 /// A deterministic, bounded recorder of [`TimelineEvent`]s.
@@ -291,50 +294,62 @@ impl Timeline {
         self.events.rotated(self.head)
     }
 
-    /// The raw recorder state: `(enabled, capacity, events, head, dropped)`.
+    /// The recorder as a snapshot stores it:
+    /// `(enabled, capacity, head, dropped, packed)`.
     ///
-    /// `events` yields the backing storage in *ring* order (not rotated);
-    /// together with `head` this captures the recorder exactly, so a
-    /// rebuild via [`Timeline::from_raw_parts`] is `Debug`-identical to
-    /// the original. Ordinary consumers want [`Timeline::events`].
-    pub fn raw_parts(
-        &self,
-    ) -> (
-        bool,
-        usize,
-        impl Iterator<Item = TimelineEvent> + '_,
-        usize,
-        u64,
-    ) {
-        (
-            self.enabled,
-            self.capacity,
-            self.events.iter(),
-            self.head,
-            self.dropped,
-        )
+    /// `packed` holds the events in *ring* order (not rotated) in the
+    /// closed form's encoding (see `packed.rs`), and is empty when there
+    /// are none. A closed timeline lends its own buffer; a recorder's
+    /// ring is packed on the fly. Together with `head` this captures the
+    /// recorder exactly, so a rebuild via [`Timeline::from_packed_parts`]
+    /// is `Debug`-identical to the original. Ordinary consumers want
+    /// [`Timeline::events`].
+    pub fn packed_parts(&self) -> (bool, usize, usize, u64, Cow<'_, [u8]>) {
+        let packed = match &self.events {
+            Store::Closed(packed) => Cow::Borrowed(packed.bytes()),
+            Store::Ring(ring) => {
+                let mut enc = Encoder::default();
+                ring.iter().for_each(|&e| enc.push(e));
+                Cow::Owned(enc.into_bytes())
+            }
+        };
+        (self.enabled, self.capacity, self.head, self.dropped, packed)
     }
 
-    /// Rebuilds a recorder from [`Timeline::raw_parts`] output.
+    /// Rebuilds a timeline from [`Timeline::packed_parts`] output; the
+    /// result is closed and adopts `packed` as its buffer, uncopied.
     ///
-    /// The parts are trusted as-is; this is a persistence hook, not a
-    /// public constructor for new recordings. The result is closed:
-    /// `events` are packed, as they come, into its shared buffer.
-    #[must_use]
-    pub fn from_raw_parts(
+    /// This is a persistence hook, not a constructor for new
+    /// recordings, and it trusts its input no further than reading
+    /// needs: `packed` must be exactly what the encoder writes and
+    /// `head` at most the event count, so no input can make reading the
+    /// result panic. `capacity` is kept as given.
+    ///
+    /// # Errors
+    ///
+    /// The [`PackedError`] naming the first defect.
+    pub fn from_packed_parts(
         enabled: bool,
         capacity: usize,
-        events: impl IntoIterator<Item = TimelineEvent>,
         head: usize,
         dropped: u64,
-    ) -> Self {
-        Timeline {
+        packed: Vec<u8>,
+    ) -> Result<Self, PackedError> {
+        let events = if packed.is_empty() {
+            Store::Ring(Vec::new())
+        } else {
+            Store::Closed(Packed::from_bytes(packed)?)
+        };
+        if head > events.len() {
+            return Err(PackedError::HeadPastEvents);
+        }
+        Ok(Timeline {
             enabled,
             capacity,
-            events: Store::closed(events),
+            events,
             head,
             dropped,
-        }
+        })
     }
 
     /// Merges per-subsystem recorders into one timeline.
@@ -428,20 +443,32 @@ mod tests {
     }
 
     #[test]
-    fn raw_parts_round_trip_is_debug_identical() {
+    fn packed_parts_round_trip_is_debug_identical() {
         let mut tl = Timeline::with_capacity(3);
         for i in 0..5u64 {
             tl.instant(EventKind::ChaosGcStall, 0, t(i), i);
         }
         // The ring has wrapped, so head != 0 and storage order differs
         // from emission order — the round trip must preserve both.
-        let (enabled, capacity, events, head, dropped) = tl.raw_parts();
+        let (enabled, capacity, head, dropped, packed) = tl.packed_parts();
         assert_ne!(head, 0);
-        let back = Timeline::from_raw_parts(enabled, capacity, events, head, dropped);
+        let back =
+            Timeline::from_packed_parts(enabled, capacity, head, dropped, packed.to_vec()).unwrap();
         assert_eq!(tl, back);
         assert_eq!(format!("{tl:?}"), format!("{back:?}"));
         let args: Vec<u64> = back.events().map(|e| e.arg).collect();
         assert_eq!(args, vec![2, 3, 4]);
+        // The closed copy lends its own buffer: the same bytes, unpacked
+        // by no one.
+        let (.., lent) = back.packed_parts();
+        assert!(matches!(lent, Cow::Borrowed(_)));
+        assert_eq!(lent, packed);
+        // No events, no bytes; and a head past the events is refused.
+        assert!(Timeline::with_capacity(3).packed_parts().4.is_empty());
+        assert_eq!(
+            Timeline::from_packed_parts(true, 3, 4, 0, packed.to_vec()),
+            Err(PackedError::HeadPastEvents)
+        );
     }
 
     #[test]
@@ -484,9 +511,11 @@ mod tests {
         let mut alone = Timeline::with_capacity(4);
         alone.instant(EventKind::ChaosGcStall, 0, t(1), 1);
         alone.span(EventKind::GcMinor, 0, t(2), t(5), 2);
-        let (enabled, capacity, events, head, dropped) = alone.raw_parts();
-        let vec: Vec<TimelineEvent> = events.collect();
-        let shared = Timeline::from_raw_parts(enabled, capacity, vec.clone(), head, dropped);
+        let vec: Vec<TimelineEvent> = alone.events().collect();
+        let (enabled, capacity, head, dropped, packed) = alone.packed_parts();
+        let shared =
+            Timeline::from_packed_parts(enabled, capacity, head, dropped, packed.into_owned())
+                .unwrap();
         let other = shared.clone();
         assert!(share_a_buffer(&shared, &other));
         assert_eq!(format!("{other:?}"), format!("{alone:?}"));

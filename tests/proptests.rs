@@ -722,16 +722,20 @@ fn snapshot_round_trip_preserves_any_small_report() {
     });
 }
 
-/// A closed timeline is lossless and invisible: rebuilt by
-/// `from_raw_parts` from any events — every kind, `u64::MAX` times,
-/// durations and args, `u32::MAX` tracks, unsorted order, a ring whose
-/// `head` is past 0 — it yields exactly those events, raw and rotated,
-/// and `Debug`, `Hash` and `==` read it as the plain `Vec` of them.
-/// Across the cases a recorder that really wrapped is rebuilt too.
+/// A closed timeline is lossless and invisible: adopted by
+/// `from_packed_parts` from the documented packing of any events — every
+/// kind, `u64::MAX` times, durations and args, `u32::MAX` tracks,
+/// unsorted order, a ring whose `head` is past 0 — it yields exactly
+/// those events, raw and rotated, `Debug`, `Hash` and `==` read it as the
+/// plain `Vec` of them, and a run-report snapshot carries it through
+/// `report_to_json` / `report_from_str` `Debug`-identically. Across the
+/// cases a recorder that really wrapped is packed by its own encoder,
+/// snapshotted and rebuilt too.
 #[test]
 fn closed_timelines_read_as_their_plain_events() {
     use std::hash::{DefaultHasher, Hash, Hasher};
 
+    use scalesim::runtime::{report_from_str, report_to_json, RunReport};
     use scalesim::trace::{EventKind, Timeline, TimelineEvent};
 
     /// The field layout `Timeline` derives its `Debug` and `Hash` from,
@@ -751,6 +755,35 @@ fn closed_timelines_read_as_their_plain_events() {
         let mut h = DefaultHasher::new();
         value.hash(&mut h);
         h.finish()
+    }
+    /// The packing `trace/src/packed.rs` documents, written out apart
+    /// from its encoder: the count, then per event the kind byte, the
+    /// track, the zigzag `at` delta, `dur` and `arg` as LEB128 varints.
+    /// No events pack to no bytes.
+    fn pack(events: &[TimelineEvent]) -> Vec<u8> {
+        fn varint(out: &mut Vec<u8>, mut v: u64) {
+            while v >= 0x80 {
+                out.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+        }
+        let mut out = Vec::new();
+        if events.is_empty() {
+            return out;
+        }
+        varint(&mut out, events.len() as u64);
+        let mut prev = 0u64;
+        for e in events {
+            let delta = e.at.as_nanos().wrapping_sub(prev) as i64;
+            out.push(e.kind as u8);
+            varint(&mut out, u64::from(e.track));
+            varint(&mut out, ((delta << 1) ^ (delta >> 63)) as u64);
+            varint(&mut out, e.dur.as_nanos());
+            varint(&mut out, e.arg);
+            prev = e.at.as_nanos();
+        }
+        out
     }
     /// An extreme, a small value or any value.
     fn pick(rng: &mut StdRng) -> u64 {
@@ -783,29 +816,36 @@ fn closed_timelines_read_as_their_plain_events() {
             })
             .collect()
     }
-    fn check(closed: &Timeline, plain: &plain::Timeline) {
-        let (enabled, capacity, raw, head, dropped) = closed.raw_parts();
+    fn check(timeline: &Timeline, plain: &plain::Timeline) {
+        let (enabled, capacity, head, dropped, packed) = timeline.packed_parts();
         assert_eq!(
             (enabled, capacity, head, dropped),
             (plain.enabled, plain.capacity, plain.head, plain.dropped)
         );
-        assert_eq!(raw.collect::<Vec<_>>(), plain.events);
+        assert_eq!(*packed, pack(&plain.events)[..]);
         let (tail, front) = plain.events.split_at(plain.head);
         let rotated: Vec<TimelineEvent> = front.iter().chain(tail).copied().collect();
-        assert_eq!(closed.events().collect::<Vec<_>>(), rotated);
-        assert_eq!(closed.len(), plain.events.len());
-        assert_eq!(format!("{closed:?}"), format!("{plain:?}"));
-        assert_eq!(format!("{closed:#?}"), format!("{plain:#?}"));
-        assert_eq!(hash(closed), hash(plain));
+        assert_eq!(timeline.events().collect::<Vec<_>>(), rotated);
+        assert_eq!(timeline.len(), plain.events.len());
+        assert_eq!(format!("{timeline:?}"), format!("{plain:?}"));
+        assert_eq!(format!("{timeline:#?}"), format!("{plain:#?}"));
+        assert_eq!(hash(timeline), hash(plain));
+        let mut report = RunReport::quarantined("xalan", 1, 1, String::new());
+        report.timeline = timeline.clone();
+        let text = report_to_json(&report);
+        let back = report_from_str(&text).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{report:?}"));
+        assert_eq!(report_to_json(&back), text);
     }
     fn close(plain: &plain::Timeline) -> Timeline {
-        Timeline::from_raw_parts(
+        Timeline::from_packed_parts(
             plain.enabled,
             plain.capacity,
-            plain.events.iter().copied(),
             plain.head,
             plain.dropped,
+            pack(&plain.events),
         )
+        .unwrap()
     }
 
     let kinds_seen = AtomicU64::new(0);
@@ -890,16 +930,19 @@ fn closed_timelines_read_as_their_plain_events() {
                 arg,
             );
         }
-        let (enabled, capacity, raw, head, dropped) = ring.raw_parts();
+        // The ring in storage order: emission order turned back by head.
+        let (enabled, capacity, head, dropped, _) = ring.packed_parts();
         wrapped.fetch_add(u64::from(head > 0), Ordering::Relaxed);
+        let mut raw: Vec<TimelineEvent> = ring.events().collect();
+        raw.rotate_right(head);
         let plain = plain::Timeline {
             enabled,
             capacity,
-            events: raw.collect(),
+            events: raw,
             head,
             dropped,
         };
-        assert_eq!(format!("{ring:?}"), format!("{plain:?}"));
+        check(&ring, &plain);
         let rebuilt = close(&plain);
         check(&rebuilt, &plain);
         assert_eq!(rebuilt, ring);
