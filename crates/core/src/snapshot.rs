@@ -314,9 +314,7 @@ fn read_stats(p: &mut JsonCursor<'_>) -> Read<MonitorStats> {
         total_wait: read_dur(p)?,
         max_wait: read_dur(p)?,
         total_hold: read_dur(p)?,
-        // 5-tuples are accepted for compatibility with snapshots written
-        // before truncated-waiter accounting (`queued` defaults to 0).
-        queued: if p.at_arr_end() { 0 } else { p.u64()? },
+        queued: p.u64()?,
     };
     p.end_arr()?;
     Ok(stats)
@@ -1388,6 +1386,21 @@ mod tests {
     fn edit(text: &str, from: &str, to: &str) -> String {
         assert!(text.contains(from), "`{from}` not in the document");
         text.replacen(from, to, 1)
+    }
+
+    /// Every v2 writer emits lock stats as 6-tuples, so a 5-tuple is not
+    /// canonical text and reads as malformed.
+    #[test]
+    fn five_tuple_lock_stats_are_malformed() {
+        let good = report_to_json(&small_report(Retention::HistogramOnly, TraceConfig::off()));
+        let total = good.find("\"locks\":{\"total\":[").expect("locks.total") + 18;
+        let end = total + good[total..].find(']').expect("tuple end");
+        let last = total + good[total..end].rfind(',').expect("tuple items");
+        let five = format!("{}{}", &good[..last], &good[end..]);
+        assert!(matches!(
+            report_from_str(&five),
+            Err(SnapshotError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -13,29 +13,35 @@
 //!   once and byte-compared by every later process so two different
 //!   campaigns can never interleave in one directory.
 //! * `leases/<key>.lease` — one lease file per in-flight work unit,
-//!   claimed with an atomic `create_new` and kept fresh by a heartbeat
-//!   thread; a lease whose mtime is older than
-//!   `SCALESIM_LEASE_TTL_MS` is presumed orphaned by a dead worker and
-//!   reclaimed (rename to a per-claimer graveyard name, so exactly one
-//!   reclaimer wins even when several race).
+//!   claimed with an atomic `create_new`. A lease never expires: its
+//!   holder removes it once the unit is settled, and one a dead worker
+//!   left behind stays until the finisher clears it.
 //! * `done/<key>` — advisory completion markers (`ok` / `volatile` /
 //!   `quar`) so workers skip settled units without reading segments.
 //! * `seg-w<id>-p<pid>.jsonl` — each worker's private result segment,
-//!   one crc32-framed record per completed run in exactly the
-//!   [`checkpoint`](crate::checkpoint) store framing. A SIGKILL can
-//!   tear at most the last line, which the merge scrubs.
+//!   created on its first record, one crc32-framed record per completed
+//!   run in exactly the [`checkpoint`](crate::checkpoint) store framing.
+//!   A SIGKILL can tear at most the last line, which the merge scrubs.
+//!
+//! A worker ([`worker_drain`]) claims and runs units until nothing is
+//! left for it to claim, then exits; it never waits on another
+//! worker's lease. The finisher ([`run_local`]) runs after the workers
+//! have exited — as the `campaign` parent once its children are gone,
+//! or as a `--workers 0` run — so every lease it finds belongs to a
+//! dead process: it empties `leases/`, drains what is still unsettled,
+//! and merges. No clock decides when a dead worker's units run again.
 //!
 //! **Correctness never depends on the leases.** A run is a pure
 //! function of its memo key, so two workers that both execute a unit
-//! (a stale-lease race, a missed heartbeat) merely write identical
-//! records into different segments — last-wins merging is harmless.
-//! Leases only prevent *wasted* work. Likewise the `done/` markers are
-//! work-skipping hints: a marker without a segment record (crash
-//! between the two) just means the sweep after the merge re-simulates
-//! that unit.
+//! (a foreign worker still running when the finisher clears its lease)
+//! merely write identical records into different segments — last-wins
+//! merging is harmless. Leases only prevent *wasted* work. Likewise the
+//! `done/` markers are work-skipping hints: a marker without a segment
+//! record (crash between the two) just means the sweep after the merge
+//! re-simulates that unit.
 //!
-//! The merge pass ([`merge`]) is a replay and nothing more: it reads
-//! the worker segments through the reader a checkpoint resume uses
+//! The merge is a replay and nothing more: it reads the worker segments
+//! through the reader a checkpoint resume uses
 //! ([`replay_dir`](crate::checkpoint::replay_dir)) and leaves every
 //! verified record in the sweep memo cache with its restored
 //! provenance. The caller then runs the artifact exactly as a single
@@ -48,8 +54,8 @@
 //!
 //! Durability policy: the campaign directory is scratch state, so
 //! nothing in it is fsynced — segments are plain appends, done markers
-//! are plain writes (existence is the signal), heartbeats only touch
-//! mtimes, and `campaign.json` is a plain temp+rename write.
+//! are plain writes (existence is the signal), and `campaign.json` is
+//! a plain temp+rename write.
 //! SIGKILL-safety needs only the page cache, which survives process
 //! death; whole-*host* crash durability is the fsynced checkpoint
 //! store's job (`--checkpoint`), and a torn `campaign.json` after a
@@ -57,15 +63,14 @@
 //! final artifacts go through the fsynced
 //! [`write_atomic`](scalesim_trace::write_atomic).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, SystemTime};
+use std::sync::{Mutex, PoisonError};
 
 use scalesim_core::SimError;
-use scalesim_simkit::splitmix64;
 use scalesim_workloads::AppModel;
 
 use crate::artifacts::{artifact, Runs, ARTIFACTS};
@@ -176,32 +181,6 @@ pub struct MergeOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Tunables (environment)
-// ---------------------------------------------------------------------
-
-/// Lease time-to-live: a lease whose mtime is older than this is
-/// presumed orphaned and may be reclaimed. `SCALESIM_LEASE_TTL_MS`
-/// overrides the 2000 ms default; holders heartbeat at TTL/4.
-#[must_use]
-pub fn lease_ttl() -> Duration {
-    std::env::var("SCALESIM_LEASE_TTL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map_or(Duration::from_millis(2000), Duration::from_millis)
-}
-
-/// Worker processes a parented campaign spawns when `--workers` is not
-/// given: `SCALESIM_CAMPAIGN_WORKERS`, defaulting to 2.
-#[must_use]
-pub fn default_workers() -> usize {
-    std::env::var("SCALESIM_CAMPAIGN_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(2)
-}
-
-// ---------------------------------------------------------------------
 // Unit enumeration
 // ---------------------------------------------------------------------
 
@@ -254,19 +233,20 @@ fn units_of(spec: &CampaignSpec) -> Result<Vec<(u64, RunSpec)>, CampaignError> {
 // Initialization: the campaign.json spec guard
 // ---------------------------------------------------------------------
 
-/// Initializes (or re-validates) a campaign directory: creates the
-/// `leases/` and `done/` subdirectories and writes `campaign.json`
-/// atomically. If the file already exists it is byte-compared against
-/// this spec's canonical form — a mismatch is a configuration error, so
-/// two different campaigns can never share a directory. Idempotent;
-/// every worker calls it.
+/// Initializes (or re-validates) a campaign directory and returns its
+/// deduplicated `(memo key, spec)` units: creates the `leases/` and
+/// `done/` subdirectories and writes `campaign.json` atomically. If the
+/// file already exists it is byte-compared against this spec's
+/// canonical form — a mismatch is a configuration error, so two
+/// different campaigns can never share a directory. Idempotent; every
+/// worker calls it.
 ///
 /// # Errors
 ///
 /// [`CampaignError::Config`] for an uncampaignable artifact or a spec
 /// mismatch; [`CampaignError::Runtime`] for I/O failures.
-pub fn init(dir: &Path, spec: &CampaignSpec) -> Result<(), CampaignError> {
-    units_of(spec)?;
+pub fn init(dir: &Path, spec: &CampaignSpec) -> Result<Vec<(u64, RunSpec)>, CampaignError> {
+    let units = units_of(spec)?;
     std::fs::create_dir_all(dir.join("leases"))
         .map_err(|e| rt(&format!("create {}", dir.join("leases").display()), &e))?;
     std::fs::create_dir_all(dir.join("done"))
@@ -274,7 +254,7 @@ pub fn init(dir: &Path, spec: &CampaignSpec) -> Result<(), CampaignError> {
     let path = dir.join("campaign.json");
     let body = spec.canonical();
     match std::fs::read_to_string(&path) {
-        Ok(existing) if existing == body => Ok(()),
+        Ok(existing) if existing == body => Ok(units),
         Ok(_) => Err(CampaignError::Config(format!(
             "{} was initialized for a different campaign spec; \
              refusing to mix campaigns in one directory",
@@ -285,9 +265,11 @@ pub fn init(dir: &Path, spec: &CampaignSpec) -> Result<(), CampaignError> {
             // identical bytes into place. Non-fsynced on purpose — a
             // host crash that tears this file is caught by the
             // byte-compare above on the next init.
-            let tmp = format!(".init-{}", std::process::id());
-            replace_file(&path, &tmp, &body)
-                .map_err(|e| rt(&format!("write {}", path.display()), &e))
+            let tmp = path.with_file_name(format!(".init-{}", std::process::id()));
+            std::fs::write(&tmp, &body)
+                .and_then(|()| std::fs::rename(&tmp, &path))
+                .map_err(|e| rt(&format!("write {}", path.display()), &e))?;
+            Ok(units)
         }
         Err(e) => Err(rt(&format!("read {}", path.display()), &e)),
     }
@@ -305,167 +287,23 @@ fn lease_path(leases: &Path, key: u64) -> PathBuf {
     leases.join(format!("{}.lease", key16(key)))
 }
 
-/// Replaces `path` with `contents` via a non-fsynced temp+rename. The
-/// temp name must be unique within the directory across writers.
-fn replace_file(path: &Path, tmp_name: &str, contents: &str) -> io::Result<()> {
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Attempts to claim the lease for `key`. Returns `Ok(true)` when this
-/// process now holds it. A pre-existing lease older than `ttl` is
-/// reclaimed: it is renamed to a per-claimer graveyard name (exactly
-/// one racing reclaimer wins the rename), removed, and re-claimed with
-/// a fresh `create_new` — which a third racer may still win, in which
-/// case this claim simply fails and the caller moves on.
-fn try_claim(leases: &Path, key: u64, ttl: Duration) -> io::Result<bool> {
-    let pid = std::process::id();
-    let path = lease_path(leases, key);
-    let claim = |p: &Path| -> io::Result<bool> {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(p)
-        {
-            Ok(mut f) => {
-                let _ = f.write_all(pid.to_string().as_bytes());
-                Ok(true)
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
-            Err(e) => Err(e),
+/// Attempts to claim the lease for `key` with an atomic `create_new`.
+/// Returns `Ok(true)` when this process now holds it. A lease never
+/// expires: it is released by its holder once the unit is settled, or
+/// cleared by the finisher ([`run_local`]) after its holder died.
+fn try_claim(leases: &Path, key: u64) -> io::Result<bool> {
+    match std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(lease_path(leases, key))
+    {
+        Ok(mut f) => {
+            let _ = f.write_all(std::process::id().to_string().as_bytes());
+            Ok(true)
         }
-    };
-    if claim(&path)? {
-        return Ok(true);
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(e),
     }
-    // Held by someone. Stale only if its mtime has aged past the TTL
-    // (heartbeats refresh it at TTL/4); a vanished or future-dated
-    // lease is treated as fresh and retried on a later scan.
-    let Ok(meta) = std::fs::metadata(&path) else {
-        return Ok(false);
-    };
-    let age = meta.modified().ok().and_then(|t| t.elapsed().ok());
-    if age.is_none_or(|a| a <= ttl) {
-        return Ok(false);
-    }
-    let grave = leases.join(format!(".reap-{}-{pid}", key16(key)));
-    if std::fs::rename(&path, &grave).is_err() {
-        // Another reclaimer won, or the holder released meanwhile.
-        return Ok(false);
-    }
-    let _ = std::fs::remove_file(&grave);
-    claim(&path)
-}
-
-/// Background refresher for every lease this process holds: one thread
-/// sets each held lease's mtime to now every TTL/4, so a live worker's
-/// leases never age past the TTL no matter how long its runs take.
-struct Heartbeat {
-    inner: Arc<HeartbeatInner>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-struct HeartbeatInner {
-    held: Mutex<HashMap<u64, PathBuf>>,
-    stop: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Heartbeat {
-    fn start(ttl: Duration) -> Self {
-        let inner = Arc::new(HeartbeatInner {
-            held: Mutex::new(HashMap::new()),
-            stop: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        let period = ttl / 4;
-        let thread_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || {
-            loop {
-                let guard = thread_inner
-                    .stop
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let (guard, _) = thread_inner
-                    .cv
-                    .wait_timeout(guard, period)
-                    .unwrap_or_else(PoisonError::into_inner);
-                if *guard {
-                    break;
-                }
-                drop(guard);
-                let paths: Vec<PathBuf> = thread_inner
-                    .held
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .cloned()
-                    .collect();
-                for path in paths {
-                    // Touch in place, never create: a lease released
-                    // since `paths` was read stays released. Refresh
-                    // failures are tolerable: a missed beat at worst
-                    // lets another worker duplicate the unit.
-                    let _ = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .and_then(|f| f.set_modified(SystemTime::now()));
-                }
-            }
-        });
-        Heartbeat {
-            inner,
-            handle: Some(handle),
-        }
-    }
-
-    fn add(&self, key: u64, path: PathBuf) {
-        self.inner
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, path);
-    }
-
-    fn remove(&self, key: u64) {
-        self.inner
-            .held
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&key);
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        *self
-            .inner
-            .stop
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
-        self.inner.cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Backoff
-// ---------------------------------------------------------------------
-
-/// Bounded exponential backoff with deterministic jitter: base
-/// `10ms << round` (round capped at 8), plus up to base/2 of jitter
-/// derived from `splitmix64(nonce ^ round)` (reproducible from
-/// `(pid, worker, round)` for debugging), the whole thing capped at
-/// the lease TTL — sleeping longer than the TTL would only delay
-/// reclaiming a dead worker's leases.
-fn backoff_delay(round: u32, ttl: Duration, nonce: u64) -> Duration {
-    let ttl_ms = u64::try_from(ttl.as_millis()).unwrap_or(u64::MAX).max(1);
-    let base_ms = 10u64.saturating_mul(1 << round.min(8)).min(ttl_ms);
-    let jitter_ms = splitmix64(nonce ^ u64::from(round)) % (base_ms / 2 + 1);
-    Duration::from_millis((base_ms + jitter_ms).min(ttl_ms))
 }
 
 // ---------------------------------------------------------------------
@@ -480,6 +318,18 @@ fn mark_done(done: &Path, key: u64, status: &str) -> io::Result<()> {
     std::fs::write(done.join(key16(key)), status)
 }
 
+/// Appends one record line to this worker's segment, creating the file
+/// on the first record so a drain that runs nothing leaves no empty
+/// segment for every later merge to open.
+fn append(seg: &Mutex<Option<File>>, path: &Path, line: &str) -> io::Result<()> {
+    let mut seg = seg.lock().unwrap_or_else(PoisonError::into_inner);
+    let file = match seg.take() {
+        Some(file) => file,
+        None => File::options().create(true).append(true).open(path)?,
+    };
+    seg.insert(file).write_all(line.as_bytes())
+}
+
 fn record_failure(slot: &Mutex<Option<String>>, msg: String) {
     let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
     if guard.is_none() {
@@ -492,12 +342,13 @@ fn record_failure(slot: &Mutex<Option<String>>, msg: String) {
 /// unsettled units (lease per unit, batching across an internal thread
 /// pool sized like [`run_all`](crate::run_all)'s), executes each under
 /// the retry-once policy, streams completed reports into this worker's
-/// private crc-framed segment, and marks units done. Returns when every
-/// unit is settled — by this worker, by a sibling, or by reclaiming and
-/// finishing a dead sibling's leases.
+/// private crc-framed segment, and marks units done. Returns once
+/// nothing is left for it to claim: every unit is settled or leased to
+/// someone else. It never waits on another worker's lease — a live
+/// holder settles its unit, and a dead one's is left to the finisher.
 ///
 /// Safe to run concurrently with any number of sibling workers, and
-/// safe to SIGKILL at any instant: the next drain or the merge repairs
+/// safe to SIGKILL at any instant: the finisher and the merge repair
 /// whatever was in flight.
 ///
 /// # Errors
@@ -509,160 +360,84 @@ pub fn worker_drain(
     spec: &CampaignSpec,
     worker_id: u32,
 ) -> Result<DrainStats, CampaignError> {
-    init(dir, spec)?;
-    let units = units_of(spec)?;
-    if units.is_empty() {
-        return Ok(DrainStats::default());
-    }
+    drain(dir, &init(dir, spec)?, worker_id)
+}
+
+fn drain(
+    dir: &Path,
+    units: &[(u64, RunSpec)],
+    worker_id: u32,
+) -> Result<DrainStats, CampaignError> {
     let leases = dir.join("leases");
     let done = dir.join("done");
-    let ttl = lease_ttl();
-    let pid = std::process::id();
-    let seg_path = dir.join(format!("seg-w{worker_id}-p{pid}.jsonl"));
-    let seg_file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&seg_path)
-        .map_err(|e| rt(&format!("open segment {}", seg_path.display()), &e))?;
-    let seg = Mutex::new(seg_file);
-    let heartbeat = Heartbeat::start(ttl);
-    let settled: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    // Units leased by a sibling thread of *this* process. The scan skips
-    // them without touching the filesystem — only cross-process
-    // coordination needs the lease files and done markers.
-    let ours: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
+    let seg_path = dir.join(format!("seg-w{worker_id}-p{}.jsonl", std::process::id()));
+    let seg: Mutex<Option<File>> = Mutex::new(None);
+    // Units this process has settled, skipped or holds the lease of. The
+    // scan passes them without touching the filesystem — only
+    // cross-process coordination needs the lease files and done markers.
+    let seen: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
     let stats: Mutex<DrainStats> = Mutex::new(DrainStats::default());
     let error: Mutex<Option<String>> = Mutex::new(None);
-    // Epoch bumped (and notified) on every unit completion, so a thread
-    // backing off because its siblings hold every remaining lease wakes
-    // as soon as one finishes instead of idling out the full backoff.
-    let progress: (Mutex<u64>, Condvar) = (Mutex::new(0), Condvar::new());
-    let pool = worker_budget().min(units.len()).max(1);
-    let nonce = splitmix64(u64::from(pid) ^ (u64::from(worker_id) << 32));
+    let pool = worker_budget().min(units.len());
 
     std::thread::scope(|scope| {
-        for t in 0..pool {
-            let units = &units;
-            let leases = &leases;
-            let done = &done;
-            let seg = &seg;
-            let heartbeat = &heartbeat;
-            let settled = &settled;
-            let ours = &ours;
-            let stats = &stats;
-            let error = &error;
-            let progress = &progress;
-            let jitter_seed = nonce ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            scope.spawn(move || {
-                let mut round: u32 = 0;
-                'drain: loop {
-                    if error
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .is_some()
-                    {
-                        break;
-                    }
-                    // Epoch *before* the scan: a completion that lands
-                    // while we scan must abort the backoff wait below,
-                    // not be lost to it.
-                    let scan_epoch = *progress.0.lock().unwrap_or_else(PoisonError::into_inner);
-                    // One scan: count unsettled units and claim the
-                    // first available one.
-                    let mut claimed: Option<&(u64, RunSpec)> = None;
-                    let mut remaining = 0usize;
+        for _ in 0..pool {
+            scope.spawn(|| {
+                while error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .is_none()
+                {
+                    // One scan: claim the first unit nobody has settled or
+                    // leased.
+                    let mut claimed = None;
                     for unit in units {
                         let key = unit.0;
-                        if settled
+                        if seen
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
                             .contains(&key)
                         {
-                            continue;
-                        }
-                        // A sibling thread of this process holds it: no
-                        // point statting markers or contending on its
-                        // lease — its completion will bump the epoch.
-                        if ours
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .contains(&key)
-                        {
-                            remaining += 1;
                             continue;
                         }
                         if done.join(key16(key)).exists() {
-                            if settled
+                            if seen
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .insert(key)
                             {
                                 stats.lock().unwrap_or_else(PoisonError::into_inner).skipped += 1;
-                                // A worker killed between marking a unit
-                                // done and releasing its lease leaves the
-                                // lease behind; a settled unit needs none.
-                                let _ = std::fs::remove_file(lease_path(leases, key));
                             }
                             continue;
                         }
-                        remaining += 1;
-                        if claimed.is_none() {
-                            match try_claim(leases, key, ttl) {
-                                Ok(true) => {
-                                    ours.lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .insert(key);
-                                    claimed = Some(unit);
-                                }
-                                Ok(false) => {}
-                                Err(e) => {
-                                    record_failure(
-                                        error,
-                                        format!("claim lease {}: {e}", key16(key)),
-                                    );
-                                    break 'drain;
-                                }
+                        match try_claim(&leases, key) {
+                            Ok(true) => {
+                                seen.lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .insert(key);
+                                claimed = Some(unit);
+                                break;
+                            }
+                            Ok(false) => {}
+                            Err(e) => {
+                                record_failure(&error, format!("claim lease {}: {e}", key16(key)));
+                                return;
                             }
                         }
                     }
-                    let Some(unit) = claimed else {
-                        if remaining == 0 {
-                            break;
-                        }
-                        // Everything left is leased out to someone else:
-                        // back off (bounded, jittered) and rescan — a
-                        // dead sibling's leases become reclaimable once
-                        // their mtime ages past the TTL. The wait is a
-                        // condvar timeout, so a sibling thread in this
-                        // process finishing a unit wakes us immediately.
-                        round += 1;
-                        let (epoch, cv) = progress;
-                        let guard = epoch.lock().unwrap_or_else(PoisonError::into_inner);
-                        let _ = cv
-                            .wait_timeout_while(
-                                guard,
-                                backoff_delay(round, ttl, jitter_seed),
-                                |e| *e == scan_epoch,
-                            )
-                            .unwrap_or_else(PoisonError::into_inner);
-                        continue;
+                    let Some(&(key, ref run_spec)) = claimed else {
+                        return;
                     };
-                    round = 0;
-                    let (key, run_spec) = (unit.0, &unit.1);
-                    let lease = lease_path(leases, key);
-                    heartbeat.add(key, lease.clone());
                     let (outcome, retries) = retry_once(|| attempt(run_spec));
                     let persisted: io::Result<()> = match &outcome {
                         Ok(report) if checkpointable(report) => {
                             let fp = fingerprint(report);
                             let mut line = encode_record(key, report, fp, retries);
                             line.push('\n');
-                            seg.lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .write_all(line.as_bytes())
-                                .and_then(|()| mark_done(done, key, "ok"))
+                            append(&seg, &seg_path, &line)
+                                .and_then(|()| mark_done(&done, key, "ok"))
                         }
-                        Ok(_) => mark_done(done, key, "volatile"),
+                        Ok(_) => mark_done(&done, key, "volatile"),
                         Err(why) => {
                             eprintln!(
                                 "campaign: quarantining app={} threads={} (key {}): {why}",
@@ -670,99 +445,92 @@ pub fn worker_drain(
                                 run_spec.config.threads,
                                 key16(key)
                             );
-                            mark_done(done, key, "quar")
+                            mark_done(&done, key, "quar")
                         }
                     };
-                    heartbeat.remove(key);
-                    let _ = std::fs::remove_file(&lease);
-                    {
-                        let (epoch, cv) = progress;
-                        *epoch.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-                        cv.notify_all();
+                    let _ = std::fs::remove_file(lease_path(&leases, key));
+                    if let Err(e) = persisted {
+                        record_failure(&error, format!("persist unit {}: {e}", key16(key)));
+                        return;
                     }
-                    match persisted {
-                        Ok(()) => {
-                            settled
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .insert(key);
-                            let mut s = stats.lock().unwrap_or_else(PoisonError::into_inner);
-                            match &outcome {
-                                Ok(report) if checkpointable(report) => s.ran += 1,
-                                Ok(_) => s.volatile += 1,
-                                Err(_) => s.quarantined += 1,
-                            }
-                        }
-                        Err(e) => {
-                            record_failure(error, format!("persist unit {}: {e}", key16(key)));
-                            break;
-                        }
+                    let mut s = stats.lock().unwrap_or_else(PoisonError::into_inner);
+                    match &outcome {
+                        Ok(report) if checkpointable(report) => s.ran += 1,
+                        Ok(_) => s.volatile += 1,
+                        Err(_) => s.quarantined += 1,
                     }
                 }
             });
         }
     });
-    drop(heartbeat);
     if let Some(msg) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(CampaignError::Runtime(msg));
     }
     // No fsync: SIGKILL-safety only needs the page cache, which survives
     // process death. Whole-host crash durability is the checkpoint
     // store's job (`--checkpoint`), not the campaign scratch dir's.
-    drop(seg.into_inner().unwrap_or_else(PoisonError::into_inner));
     Ok(stats.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 // ---------------------------------------------------------------------
-// Merge
+// Finisher: clear leases, drain, merge
 // ---------------------------------------------------------------------
 
-/// Replays the campaign directory into the sweep memo cache and does
-/// nothing else: every `seg-*.jsonl` worker segment goes through the
-/// reader a checkpoint resume uses ([`replay_dir`](checkpoint::replay_dir),
-/// segments in name order, last record per key wins — duplicates are
-/// identical by purity), which scrubs torn or corrupt lines, verifies
-/// each survivor's fingerprint and seeds the memo with its restored
-/// provenance.
+/// Removes every file in `dir`; one that vanishes meanwhile is fine.
+fn clear_dir(dir: &Path) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        match std::fs::remove_file(entry?.path()) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Finishes a campaign in this process once its workers have exited:
+/// empties `leases/` (every lease left belongs to a worker that is
+/// gone), drains whatever is unsettled as worker 0, then merges. The
+/// merge is a replay and nothing more: every `seg-*.jsonl` worker
+/// segment goes through the reader a checkpoint resume uses
+/// ([`replay_dir`](checkpoint::replay_dir), segments in name order,
+/// last record per key wins — duplicates are identical by purity),
+/// which scrubs torn or corrupt lines, verifies each survivor's
+/// fingerprint and seeds the memo with its restored provenance.
 ///
-/// The memo cache and the manifest and failure logs are cleared going
-/// in, so the merge is reproducible, and the memo stays seeded going
-/// out. The artifact's own sweep then runs as in a single process:
-/// restored units are served as cache hits whose manifests match an
-/// uninterrupted run, while missing, volatile, or quarantined units
+/// The memo cache and the manifest and failure logs are cleared before
+/// the replay, so the merge is reproducible, and the memo stays seeded
+/// going out. The caller then runs the artifact as a single process
+/// would: restored units are served as cache hits whose manifests match
+/// an uninterrupted run, while missing, volatile, or quarantined units
 /// re-execute under the usual policy.
+///
+/// A foreign worker still running when its lease is cleared can at
+/// worst run a unit twice, which purity makes harmless.
 ///
 /// # Errors
 ///
 /// [`CampaignError::Config`] for spec problems, [`CampaignError::Runtime`]
-/// when the directory cannot be replayed.
-pub fn merge(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignError> {
-    init(dir, spec)?;
-    let units = units_of(spec)?.len();
+/// when the directory cannot be cleared, drained or replayed.
+pub fn run_local(
+    dir: &Path,
+    spec: &CampaignSpec,
+) -> Result<(DrainStats, MergeOutcome), CampaignError> {
+    let units = init(dir, spec)?;
+    let leases = dir.join("leases");
+    clear_dir(&leases).map_err(|e| rt(&format!("clear {}", leases.display()), &e))?;
+    let drained = drain(dir, &units, 0)?;
     clear_run_cache();
     let _ = take_run_manifests();
     let _ = take_sweep_failures();
     let (stats, _, _) =
         checkpoint::replay_dir(dir).map_err(|e| rt(&format!("replay {}", dir.display()), &e))?;
-    Ok(MergeOutcome {
-        units,
+    let merged = MergeOutcome {
+        units: units.len(),
         restored: stats.loaded,
-        reran: units.saturating_sub(stats.loaded),
+        reran: units.len().saturating_sub(stats.loaded),
         skipped_lines: stats.skipped,
-    })
-}
-
-/// Convenience single-process campaign: drain everything as worker 0,
-/// then merge. What the benchmark times against a plain sweep, and the
-/// cheapest way to run a campaign without spawning processes; the
-/// caller renders the artifact from the seeded memo.
-///
-/// # Errors
-///
-/// Propagates [`worker_drain`] and [`merge`] errors.
-pub fn run_local(dir: &Path, spec: &CampaignSpec) -> Result<MergeOutcome, CampaignError> {
-    worker_drain(dir, spec, 0)?;
-    merge(dir, spec)
+    };
+    Ok((drained, merged))
 }
 
 #[cfg(test)]
@@ -786,41 +554,13 @@ mod tests {
     }
 
     #[test]
-    fn lease_claim_is_exclusive_until_ttl_expires() {
+    fn a_held_lease_refuses_a_second_claim() {
         let leases = scratch("lease");
-        let ttl = Duration::from_millis(50);
-        assert!(try_claim(&leases, 7, ttl).unwrap(), "first claim wins");
-        assert!(!try_claim(&leases, 7, ttl).unwrap(), "held lease refuses");
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(
-            try_claim(&leases, 7, ttl).unwrap(),
-            "expired lease is reclaimed"
-        );
+        assert!(try_claim(&leases, 7).unwrap(), "first claim wins");
+        assert!(!try_claim(&leases, 7).unwrap(), "held lease refuses");
         assert!(lease_path(&leases, 7).exists());
         // A different key is independent.
-        assert!(try_claim(&leases, 8, ttl).unwrap());
-        let _ = std::fs::remove_dir_all(&leases);
-    }
-
-    #[test]
-    fn heartbeat_keeps_a_lease_fresh() {
-        let leases = scratch("hb");
-        let ttl = Duration::from_millis(80);
-        assert!(try_claim(&leases, 3, ttl).unwrap());
-        let hb = Heartbeat::start(ttl);
-        hb.add(3, lease_path(&leases, 3));
-        std::thread::sleep(Duration::from_millis(200));
-        // Despite 200ms > TTL elapsing, the heartbeat kept the mtime
-        // fresh, so the lease is not reclaimable.
-        assert!(!try_claim(&leases, 3, ttl).unwrap());
-        // A lease released while still registered is not brought back.
-        std::fs::remove_file(lease_path(&leases, 3)).unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(
-            !lease_path(&leases, 3).exists(),
-            "heartbeat resurrected a lease"
-        );
-        drop(hb);
+        assert!(try_claim(&leases, 8).unwrap());
         let _ = std::fs::remove_dir_all(&leases);
     }
 
@@ -884,22 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_bounded_and_growing() {
-        let ttl = Duration::from_millis(500);
-        for round in 0..20 {
-            let d = backoff_delay(round, ttl, 42);
-            assert_eq!(d, backoff_delay(round, ttl, 42), "deterministic");
-            assert!(d >= Duration::from_millis(10));
-            assert!(d <= ttl, "round {round}: {d:?} exceeds TTL");
-        }
-        // Different nonces jitter differently somewhere in the range.
-        assert!((0..16).any(|r| backoff_delay(r, ttl, 1) != backoff_delay(r, ttl, 2)));
-        // Early rounds are short; the cap engages later.
-        assert!(backoff_delay(1, ttl, 7) < Duration::from_millis(50));
-        assert_eq!(backoff_delay(12, ttl, 7), ttl);
-    }
-
-    #[test]
     fn canonical_spec_is_stable_and_exact() {
         let spec = CampaignSpec {
             artifact: "scaletable".to_owned(),
@@ -940,17 +664,5 @@ mod tests {
             "quar"
         );
         let _ = std::fs::remove_dir_all(&done);
-    }
-
-    #[test]
-    fn env_tunables_have_defaults() {
-        // No env manipulation here (tests run in parallel): just the
-        // defaults when unset, plus the parse helpers' shape.
-        if std::env::var_os("SCALESIM_LEASE_TTL_MS").is_none() {
-            assert_eq!(lease_ttl(), Duration::from_millis(2000));
-        }
-        if std::env::var_os("SCALESIM_CAMPAIGN_WORKERS").is_none() {
-            assert_eq!(default_workers(), 2);
-        }
     }
 }

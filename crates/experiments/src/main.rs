@@ -63,11 +63,12 @@ artifacts:
   all         everything above
   campaign <artifact>  drain one artifact's sweep cooperatively across
               N worker processes sharing --dir: units are claimed with
-              TTL-based lease files (SCALESIM_LEASE_TTL_MS, default
-              2000), results stream into per-worker crc-framed
-              segments, and the final merge is byte-identical to a
-              single-process run no matter how many workers ran or
-              crashed (SIGKILL included). Campaignable artifacts:
+              lease files, results stream into per-worker crc-framed
+              segments, and once the workers exit this process runs
+              whatever a dead worker left unfinished and merges. The
+              result is byte-identical to a single-process run no
+              matter how many workers ran or crashed (SIGKILL
+              included). Campaignable artifacts:
               every artifact except ext-heapsize. Takes every option a
               single run takes except --checkpoint and --resume (the
               campaign directory is its own store)
@@ -123,8 +124,8 @@ options:
                  (SCALESIM_ANALYZE=1 too)
   --dir DIR      (campaign) the shared campaign directory;
                  (analyze) a checkpoint store to re-derive from
-  --workers N    (campaign) worker processes to spawn (default
-                 SCALESIM_CAMPAIGN_WORKERS or 2; 0 = drain in-process)
+  --workers N    (campaign) worker processes to spawn (default 2;
+                 0 = drain in-process)
 
 exit codes: 0 clean; 1 runtime failure; 2 finished but some run was
 quarantined, truncated, memo-corrupted, or served degraded; 3 usage/
@@ -426,12 +427,16 @@ fn drain_as_worker(dir: &Path, spec: &CampaignSpec) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Worker processes a campaign spawns when `--workers` is not given.
+const DEFAULT_WORKERS: usize = 2;
+
 /// The `campaign` parent up to its merge: initializes the directory,
 /// spawns `workers` children of itself, waits for them — tolerating
-/// any of them dying, since survivors reclaim expired leases — runs a
-/// final in-process drain to settle anything left over, and merges the
-/// segments into the memo cache. The caller then finishes like a single
-/// run of the target artifact.
+/// any of them dying — and then finishes the campaign in-process
+/// ([`campaign::run_local`]): the dead workers' leases are cleared,
+/// anything left over runs here, and the segments merge into the memo
+/// cache. The caller then finishes like a single run of the target
+/// artifact.
 fn run_campaign(dir: &Path, spec: &CampaignSpec, workers: usize) -> Result<(), CliError> {
     campaign::init(dir, spec)?;
     let exe = std::env::current_exe()
@@ -478,16 +483,12 @@ fn run_campaign(dir: &Path, spec: &CampaignSpec, workers: usize) -> Result<(), C
             Ok(status) if status.success() => {}
             Ok(status) => eprintln!(
                 "warning: campaign worker {i} exited with {status}; \
-                 survivors will reclaim its leases"
+                 its unfinished units run here"
             ),
             Err(e) => eprintln!("warning: wait for campaign worker {i}: {e}"),
         }
     }
-    // Final in-process drain: settles anything still unclaimed (dead
-    // workers, no workers at all) by reclaiming expired leases, so the
-    // merge always sees a fully settled campaign.
-    let stats = campaign::worker_drain(dir, spec, 0)?;
-    let merged = campaign::merge(dir, spec)?;
+    let (stats, merged) = campaign::run_local(dir, spec)?;
     println!(
         "campaign: {} unit(s): {} restored from segments, {} left to the sweep; \
          finisher ran {}, {} torn/corrupt line(s) skipped",
@@ -757,7 +758,7 @@ fn main() -> ExitCode {
         if std::env::var_os("SCALESIM_CAMPAIGN_ROLE").is_some_and(|v| v == "worker") {
             return drain_as_worker(dir, &spec).map_or_else(fail, |()| ExitCode::SUCCESS);
         }
-        let workers = cli.workers.unwrap_or_else(campaign::default_workers);
+        let workers = cli.workers.unwrap_or(DEFAULT_WORKERS);
         if let Err(e) = run_campaign(dir, &spec, workers) {
             return fail(e);
         }

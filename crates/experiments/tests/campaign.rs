@@ -9,6 +9,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use scalesim_experiments::campaign::{self, campaign_units, CampaignSpec};
@@ -18,8 +19,6 @@ use scalesim_experiments::{
 
 const BIN: &str = env!("CARGO_BIN_EXE_scalesim-experiments");
 const SWEEP_ARGS: &[&str] = &["--scale", "0.02", "--seed", "7", "--threads", "2,4"];
-/// Short TTL so the finisher reclaims the killed worker's leases fast.
-const TTL_MS: &str = "300";
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -41,7 +40,6 @@ fn campaign_cmd(dir: &Path, extra: &[&str]) -> Command {
         .arg(dir)
         .args(SWEEP_ARGS)
         .args(extra)
-        .env("SCALESIM_LEASE_TTL_MS", TTL_MS)
         .stdout(Stdio::null());
     cmd
 }
@@ -54,6 +52,23 @@ fn single_cmd(extra: &[&str]) -> Command {
         .args(extra)
         .stdout(Stdio::null());
     cmd
+}
+
+/// Serializes the tests that finish a campaign in this process: the
+/// merge clears the process-wide memo cache and manifest log.
+fn in_process() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// File names in `dir` that satisfy `keep`.
+fn names(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| keep(n))
+        .collect()
 }
 
 fn read(path: &Path) -> String {
@@ -109,7 +124,7 @@ fn sigkilled_worker_still_merges_byte_identical() {
 
     // SIGKILL the first worker mid-drain: no destructors, no flushes —
     // whatever it held (leases, a torn segment tail) must be repaired
-    // by the survivors and the merge.
+    // by the finisher and the merge.
     std::thread::sleep(Duration::from_millis(25));
     let victim = &mut workers[0];
     match victim.try_wait().unwrap() {
@@ -154,18 +169,9 @@ fn sigkilled_worker_still_merges_byte_identical() {
 
     // Every unit settled: done markers for all 12 units (6 apps x 2
     // thread counts) and no leases left behind.
-    let done = std::fs::read_dir(camp_dir.join("done"))
-        .unwrap()
-        .flatten()
-        .filter(|e| !e.file_name().to_string_lossy().starts_with('.'))
-        .count();
+    let done = names(&camp_dir.join("done"), |n| !n.starts_with('.')).len();
     assert_eq!(done, 12, "expected one done marker per unit");
-    let leases: Vec<String> = std::fs::read_dir(camp_dir.join("leases"))
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".lease"))
-        .collect();
+    let leases = names(&camp_dir.join("leases"), |n| n.ends_with(".lease"));
     assert!(
         leases.is_empty(),
         "stale leases survived the merge: {leases:?}"
@@ -186,6 +192,50 @@ fn sigkilled_worker_still_merges_byte_identical() {
     for dir in [golden_out, camp_dir, merged_out, camp_dir2, merged_out2] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// The finisher settles what a dead worker left behind — the lease of
+/// the unit it was running and a segment torn mid-record — with no
+/// clock involved: it clears the lease, runs every unsettled unit and
+/// merges. A worker that starts afterwards finds nothing to claim and
+/// leaves no segment behind.
+#[test]
+fn finisher_settles_a_dead_workers_lease_and_torn_segment() {
+    let _guard = in_process();
+    let dir = scratch("finisher");
+    let spec = CampaignSpec {
+        artifact: "scaletable".to_owned(),
+        params: ExpParams::quick().with_scale(0.01).with_threads(vec![2, 4]),
+    };
+    let units = campaign::init(&dir, &spec).unwrap();
+    let n = units.len();
+    let lease = dir
+        .join("leases")
+        .join(format!("{:016x}.lease", units[0].0));
+    std::fs::write(&lease, "99999").unwrap();
+    std::fs::write(dir.join("seg-w9-p99999.jsonl"), "12345678 {\"v\":1,\"ke").unwrap();
+
+    let (drained, merged) = campaign::run_local(&dir, &spec).unwrap();
+    assert_eq!(drained.ran, n, "the dead worker's unit runs too");
+    assert_eq!(
+        (
+            merged.units,
+            merged.restored,
+            merged.reran,
+            merged.skipped_lines
+        ),
+        (n, n, 0, 1),
+        "every unit restored, the torn line skipped"
+    );
+    assert_eq!(names(&dir.join("done"), |_| true).len(), n);
+    assert!(names(&dir.join("leases"), |_| true).is_empty());
+
+    let segments = |dir: &Path| names(dir, |n| n.starts_with("seg-")).len();
+    let before = segments(&dir);
+    let late = campaign::worker_drain(&dir, &spec, 5).unwrap();
+    assert_eq!((late.ran, late.skipped), (0, n));
+    assert_eq!(segments(&dir), before, "an idle drain opened a segment");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// After the merge a campaign runs the single run's tail: analytics
@@ -242,16 +292,14 @@ fn campaign_analyze_and_trace_match_a_single_run() {
 
 /// `audit-*.json` file names and bytes in `dir`, sorted by name.
 fn audit_repros(dir: &Path) -> Vec<(String, String)> {
-    let mut repros: Vec<(String, String)> = std::fs::read_dir(dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("audit-") && n.ends_with(".json"))
-        .map(|n| {
-            let body = read(&dir.join(&n));
-            (n, body)
-        })
-        .collect();
+    let mut repros: Vec<(String, String)> =
+        names(dir, |n| n.starts_with("audit-") && n.ends_with(".json"))
+            .into_iter()
+            .map(|n| {
+                let body = read(&dir.join(&n));
+                (n, body)
+            })
+            .collect();
     repros.sort();
     repros
 }
@@ -410,6 +458,7 @@ fn campaign_rejects_mismatched_spec_directories() {
 /// manifests of a fresh in-process run; the rest are refused.
 #[test]
 fn every_campaignable_artifact_merges_byte_identical() {
+    let _guard = in_process();
     let params = ExpParams::quick().with_scale(0.01).with_threads(vec![2, 4]);
     let mut campaigned = 0;
     for a in ARTIFACTS {

@@ -135,6 +135,16 @@ diff target/ci-campaign/single/scaletable.csv target/ci-campaign/merged/scaletab
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-campaign/single/manifest.jsonl \
     > target/ci-campaign/single.norm
 diff target/ci-campaign/single.norm target/ci-campaign/merged/manifest.jsonl
+echo '== campaign re-run smoke (a second run over the same directory restores every unit)'
+cargo run --release -q -p scalesim-experiments -- \
+    campaign scaletable --scale 0.02 --threads 4,8 \
+    --dir target/ci-campaign/dir --workers 2 \
+    --out target/ci-campaign/rerun > target/ci-campaign/rerun.log
+grep -Eq 'campaign: ([0-9]+) unit\(s\): \1 restored from segments, 0 left to the sweep' \
+    target/ci-campaign/rerun.log \
+    || { echo "re-run left units to the sweep:"; cat target/ci-campaign/rerun.log; exit 1; }
+diff target/ci-campaign/merged/scaletable.csv target/ci-campaign/rerun/scaletable.csv
+diff target/ci-campaign/merged/manifest.jsonl target/ci-campaign/rerun/manifest.jsonl
 echo '== campaign analyze smoke (a campaign finishes like a single run: same analytics and manifest)'
 cargo run --release -q -p scalesim-experiments -- \
     scaletable --scale 0.02 --threads 4,8 --analyze \
