@@ -267,8 +267,8 @@ fn main() {
     eprintln!("figure sweep (memoized, cold cache, checkpoint store on, interleaved pairs)...");
     let ckpt_dir = std::env::temp_dir().join(format!("scalesim-bench-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ckpt_dir);
-    // The variant owns the store lifecycle (create, append, fsynced
-    // rotation) so the timed cost is the whole price of durable
+    // The variant owns the store lifecycle (create, append, a sync
+    // every 128 records) so the timed cost is the whole price of durable
     // checkpointing; each pair starts from an empty numbered
     // subdirectory, and tearing old stores down is bench scaffolding
     // kept outside the timed region.

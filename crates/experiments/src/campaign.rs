@@ -18,10 +18,11 @@
 //!   left behind stays until the finisher clears it.
 //! * `done/<key>` — advisory completion markers (`ok` / `volatile` /
 //!   `quar`) so workers skip settled units without reading segments.
-//! * `seg-w<id>-p<pid>.jsonl` — each worker's private result segment,
-//!   created on its first record, one crc32-framed record per completed
-//!   run in exactly the [`checkpoint`](crate::checkpoint) store framing.
-//!   A SIGKILL can tear at most the last line, which the merge scrubs.
+//! * `seg-NNNNN.jsonl` — result segments, one crc32-framed record per
+//!   completed run, written exactly as a [`checkpoint`](crate::checkpoint)
+//!   store writes them: each worker process claims a segment of its own
+//!   on its first record. A SIGKILL can tear at most the last line,
+//!   which the merge skips.
 //!
 //! A worker ([`worker_drain`]) claims and runs units until nothing is
 //! left for it to claim, then exits; it never waits on another
@@ -52,20 +53,18 @@
 //! tables, analytics, shrinking, auditing, manifests — is the
 //! single-process path.
 //!
-//! Durability policy: the campaign directory is scratch state, so
-//! nothing in it is fsynced — segments are plain appends, done markers
-//! are plain writes (existence is the signal), and `campaign.json` is
-//! a plain temp+rename write.
-//! SIGKILL-safety needs only the page cache, which survives process
-//! death; whole-*host* crash durability is the fsynced checkpoint
-//! store's job (`--checkpoint`), and a torn `campaign.json` after a
-//! host crash is caught by the byte-compare on the next init. Only the
-//! final artifacts go through the fsynced
+//! Durability policy: segments are synced as a checkpoint store's are,
+//! every [`SEGMENT_RECORDS`](crate::checkpoint::SEGMENT_RECORDS)
+//! records. The rest of the directory is scratch state and never
+//! fsynced — done markers are plain writes (existence is the signal),
+//! and `campaign.json` is a plain temp+rename write. SIGKILL-safety
+//! needs only the page cache, which survives process death, and a torn
+//! `campaign.json` after a host crash is caught by the byte-compare on
+//! the next init. Only the final artifacts go through the fsynced
 //! [`write_atomic`](scalesim_trace::write_atomic).
 
 use std::collections::HashSet;
 use std::fmt;
-use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
@@ -74,7 +73,7 @@ use scalesim_core::SimError;
 use scalesim_workloads::AppModel;
 
 use crate::artifacts::{artifact, Runs, ARTIFACTS};
-use crate::checkpoint::{self, encode_record};
+use crate::checkpoint::{self, encode_record, Writer};
 use crate::params::ExpParams;
 use crate::sweep::{
     attempt, checkpointable, clear_run_cache, fingerprint, retry_once, take_run_manifests,
@@ -318,18 +317,6 @@ fn mark_done(done: &Path, key: u64, status: &str) -> io::Result<()> {
     std::fs::write(done.join(key16(key)), status)
 }
 
-/// Appends one record line to this worker's segment, creating the file
-/// on the first record so a drain that runs nothing leaves no empty
-/// segment for every later merge to open.
-fn append(seg: &Mutex<Option<File>>, path: &Path, line: &str) -> io::Result<()> {
-    let mut seg = seg.lock().unwrap_or_else(PoisonError::into_inner);
-    let file = match seg.take() {
-        Some(file) => file,
-        None => File::options().create(true).append(true).open(path)?,
-    };
-    seg.insert(file).write_all(line.as_bytes())
-}
-
 fn record_failure(slot: &Mutex<Option<String>>, msg: String) {
     let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
     if guard.is_none() {
@@ -341,8 +328,8 @@ fn record_failure(slot: &Mutex<Option<String>>, msg: String) {
 /// Drains the campaign as one worker process: repeatedly claims
 /// unsettled units (lease per unit, batching across an internal thread
 /// pool sized like [`run_all`](crate::run_all)'s), executes each under
-/// the retry-once policy, streams completed reports into this worker's
-/// private crc-framed segment, and marks units done. Returns once
+/// the retry-once policy, streams completed reports into this process's
+/// own crc-framed segment, and marks units done. Returns once
 /// nothing is left for it to claim: every unit is settled or leased to
 /// someone else. It never waits on another worker's lease — a live
 /// holder settles its unit, and a dead one's is left to the finisher.
@@ -355,23 +342,14 @@ fn record_failure(slot: &Mutex<Option<String>>, msg: String) {
 ///
 /// [`CampaignError::Config`] for spec problems, [`CampaignError::Runtime`]
 /// for I/O failures (a failing unit is *not* an error — it quarantines).
-pub fn worker_drain(
-    dir: &Path,
-    spec: &CampaignSpec,
-    worker_id: u32,
-) -> Result<DrainStats, CampaignError> {
-    drain(dir, &init(dir, spec)?, worker_id)
+pub fn worker_drain(dir: &Path, spec: &CampaignSpec) -> Result<DrainStats, CampaignError> {
+    drain(dir, &init(dir, spec)?)
 }
 
-fn drain(
-    dir: &Path,
-    units: &[(u64, RunSpec)],
-    worker_id: u32,
-) -> Result<DrainStats, CampaignError> {
+fn drain(dir: &Path, units: &[(u64, RunSpec)]) -> Result<DrainStats, CampaignError> {
     let leases = dir.join("leases");
     let done = dir.join("done");
-    let seg_path = dir.join(format!("seg-w{worker_id}-p{}.jsonl", std::process::id()));
-    let seg: Mutex<Option<File>> = Mutex::new(None);
+    let writer = Mutex::new(Writer::new(dir));
     // Units this process has settled, skipped or holds the lease of. The
     // scan passes them without touching the filesystem — only
     // cross-process coordination needs the lease files and done markers.
@@ -434,7 +412,10 @@ fn drain(
                             let fp = fingerprint(report);
                             let mut line = encode_record(key, report, fp, retries);
                             line.push('\n');
-                            append(&seg, &seg_path, &line)
+                            writer
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .append(&line)
                                 .and_then(|()| mark_done(&done, key, "ok"))
                         }
                         Ok(_) => mark_done(&done, key, "volatile"),
@@ -466,9 +447,6 @@ fn drain(
     if let Some(msg) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(CampaignError::Runtime(msg));
     }
-    // No fsync: SIGKILL-safety only needs the page cache, which survives
-    // process death. Whole-host crash durability is the checkpoint
-    // store's job (`--checkpoint`), not the campaign scratch dir's.
     Ok(stats.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
@@ -489,12 +467,12 @@ fn clear_dir(dir: &Path) -> io::Result<()> {
 
 /// Finishes a campaign in this process once its workers have exited:
 /// empties `leases/` (every lease left belongs to a worker that is
-/// gone), drains whatever is unsettled as worker 0, then merges. The
-/// merge is a replay and nothing more: every `seg-*.jsonl` worker
-/// segment goes through the reader a checkpoint resume uses
+/// gone), drains whatever is unsettled, then merges. The merge is a
+/// replay and nothing more: every `seg-*.jsonl` segment goes through
+/// the reader a checkpoint resume uses
 /// ([`replay_dir`](checkpoint::replay_dir), segments in name order,
 /// last record per key wins — duplicates are identical by purity),
-/// which scrubs torn or corrupt lines, verifies each survivor's
+/// which skips torn or corrupt lines, verifies each survivor's
 /// fingerprint and seeds the memo with its restored provenance.
 ///
 /// The memo cache and the manifest and failure logs are cleared before
@@ -510,7 +488,7 @@ fn clear_dir(dir: &Path) -> io::Result<()> {
 /// # Errors
 ///
 /// [`CampaignError::Config`] for spec problems, [`CampaignError::Runtime`]
-/// when the directory cannot be cleared, drained or replayed.
+/// when the directory cannot be cleared or drained.
 pub fn run_local(
     dir: &Path,
     spec: &CampaignSpec,
@@ -518,12 +496,11 @@ pub fn run_local(
     let units = init(dir, spec)?;
     let leases = dir.join("leases");
     clear_dir(&leases).map_err(|e| rt(&format!("clear {}", leases.display()), &e))?;
-    let drained = drain(dir, &units, 0)?;
+    let drained = drain(dir, &units)?;
     clear_run_cache();
     let _ = take_run_manifests();
     let _ = take_sweep_failures();
-    let (stats, _, _) =
-        checkpoint::replay_dir(dir).map_err(|e| rt(&format!("replay {}", dir.display()), &e))?;
+    let stats = checkpoint::replay_dir(dir);
     let merged = MergeOutcome {
         units: units.len(),
         restored: stats.loaded,

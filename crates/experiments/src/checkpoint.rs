@@ -1,23 +1,23 @@
 //! Durable checkpoint/resume for long sweeps.
 //!
-//! When a store is active (CLI `--checkpoint DIR` or
-//! `SCALESIM_CHECKPOINT=DIR`), every completed `(app, config, seed)`
-//! run is appended to an on-disk log as one crc-framed JSONL record
-//! carrying the full [`RunReport`] plus the memo key and content
-//! fingerprint the sweep cache uses. A later process started with
-//! `--resume` (or `SCALESIM_RESUME=1`) replays the log into the memo
-//! cache via [`resume_from`]: verified records are served without
-//! re-simulation, while corrupted or torn records — a crash mid-append
-//! leaves at most one partial line at the tail — are skipped and their
+//! When a store is active (CLI `--checkpoint DIR`), every completed
+//! `(app, config, seed)` run is appended to an on-disk log as one
+//! crc-framed JSONL record carrying the full [`RunReport`] plus the memo
+//! key and content fingerprint the sweep cache uses. A later process
+//! started with `--resume` replays the log into the memo cache via
+//! [`resume_from`]: verified records are served without re-simulation,
+//! while corrupted or torn records — a crash mid-append leaves at most
+//! one partial line at the end of a segment — are skipped and their
 //! runs simply re-execute. Because a run is a pure function of its memo
 //! key, a resumed sweep produces byte-identical tables and manifests.
 //!
-//! On-disk layout under the checkpoint directory:
-//!
-//! * `tail.jsonl` — the active append file; crashes can tear only its
-//!   last line.
-//! * `seg-NNNNN.jsonl` — sealed segments, rotated from the tail every
-//!   [`SEGMENT_RECORDS`] records via an atomic rename.
+//! On-disk layout: the checkpoint directory holds `seg-NNNNN.jsonl`
+//! segments, read in name order. Each process that writes claims a
+//! segment of its own through a `Writer`, so a resumed sweep appends
+//! after a torn line, never onto it, and the store needs no rewrite.
+//! Every [`SEGMENT_RECORDS`] records a writer syncs its segment and the
+//! directory. A campaign directory holds its workers' segments in the
+//! same layout, written by the same `Writer`.
 //!
 //! Record framing: `<8-hex crc32> <json>`, where the JSON body is
 //! `{"v":1,"key":"<16-hex>","fp":"<16-hex>","retries":N,"report":{…}}`.
@@ -41,10 +41,10 @@
 //! every point once.
 //!
 //! Workers frame their records before taking the store lock, which
-//! guards only the append and the rotation.
+//! guards only the append.
 //!
-//! Every read of a store directory — a resume's tail and sealed
-//! segments, and the campaign merge's worker segments — goes through
+//! Every read of a store directory — a resume's segments and the
+//! campaign merge's worker segments — goes through
 //! [`replay_dir`] and its one streaming reader. Up to
 //! [`worker_budget`](crate::sweep::worker_budget) decode workers take
 //! the next line under the reader's lock, then check it for UTF-8,
@@ -52,9 +52,9 @@
 //! lines in flight are resident, never the whole file, and results keep
 //! line order, so the last record per key wins exactly as in a serial
 //! pass. UTF-8 is checked per line: a bad byte costs the one record it
-//! sits in, which counts as skipped like any other corrupt line. A tail
-//! with rejected lines is rewritten by streaming it a second time and
-//! copying only the lines that decoded.
+//! sits in, which counts as skipped like any other corrupt line. The
+//! reader rewrites nothing: a rejected line stays where it is and is
+//! skipped again by every later replay.
 //!
 //! Host-time-dependent truncations
 //! ([`Watchdog`](scalesim_simkit::AbortReason::Watchdog) /
@@ -68,14 +68,14 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use scalesim_core::{read_report, write_report, JsonCursor, JsonWriter, RunReport, SnapshotError};
-use scalesim_trace::{sync_dir, write_atomic_with};
+use scalesim_trace::sync_dir;
 
 use crate::sweep;
 
-/// Records per segment before the tail is sealed and rotated.
+/// Records a writer appends between syncs of its segment.
 pub const SEGMENT_RECORDS: usize = 128;
 
 /// What [`resume_from`] found in the store.
@@ -91,7 +91,7 @@ pub struct ResumeStats {
     /// Of `skipped`, the records an earlier build wrote in an older
     /// snapshot version: intact, but not readable by this build.
     pub older: usize,
-    /// Sealed segments read (the tail is not counted).
+    /// Segment files read.
     pub segments: usize,
 }
 
@@ -364,22 +364,13 @@ fn decode_file(path: &Path) -> std::io::Result<Vec<Decoded>> {
     Ok(out)
 }
 
-/// Decodes one segment file (a sealed store segment or a campaign
-/// worker's segment) into `latest`, where the last record per key wins,
-/// and returns why each rejected line was rejected, in line order. An
-/// unreadable file adds nothing.
+/// Decodes one segment file (a store's or a campaign worker's) into
+/// `latest`, where the last record per key wins, and returns why each
+/// rejected line was rejected, in line order. An unreadable file adds
+/// nothing.
 fn load_segment(path: &Path, latest: &mut HashMap<u64, (Record, bool)>) -> Vec<Reject> {
-    let Ok(decoded) = decode_file(path) else {
-        return Vec::new();
-    };
-    insert_latest(decoded, latest)
-}
-
-/// Inserts each decoded record into `latest` in order, so the last one
-/// per key wins, and returns the rejects in order.
-fn insert_latest(decoded: Vec<Decoded>, latest: &mut HashMap<u64, (Record, bool)>) -> Vec<Reject> {
     let mut rejects = Vec::new();
-    for decoded in decoded {
+    for decoded in decode_file(path).unwrap_or_default() {
         match decoded {
             Ok((record, verified)) => {
                 latest.insert(record.key, (record, verified));
@@ -391,39 +382,43 @@ fn insert_latest(decoded: Vec<Decoded>, latest: &mut HashMap<u64, (Record, bool)
 }
 
 // ---------------------------------------------------------------------
-// The store
+// The writer
 // ---------------------------------------------------------------------
 
-struct Store {
+/// Appends records to a segment of its own under one directory: the
+/// checkpoint store's writer, and each campaign worker's.
+pub(crate) struct Writer {
     dir: PathBuf,
-    tail_records: usize,
-    next_seg: u64,
+    /// The claimed segment, created on the first record, so a writer
+    /// that appends nothing leaves no empty file for every later replay
+    /// to open.
+    file: Option<File>,
+    records: usize,
 }
 
-impl Store {
-    fn tail_path(&self) -> PathBuf {
-        self.dir.join("tail.jsonl")
+impl Writer {
+    pub(crate) fn new(dir: &Path) -> Self {
+        Writer {
+            dir: dir.to_owned(),
+            file: None,
+            records: 0,
+        }
     }
 
-    /// Appends one framed, newline-terminated record and rotates the
-    /// tail once it is full.
-    fn append(&mut self, line: &str) -> std::io::Result<()> {
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.tail_path())?;
+    /// Appends one framed, newline-terminated record. Every
+    /// [`SEGMENT_RECORDS`] records the segment and the directory are
+    /// synced, so a host crash loses at most the records since.
+    pub(crate) fn append(&mut self, line: &str) -> std::io::Result<()> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => claim_segment(&self.dir)?,
+        };
+        let file = self.file.insert(file);
         file.write_all(line.as_bytes())?;
-        self.tail_records += 1;
-        if self.tail_records >= SEGMENT_RECORDS {
-            // Seal the segment durably: fsync the bytes before the
-            // rename and the directory after it, so a host crash can't
-            // leave a renamed-but-unsynced (or empty) segment behind.
+        self.records += 1;
+        if self.records.is_multiple_of(SEGMENT_RECORDS) {
             file.sync_all()?;
-            drop(file);
-            std::fs::rename(self.tail_path(), self.dir.join(seg_name(self.next_seg)))?;
             sync_dir(&self.dir)?;
-            self.next_seg += 1;
-            self.tail_records = 0;
         }
         Ok(())
     }
@@ -433,9 +428,25 @@ fn seg_name(n: u64) -> String {
     format!("seg-{n:05}.jsonl")
 }
 
-/// Segment paths (`seg-*.jsonl`) in name order — a store's sealed
-/// segments in rotation order, or a campaign's worker segments — plus
-/// the next free store segment index.
+/// Creates the next free segment in `dir` with `create_new`: one past
+/// the highest index there, so its records replay after every record
+/// already written, stepping past any index another writer claims first.
+fn claim_segment(dir: &Path) -> std::io::Result<File> {
+    let (_, mut next) = segments_of(dir);
+    loop {
+        match File::options()
+            .append(true)
+            .create_new(true)
+            .open(dir.join(seg_name(next)))
+        {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => next += 1,
+            claimed => return claimed,
+        }
+    }
+}
+
+/// Segment paths (`seg-*.jsonl`) in name order, plus the next free
+/// segment index.
 fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
     let mut names: Vec<String> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
@@ -457,108 +468,69 @@ fn segments_of(dir: &Path) -> (Vec<PathBuf>, u64) {
     (names.into_iter().map(|n| dir.join(n)).collect(), next)
 }
 
-fn store() -> &'static Mutex<Option<Store>> {
-    static STORE: OnceLock<Mutex<Option<Store>>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(None))
+// ---------------------------------------------------------------------
+// The store
+// ---------------------------------------------------------------------
+
+/// The active checkpoint store's writer, if any.
+static STORE: Mutex<Option<Writer>> = Mutex::new(None);
+
+fn store() -> MutexGuard<'static, Option<Writer>> {
+    STORE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Activates a **fresh** checkpoint store in `dir`: any existing
-/// segments and tail are deleted, and subsequent sweep completions are
-/// appended. Use [`resume_from`] to keep (and replay) existing records.
+/// segments are deleted, and subsequent sweep completions are appended.
+/// Use [`resume_from`] to keep (and replay) existing records.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation or cleanup failures.
 pub fn set_store(dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let (segs, _) = segments_of(dir);
-    for seg in segs {
+    for seg in segments_of(dir).0 {
         std::fs::remove_file(seg)?;
     }
-    let tail = dir.join("tail.jsonl");
-    if tail.exists() {
-        std::fs::remove_file(&tail)?;
-    }
-    *store().lock().unwrap_or_else(PoisonError::into_inner) = Some(Store {
-        dir: dir.to_owned(),
-        tail_records: 0,
-        next_seg: 0,
-    });
+    *store() = Some(Writer::new(dir));
     Ok(())
 }
 
-/// Replays the store in `dir` into the memo cache and keeps the store
-/// active so the resumed sweep continues appending where it left off.
-/// The replay itself is [`replay_dir`].
+/// Replays the store in `dir` into the memo cache ([`replay_dir`]) and
+/// keeps the store active: the resumed sweep appends to a segment of its
+/// own, after any torn line the replay skipped.
 ///
 /// # Errors
 ///
-/// Propagates directory-creation failures and tail-rewrite failures.
-/// A missing store directory is not an error — it resumes empty, which
-/// is exactly the cold-start case.
+/// Propagates directory-creation failures. A missing store directory is
+/// not an error — it resumes empty, which is exactly the cold-start
+/// case.
 pub fn resume_from(dir: &Path) -> std::io::Result<ResumeStats> {
     std::fs::create_dir_all(dir)?;
-    let (stats, tail_records, next_seg) = replay_dir(dir)?;
-    *store().lock().unwrap_or_else(PoisonError::into_inner) = Some(Store {
-        dir: dir.to_owned(),
-        tail_records,
-        next_seg,
-    });
+    let stats = replay_dir(dir);
+    *store() = Some(Writer::new(dir));
     Ok(stats)
 }
 
-/// Replays every record under `dir` into the memo cache: the sealed
-/// `seg-*.jsonl` segments in name order, then `tail.jsonl`. This one
-/// reader serves a checkpoint resume (and so `analyze --dir`) and the
-/// campaign merge, whose worker segments share the store's framing, so
-/// all three drop torn and corrupt lines by one policy.
+/// Replays every `seg-*.jsonl` segment under `dir`, in name order, into
+/// the memo cache. This one reader serves a checkpoint resume (and so
+/// `analyze --dir`) and the campaign merge, so both drop torn and
+/// corrupt lines by one policy. It reads and never writes: an
+/// unreadable segment contributes nothing.
 ///
 /// Every valid record is fingerprint-verified (the hash is recomputed
 /// from the deserialized report and compared against the stored value)
 /// before it seeds the cache; mismatches count as skipped and the point
-/// re-runs. Each file is streamed through the decode
-/// workers, with results kept in line order, and the last record per key
-/// wins. A torn tail is tolerated: invalid tail lines are dropped and the
-/// tail is rewritten atomically with only the lines that decoded.
-///
-/// Returns the stats, the tail's surviving record count, and the next
-/// free sealed-segment index.
-///
-/// # Errors
-///
-/// Propagates tail-rewrite failures.
-pub(crate) fn replay_dir(dir: &Path) -> std::io::Result<(ResumeStats, usize, u64)> {
+/// re-runs. Each file is streamed through the decode workers, with
+/// results kept in line order, and the last record per key wins.
+pub(crate) fn replay_dir(dir: &Path) -> ResumeStats {
     let mut stats = ResumeStats::default();
     // Last record wins per key; only the survivor's verification counts.
     let mut latest: HashMap<u64, (Record, bool)> = HashMap::new();
     let mut rejects = Vec::new();
-    let (segs, next_seg) = segments_of(dir);
+    let (segs, _) = segments_of(dir);
     stats.segments = segs.len();
     for seg in &segs {
         rejects.extend(load_segment(seg, &mut latest));
-    }
-    let tail = dir.join("tail.jsonl");
-    let mut tail_records = 0;
-    if let Ok(decoded) = decode_file(&tail) {
-        let keep: Vec<bool> = decoded.iter().map(Result::is_ok).collect();
-        rejects.extend(insert_latest(decoded, &mut latest));
-        tail_records = keep.iter().filter(|&&k| k).count();
-        if tail_records < keep.len() {
-            // Stream the tail a second time, copying only the lines that
-            // decoded, so the rewrite holds no more than the reader does.
-            // A read failure aborts the rewrite and leaves the tail as is.
-            let mut lines = LineReader::open(&tail)?;
-            write_atomic_with(&tail, move |w| {
-                let mut line = Vec::new();
-                while let Some(i) = lines.next_line(&mut line) {
-                    if keep.get(i) == Some(&true) {
-                        w.write_all(&line)?;
-                        w.write_all(b"\n")?;
-                    }
-                }
-                lines.finish().map(drop)
-            })?;
-        }
     }
 
     // Seed the memo with every survivor that may stand in for a
@@ -578,21 +550,18 @@ pub(crate) fn replay_dir(dir: &Path) -> std::io::Result<(ResumeStats, usize, u64
         .filter(|&&why| why == Reject::OlderVersion)
         .count();
     stats.skipped = rejects.len() + survivors - stats.loaded;
-    Ok((stats, tail_records, next_seg))
+    stats
 }
 
 /// Deactivates the store; completed runs are no longer persisted.
 pub fn disable_store() {
-    *store().lock().unwrap_or_else(PoisonError::into_inner) = None;
+    *store() = None;
 }
 
 /// Whether a checkpoint store is currently active.
 #[must_use]
 pub fn is_active() -> bool {
-    store()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .is_some()
+    store().is_some()
 }
 
 /// Appends one completed run. Called from sweep workers; IO failures
@@ -600,18 +569,17 @@ pub fn is_active() -> bool {
 /// re-simulation, never the sweep.
 ///
 /// The record is framed before the store lock is taken, so concurrent
-/// workers encode in parallel and the lock guards only the append and
-/// the rotation.
+/// workers encode in parallel and the lock guards only the append.
 pub(crate) fn append_completed(key: u64, report: &RunReport, fp: u64, retries: u32) {
     if !is_active() {
         return;
     }
     let mut line = encode_record(key, report, fp, retries);
     line.push('\n');
-    let mut guard = store().lock().unwrap_or_else(PoisonError::into_inner);
-    let Some(st) = guard.as_mut() else { return };
-    if let Err(e) = st.append(&line) {
-        eprintln!("checkpoint: dropping record for key {key:016x}: {e}");
+    if let Some(writer) = store().as_mut() {
+        if let Err(e) = writer.append(&line) {
+            eprintln!("checkpoint: dropping record for key {key:016x}: {e}");
+        }
     }
 }
 
@@ -669,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_keeps_the_last_valid_record_and_scrubs_the_tail() {
+    fn resume_keeps_the_last_valid_record() {
         // Synthetic keys no sweep ever requests, so concurrent tests
         // cannot claim or evict what this one seeds.
         const K: [u64; 5] = [
@@ -685,9 +653,7 @@ mod tests {
         let mut second = first.clone();
         second.host_ns = first.host_ns + 1;
         let (fp1, fp2) = (sweep::fingerprint(&first), sweep::fingerprint(&second));
-        let dir = std::env::temp_dir().join(format!("scalesim-ckpt-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("resume");
         let seg0 = [
             encode_record(K[0], &first, fp1, 0),
             encode_record(K[1], &first, fp1, 0),
@@ -696,32 +662,18 @@ mod tests {
             encode_record(K[2], &first, fp1 ^ 1, 0),
             encode_record(K[3], &first, fp1, 1),
         ];
-        // The later record for K[1] wins over the sealed one.
+        // The later record for K[1] wins over the earlier one.
         let winner = encode_record(K[1], &second, fp2, 3);
         let torn = encode_record(K[4], &first, fp1, 0);
+        let seg2 = format!("{winner}\n{}", &torn[..torn.len() / 2]);
         std::fs::write(dir.join(seg_name(0)), seg0.join("\n") + "\n").unwrap();
         std::fs::write(dir.join(seg_name(1)), seg1.join("\n") + "\n").unwrap();
-        std::fs::write(
-            dir.join("tail.jsonl"),
-            format!("{winner}\n{}", &torn[..torn.len() / 2]),
-        )
-        .unwrap();
+        std::fs::write(dir.join(seg_name(2)), &seg2).unwrap();
 
-        let stats = resume_from(&dir).unwrap();
-        disable_store();
-        // Other tests' sweeps may append to the store while it is active;
-        // keep only this test's keys.
-        let cached: Vec<_> = K.iter().map(|&k| sweep::cached_entry(k)).collect();
-        let retries: Vec<_> = cached
-            .iter()
-            .map(|entry| entry.as_ref().and_then(|e| e.restored))
-            .collect();
-        let tail: Vec<String> = std::fs::read_to_string(dir.join("tail.jsonl"))
-            .unwrap()
-            .lines()
-            .filter(|l| decode_record(l).is_ok_and(|r| K.contains(&r.key)))
-            .map(str::to_owned)
-            .collect();
+        let (stats, cached, retries) = resume_and_collect(&dir, &K);
+        // The torn line stays where it is; the resumed writer appends to a
+        // segment of its own.
+        let last = std::fs::read_to_string(dir.join(seg_name(2))).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(
@@ -730,17 +682,16 @@ mod tests {
                 loaded: 3,
                 skipped: 2,
                 older: 0,
-                segments: 2,
+                segments: 3,
             }
         );
         assert_eq!(retries, [Some(0), Some(3), None, Some(1), None]);
-        assert_eq!(tail, [winner]);
-        let debug = |r: &RunReport| format!("{r:?}");
+        assert_eq!(last, seg2);
         let expected = [Some(&first), Some(&second), None, Some(&first), None];
         for ((entry, want), key) in cached.iter().zip(expected).zip(K) {
             assert_eq!(
-                entry.as_ref().map(|e| (debug(&e.report), e.fp)),
-                want.map(|r| (debug(r), sweep::fingerprint(r))),
+                entry,
+                &want.map(|r| (format!("{r:?}"), sweep::fingerprint(r))),
                 "key {key:016x}"
             );
         }
@@ -786,8 +737,8 @@ mod tests {
         assert_eq!(decode_record(line).err(), Some(Reject::OlderVersion));
         let key = 0x5ca1_e5ee_d000_0010;
         let dir = fresh_dir("v1");
-        std::fs::write(dir.join("tail.jsonl"), V1_RECORD).unwrap();
-        let (stats, tail, cached, _) = resume_and_collect(&dir, &[key]);
+        std::fs::write(dir.join(seg_name(0)), V1_RECORD).unwrap();
+        let (stats, cached, _) = resume_and_collect(&dir, &[key]);
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(
@@ -796,12 +747,10 @@ mod tests {
                 loaded: 0,
                 skipped: 1,
                 older: 1,
-                segments: 0,
+                segments: 1,
             }
         );
         assert_eq!(cached, [None]);
-        // Like a corrupt line, it is scrubbed from the tail.
-        assert!(!tail.starts_with(line.as_bytes()));
     }
 
     /// A small, distinct report per index: quarantined stubs carry no
@@ -828,13 +777,9 @@ mod tests {
     /// Per key, the seeded memo entry as `(Debug, fp)`.
     type Seeded = Vec<Option<(String, u64)>>;
 
-    /// Resumes `dir`, then reads back everything the resume left for
-    /// `keys`: the stats, the tail's bytes, and per key the seeded
-    /// entry and its restored retries.
-    fn resume_and_collect(
-        dir: &Path,
-        keys: &[u64],
-    ) -> (ResumeStats, Vec<u8>, Seeded, Vec<Option<u32>>) {
+    /// Resumes `dir`, then reads back what the resume seeded for `keys`:
+    /// the stats, and per key the seeded entry and its restored retries.
+    fn resume_and_collect(dir: &Path, keys: &[u64]) -> (ResumeStats, Seeded, Vec<Option<u32>>) {
         let stats = resume_from(dir).unwrap();
         disable_store();
         let entries: Vec<_> = keys.iter().map(|&k| sweep::cached_entry(k)).collect();
@@ -849,12 +794,11 @@ mod tests {
             .iter()
             .map(|entry| entry.as_ref().and_then(|e| e.restored))
             .collect();
-        let tail = std::fs::read(dir.join("tail.jsonl")).unwrap_or_default();
-        (stats, tail, cached, retries)
+        (stats, cached, retries)
     }
 
     #[test]
-    fn streamed_tail_matches_the_whole_file_read() {
+    fn streamed_segment_matches_the_whole_file_read() {
         // More records than decode workers, so every worker reads several
         // lines and results must be put back in line order.
         let n = 2 * sweep::worker_budget() + 3;
@@ -875,12 +819,10 @@ mod tests {
 
         // The whole-file reference: one serial pass over `str::lines`.
         let mut latest: HashMap<u64, Record> = HashMap::new();
-        let mut kept: Vec<&str> = Vec::new();
         let mut skipped = 0;
         for line in text.lines() {
             match decode_record(line) {
                 Ok(record) => {
-                    kept.push(line);
                     latest.insert(record.key, record);
                 }
                 Err(_) => skipped += 1,
@@ -889,7 +831,6 @@ mod tests {
         let verified = |r: &Record| sweep::fingerprint(&r.report) == r.fp;
         let loaded = latest.values().filter(|r| verified(r)).count();
         skipped += latest.len() - loaded;
-        let want_tail = kept.join("\n") + "\n";
         let want_cached: Vec<_> = keys
             .iter()
             .map(|k| {
@@ -903,8 +844,8 @@ mod tests {
             .collect();
 
         let dir = fresh_dir("stream");
-        std::fs::write(dir.join("tail.jsonl"), &text).unwrap();
-        let (stats, tail, cached, retries) = resume_and_collect(&dir, &keys);
+        std::fs::write(dir.join(seg_name(0)), &text).unwrap();
+        let (stats, cached, retries) = resume_and_collect(&dir, &keys);
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!((loaded, skipped), (n - 1, 2));
@@ -914,51 +855,11 @@ mod tests {
                 loaded,
                 skipped,
                 older: 0,
-                segments: 0,
+                segments: 1,
             }
-        );
-        // Sweeps in concurrent tests may append after the rewrite.
-        assert_eq!(
-            &tail[..want_tail.len().min(tail.len())],
-            want_tail.as_bytes()
         );
         assert_eq!(cached, want_cached);
         assert_eq!(retries, want_retries);
-    }
-
-    #[test]
-    fn a_bad_byte_in_the_tail_skips_only_its_record() {
-        let keys: Vec<u64> = (0..3).map(|i| 0x5ca1_e5ee_d000_0200 + i).collect();
-        let lines: Vec<String> = (0..3)
-            .map(|i| {
-                let report = stub(i);
-                encode_record(keys[i], &report, sweep::fingerprint(&report), 0)
-            })
-            .collect();
-        let mut text = format!("{}\n", lines[0]).into_bytes();
-        text.extend(poisoned(&lines[1]));
-        text.extend(format!("\n{}\n", lines[2]).into_bytes());
-        let dir = fresh_dir("badbyte-tail");
-        std::fs::write(dir.join("tail.jsonl"), &text).unwrap();
-        let (stats, tail, cached, _) = resume_and_collect(&dir, &keys);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        assert_eq!(
-            stats,
-            ResumeStats {
-                loaded: 2,
-                skipped: 1,
-                older: 0,
-                segments: 0,
-            }
-        );
-        let want_tail = format!("{}\n{}\n", lines[0], lines[2]);
-        assert_eq!(
-            &tail[..want_tail.len().min(tail.len())],
-            want_tail.as_bytes()
-        );
-        let seeded: Vec<bool> = cached.iter().map(Option::is_some).collect();
-        assert_eq!(seeded, [true, false, true]);
     }
 
     #[test]
@@ -973,26 +874,60 @@ mod tests {
             .zip(&keys)
             .map(|(report, &key)| encode_record(key, report, sweep::fingerprint(report), 0))
             .collect();
-        let text = lines.join("\n") + "\n";
         let dir = fresh_dir("hostms");
-        std::fs::write(dir.join("tail.jsonl"), &text).unwrap();
-        let (stats, tail, cached, _) = resume_and_collect(&dir, &keys);
+        std::fs::write(dir.join(seg_name(0)), lines.join("\n") + "\n").unwrap();
+        let (stats, cached, _) = resume_and_collect(&dir, &keys);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // The record decodes and verifies, so it stays in the tail, but a
-        // host-time truncation never stands in for a simulation.
+        // The last record decodes and verifies, but a host-time
+        // truncation never stands in for a simulation.
         assert_eq!(
             stats,
             ResumeStats {
                 loaded: 1,
                 skipped: 1,
                 older: 0,
-                segments: 0,
+                segments: 1,
             }
         );
-        assert_eq!(&tail[..text.len().min(tail.len())], text.as_bytes());
         let seeded: Vec<bool> = cached.iter().map(Option::is_some).collect();
         assert_eq!(seeded, [true, false]);
+    }
+
+    #[test]
+    fn a_bad_byte_in_the_tail_skips_only_its_record() {
+        let keys: Vec<u64> = (0..3).map(|i| 0x5ca1_e5ee_d000_0200 + i).collect();
+        let lines: Vec<String> = (0..3)
+            .map(|i| {
+                let report = stub(i);
+                encode_record(keys[i], &report, sweep::fingerprint(&report), 0)
+            })
+            .collect();
+        let mut text = format!("{}\n", lines[0]).into_bytes();
+        text.extend(poisoned(&lines[1]));
+        text.extend(format!("\n{}\n", lines[2]).into_bytes());
+        // The store's tail is its newest segment, the one a writer last
+        // appended to.
+        let dir = fresh_dir("badbyte");
+        std::fs::write(dir.join(seg_name(0)), &text).unwrap();
+        let (stats, cached, _) = resume_and_collect(&dir, &keys);
+        // The replay rewrites nothing: the bad line stays, skipped again
+        // by every later replay.
+        let after = std::fs::read(dir.join(seg_name(0))).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded: 2,
+                skipped: 1,
+                older: 0,
+                segments: 1,
+            }
+        );
+        let seeded: Vec<bool> = cached.iter().map(Option::is_some).collect();
+        assert_eq!(seeded, [true, false, true]);
+        assert_eq!(after, text);
     }
 
     #[test]
@@ -1018,6 +953,52 @@ mod tests {
         let mut loaded: Vec<(u64, bool)> = latest.iter().map(|(&k, (_, v))| (k, *v)).collect();
         loaded.sort_unstable();
         assert_eq!(loaded, [(keys[0], true), (keys[2], true)]);
+    }
+
+    #[test]
+    fn writers_append_to_segments_of_their_own() {
+        let keys: Vec<u64> = (0..5).map(|i| 0x5ca1_e5ee_d000_0500 + i).collect();
+        let lines: Vec<String> = (0..5)
+            .map(|i| {
+                let report = stub(i);
+                encode_record(keys[i], &report, sweep::fingerprint(&report), 0) + "\n"
+            })
+            .collect();
+        let dir = fresh_dir("writers");
+        // A dead writer's segment: one record, then a line torn mid-write.
+        let dead = format!("{}{}", lines[0], &lines[4][..lines[4].len() / 2]);
+        std::fs::write(dir.join(seg_name(0)), &dead).unwrap();
+        // Two writers interleave; an idle one claims nothing.
+        let (mut a, mut b, _idle) = (Writer::new(&dir), Writer::new(&dir), Writer::new(&dir));
+        a.append(&lines[1]).unwrap();
+        b.append(&lines[2]).unwrap();
+        a.append(&lines[3]).unwrap();
+        drop((a, b));
+        let (segs, _) = segments_of(&dir);
+        let names: Vec<_> = segs.iter().filter_map(|p| p.file_name()).collect();
+        let torn = std::fs::read_to_string(dir.join(seg_name(0))).unwrap();
+        let stats = replay_dir(&dir);
+        let seeded: Vec<bool> = keys
+            .iter()
+            .map(|&k| sweep::cached_entry(k).is_some())
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(
+            names,
+            ["seg-00000.jsonl", "seg-00001.jsonl", "seg-00002.jsonl"]
+        );
+        assert_eq!(torn, dead, "a writer appended onto the torn line");
+        assert_eq!(
+            stats,
+            ResumeStats {
+                loaded: 4,
+                skipped: 1,
+                older: 0,
+                segments: 3,
+            }
+        );
+        assert_eq!(seeded, [true, true, true, true, false]);
     }
 
     #[test]

@@ -108,20 +108,18 @@ options:
                  at https://ui.perfetto.dev or chrome://tracing);
                  SCALESIM_TRACE=<path> traces every run instead
   --checkpoint DIR  persist every completed run to a crc-checked store
-                 in DIR as the sweep goes (SCALESIM_CHECKPOINT=DIR too)
+                 in DIR as the sweep goes
   --resume       replay the checkpoint store before sweeping: verified
                  runs are served without re-simulation, torn or corrupt
-                 records re-run (SCALESIM_RESUME=1 too)
+                 records re-run
   --audit        after the artifact, re-execute every quarantined sweep
                  point with salvage + tracing and run the concurrency
                  auditor over the recovered timeline; audit-<key>.json
                  repros land next to the shrinker's repro files
-                 (SCALESIM_AUDIT=1 too)
   --analyze      after the artifact, run the analytics pass over the
                  figure sweep (memoized runs are reused) and write
                  analytics.json next to the CSVs; manifest.jsonl rows
                  gain analytics/analytics_fp cross-links
-                 (SCALESIM_ANALYZE=1 too)
   --dir DIR      (campaign) the shared campaign directory;
                  (analyze) a checkpoint store to re-derive from
   --workers N    (campaign) worker processes to spawn (default 2;
@@ -415,14 +413,14 @@ fn run_artifact(cli: &Cli, artifact: &str) -> Result<(), CliError> {
 /// by [`run_campaign`] or launched by hand on another terminal or host
 /// sharing the directory): drains and exits.
 fn drain_as_worker(dir: &Path, spec: &CampaignSpec) -> Result<(), CliError> {
-    let id: u32 = std::env::var("SCALESIM_CAMPAIGN_WORKER_ID")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let stats = campaign::worker_drain(dir, spec, id)?;
+    let stats = campaign::worker_drain(dir, spec)?;
     println!(
-        "campaign worker {id}: ran {} skipped {} volatile {} quarantined {}",
-        stats.ran, stats.skipped, stats.volatile, stats.quarantined
+        "campaign worker pid {}: ran {} skipped {} volatile {} quarantined {}",
+        std::process::id(),
+        stats.ran,
+        stats.skipped,
+        stats.volatile,
+        stats.quarantined
     );
     Ok(())
 }
@@ -462,7 +460,6 @@ fn run_campaign(dir: &Path, spec: &CampaignSpec, workers: usize) -> Result<(), C
             .arg("--threads")
             .arg(&threads_arg)
             .env("SCALESIM_CAMPAIGN_ROLE", "worker")
-            .env("SCALESIM_CAMPAIGN_WORKER_ID", i.to_string())
             .stdout(std::process::Stdio::null())
             .spawn();
         match spawned {
@@ -497,25 +494,20 @@ fn run_campaign(dir: &Path, spec: &CampaignSpec, workers: usize) -> Result<(), C
     Ok(())
 }
 
-/// Activates the checkpoint store. CLI flags win, env vars
-/// (`SCALESIM_CHECKPOINT` / `SCALESIM_RESUME=1`) reach the same
-/// machinery from wrappers. For the analyze subcommand `--dir CKPT` is
-/// resume sugar: replay the store, then derive the artifact from the
-/// replayed runs.
+/// Activates the checkpoint store (`--checkpoint`, `--resume`). For the
+/// analyze subcommand `--dir CKPT` is resume sugar: replay the store,
+/// then derive the artifact from the replayed runs.
 fn open_checkpoint(cli: &Cli) -> Result<(), CliError> {
     let analyze_from_dir = cli.artifact == "analyze" && cli.dir.is_some();
     let ckpt_dir = cli
         .checkpoint
         .clone()
-        .or_else(|| cli.dir.clone().filter(|_| analyze_from_dir))
-        .or_else(|| std::env::var_os("SCALESIM_CHECKPOINT").map(PathBuf::from));
-    let resume = cli.resume
-        || analyze_from_dir
-        || std::env::var_os("SCALESIM_RESUME").is_some_and(|v| v == "1");
+        .or_else(|| cli.dir.clone().filter(|_| analyze_from_dir));
+    let resume = cli.resume || analyze_from_dir;
     let Some(dir) = &ckpt_dir else {
         return if resume {
             Err(CliError::Config(
-                "--resume needs --checkpoint DIR or SCALESIM_CHECKPOINT".to_owned(),
+                "--resume needs --checkpoint DIR".to_owned(),
             ))
         } else {
             Ok(())
@@ -691,7 +683,7 @@ fn run_audit(cli: &Cli) -> ExitCode {
 }
 
 /// Re-audits every quarantined sweep point with salvage + tracing (the
-/// `--audit` / `SCALESIM_AUDIT=1` path), writing `audit-<key>.json`
+/// `--audit` path), writing `audit-<key>.json`
 /// artifacts next to the shrinker's repro files.
 fn audit_quarantined(failures: &[SweepFailure], dir: &Path) {
     for (f, spec) in quarantined(failures) {
@@ -775,9 +767,7 @@ fn main() -> ExitCode {
     } else {
         run_artifact(&cli, artifact)
     };
-    let analyze_on = artifact == "analyze"
-        || cli.analyze
-        || std::env::var_os("SCALESIM_ANALYZE").is_some_and(|v| v == "1");
+    let analyze_on = artifact == "analyze" || cli.analyze;
     let mut analytics_fp = None;
     if result.is_ok() && analyze_on {
         let dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
@@ -805,8 +795,7 @@ fn main() -> ExitCode {
     }
     let repro_dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
     shrink_quarantined(&failures, &repro_dir);
-    let audit_on = cli.audit || std::env::var_os("SCALESIM_AUDIT").is_some_and(|v| v == "1");
-    if audit_on {
+    if cli.audit {
         audit_quarantined(&failures, &repro_dir);
     }
     let mut manifests = take_run_manifests();

@@ -677,6 +677,9 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
     }
     if !pending.is_empty() {
         let workers = worker_budget().min(pending.len());
+        // The checkpoint record needs the fingerprint even when the memo
+        // is off.
+        let fingerprinted = use_memo || checkpoint::is_active();
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<RunReport, String>, Option<u64>, u32)>();
 
@@ -695,7 +698,7 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                         // thread: the checkpoint record and the memo entry
                         // below both reuse it.
                         let fp = match &outcome {
-                            Ok(report) if use_memo => Some(fingerprint(report)),
+                            Ok(report) if fingerprinted => Some(fingerprint(report)),
                             _ => None,
                         };
                         // Persist the completion before handing the result

@@ -111,11 +111,10 @@ fn sigkilled_worker_still_merges_byte_identical() {
     assert!(status.success(), "golden run failed: {status}");
 
     // Three raw worker processes share the campaign directory.
-    let mut workers: Vec<_> = (1..=3u32)
-        .map(|id| {
+    let mut workers: Vec<_> = (0..3)
+        .map(|_| {
             campaign_cmd(&camp_dir, &[])
                 .env("SCALESIM_CAMPAIGN_ROLE", "worker")
-                .env("SCALESIM_CAMPAIGN_WORKER_ID", id.to_string())
                 .stderr(Stdio::null())
                 .spawn()
                 .unwrap()
@@ -140,7 +139,7 @@ fn sigkilled_worker_still_merges_byte_identical() {
     // torn tail (no trailing newline, truncated mid-record). The merge
     // must scrub both without contaminating the output.
     std::fs::write(
-        camp_dir.join("seg-w9-p99999.jsonl"),
+        camp_dir.join("seg-00099.jsonl"),
         "deadbeef {\"v\":1,\"key\":\"0000000000000000\",\"garbage\":true}\n12345678 {\"v\":1,\"ke",
     )
     .unwrap();
@@ -213,7 +212,7 @@ fn finisher_settles_a_dead_workers_lease_and_torn_segment() {
         .join("leases")
         .join(format!("{:016x}.lease", units[0].0));
     std::fs::write(&lease, "99999").unwrap();
-    std::fs::write(dir.join("seg-w9-p99999.jsonl"), "12345678 {\"v\":1,\"ke").unwrap();
+    std::fs::write(dir.join("seg-00000.jsonl"), "12345678 {\"v\":1,\"ke").unwrap();
 
     let (drained, merged) = campaign::run_local(&dir, &spec).unwrap();
     assert_eq!(drained.ran, n, "the dead worker's unit runs too");
@@ -232,7 +231,7 @@ fn finisher_settles_a_dead_workers_lease_and_torn_segment() {
 
     let segments = |dir: &Path| names(dir, |n| n.starts_with("seg-")).len();
     let before = segments(&dir);
-    let late = campaign::worker_drain(&dir, &spec, 5).unwrap();
+    let late = campaign::worker_drain(&dir, &spec).unwrap();
     assert_eq!((late.ran, late.skipped), (0, n));
     assert_eq!(segments(&dir), before, "an idle drain opened a segment");
     let _ = std::fs::remove_dir_all(dir);

@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes.
 //!
 //! Every machine-readable artifact the workspace emits (run manifests,
-//! Chrome traces, benchmark reports, checkpoint segments) must never be
+//! Chrome traces, benchmark reports, analytics) must never be
 //! observable half-written: a killed process that leaves a truncated
 //! `manifest.jsonl` would make `trace_check` — and a resumed sweep — fail
 //! on an artifact the harness itself produced. [`write_atomic`] funnels
@@ -57,7 +57,7 @@ pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
 ///
 /// As [`write_atomic`]; an error from `fill` also aborts the write and
 /// leaves `path` untouched.
-pub fn write_atomic_with(
+fn write_atomic_with(
     path: &Path,
     fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {

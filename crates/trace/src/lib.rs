@@ -43,7 +43,7 @@ mod event;
 mod packed;
 mod timeline;
 
-pub use artifact::{sync_dir, write_atomic, write_atomic_with};
+pub use artifact::{sync_dir, write_atomic};
 pub use chrome::to_chrome_json;
 pub use config::TraceConfig;
 pub use counters::{CounterId, Counters, COUNTER_SLOTS};

@@ -40,7 +40,7 @@ use scalesim_simkit::{SimDuration, SimTime};
 pub struct Timeline {
     enabled: bool,
     capacity: usize,
-    events: Store,
+    events: Events,
     /// Index of the oldest retained event once the ring has wrapped.
     head: usize,
     dropped: u64,
@@ -49,14 +49,14 @@ pub struct Timeline {
 /// The event storage in ring order: owned while recording, packed and
 /// shared once closed.
 #[derive(Clone)]
-enum Store {
+enum Events {
     /// A recorder's own ring, written in place.
     Ring(Vec<TimelineEvent>),
     /// A closed timeline's buffer, shared by all its clones.
     Closed(Packed),
 }
 
-impl Store {
+impl Events {
     /// Packs `events`, in order. Without any, the store stays an empty
     /// ring: sharing nothing is not worth an allocation.
     fn closed(events: impl IntoIterator<Item = TimelineEvent>) -> Self {
@@ -64,13 +64,14 @@ impl Store {
         for e in events {
             enc.push(e);
         }
-        enc.finish().map_or(Store::Ring(Vec::new()), Store::Closed)
+        enc.finish()
+            .map_or(Events::Ring(Vec::new()), Events::Closed)
     }
 
     fn len(&self) -> usize {
         match self {
-            Store::Ring(ring) => ring.len(),
-            Store::Closed(packed) => packed.len(),
+            Events::Ring(ring) => ring.len(),
+            Events::Closed(packed) => packed.len(),
         }
     }
 
@@ -82,45 +83,45 @@ impl Store {
     /// The events in emission order: `ring[head..]`, then `ring[..head]`.
     fn rotated(&self, head: usize) -> Iter<'_> {
         match self {
-            Store::Ring(ring) => {
+            Events::Ring(ring) => {
                 let (tail, front) = ring.split_at(head);
                 Iter::Ring(front.iter().chain(tail).copied())
             }
-            Store::Closed(packed) => Iter::Packed(packed.rotated(head)),
+            Events::Closed(packed) => Iter::Packed(packed.rotated(head)),
         }
     }
 
     /// The ring to record into; a closed buffer is unpacked first.
     fn ring(&mut self) -> &mut Vec<TimelineEvent> {
-        if let Store::Closed(packed) = self {
-            *self = Store::Ring(packed.iter().collect());
+        if let Events::Closed(packed) = self {
+            *self = Events::Ring(packed.iter().collect());
         }
         match self {
-            Store::Ring(ring) => ring,
-            Store::Closed(_) => unreachable!("a closed buffer was just unpacked"),
+            Events::Ring(ring) => ring,
+            Events::Closed(_) => unreachable!("a closed buffer was just unpacked"),
         }
     }
 }
 
-impl fmt::Debug for Store {
+impl fmt::Debug for Events {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl PartialEq for Store {
+impl PartialEq for Events {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             // One encoding per sequence: equal bytes are equal events.
-            (Store::Closed(a), Store::Closed(b)) => a.ptr_eq(b) || a.bytes() == b.bytes(),
+            (Events::Closed(a), Events::Closed(b)) => a.ptr_eq(b) || a.bytes() == b.bytes(),
             _ => self.len() == other.len() && self.iter().eq(other.iter()),
         }
     }
 }
 
-impl Eq for Store {}
+impl Eq for Events {}
 
-impl Hash for Store {
+impl Hash for Events {
     /// As `[TimelineEvent]` hashes: the length, then each event.
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_usize(self.len());
@@ -173,7 +174,7 @@ impl Timeline {
         Timeline {
             enabled: false,
             capacity: 0,
-            events: Store::Ring(Vec::new()),
+            events: Events::Ring(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -185,7 +186,7 @@ impl Timeline {
         Timeline {
             enabled: true,
             capacity: capacity.max(1),
-            events: Store::Ring(Vec::new()),
+            events: Events::Ring(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -306,8 +307,8 @@ impl Timeline {
     /// [`Timeline::events`].
     pub fn packed_parts(&self) -> (bool, usize, usize, u64, Cow<'_, [u8]>) {
         let packed = match &self.events {
-            Store::Closed(packed) => Cow::Borrowed(packed.bytes()),
-            Store::Ring(ring) => {
+            Events::Closed(packed) => Cow::Borrowed(packed.bytes()),
+            Events::Ring(ring) => {
                 let mut enc = Encoder::default();
                 ring.iter().for_each(|&e| enc.push(e));
                 Cow::Owned(enc.into_bytes())
@@ -336,9 +337,9 @@ impl Timeline {
         packed: Vec<u8>,
     ) -> Result<Self, PackedError> {
         let events = if packed.is_empty() {
-            Store::Ring(Vec::new())
+            Events::Ring(Vec::new())
         } else {
-            Store::Closed(Packed::from_bytes(packed)?)
+            Events::Closed(Packed::from_bytes(packed)?)
         };
         if head > events.len() {
             return Err(PackedError::HeadPastEvents);
@@ -375,7 +376,7 @@ impl Timeline {
         Timeline {
             enabled,
             capacity: events.len().max(1),
-            events: Store::closed(events),
+            events: Events::closed(events),
             head: 0,
             dropped,
         }
@@ -391,7 +392,7 @@ mod tests {
     }
 
     fn share_a_buffer(a: &Timeline, b: &Timeline) -> bool {
-        matches!((&a.events, &b.events), (Store::Closed(x), Store::Closed(y)) if x.ptr_eq(y))
+        matches!((&a.events, &b.events), (Events::Closed(x), Events::Closed(y)) if x.ptr_eq(y))
     }
 
     #[test]

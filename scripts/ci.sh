@@ -56,8 +56,8 @@ echo '== poisoned resume smoke (one non-UTF-8 byte must cost one record, not the
 rm -rf target/ci-resume/poison target/ci-resume/c
 cp -r target/ci-resume/ckpt target/ci-resume/poison
 # 0xFF is never valid UTF-8; write it 200 bytes into the second record.
-off=$(( $(head -n 1 target/ci-resume/poison/tail.jsonl | wc -c) + 200 ))
-printf '\377' | dd of=target/ci-resume/poison/tail.jsonl bs=1 seek="$off" conv=notrunc status=none
+off=$(( $(head -n 1 target/ci-resume/poison/seg-00000.jsonl | wc -c) + 200 ))
+printf '\377' | dd of=target/ci-resume/poison/seg-00000.jsonl bs=1 seek="$off" conv=notrunc status=none
 cargo run --release -q -p scalesim-experiments -- \
     fig1d --scale 0.02 --threads 4,8 \
     --out target/ci-resume/c --checkpoint target/ci-resume/poison --resume \
@@ -69,6 +69,22 @@ for csv in target/ci-resume/a/*.csv; do
 done
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/c/manifest.jsonl > target/ci-resume/c.norm
 diff target/ci-resume/a.norm target/ci-resume/c.norm
+# The re-run record went to a segment of its own and the bad line was
+# not rewritten: a second resume loads both runs and skips it again.
+cargo run --release -q -p scalesim-experiments -- \
+    fig1d --scale 0.02 --threads 4,8 \
+    --checkpoint target/ci-resume/poison --resume > target/ci-resume/poison2.out
+grep -q 'resumed 2 run(s) .* 1 record(s) skipped' target/ci-resume/poison2.out \
+    || { echo "second poisoned resume lost a record"; cat target/ci-resume/poison2.out; exit 1; }
+echo '== no-memo resume smoke (a checkpoint must persist runs with the memo off)'
+rm -rf target/ci-resume/nomemo
+SCALESIM_NO_MEMO=1 cargo run --release -q -p scalesim-experiments -- \
+    fig1d --scale 0.02 --threads 4,8 --checkpoint target/ci-resume/nomemo > /dev/null
+SCALESIM_NO_MEMO=1 cargo run --release -q -p scalesim-experiments -- \
+    fig1d --scale 0.02 --threads 4,8 --checkpoint target/ci-resume/nomemo --resume \
+    > target/ci-resume/nomemo.out
+grep -q 'resumed 2 run(s)' target/ci-resume/nomemo.out \
+    || { echo "no-memo checkpoint did not persist its runs"; cat target/ci-resume/nomemo.out; exit 1; }
 echo '== traced resume smoke (a traced ext-locks resume must reproduce identical tables)'
 rm -rf target/ci-resume-traced
 mkdir -p target/ci-resume-traced

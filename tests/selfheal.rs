@@ -78,7 +78,8 @@ fn kill_and_resume_is_byte_identical_even_with_a_torn_tail() {
     assert_eq!(ref_manifests.len(), specs.len());
 
     // Interrupted sweep: checkpoint the first half, then "crash" —
-    // drop the in-memory cache and leave a torn record at the tail.
+    // drop the in-memory cache and leave a torn record at the tail of
+    // the first segment.
     clear_run_cache();
     checkpoint::set_store(&dir).unwrap();
     let _ = run_all(&specs[..2]);
@@ -87,25 +88,22 @@ fn kill_and_resume_is_byte_identical_even_with_a_torn_tail() {
     clear_run_cache();
     {
         use std::io::Write;
-        let mut tail = std::fs::OpenOptions::new()
+        let mut segment = std::fs::OpenOptions::new()
             .append(true)
-            .open(dir.join("tail.jsonl"))
+            .open(dir.join("seg-00000.jsonl"))
             .unwrap();
         // No trailing newline: exactly what a mid-write crash leaves.
-        tail.write_all(b"deadbeef {\"v\":1,\"key\":\"00").unwrap();
+        segment
+            .write_all(b"deadbeef {\"v\":1,\"key\":\"00")
+            .unwrap();
     }
 
-    // Resume: the two verified records replay, the torn one is dropped
-    // (and scrubbed from the tail), and the full sweep completes with
-    // byte-identical reports and manifests, modulo host wall time.
+    // Resume: the two verified records replay, the torn one is skipped,
+    // and the full sweep completes with byte-identical reports and
+    // manifests, modulo host wall time.
     let stats = checkpoint::resume_from(&dir).unwrap();
     assert_eq!(stats.loaded, 2, "{stats:?}");
     assert!(stats.skipped >= 1, "{stats:?}");
-    let tail_text = std::fs::read_to_string(dir.join("tail.jsonl")).unwrap();
-    assert!(
-        !tail_text.contains("deadbeef") && tail_text.lines().count() == 2,
-        "torn line survived the tail rewrite"
-    );
     let resumed = run_all(&specs);
     let resumed_manifests: Vec<RunManifest> = take_run_manifests()
         .into_iter()
@@ -122,6 +120,14 @@ fn kill_and_resume_is_byte_identical_even_with_a_torn_tail() {
     // Restored points report the provenance of their original run, not
     // a cache hit — exactly what the uninterrupted reference recorded.
     assert!(resumed_manifests.iter().all(|m| m.memo == "miss"));
+
+    // The resumed sweep appended its two runs to a segment of its own,
+    // after the torn line rather than onto it: a second resume loads
+    // all four and skips only the torn line.
+    checkpoint::disable_store();
+    clear_run_cache();
+    let stats = checkpoint::resume_from(&dir).unwrap();
+    assert_eq!((stats.loaded, stats.skipped), (4, 1), "{stats:?}");
 
     checkpoint::disable_store();
     clear_run_cache();
