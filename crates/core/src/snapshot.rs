@@ -17,13 +17,15 @@
 //! callers that hold a parsed tree.
 //!
 //! Every report document opens with its schema version,
-//! [`SNAPSHOT_VERSION`]. Version 2 stores a timeline as the bytes a
-//! closed timeline already holds (`trace/src/packed.rs`, about 7 bytes
-//! per event), base64 in a `packed` string, where version 1 wrote one
-//! JSON array per event (about 31 bytes). The reader takes the current
-//! version only; an older one is [`SnapshotError::OlderVersion`], so a
-//! checkpoint store written by an earlier build says why it no longer
-//! resumes.
+//! [`SNAPSHOT_VERSION`]. A timeline is stored as the bytes a closed
+//! timeline already holds (`trace/src/packed.rs`), base64 in a `packed`
+//! string. Version 3 packs an event into about 5.5 bytes, with one
+//! header byte for its kind, how its `at` is coded and a zero `arg`;
+//! version 2 packed the same fields as plain varints (about 7 bytes),
+//! and version 1 wrote one JSON array per event (about 31 bytes). The
+//! reader takes the current version only; an older one is
+//! [`SnapshotError::OlderVersion`], so a checkpoint store written by an
+//! earlier build says why it no longer resumes.
 //!
 //! [`ReproSpec`] is the companion for failure shrinking: a self-contained
 //! description of one failing run (app, workload size, config knobs,
@@ -52,10 +54,11 @@ use crate::json::{JsonCursor, JsonValue, JsonWriter};
 use crate::report::{RunOutcome, RunReport, ServerStats, ThreadReport};
 
 /// The run-report schema [`write_report`] writes and [`read_report`]
-/// reads: the `v` that opens every report document. Version 2 stores a
-/// timeline as its packed bytes; version 1 stored one JSON array per
-/// event.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// reads: the `v` that opens every report document. Version 3 stores a
+/// timeline as its packed bytes with header-coded kinds, `at`s and zero
+/// `arg`s; version 2 stored it as packed plain varints, and version 1 as
+/// one JSON array per event.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// A snapshot (de)serialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1388,7 +1391,7 @@ mod tests {
         text.replacen(from, to, 1)
     }
 
-    /// Every v2 writer emits lock stats as 6-tuples, so a 5-tuple is not
+    /// Every v3 writer emits lock stats as 6-tuples, so a 5-tuple is not
     /// canonical text and reads as malformed.
     #[test]
     fn five_tuple_lock_stats_are_malformed() {
@@ -1411,12 +1414,15 @@ mod tests {
         let rejects = |doc: String, why: &str| {
             assert!(report_from_str(&doc).is_err(), "accepted: {why}");
         };
-        rejects(edit(&good, "{\"v\":2,", "{\"v\":9,"), "unknown version");
-        // A schema-1 document is named as one, not as malformed.
-        assert_eq!(
-            report_from_str(&edit(&good, "{\"v\":2,", "{\"v\":1,")).err(),
-            Some(SnapshotError::OlderVersion(1))
-        );
+        rejects(edit(&good, "{\"v\":3,", "{\"v\":9,"), "unknown version");
+        // A document in an older schema is named as one, not as
+        // malformed.
+        for older in [1, 2] {
+            assert_eq!(
+                report_from_str(&edit(&good, "{\"v\":3,", &format!("{{\"v\":{older},"))).err(),
+                Some(SnapshotError::OlderVersion(older))
+            );
+        }
         let counters = good.find(",\"counters\":[").expect("counters key");
         let counters_end = counters + good[counters..].find(']').expect("counters end");
         rejects(
@@ -1424,7 +1430,7 @@ mod tests {
             "missing field",
         );
         rejects(format!("{good} "), "trailing data");
-        rejects(edit(&good, "{\"v\":2,", "{\"v\":2.0,"), "float version");
+        rejects(edit(&good, "{\"v\":3,", "{\"v\":3.0,"), "float version");
         // The timeline section's packed bytes, edited and re-encoded.
         let packed_at = good.find("\"packed\":\"").expect("a packed timeline") + 9;
         let packed_end = packed_at + 1 + good[packed_at + 1..].find('"').expect("packed end") + 1;
@@ -1446,7 +1452,7 @@ mod tests {
             let e = report_from_str(&with_packed(bytes)).expect_err(why);
             assert!(e.to_string().contains(why), "{why}: {e}");
         };
-        // The first event's kind byte follows the count's varint.
+        // The first event's header byte follows the count's varint.
         let kind = packed.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
         let mut bogus = packed.clone();
         bogus[kind] = 0xff;

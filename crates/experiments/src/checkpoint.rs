@@ -28,11 +28,12 @@
 //! line, and read back by one strict cursor pass
 //! ([`read_report`](scalesim_core::read_report)) that accepts only the
 //! canonical text the writer emits. The report's own `v`
-//! ([`SNAPSHOT_VERSION`](scalesim_core::SNAPSHOT_VERSION), 2 since
-//! timelines are stored as their packed bytes in base64) is the store's
-//! version header: an intact record an earlier build wrote in an older
-//! snapshot version is skipped, counted in [`ResumeStats::older`], and
-//! its point re-runs. The stored
+//! ([`SNAPSHOT_VERSION`](scalesim_core::SNAPSHOT_VERSION), 3 since
+//! packed timelines code each event's kind, `at` mode and zero `arg` in
+//! one header byte; 2 stored them as packed plain varints, 1 as JSON
+//! arrays) is the store's version header: an intact record an earlier
+//! build wrote in an older snapshot version is skipped, counted in
+//! [`ResumeStats::older`], and its point re-runs. The stored
 //! fingerprint is always the *true* report fingerprint — the structural
 //! hash the sweep memo uses, taken once by the worker that ran the
 //! point — and resume recomputes it from the deserialized report and
@@ -711,8 +712,8 @@ mod tests {
             "panic: \"quoted\" back\\slash\nline two".to_owned(),
         );
         for (report, len, crc) in [
-            (&traced, 94_037, 0xa08f_6f48),
-            (&quarantined, 879, 0xb53a_bc19),
+            (&traced, 93_713, 0x6862_948e),
+            (&quarantined, 879, 0x5dfe_d1ef),
         ] {
             let fp = sweep::fingerprint(report);
             let line = encode_record(K, report, fp, 1);
@@ -729,28 +730,39 @@ mod tests {
     /// array of its own.
     const V1_RECORD: &str = include_str!("../fixtures/record-snapshot-v1.jsonl");
 
+    /// The same record from the build before snapshot version 3 (879
+    /// bytes, crc 0xb53abc19), which packed timeline events as plain
+    /// varints.
+    const V2_RECORD: &str = include_str!("../fixtures/record-snapshot-v2.jsonl");
+
     #[test]
     fn a_record_in_an_older_snapshot_version_is_skipped_as_older() {
-        let line = V1_RECORD.trim_end();
-        assert_eq!((line.len(), crc32(line.as_bytes())), (879, 0x2fc5_73dd));
-        // Intact framing, an older report schema: named, not corrupt.
-        assert_eq!(decode_record(line).err(), Some(Reject::OlderVersion));
-        let key = 0x5ca1_e5ee_d000_0010;
-        let dir = fresh_dir("v1");
-        std::fs::write(dir.join(seg_name(0)), V1_RECORD).unwrap();
-        let (stats, cached, _) = resume_and_collect(&dir, &[key]);
-        let _ = std::fs::remove_dir_all(&dir);
+        for (name, record, crc) in [
+            ("v1", V1_RECORD, 0x2fc5_73dd),
+            ("v2", V2_RECORD, 0xb53a_bc19),
+        ] {
+            let line = record.trim_end();
+            assert_eq!((line.len(), crc32(line.as_bytes())), (879, crc), "{name}");
+            // Intact framing, an older report schema: named, not corrupt.
+            assert_eq!(decode_record(line).err(), Some(Reject::OlderVersion));
+            let key = 0x5ca1_e5ee_d000_0010;
+            let dir = fresh_dir(name);
+            std::fs::write(dir.join(seg_name(0)), record).unwrap();
+            let (stats, cached, _) = resume_and_collect(&dir, &[key]);
+            let _ = std::fs::remove_dir_all(&dir);
 
-        assert_eq!(
-            stats,
-            ResumeStats {
-                loaded: 0,
-                skipped: 1,
-                older: 1,
-                segments: 1,
-            }
-        );
-        assert_eq!(cached, [None]);
+            assert_eq!(
+                stats,
+                ResumeStats {
+                    loaded: 0,
+                    skipped: 1,
+                    older: 1,
+                    segments: 1,
+                },
+                "{name}"
+            );
+            assert_eq!(cached, [None], "{name}");
+        }
     }
 
     /// A small, distinct report per index: quarantined stubs carry no

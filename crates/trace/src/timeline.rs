@@ -11,9 +11,9 @@
 //! per event, and no allocation at all while tracing is off. A *closed*
 //! timeline — the output of [`Timeline::merge`] or
 //! [`Timeline::from_packed_parts`] — packs its events into one immutable,
-//! shared buffer of delta-coded varints (about 7 bytes per event instead
-//! of 32; see `packed.rs`), so every clone of it (a report handed out by
-//! the sweep memo, a resumed report) shares that buffer. A snapshot
+//! shared buffer (about 5.5 bytes per event instead of 32; see
+//! `packed.rs`), so every clone of it (a report handed out by the sweep
+//! memo, a resumed report) shares that buffer. A snapshot
 //! writes that buffer as it is and a resume adopts it back, so a
 //! timeline is packed once, when it closes. Recording into a
 //! closed timeline first unpacks a private copy, so a clone never sees
@@ -28,7 +28,7 @@ use std::iter::{Chain, Copied};
 use std::slice;
 
 use crate::event::{EventKind, Phase, TimelineEvent};
-use crate::packed::{Encoder, Packed, PackedError, Reader};
+use crate::packed::{pack, Packed, PackedError, Reader};
 use scalesim_simkit::{SimDuration, SimTime};
 
 /// A deterministic, bounded recorder of [`TimelineEvent`]s.
@@ -59,13 +59,8 @@ enum Events {
 impl Events {
     /// Packs `events`, in order. Without any, the store stays an empty
     /// ring: sharing nothing is not worth an allocation.
-    fn closed(events: impl IntoIterator<Item = TimelineEvent>) -> Self {
-        let mut enc = Encoder::default();
-        for e in events {
-            enc.push(e);
-        }
-        enc.finish()
-            .map_or(Events::Ring(Vec::new()), Events::Closed)
+    fn closed(events: impl ExactSizeIterator<Item = TimelineEvent>) -> Self {
+        Packed::new(events).map_or(Events::Ring(Vec::new()), Events::Closed)
     }
 
     fn len(&self) -> usize {
@@ -308,11 +303,7 @@ impl Timeline {
     pub fn packed_parts(&self) -> (bool, usize, usize, u64, Cow<'_, [u8]>) {
         let packed = match &self.events {
             Events::Closed(packed) => Cow::Borrowed(packed.bytes()),
-            Events::Ring(ring) => {
-                let mut enc = Encoder::default();
-                ring.iter().for_each(|&e| enc.push(e));
-                Cow::Owned(enc.into_bytes())
-            }
+            Events::Ring(ring) => Cow::Owned(pack(ring.iter().copied())),
         };
         (self.enabled, self.capacity, self.head, self.dropped, packed)
     }
@@ -376,7 +367,7 @@ impl Timeline {
         Timeline {
             enabled,
             capacity: events.len().max(1),
-            events: Events::closed(events),
+            events: Events::closed(events.into_iter()),
             head: 0,
             dropped,
         }

@@ -670,14 +670,15 @@ fn traced_runs_are_ordered_and_agree_with_counters() {
 
 /// The checkpoint snapshot layer is lossless: any small run — clean,
 /// truncated, or chaos-perturbed, with or without full object retention —
-/// survives `report_to_json` → text → parse → `report_from_json` with a
-/// `Debug`-identical report, which is exactly the property the durable
-/// sweep checkpoints rely on to verify fingerprints on resume.
+/// survives `report_to_json` → text → `report_from_str` (the codec the
+/// checkpoint store reads with) with a `Debug`-identical report, which is
+/// exactly the property the durable sweep checkpoints rely on to verify
+/// fingerprints on resume.
 #[test]
 fn snapshot_round_trip_preserves_any_small_report() {
     for_cases(8, |rng| {
         use scalesim::objtrace::Retention;
-        use scalesim::runtime::{report_from_json, report_to_json, JsonValue, Jvm, JvmConfig};
+        use scalesim::runtime::{report_from_str, report_to_json, Jvm, JvmConfig};
         use scalesim::simkit::{ChaosConfig, RunBudget};
         use scalesim::workloads::all_apps;
 
@@ -716,8 +717,8 @@ fn snapshot_round_trip_preserves_any_small_report() {
         .run(&app)
         .unwrap();
 
-        let text = report_to_json(&report).to_string();
-        let back = report_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let text = report_to_json(&report);
+        let back = report_from_str(&text).unwrap();
         assert_eq!(format!("{report:?}"), format!("{back:?}"));
     });
 }
@@ -725,7 +726,8 @@ fn snapshot_round_trip_preserves_any_small_report() {
 /// A closed timeline is lossless and invisible: adopted by
 /// `from_packed_parts` from the documented packing of any events — every
 /// kind, `u64::MAX` times, durations and args, `u32::MAX` tracks,
-/// unsorted order, a ring whose `head` is past 0 — it yields exactly
+/// unsorted order, spans that tile their track, every `at` mode, a ring
+/// whose `head` is past 0 — it yields exactly
 /// those events, raw and rotated, `Debug`, `Hash` and `==` read it as the
 /// plain `Vec` of them, and a run-report snapshot carries it through
 /// `report_to_json` / `report_from_str` `Debug`-identically. Across the
@@ -733,10 +735,11 @@ fn snapshot_round_trip_preserves_any_small_report() {
 /// snapshotted and rebuilt too.
 #[test]
 fn closed_timelines_read_as_their_plain_events() {
+    use std::collections::BTreeMap;
     use std::hash::{DefaultHasher, Hash, Hasher};
 
     use scalesim::runtime::{report_from_str, report_to_json, RunReport};
-    use scalesim::trace::{EventKind, Timeline, TimelineEvent};
+    use scalesim::trace::{EventKind, Process, Timeline, TimelineEvent};
 
     /// The field layout `Timeline` derives its `Debug` and `Hash` from,
     /// with the events in a plain `Vec`.
@@ -756,10 +759,40 @@ fn closed_timelines_read_as_their_plain_events() {
         value.hash(&mut h);
         h.finish()
     }
+    /// Per event, how the packing codes its `at`: 1 when it is the
+    /// previous event's `at`, else 2 when it is where the last event on
+    /// its thread or monitor track below 64 ended (0 before any), else
+    /// 0 for a delta.
+    fn at_modes(events: &[TimelineEvent]) -> Vec<u8> {
+        let mut ends = BTreeMap::new();
+        let mut prev = 0u64;
+        events
+            .iter()
+            .map(|e| {
+                let at = e.at.as_nanos();
+                let kept = matches!(e.kind.process(), Process::Threads | Process::Monitors)
+                    && e.track < 64;
+                let track = (e.kind.process(), e.track);
+                let mode = if at == prev {
+                    1
+                } else if kept && ends.get(&track).copied().unwrap_or(0) == at {
+                    2
+                } else {
+                    0
+                };
+                if kept {
+                    ends.insert(track, at.wrapping_add(e.dur.as_nanos()));
+                }
+                prev = at;
+                mode
+            })
+            .collect()
+    }
     /// The packing `trace/src/packed.rs` documents, written out apart
-    /// from its encoder: the count, then per event the kind byte, the
-    /// track, the zigzag `at` delta, `dur` and `arg` as LEB128 varints.
-    /// No events pack to no bytes.
+    /// from its encoder: the count, then per event the header byte
+    /// `kind × 6 + at_mode × 2 + (arg == 0)`, the track, the zigzag `at`
+    /// delta in mode 0 only, `dur`, and `arg` only when it is not zero,
+    /// each a LEB128 varint. No events pack to no bytes.
     fn pack(events: &[TimelineEvent]) -> Vec<u8> {
         fn varint(out: &mut Vec<u8>, mut v: u64) {
             while v >= 0x80 {
@@ -774,13 +807,17 @@ fn closed_timelines_read_as_their_plain_events() {
         }
         varint(&mut out, events.len() as u64);
         let mut prev = 0u64;
-        for e in events {
-            let delta = e.at.as_nanos().wrapping_sub(prev) as i64;
-            out.push(e.kind as u8);
+        for (e, mode) in events.iter().zip(at_modes(events)) {
+            out.push(e.kind as u8 * 6 + mode * 2 + u8::from(e.arg == 0));
             varint(&mut out, u64::from(e.track));
-            varint(&mut out, ((delta << 1) ^ (delta >> 63)) as u64);
+            if mode == 0 {
+                let delta = e.at.as_nanos().wrapping_sub(prev) as i64;
+                varint(&mut out, ((delta << 1) ^ (delta >> 63)) as u64);
+            }
             varint(&mut out, e.dur.as_nanos());
-            varint(&mut out, e.arg);
+            if e.arg != 0 {
+                varint(&mut out, e.arg);
+            }
             prev = e.at.as_nanos();
         }
         out
@@ -795,24 +832,41 @@ fn closed_timelines_read_as_their_plain_events() {
     }
     fn arbitrary(rng: &mut StdRng, n: usize) -> Vec<TimelineEvent> {
         let mut at = rng.gen_range(0u64..1000);
+        let mut last: Option<TimelineEvent> = None;
         (0..n)
             .map(|_| {
-                // Mostly time-sorted, as merged timelines are, with
-                // jumps back and extremes in between.
-                at = match rng.gen_range(0u32..4) {
-                    0 => pick(rng),
-                    _ => at.wrapping_add(rng.gen_range(0u64..5000)),
-                };
-                TimelineEvent {
-                    kind: EventKind::ALL[rng.gen_range(0..EventKind::ALL.len())],
-                    track: match rng.gen_range(0u32..4) {
-                        0 => u32::MAX,
-                        _ => rng.gen_range(0u32..64),
+                let e = match last {
+                    // The next span on the last event's track, from
+                    // where it ended, as thread states tile theirs.
+                    Some(prev) if rng.gen_range(0u32..4) == 0 => TimelineEvent {
+                        at: SimTime::from_nanos(
+                            prev.at.as_nanos().wrapping_add(prev.dur.as_nanos()),
+                        ),
+                        dur: SimDuration::from_nanos(pick(rng)),
+                        arg: pick(rng),
+                        ..prev
                     },
-                    at: SimTime::from_nanos(at),
-                    dur: SimDuration::from_nanos(pick(rng)),
-                    arg: pick(rng),
-                }
+                    _ => {
+                        // Mostly time-sorted, as merged timelines are,
+                        // with jumps back and extremes in between.
+                        at = match rng.gen_range(0u32..4) {
+                            0 => pick(rng),
+                            _ => at.wrapping_add(rng.gen_range(0u64..5000)),
+                        };
+                        TimelineEvent {
+                            kind: EventKind::ALL[rng.gen_range(0..EventKind::ALL.len())],
+                            track: match rng.gen_range(0u32..4) {
+                                0 => u32::MAX,
+                                _ => rng.gen_range(0u32..80),
+                            },
+                            at: SimTime::from_nanos(at),
+                            dur: SimDuration::from_nanos(pick(rng)),
+                            arg: pick(rng),
+                        }
+                    }
+                };
+                last = Some(e);
+                e
             })
             .collect()
     }
@@ -855,6 +909,7 @@ fn closed_timelines_read_as_their_plain_events() {
         AtomicU64::new(0),
         AtomicU64::new(0),
     );
+    let at_modes_seen = AtomicU64::new(0);
     for_cases(256, |rng| {
         let n = rng.gen_range(0usize..48);
         let events = arbitrary(rng, n);
@@ -867,6 +922,9 @@ fn closed_timelines_read_as_their_plain_events() {
             {
                 maxed.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        for mode in at_modes(&events) {
+            at_modes_seen.fetch_or(1 << mode, Ordering::Relaxed);
         }
         if events.windows(2).any(|w| w[1].at < w[0].at) {
             unsorted.fetch_add(1, Ordering::Relaxed);
@@ -957,6 +1015,11 @@ fn closed_timelines_read_as_their_plain_events() {
     });
     let every_kind = (1u64 << EventKind::ALL.len()) - 1;
     assert_eq!(kinds_seen.into_inner(), every_kind, "some kind never drawn");
+    assert_eq!(
+        at_modes_seen.into_inner(),
+        0b111,
+        "some `at` mode never drawn"
+    );
     for (what, count) in [
         ("an all-maximal event", maxed),
         ("an unsorted list", unsorted),
